@@ -9,6 +9,7 @@ best rank-r approximation can fail to exist.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -432,6 +433,7 @@ def constrained_als(tensor, cfg: SolverConfig):
             raise ValueError("separable orthogonality needs r <= max(n_k)")
 
     factors, lam = _init_factors(f, r, d, dims, cfg, flags)
+    grams = [fk.conj().T @ fk for fk in factors]
     unfolds = [np.moveaxis(f, k, 0).reshape(dims[k], -1) for k in range(d)]
     lam_reg = cfg.tychonoff_lambda
 
@@ -454,12 +456,7 @@ def constrained_als(tensor, cfg: SolverConfig):
                 uu, _, vv = np.linalg.svd(m, full_matrices=False)
                 factors[k] = uu @ vv
             else:
-                if lam_reg > 0:
-                    # ridge block: (Z^H Z + reg I) C^T = (X Z-bar)^T
-                    g = z.conj().T @ z + lam_reg * np.eye(r)
-                    c = np.linalg.solve(g, (unfolds[k] @ z.conj()).T).T
-                else:
-                    c = np.linalg.lstsq(z, unfolds[k].T, rcond=None)[0].T
+                c = _mode_solve(unfolds[k], z, grams[:k] + grams[k + 1:], lam_reg)
                 nrm = np.linalg.norm(c, axis=0)
                 dead = nrm <= 1e-300
                 if np.any(dead):
@@ -471,13 +468,14 @@ def constrained_als(tensor, cfg: SolverConfig):
                     nrm = np.linalg.norm(c, axis=0)
                 lam = nrm.astype(np.complex128)
                 factors[k] = c / nrm
+            grams[k] = factors[k].conj().T @ factors[k]
             if cfg.coherence_caps is not None:
                 cap = cfg.coherence_caps[k]
-                mu_k = _mode_mu(factors[k])
-                if mu_k > cap:
+                if _gram_mu(grams[k]) > cap:
                     factors[k] = _project_coherence(factors[k], cap, flags=flags)
+                    grams[k] = factors[k].conj().T @ factors[k]
         # global weight re-solve
-        gram = _term_gram(factors)
+        gram = functools.reduce(np.multiply, grams)
         rhs = _term_correlations(f, factors)
         if lam_reg > 0:
             lam = np.linalg.solve(gram + lam_reg * np.eye(r), rhs)
@@ -490,7 +488,7 @@ def constrained_als(tensor, cfg: SolverConfig):
             break
 
     model = canonicalize(lam, factors)
-    achieved = [_mode_mu(np.asarray(fk)) for fk in model.factors]
+    achieved = [_gram_mu(fk.conj().T @ fk) for fk in model.factors]
     diag = AlsDiagnostics(
         loss_trace=loss_trace,
         final_residual=frobenius(f - cp_evaluate(model)),
@@ -502,12 +500,40 @@ def constrained_als(tensor, cfg: SolverConfig):
     return model, diag
 
 
-def _mode_mu(v: np.ndarray) -> float:
-    if v.shape[1] < 2:
+def _gram_mu(gram: np.ndarray) -> float:
+    """Coherence of a unit-column set from its Gram: max off-diagonal |G_pq|."""
+    if gram.shape[0] < 2:
         return 0.0
-    g = np.abs(v.conj().T @ v)
+    g = np.abs(gram)
     np.fill_diagonal(g, 0.0)
     return float(np.max(g))
+
+
+# Gershgorin margin 1-(r-1) prod_j mu_j above which a mode update solves
+# its normal equations; 1/4 certifies a condition number of at most 7
+CERTIFIED_MARGIN = 0.25
+
+
+def _mode_solve(unfold: np.ndarray, z: np.ndarray, other_grams: list,
+                reg: float = 0.0) -> np.ndarray:
+    """Mode update C minimizing ||X_k - C Z^T||^2 + reg ||C||^2.
+
+    Z is the Khatri-Rao product of the other (unit-column) factors, so its
+    Gram Z^H Z is the Hadamard product of their Grams G_j, with unit
+    diagonal and off-diagonal entries at most prod_j mu_j.  Gershgorin then
+    bounds its smallest eigenvalue below by 1-(r-1) prod_j mu_j.  When that
+    certificate clears ``CERTIFIED_MARGIN`` (or a ridge term is present)
+    the r x r normal equations (Z^H Z + reg I) C^T = (X_k Z-bar)^T are
+    solved; otherwise ``lstsq`` on Z itself, which does not square the
+    conditioning.
+    """
+    normal = functools.reduce(np.multiply, other_grams)
+    r = normal.shape[0]
+    margin = 1.0 - (r - 1) * math.prod(_gram_mu(g) for g in other_grams)
+    if reg > 0 or margin >= CERTIFIED_MARGIN:
+        rhs = (unfold @ z.conj()).T
+        return np.linalg.solve(normal + reg * np.eye(r), rhs).T
+    return np.linalg.lstsq(z, unfold.T, rcond=None)[0].T
 
 
 def divergence_witness(phis, psis, ns):

@@ -7,14 +7,19 @@ Layout::
     then prod(n_k) lines of "re im" in row-major order (mode 1 slowest)
 
 Values are written with 17 significant digits, which round-trips IEEE
-doubles exactly.
+doubles exactly.  Blank lines are skipped on reading.
 """
 
 from __future__ import annotations
 
 import io
+import itertools
+import math
 
 import numpy as np
+
+# entry lines converted per bulk call; bounds the parser's working memory
+_CHUNK_LINES = 1 << 14
 
 
 def _fmt(x: float) -> str:
@@ -36,29 +41,30 @@ def write_htns(path, tensor) -> None:
 
 
 def parse_htns(text: str) -> np.ndarray:
-    return read_htns(io.StringIO(text))
+    return read_htns(io.StringIO(text, newline=None))
 
 
 def read_htns(path_or_file) -> np.ndarray:
-    """Read an HTNS1 text file into a complex hypermatrix."""
+    """Read an HTNS1 text file into a complex hypermatrix.
+
+    Rejects a malformed header, a wrong entry count, an entry line that is
+    not exactly ``re im``, and non-finite values, naming the entry.
+    """
     if hasattr(path_or_file, "read"):
-        fh = path_or_file
-        close = False
-    else:
-        fh = open(path_or_file, "r")
-        close = True
-    try:
-        lines = [ln.strip() for ln in fh.read().splitlines() if ln.strip()]
-    finally:
-        if close:
-            fh.close()
-    if len(lines) < 2:
+        return _read(path_or_file)
+    with open(path_or_file, "r") as fh:
+        return _read(fh)
+
+
+def _read(fh) -> np.ndarray:
+    header = list(itertools.islice((ln.strip() for ln in fh if ln.strip()), 2))
+    if len(header) < 2:
         raise ValueError("HTNS1: truncated header")
     try:
-        d = int(lines[0])
+        d = int(header[0])
     except ValueError:
         raise ValueError("HTNS1: first line must be the number of modes")
-    dims = lines[1].split()
+    dims = header[1].split()
     if len(dims) != d:
         raise ValueError(f"HTNS1: expected {d} dims, got {len(dims)}")
     try:
@@ -67,14 +73,41 @@ def read_htns(path_or_file) -> np.ndarray:
         raise ValueError("HTNS1: dims must be integers")
     if d < 1 or any(n < 1 for n in shape):
         raise ValueError("HTNS1: dims must be positive")
-    count = int(np.prod(shape))
-    body = lines[2:]
-    if len(body) != count:
-        raise ValueError(f"HTNS1: expected {count} entries, got {len(body)}")
-    data = np.empty(count, dtype=np.complex128)
-    for i, ln in enumerate(body):
-        parts = ln.split()
-        if len(parts) != 2:
+    count = math.prod(shape)
+    chunks = []
+    got = 0
+    while lines := list(itertools.islice(fh, _CHUNK_LINES)):
+        chunk = _parse_chunk(lines, got)
+        chunks.append(chunk)
+        got += chunk.shape[0]
+    if got != count:
+        raise ValueError(f"HTNS1: expected {count} entries, got {got}")
+    data = np.concatenate(chunks)
+    bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
+    if bad.size:
+        raise ValueError(f"HTNS1: entry {bad[0]}: non-finite value")
+    return data.view(np.complex128).reshape(shape)
+
+
+def _parse_chunk(lines: list, first: int) -> np.ndarray:
+    """Rows ``(re, im)`` of the non-blank lines; ``first`` is the index of
+    the chunk's first entry, used to name a bad one."""
+    if not any(ln.strip() for ln in lines):
+        return np.empty((0, 2))
+    try:
+        rows = np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
+    except ValueError:
+        rows = None
+    if rows is not None and rows.shape[1] == 2:
+        return rows
+    # name the first offending entry with a per-line scan
+    entries = (ln for ln in lines if ln.strip())
+    for i, ln in enumerate(entries, start=first):
+        if len(ln.split()) != 2:
             raise ValueError(f"HTNS1: entry {i}: expected 're im'")
-        data[i] = complex(float(parts[0]), float(parts[1]))
-    return data.reshape(shape)
+        try:
+            np.loadtxt([ln], dtype=np.float64, comments=None)
+        except ValueError:
+            raise ValueError(f"HTNS1: entry {i}: values must be numbers, "
+                             f"got {ln.strip()!r}")
+    raise ValueError(f"HTNS1: unreadable entries from entry {first}")

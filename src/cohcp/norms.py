@@ -63,10 +63,23 @@ class NormConfig:
     candidates: tuple = ()       # known CPModel decompositions of T
 
 
-def _mode_update_spec(d: int, k: int) -> str:
-    modes = _LETTERS[:d]
-    ins = [modes] + [modes[j] + "r" for j in range(d) if j != k]
-    return ",".join(ins) + "->" + modes[k] + "r"
+def _mode_contraction(tk: np.ndarray, others: list) -> np.ndarray:
+    """Contract a mode-k-first copy of T against one vector per other mode
+    and restart: column s is T with every other mode j contracted against
+    ``others[j][:, s]``, mode k left open.
+
+    ``others`` holds the (already conjugated) n_j x R blocks in the order of
+    the remaining axes of ``tk``.  The last mode goes through one matmul,
+    the rest through matmuls batched over the restarts.  A vector has no
+    other mode; its single column broadcasts over the restarts.
+    """
+    if not others:
+        return tk[:, None]
+    last = others[-1]
+    c = (tk.reshape(-1, last.shape[0]) @ last).T
+    for v in reversed(others[:-1]):
+        c = (c.reshape(c.shape[0], -1, v.shape[0]) @ v.T[:, :, None])[..., 0]
+    return c.T
 
 
 def _alternating_spectral(t: np.ndarray, restarts: int, tol: float,
@@ -80,13 +93,13 @@ def _alternating_spectral(t: np.ndarray, restarts: int, tol: float,
     d = t.ndim
     dims = t.shape
     vecs = [random_unit_columns(n, restarts, rng) for n in dims]
-    specs = [_mode_update_spec(d, k) for k in range(d)]
+    firsts = [np.ascontiguousarray(np.moveaxis(t, k, 0)) for k in range(d)]
     vals = np.zeros(restarts)
     for _ in range(max_sweeps):
         prev = vals
         for k in range(d):
             others = [vecs[j].conj() for j in range(d) if j != k]
-            c = np.einsum(specs[k], t, *others, optimize=True)
+            c = _mode_contraction(firsts[k], others)
             nrm = np.linalg.norm(c, axis=0)
             safe = np.where(nrm > 0, nrm, 1.0)
             vecs[k] = np.where(nrm > 0, c / safe, vecs[k])

@@ -131,6 +131,18 @@ class TestNormsCommand:
     def test_missing_input(self):
         assert run_cli(["norms"]) == 2
 
+    def test_nonfinite_input_rejected_at_read(self, tmp_path, capsys):
+        t = np.ones((2, 2, 2), dtype=complex)
+        t[1, 0, 1] = np.nan
+        p = tmp_path / "nan.htns"
+        write_htns(p, t)
+        out = tmp_path / "r.json"
+        code = run_cli(["norms", "--input", str(p), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "HTNS1: entry 5: non-finite value" in err
+        assert not out.exists()
+
 
 class TestDecomposeCommand:
     def test_als_roundtrip(self, tmp_path):

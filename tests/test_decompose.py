@@ -15,7 +15,9 @@ from cohcp.core import (
     rank1_outer,
     random_unit_columns,
 )
+from cohcp import decompose
 from cohcp.decompose import (
+    CERTIFIED_MARGIN,
     Dictionary,
     SolverConfig,
     best_rank1,
@@ -25,7 +27,7 @@ from cohcp.decompose import (
     random_incoherent_dictionary,
     woga,
 )
-from cohcp.norms import spectral_norm
+from cohcp.norms import _khatri_rao_but, spectral_norm
 
 
 def orthonormal_atoms(rng, dims=(3, 3, 3), count=3):
@@ -320,6 +322,79 @@ class TestConstrainedAls:
     def test_rejects_oversized_rank(self):
         with pytest.raises(ValueError):
             constrained_als(np.ones((2, 2)), SolverConfig(r=5))
+
+
+def lstsq_spy(monkeypatch):
+    """Record every np.linalg.lstsq call while still running it."""
+    calls = []
+    original = np.linalg.lstsq
+
+    def spy(*args, **kwargs):
+        calls.append(args[0].shape)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", spy)
+    return calls, original
+
+
+def mode_problem(factors, k, rng):
+    dims = tuple(fk.shape[0] for fk in factors)
+    x = rng.standard_normal(dims) + 1j * rng.standard_normal(dims)
+    unfold = np.moveaxis(x, k, 0).reshape(dims[k], -1)
+    z = _khatri_rao_but(factors, k)
+    grams = [fj.conj().T @ fj for j, fj in enumerate(factors) if j != k]
+    return unfold, z, grams
+
+
+class TestCertifiedModeSolve:
+    def test_matches_lstsq_on_incoherent_factors(self, monkeypatch):
+        rng = np.random.default_rng(30)
+        r = 4
+        factors = [random_unit_columns(n, r, rng) for n in (20, 24, 30)]
+        calls, lstsq = lstsq_spy(monkeypatch)
+        for k in range(3):
+            unfold, z, grams = mode_problem(factors, k, rng)
+            mus = [coherence(fj).mu for j, fj in enumerate(factors) if j != k]
+            # the Gershgorin certificate holds, so the normal equations run
+            assert 1.0 - (r - 1) * math.prod(mus) >= CERTIFIED_MARGIN
+            got = decompose._mode_solve(unfold, z, grams)
+            assert calls == []
+            ref = lstsq(z, unfold.T, rcond=None)[0].T
+            assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    def test_coherent_factors_fall_back_to_lstsq(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        e1 = np.array([1.0, 0.0], dtype=complex)
+        e2 = np.array([0.0, 1.0], dtype=complex)
+        n = 64
+        # normalized rank-2 factor pairs of the divergence witness: mu_j -> 1
+        pair = np.stack([(e1 + e2 / n) / np.linalg.norm(e1 + e2 / n), e1], axis=1)
+        factors = [pair.copy() for _ in range(3)]
+        calls, lstsq = lstsq_spy(monkeypatch)
+        unfold, z, grams = mode_problem(factors, 0, rng)
+        got = decompose._mode_solve(unfold, z, grams)
+        assert len(calls) == 1
+        ref = lstsq(z, unfold.T, rcond=None)[0].T
+        assert np.array_equal(got, ref)
+
+    def test_als_trace_matches_lstsq_path(self, monkeypatch):
+        rng = np.random.default_rng(32)
+        truth = canonicalize(np.array([4.0, 3.0, 2.0, 1.0]),
+                             [random_unit_columns(20, 4, rng) for _ in range(3)])
+        f = cp_evaluate(truth)
+        noise = rng.standard_normal(f.shape) + 1j * rng.standard_normal(f.shape)
+        f = f + noise * (0.01 * frobenius(f) / frobenius(noise))
+        cfg = SolverConfig(r=4, seed=0)
+        calls, _ = lstsq_spy(monkeypatch)
+        _, fast = constrained_als(f, cfg)
+        assert calls == []  # every mode update was certified
+        monkeypatch.setattr(decompose, "CERTIFIED_MARGIN", math.inf)
+        _, slow = constrained_als(f, cfg)
+        assert len(calls) == 3 * slow.n_iter
+        assert fast.n_iter == slow.n_iter
+        assert fast.flags == slow.flags
+        np.testing.assert_allclose(fast.loss_trace, slow.loss_trace,
+                                   rtol=1e-10, atol=0.0)
 
 
 class TestDivergenceWitness:

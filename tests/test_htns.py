@@ -1,7 +1,9 @@
+import io
+
 import numpy as np
 import pytest
 
-from cohcp.htns import dump_htns, parse_htns, read_htns, write_htns
+from cohcp.htns import _CHUNK_LINES, dump_htns, parse_htns, read_htns, write_htns
 
 
 def test_round_trip_random(tmp_path):
@@ -61,3 +63,80 @@ def test_vector_and_high_order(tmp_path):
 def test_malformed_rejected(text):
     with pytest.raises(ValueError):
         parse_htns(text)
+
+
+def test_malformed_messages_unchanged():
+    with pytest.raises(ValueError, match="truncated header"):
+        parse_htns("")
+    with pytest.raises(ValueError, match="expected 4 entries, got 1"):
+        parse_htns("2\n2 2\n1 0\n")
+    with pytest.raises(ValueError, match="expected 2 dims, got 1"):
+        parse_htns("2\n2\n1 0\n2 0\n3 0\n4 0\n")
+    with pytest.raises(ValueError, match="first line must be the number of modes"):
+        parse_htns("x\n2 2\n" + "1 0\n" * 4)
+    with pytest.raises(ValueError, match="entry 3: expected 're im'"):
+        parse_htns("2\n2 2\n" + "1 0\n" * 3 + "1\n")
+    with pytest.raises(ValueError, match="dims must be positive"):
+        parse_htns("1\n0\n")
+
+
+def test_token_total_matching_but_lines_malformed():
+    # four tokens for two entries, but split 3 + 1 across the lines
+    with pytest.raises(ValueError, match="entry 0: expected 're im'"):
+        parse_htns("1\n2\n1 2 3\n4\n")
+
+
+def test_non_numeric_entry_named():
+    with pytest.raises(ValueError, match="entry 1"):
+        parse_htns("1\n2\n1 0\n1 x\n")
+
+
+def test_more_entries_than_dims():
+    with pytest.raises(ValueError, match="expected 2 entries, got 3"):
+        parse_htns("1\n2\n1 0\n2 0\n3 0\n")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+def test_non_finite_entry_named(value):
+    with pytest.raises(ValueError, match="entry 2: non-finite value"):
+        parse_htns(f"1\n4\n1 0\n2 0\n0 {value}\n4 0\n")
+
+
+def test_blank_lines_between_entries_skipped():
+    t = parse_htns("\n1\n\n3\n1 0\n\n   \n2 -1\n\t\n3 0.5\n\n")
+    assert np.array_equal(t, np.array([1, 2 - 1j, 3 + 0.5j]))
+
+
+def test_crlf_line_endings(tmp_path):
+    text = "2\r\n1 2\r\n1 0\r\n0.25 -2\r\n"
+    expected = np.array([[1, 0.25 - 2j]])
+    assert np.array_equal(parse_htns(text), expected)
+    path = tmp_path / "crlf.htns"
+    path.write_bytes(text.encode())
+    assert np.array_equal(read_htns(path), expected)
+
+
+def test_file_object_input(tmp_path):
+    rng = np.random.default_rng(3)
+    t = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+    path = tmp_path / "f.htns"
+    write_htns(path, t)
+    with open(path) as fh:
+        assert np.array_equal(read_htns(fh), t)
+    assert np.array_equal(read_htns(io.StringIO(dump_htns(t))), t)
+
+
+@pytest.mark.parametrize("shape", [
+    (20, 20, 20),
+    # crosses the parser's chunk boundary with a partial last chunk
+    (2, _CHUNK_LINES // 2 + 3),
+])
+def test_round_trip_bit_exact_large(tmp_path, shape):
+    rng = np.random.default_rng(4)
+    t = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    t.flat[::97] *= 1e-300
+    path = tmp_path / "big.htns"
+    write_htns(path, t)
+    back = read_htns(path)
+    assert back.shape == t.shape
+    assert np.array_equal(back.view(np.float64), t.view(np.float64))

@@ -9,8 +9,10 @@ from cohcp.core import (
     rank1_outer,
     random_unit_columns,
 )
+from cohcp.decompose import best_rank1
 from cohcp.norms import (
     NormConfig,
+    _mode_contraction,
     duality_gap_check,
     mat_mult_decomposition,
     mat_mult_tensor,
@@ -53,6 +55,33 @@ class TestSpectralNorm:
             cert = spectral_norm(a, restarts=24)
             top = np.linalg.svd(a, compute_uv=False)[0]
             assert abs(cert.spectral - top) < 1e-8 * max(1.0, top)
+
+    def test_vector_input(self):
+        v = np.array([3.0, 4.0j, 0.0])
+        cert = spectral_norm(v)
+        assert abs(cert.spectral - 5.0) < 1e-12
+        assert np.allclose(cert.spectral_witness[0], v / 5.0, atol=1e-15)
+        weight, factors = best_rank1(v)
+        assert abs(weight - 5.0) < 1e-12
+        assert np.allclose(factors[0], v / 5.0, atol=1e-15)
+
+    @pytest.mark.parametrize("shape", [(5,), (4, 6), (3, 4, 5), (2, 3, 4, 3)])
+    def test_mode_contraction_matches_einsum(self, shape):
+        rng = np.random.default_rng(7)
+        restarts = 6
+        t = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        vecs = [rng.standard_normal((n, restarts))
+                + 1j * rng.standard_normal((n, restarts)) for n in shape]
+        letters = "abcd"[:len(shape)]
+        for k in range(len(shape)):
+            others = [vecs[j].conj() for j in range(len(shape)) if j != k]
+            spec = ",".join([letters] + [letters[j] + "r" for j in range(len(shape))
+                                         if j != k]) + "->" + letters[k] + "r"
+            ref = (np.einsum(spec, t, *others) if others
+                   else np.repeat(t[:, None], restarts, axis=1))
+            got = _mode_contraction(np.moveaxis(t, k, 0).copy(), others)
+            assert np.allclose(np.broadcast_to(got, ref.shape), ref,
+                               rtol=1e-13, atol=1e-13)
 
     def test_zero_tensor(self):
         cert = spectral_norm(np.zeros((2, 2, 2)))
