@@ -1,5 +1,5 @@
 """Layer rows for pytest-benchmark: the kernels the dense decompose path
-spends its time in.
+and the nuclear-norm bracket spend their time in.
 
 Run from the repository root (the tier-1 suite does not collect them)::
 
@@ -16,7 +16,13 @@ import pytest
 from cohcp.core import random_unit_columns
 from cohcp.decompose import _mode_solve
 from cohcp.htns import dump_htns, parse_htns
-from cohcp.norms import _alternating_spectral, _khatri_rao_but
+from cohcp.norms import (
+    NormConfig,
+    _alternating_spectral,
+    _exact_fit,
+    _khatri_rao_but,
+    nuclear_norm_bounds,
+)
 
 
 def _complex(rng, shape):
@@ -50,3 +56,22 @@ def test_alternating_spectral_sweep(benchmark, n, restarts):
 
     value, _ = benchmark(sweep)
     assert value > 0.0
+
+
+def _tensor_3cubed():
+    return _complex(np.random.default_rng(4), (3, 3, 3))
+
+
+def test_nuclear_norm_bounds_3(benchmark):
+    t = _tensor_3cubed()
+    cert = benchmark(nuclear_norm_bounds, t, NormConfig())
+    assert cert.nuclear_lower <= cert.nuclear_upper
+
+
+def test_exact_fit_3_r5(benchmark):
+    t = _tensor_3cubed()
+
+    def fit():
+        return _exact_fit(t, 5, NormConfig(), np.random.default_rng(5))
+
+    benchmark(fit)

@@ -321,6 +321,13 @@ def _signals_from_spec(spec, n3_default: int, r: int, seed: int) -> np.ndarray:
     return _complex_matrix(spec)
 
 
+def _scene_field(doc, key: str):
+    try:
+        return doc[key]
+    except (KeyError, TypeError):
+        raise ValidationError(f"scene JSON is missing field {key!r}") from None
+
+
 def _cmd_simulate(args) -> int:
     with open(args.scene) as fh:
         doc = json.load(fh)
@@ -328,12 +335,12 @@ def _cmd_simulate(args) -> int:
                  "noise_std": args.noise_std}
     if args.kind == "array":
         scene = ArrayScene(
-            b=np.asarray(doc["positions"], dtype=float),
-            delta=np.asarray(doc["translations"], dtype=float),
-            pulsation=float(doc["pulsation"]),
-            celerity=float(doc["celerity"]),
+            b=np.asarray(_scene_field(doc, "positions"), dtype=float),
+            delta=np.asarray(_scene_field(doc, "translations"), dtype=float),
+            pulsation=float(_scene_field(doc, "pulsation")),
+            celerity=float(_scene_field(doc, "celerity")),
         )
-        directions = np.asarray(doc["directions"], dtype=float)
+        directions = np.asarray(_scene_field(doc, "directions"), dtype=float)
         directions = directions / np.linalg.norm(directions, axis=1, keepdims=True)
         signals = _signals_from_spec(doc.get("signals", {}), 64,
                                      directions.shape[0], args.seed + 1)
@@ -342,20 +349,20 @@ def _cmd_simulate(args) -> int:
         out["resolvent_triad"] = has_resolvent_triad(scene.b, scene.wavelength)
         out["wavelength"] = scene.wavelength
     elif args.kind == "cdma":
-        gains = _complex_matrix(doc["gains"])
-        symbols = _complex_matrix(doc["symbols"])
+        gains = _complex_matrix(_scene_field(doc, "gains"))
+        symbols = _complex_matrix(_scene_field(doc, "symbols"))
         if "codes" in doc:
             codes = _complex_matrix(doc["codes"])
         else:
-            codes = effective_codes(_complex_matrix(doc["spreading"]),
-                                    _complex_matrix(doc["impulse"]))
+            codes = effective_codes(_complex_matrix(_scene_field(doc, "spreading")),
+                                    _complex_matrix(_scene_field(doc, "impulse")))
         scene = CdmaScene(gains=gains, symbols=symbols, codes=codes)
         tensor, truth = simulate_cdma(scene, args.noise_std, args.seed)
     elif args.kind == "fluorescence":
         tensor, truth, likeness = simulate_fluorescence(
-            np.asarray(doc["concentrations"], dtype=float),
-            np.asarray(doc["excitation"], dtype=float),
-            np.asarray(doc["emission"], dtype=float),
+            np.asarray(_scene_field(doc, "concentrations"), dtype=float),
+            np.asarray(_scene_field(doc, "excitation"), dtype=float),
+            np.asarray(_scene_field(doc, "emission"), dtype=float),
             args.noise_std, args.seed)
         out["likeness"] = likeness
     else:

@@ -28,6 +28,7 @@ from .core import (
 )
 
 _LETTERS = "abcdefghijklmnopqstuvwxyz"
+TIE_RTOL = 1e-9  # nuclear bounds closer than this x max(1, upper) differ by rounding
 
 
 @dataclass(frozen=True)
@@ -56,7 +57,7 @@ class NormConfig:
     sweep_tol: float = 1e-12
     max_sweeps: int = 500
     seed: int = 0
-    search: bool = True          # run the penalized decomposition search
+    search: bool = True          # search exact ALS fits by rank while the bracket is open
     max_terms: int | None = None
     als_sweeps: int = 120
     fit_tol: float = 1e-9        # residual acceptance for upper bounds
@@ -113,6 +114,15 @@ def _alternating_spectral(t: np.ndarray, restarts: int, tol: float,
     return value, witness
 
 
+def _finite_tensor(tensor, caller: str) -> np.ndarray:
+    """The tensor as complex128, refusing NaN or infinite entries."""
+    t = np.asarray(tensor, dtype=np.complex128)
+    bad = np.argwhere(~np.isfinite(t))
+    if bad.size:
+        raise ValueError(f"{caller}: non-finite entry at index {tuple(bad[0].tolist())}")
+    return t
+
+
 def spectral_norm(tensor, restarts: int = 64, tol: float = 1e-12,
                   max_sweeps: int = 500, seed: int = 0) -> NormCertificate:
     """Best |<T, phi_1 (x) ... (x) phi_d>| over unit vectors found by
@@ -120,9 +130,9 @@ def spectral_norm(tensor, restarts: int = 64, tol: float = 1e-12,
 
     The value is a certified lower bound on the spectral norm; for
     matrices it matches the largest singular value.  The zero tensor
-    returns 0 with no witness.
+    returns 0 with no witness; non-finite entries raise ``ValueError``.
     """
-    t = np.asarray(tensor, dtype=np.complex128)
+    t = _finite_tensor(tensor, "spectral_norm")
     if frobenius(t) == 0.0:
         return NormCertificate(spectral=0.0, spectral_witness=None)
     rng = np.random.default_rng(seed)
@@ -191,25 +201,6 @@ def _terms_to_model(terms, dims) -> CPModel:
     return canonicalize(weights, factors)
 
 
-def _soft_threshold(rho: complex, kappa: float) -> complex:
-    a = abs(rho)
-    if a <= kappa:
-        return 0.0
-    return rho * (1.0 - kappa / a)
-
-
-def _l1_weight_solve(gram: np.ndarray, b: np.ndarray, pen: float,
-                     iters: int = 60) -> np.ndarray:
-    """Coordinate descent for min ||f - sum c_p g_p||^2 + pen * sum |c_p|."""
-    r = b.shape[0]
-    c = np.linalg.lstsq(gram, b, rcond=None)[0]
-    for _ in range(iters):
-        for p in range(r):
-            rho = b[p] - gram[p, :] @ c + gram[p, p] * c[p]
-            c[p] = _soft_threshold(rho, pen / 2.0) / gram[p, p].real
-    return c
-
-
 def _khatri_rao_but(factors, k: int) -> np.ndarray:
     """Khatri-Rao product of all factor matrices except mode k, ordered to
     match the C-order unfolding of the remaining modes."""
@@ -239,37 +230,28 @@ def _term_gram(factors) -> np.ndarray:
     return gram
 
 
-def _penalized_fit(t: np.ndarray, r: int, cfg: NormConfig, rng) -> tuple | None:
-    """Search an exact rank-r fit with small weight sum.
+def _exact_fit(t: np.ndarray, r: int, cfg: NormConfig, rng) -> tuple | None:
+    """Search an exact rank-r fit for a nuclear-norm upper bound.
 
-    Alternating least squares on the factors interleaved with an
-    l1-penalized weight re-solve under a decreasing penalty, then an exact
-    final weight solve.  Only decompositions meeting the residual tolerance
+    Alternating least squares on unit factors from a random start, then an
+    exact weight solve.  Only decompositions meeting the residual tolerance
     produce upper bounds.  Returns (weight_sum, model, residual) or None.
     """
     dims = t.shape
     d = t.ndim
     tnorm = frobenius(t)
     factors = [random_unit_columns(n, r, rng) for n in dims]
-    lam = np.ones(r, dtype=np.complex128)
     unfolds = [np.moveaxis(t, k, 0).reshape(dims[k], -1) for k in range(d)]
-    pen = 0.1 * tnorm
-    rounds = 14
-    for _ in range(rounds):
-        for _ in range(max(2, cfg.als_sweeps // rounds)):
-            for k in range(d):
-                z = _khatri_rao_but(factors, k)
-                c = np.linalg.lstsq(z, unfolds[k].T, rcond=None)[0].T
-                nrm = np.linalg.norm(c, axis=0)
-                keep = nrm > 1e-300
-                lam = np.where(keep, nrm, 0.0).astype(np.complex128)
-                factors[k] = np.where(keep[None, :], c / np.where(keep, nrm, 1.0),
-                                      factors[k])
-        gram = _term_gram(factors) + 1e-12 * np.eye(r)
-        b = _term_correlations(t, factors)
-        lam = _l1_weight_solve(gram, b, pen)
-        pen *= 0.3
-    # exact final weight solve (penalty off)
+    # blocks of 14 sweeps, at least two per block; the reported bounds
+    # depend on this exact count
+    for _ in range(14 * max(2, cfg.als_sweeps // 14)):
+        for k in range(d):
+            z = _khatri_rao_but(factors, k)
+            c = np.linalg.lstsq(z, unfolds[k].T, rcond=None)[0].T
+            nrm = np.linalg.norm(c, axis=0)
+            keep = nrm > 1e-300
+            factors[k] = np.where(keep[None, :], c / np.where(keep, nrm, 1.0),
+                                  factors[k])
     gram = _term_gram(factors)
     b = _term_correlations(t, factors)
     lam = np.linalg.lstsq(gram, b, rcond=None)[0]
@@ -294,11 +276,14 @@ def nuclear_norm_bounds(tensor, cfg: NormConfig | None = None) -> NormCertificat
     witness (giving ||T||_sigma itself); exact polar dual for matrices.
     Upper: min over exact decompositions found - the matrix SVD, mode-slice
     decompositions, user-supplied candidate models, and an optional
-    penalized search over increasing rank.  ``certified`` when the gap
-    is within ``cfg.tol`` relative.
+    search over ranks 1, 2, ... for exact ALS fits.  Any exact
+    decomposition weighs at least the nuclear norm, hence at least the lower
+    bound, so the search stops once the bracket is closed to rounding.
+    ``certified`` when the gap is within ``cfg.tol`` relative.  Non-finite
+    entries raise ``ValueError``.
     """
     cfg = cfg or NormConfig()
-    t = np.asarray(tensor, dtype=np.complex128)
+    t = _finite_tensor(tensor, "nuclear_norm_bounds")
     if t.size > cfg.size_cap:
         raise ValueError(
             f"nuclear_norm_bounds refused: {t.size} entries exceeds cap "
@@ -332,13 +317,15 @@ def nuclear_norm_bounds(tensor, cfg: NormConfig | None = None) -> NormCertificat
         if max_terms is None:
             max_terms = min(t.size // max(t.shape), 8)
         for r in range(1, max_terms + 1):
-            got = _penalized_fit(t, r, cfg, rng)
+            if upper - lower <= TIE_RTOL * max(1.0, upper):
+                break
+            got = _exact_fit(t, r, cfg, rng)
             if got is not None and got[0] < upper:
                 upper, upper_witness = got[0], got[1]
 
     certified = True
     if lower > upper:
-        if lower - upper <= 1e-9 * max(1.0, upper):
+        if lower - upper <= TIE_RTOL * max(1.0, upper):
             lower = upper  # numerical ties collapse to the upper bound
         else:
             certified = False

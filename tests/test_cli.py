@@ -239,6 +239,29 @@ class TestSimulateCommand:
         t = read_htns(tensor_path)
         assert t.shape == (10, 3, 24)
 
+    @pytest.mark.parametrize("kind, doc, field", [
+        ("array", None, "translations"),
+        ("array", None, "directions"),
+        ("cdma", {"gains": [[1.0]], "symbols": [[1.0]], "spreading": [[1.0]]}, "impulse"),
+        ("fluorescence", {"concentrations": [[1.0]], "emission": [[1.0]]}, "excitation"),
+    ])
+    def test_missing_scene_field_exits_2(self, tmp_path, capsys, kind, doc, field):
+        if doc is None:
+            doc = self.scene_doc()
+            del doc[field]
+        scene_path = tmp_path / "scene.json"
+        scene_path.write_text(json.dumps(doc))
+        code = run_cli(["simulate", "--kind", kind, "--scene", str(scene_path),
+                        "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        assert f"missing field '{field}'" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_non_object_scene_exits_2(self, tmp_path):
+        scene_path = tmp_path / "scene.json"
+        scene_path.write_text("[1, 2]")
+        assert run_cli(["simulate", "--kind", "array", "--scene", str(scene_path)]) == 2
+
     def test_fluorescence(self, tmp_path):
         doc = {
             "concentrations": [[1.0, 0.2], [0.3, 1.0]],

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cohcp import norms
 from cohcp.core import (
     cp_evaluate,
     frobenius,
@@ -82,6 +83,13 @@ class TestSpectralNorm:
             got = _mode_contraction(np.moveaxis(t, k, 0).copy(), others)
             assert np.allclose(np.broadcast_to(got, ref.shape), ref,
                                rtol=1e-13, atol=1e-13)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(0, np.nan)])
+    def test_non_finite_rejected(self, bad):
+        t = np.ones((3, 3, 3), dtype=complex)
+        t[0, 1, 2] = bad
+        with pytest.raises(ValueError, match=r"non-finite entry at index \(0, 1, 2\)"):
+            spectral_norm(t)
 
     def test_zero_tensor(self):
         cert = spectral_norm(np.zeros((2, 2, 2)))
@@ -182,6 +190,58 @@ class TestNuclearBounds:
         assert c0.nuclear_lower <= c1.nuclear_upper + 1e-6
         assert c1.nuclear_lower <= c0.nuclear_upper + 1e-6
         assert abs(c0.spectral - c1.spectral) < 1e-8 * max(1.0, c0.spectral)
+
+    # spectral, nuclear_lower, nuclear_upper under the default NormConfig
+    GOLDEN = {
+        11: (3.825664541166921, 10.482533787767853, 15.82921726997619),
+        12: (4.53863107601602, 8.722642632804543, 15.259652458915514),
+        13: (4.588371271153004, 12.370306308823082, 19.43831536633889),
+    }
+
+    @pytest.mark.parametrize("seed", sorted(GOLDEN))
+    def test_golden_values(self, seed):
+        rng = np.random.default_rng(seed)
+        t = rng.standard_normal((3, 3, 3)) + 1j * rng.standard_normal((3, 3, 3))
+        cert = nuclear_norm_bounds(t)
+        got = (cert.spectral, cert.nuclear_lower, cert.nuclear_upper)
+        for value, want in zip(got, self.GOLDEN[seed]):
+            assert abs(value - want) <= 1e-12 * want
+        assert not cert.certified
+
+    def test_closed_bracket_skips_search(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("search ran on a closed bracket")
+
+        monkeypatch.setattr(norms, "_exact_fit", fail)
+        cfg = NormConfig(candidates=(mat_mult_decomposition(2),))
+        cert = nuclear_norm_bounds(mat_mult_tensor(2), cfg)
+        assert cert.nuclear_upper == 8.0
+        assert abs(cert.nuclear_lower - 8.0) <= 1e-12
+        assert cert.certified
+
+    def test_open_bracket_searches_every_rank(self, monkeypatch):
+        ranks = []
+        fit = norms._exact_fit
+
+        def counting(t, r, cfg, rng):
+            ranks.append(r)
+            return fit(t, r, cfg, rng)
+
+        monkeypatch.setattr(norms, "_exact_fit", counting)
+        rng = np.random.default_rng(14)
+        t = rng.standard_normal((3, 3, 3)) + 1j * rng.standard_normal((3, 3, 3))
+        cert = nuclear_norm_bounds(t)
+        assert ranks == list(range(1, 9))
+        assert cert.nuclear_upper - cert.nuclear_lower > 1e-3
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_rejected(self, bad):
+        t = np.ones((3, 3, 3), dtype=complex)
+        t[1, 2, 0] = bad
+        with pytest.raises(ValueError, match=r"non-finite entry at index \(1, 2, 0\)"):
+            nuclear_norm_bounds(t)
+        with pytest.raises(ValueError, match="non-finite"):
+            duality_gap_check(np.ones((3, 3, 3)), t)
 
 
 class TestDuality:
