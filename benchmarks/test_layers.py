@@ -1,5 +1,5 @@
-"""Layer rows for pytest-benchmark: the kernels the dense decompose path
-and the nuclear-norm bracket spend their time in.
+"""Layer rows for pytest-benchmark: the kernels the dense decompose path,
+the nuclear-norm bracket and blind direction finding spend their time in.
 
 Run from the repository root (the tier-1 suite does not collect them)::
 
@@ -10,10 +10,12 @@ Inputs are fixed by their seeds, so rows of two commits compare like with
 like.  Report medians: the timings carry the noise of the host.
 """
 
+import math
+
 import numpy as np
 import pytest
 
-from cohcp.core import random_unit_columns
+from cohcp.core import evaluate_terms, random_unit_columns
 from cohcp.decompose import _mode_solve
 from cohcp.htns import dump_htns, parse_htns
 from cohcp.norms import (
@@ -23,6 +25,7 @@ from cohcp.norms import (
     _khatri_rao_but,
     nuclear_norm_bounds,
 )
+from cohcp.simulate import ArrayScene, _refine_direction, doa_estimate, steering_vectors
 
 
 def _complex(rng, shape):
@@ -75,3 +78,57 @@ def test_exact_fit_3_r5(benchmark):
         return _exact_fit(t, 5, NormConfig(), np.random.default_rng(5))
 
     benchmark(fit)
+
+
+WAVELENGTH = 0.3
+
+
+def _array_scene():
+    # 17 sensors: a 4x4 grid at 0.45 wavelength plus one elevated sensor
+    s = 0.45 * WAVELENGTH
+    b = [[i * s, j * s, 0.0] for i in range(4) for j in range(4)]
+    b.append([s, s, 0.4 * WAVELENGTH])
+    t = 0.3 * WAVELENGTH
+    delta = [[0, 0, 0], [t, 0, 0], [0, t, 0], [t, t, 0.25 * WAVELENGTH]]
+    return ArrayScene(b=np.array(b), delta=np.array(delta),
+                      pulsation=2.0 * math.pi * 3.0e8 / WAVELENGTH, celerity=3.0e8)
+
+
+def _noisy_steering(scene):
+    h = 1.0 / 0.9 / 2.0
+    uz = math.sqrt(1.0 - 2.0 * h * h)
+    dirs = np.array([[-h, -h, uz], [h, -h, uz], [-h, h, uz], [h, h, uz]])
+    u, _ = steering_vectors(scene, dirs)
+    return u + 0.01 * _complex(np.random.default_rng(6), u.shape), dirs
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_doa_estimate_17_sensors_1deg(benchmark, warm):
+    scene = _array_scene()
+    u, _ = _noisy_steering(scene)
+    if warm:
+        doa_estimate(u, scene, grid_resolution_deg=1.0)
+        ests = benchmark(doa_estimate, u, scene, grid_resolution_deg=1.0)
+    else:
+        # a new scene per round, so every call builds its grid
+        ests = benchmark.pedantic(
+            doa_estimate, setup=lambda: ((u, _array_scene()), {"grid_resolution_deg": 1.0}),
+            rounds=10)
+    assert len(ests) == 4
+
+
+def test_refine_direction_one_column(benchmark):
+    scene = _array_scene()
+    u, dirs = _noisy_steering(scene)
+    col = u[:, 0] / np.linalg.norm(u[:, 0])
+    start = dirs[0] + np.array([0.01, -0.01, 0.0])
+    d, _ = benchmark(_refine_direction, scene, col, start, math.radians(1.0))
+    assert d @ dirs[0] > 0.99
+
+
+def test_evaluate_terms_17x4x48_r4(benchmark):
+    rng = np.random.default_rng(9)
+    factors = [random_unit_columns(n, 4, rng) for n in (17, 4, 48)]
+    weights = np.array([2.0, 1.6, 1.3, 1.0])
+    t = benchmark(evaluate_terms, weights, factors)
+    assert t.shape == (17, 4, 48)

@@ -15,6 +15,7 @@ pure functions.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,6 +74,20 @@ def _einsum_spec(d: int) -> str:
     return "r," + ",".join(m + "r" for m in modes) + "->" + modes
 
 
+@functools.lru_cache(maxsize=256)
+def _einsum_plan(spec: str, shapes: tuple) -> tuple:
+    # the greedy path that einsum(optimize=True) would choose, searched once
+    # per spec and operand shapes; a fixed path keeps the contraction order
+    dummies = [np.broadcast_to(np.zeros((), dtype=np.complex128), s) for s in shapes]
+    return tuple(np.einsum_path(spec, *dummies, optimize="greedy")[0])
+
+
+def planned_einsum(spec: str, *operands) -> np.ndarray:
+    """``np.einsum(spec, *operands, optimize=True)`` without re-planning."""
+    path = _einsum_plan(spec, tuple(op.shape for op in operands))
+    return np.einsum(spec, *operands, optimize=path)
+
+
 def evaluate_terms(weights, factors) -> np.ndarray:
     """Evaluate sum_p weights[p] * (col p of each factor matrix) outer."""
     factors = [_as_complex(f) for f in factors]
@@ -83,7 +98,7 @@ def evaluate_terms(weights, factors) -> np.ndarray:
             raise ValueError("each factor matrix needs one column per term")
     if r == 0:
         return np.zeros(tuple(f.shape[0] for f in factors), dtype=np.complex128)
-    return np.einsum(_einsum_spec(len(factors)), w, *factors, optimize=True)
+    return planned_einsum(_einsum_spec(len(factors)), w, *factors)
 
 
 @dataclass(frozen=True)
@@ -104,14 +119,18 @@ class CPModel:
         facs = tuple(_as_complex(f) for f in self.factors)
         if w.ndim != 1:
             raise ValueError("weights must be a vector")
+        if not np.all(np.isfinite(w)):
+            raise ValueError("weights must be finite")
         r = w.shape[0]
         if len(facs) < 1:
             raise ValueError("need at least one mode")
-        for f in facs:
+        for k, f in enumerate(facs):
             if f.ndim != 2 or f.shape[1] != r:
                 raise ValueError("factor matrices must be n_k x r")
             if f.shape[0] < 1:
                 raise ValueError("empty mode")
+            if not np.all(np.isfinite(f)):
+                raise ValueError(f"factors[{k}] must be finite")
         if r > 0:
             if np.any(w <= 0):
                 raise ValueError("weights must be strictly positive")

@@ -24,7 +24,13 @@ from .core import (
     rank1_outer,
     random_unit_columns,
 )
-from .norms import _alternating_spectral, _khatri_rao_but, _term_correlations, _term_gram
+from .norms import (
+    _alternating_spectral,
+    _finite_tensor,
+    _khatri_rao_but,
+    _term_correlations,
+    _term_gram,
+)
 
 
 class Dictionary:
@@ -168,8 +174,9 @@ def best_rank1(tensor, restarts: int = 32, tol: float = 1e-13,
 
     Returns (weight, factors) with unit factors maximizing
     |<T, phi_1 (x) ... (x) phi_d>| and weight equal to that value.
+    Non-finite entries raise ``ValueError``.
     """
-    f = np.asarray(tensor, dtype=np.complex128)
+    f = _finite_tensor(tensor, "best_rank1")
     if frobenius(f) == 0.0:
         raise ValueError("best rank-1 term undefined for the zero tensor")
     rng = np.random.default_rng(seed)

@@ -24,6 +24,7 @@ from .core import (
     evaluate_terms,
     frobenius,
     inner_product,
+    planned_einsum,
     random_unit_columns,
 )
 
@@ -117,9 +118,10 @@ def _alternating_spectral(t: np.ndarray, restarts: int, tol: float,
 def _finite_tensor(tensor, caller: str) -> np.ndarray:
     """The tensor as complex128, refusing NaN or infinite entries."""
     t = np.asarray(tensor, dtype=np.complex128)
-    bad = np.argwhere(~np.isfinite(t))
-    if bad.size:
-        raise ValueError(f"{caller}: non-finite entry at index {tuple(bad[0].tolist())}")
+    finite = np.isfinite(t)
+    if not finite.all():
+        bad = np.argwhere(~finite)[0]
+        raise ValueError(f"{caller}: non-finite entry at index {tuple(bad.tolist())}")
     return t
 
 
@@ -218,7 +220,7 @@ def _term_correlations(t: np.ndarray, factors) -> np.ndarray:
     d = t.ndim
     modes = _LETTERS[:d]
     spec = modes + "," + ",".join(m + "r" for m in modes) + "->r"
-    return np.einsum(spec, t, *[f.conj() for f in factors], optimize=True)
+    return planned_einsum(spec, t, *[f.conj() for f in factors])
 
 
 def _term_gram(factors) -> np.ndarray:

@@ -29,10 +29,14 @@ class ArrayScene:
     delta: np.ndarray       # (n2, 3) subarray translations, meters
     pulsation: float        # omega_wave
     celerity: float
+    # grid size -> (direction grid, conjugated grid steering matrix) of
+    # doa_estimate; valid because b is a read-only copy
+    _doa_grids: dict = field(default_factory=dict, init=False, repr=False,
+                             compare=False)
 
     def __post_init__(self):
-        b = np.atleast_2d(np.asarray(self.b, dtype=np.float64))
-        delta = np.atleast_2d(np.asarray(self.delta, dtype=np.float64))
+        b = np.atleast_2d(np.array(self.b, dtype=np.float64))
+        delta = np.atleast_2d(np.array(self.delta, dtype=np.float64))
         if b.ndim != 2 or b.shape[1] != 3 or b.shape[0] < 1:
             raise ValueError("b must be an (n1, 3) array of positions")
         if delta.ndim != 2 or delta.shape[1] != 3 or delta.shape[0] < 1:
@@ -43,6 +47,8 @@ class ArrayScene:
             raise ValueError("the first translation must be zero (reference subarray)")
         if not (self.pulsation > 0 and self.celerity > 0):
             raise ValueError("pulsation and celerity must be positive")
+        b.setflags(write=False)
+        delta.setflags(write=False)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "delta", delta)
 
@@ -359,18 +365,32 @@ class DoaEstimate:
     separation_guaranteed: bool = True
 
 
+def _cross(a, b) -> np.ndarray:
+    # the products and differences of np.cross, without its per-call overhead
+    return np.array([a[1] * b[2] - a[2] * b[1],
+                     a[2] * b[0] - a[0] * b[2],
+                     a[0] * b[1] - a[1] * b[0]])
+
+
 def _tangent_basis(d: np.ndarray) -> tuple:
     a = np.zeros(3)
     a[int(np.argmin(np.abs(d)))] = 1.0
-    t1 = np.cross(d, a)
+    t1 = _cross(d, a)
     t1 /= np.linalg.norm(t1)
-    return t1, np.cross(d, t1)
+    return t1, _cross(d, t1)
 
 
 def _refine_direction(scene: ArrayScene, u_col: np.ndarray, d0: np.ndarray,
                       step0: float, steps: int = 20) -> tuple:
+    k = scene.wavenumber
+    scale = math.sqrt(scene.b.shape[0])
+
     def score(d):
-        u, _ = steering_vectors(scene, d[None, :])
+        # the reference-subarray column of steering_vectors, without its
+        # translation columns and array-level validation
+        if abs(math.sqrt(d @ d) - 1.0) > 1e-9:
+            raise ValueError("directions must be unit vectors")
+        u = np.exp(1j * k * (scene.b @ d[None, :].T)) / scale
         return float(abs(np.vdot(u[:, 0], u_col)))
 
     d = d0 / np.linalg.norm(d0)
@@ -379,6 +399,7 @@ def _refine_direction(scene: ArrayScene, u_col: np.ndarray, d0: np.ndarray,
     for _ in range(steps):
         t1, t2 = _tangent_basis(d)
         improved = False
+        # sequential: an accepted candidate moves d for the next one
         for dd in (t1, -t1, t2, -t2):
             cand = d + step * dd
             cand /= np.linalg.norm(cand)
@@ -389,6 +410,21 @@ def _refine_direction(scene: ArrayScene, u_col: np.ndarray, d0: np.ndarray,
         if not improved:
             step *= 0.5
     return d, best
+
+
+def _doa_grid(scene: ArrayScene, grid_resolution_deg: float) -> tuple:
+    """Direction grid and its conjugated steering matrix, built once per
+    scene and grid size."""
+    count = _grid_size_for_resolution(grid_resolution_deg)
+    cached = scene._doa_grids.get(count)
+    if cached is None:
+        grid = fibonacci_sphere(count)
+        ug, _ = steering_vectors(scene, grid)
+        cached = (grid, ug.conj())
+        for a in cached:
+            a.setflags(write=False)
+        scene._doa_grids[count] = cached
+    return cached
 
 
 def doa_estimate(u_est: np.ndarray, scene: ArrayScene,
@@ -402,18 +438,25 @@ def doa_estimate(u_est: np.ndarray, scene: ArrayScene,
     ``ambiguity_tol`` of the best one, both are refined and reported with
     the ``ambiguous`` flag set (mirror-symmetric arrays do this).
     Estimates carry no separation guarantee (flagged) when the scene lacks
-    a resolvent triad.
+    a resolvent triad.  The grid and its steering matrix are kept on the
+    scene, so repeated calls on one scene build them once per resolution.
+    A zero or non-finite steering column raises ``ValueError``.
     """
     u_est = np.asarray(u_est, dtype=np.complex128)
     if u_est.ndim == 1:
         u_est = u_est[:, None]
     if u_est.shape[0] != scene.b.shape[0]:
         raise ValueError("steering estimates do not match the sensor count")
+    nrm = np.linalg.norm(u_est, axis=0)
+    for p in range(u_est.shape[1]):
+        if not np.all(np.isfinite(u_est[:, p])):
+            raise ValueError(f"steering column {p} has a non-finite entry")
+        if not nrm[p] > 0.0:
+            raise ValueError(f"steering column {p} has zero norm")
     guaranteed = has_resolvent_triad(scene.b, scene.wavelength)
-    grid = fibonacci_sphere(_grid_size_for_resolution(grid_resolution_deg))
-    ug, _ = steering_vectors(scene, grid)
-    cols = u_est / np.linalg.norm(u_est, axis=0)
-    scores = np.abs(ug.conj().T @ cols)  # (grid, r)
+    grid, ug_conj = _doa_grid(scene, grid_resolution_deg)
+    cols = u_est / nrm
+    scores = np.abs(ug_conj.T @ cols)  # (grid, r)
     sep = 3.0 * math.radians(grid_resolution_deg)
     step0 = math.radians(grid_resolution_deg)
     out = []

@@ -216,6 +216,38 @@ class TestCPModelValidation:
         with pytest.raises(ValueError):
             m.weights[0] = 5.0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_weights(self, bad):
+        with pytest.raises(ValueError, match="weights must be finite"):
+            CPModel(weights=np.array([bad]), factors=(np.ones((1, 1)), np.ones((1, 1))))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_factor_entries(self, bad):
+        f = np.array([[bad], [0.0]])
+        with pytest.raises(ValueError, match=r"factors\[1\] must be finite"):
+            CPModel(weights=np.array([1.0]), factors=(np.ones((1, 1)), f))
+
+    def test_canonicalize_rejects_non_finite(self):
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ValueError, match="weights must be finite"):
+                canonicalize(np.array([np.nan]), [np.ones((2, 1)), np.ones((2, 1))])
+            f = np.array([[1.0], [np.nan]])
+            with pytest.raises(ValueError, match="must be finite"):
+                canonicalize(np.array([1.0]), [np.ones((2, 1)), f])
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("r", [1, 4, 6])
+def test_evaluate_terms_matches_einsum_bytewise(d, r):
+    rng = np.random.default_rng(100 * d + r)
+    dims = (5, 3, 4, 2)[:d]
+    factors = [random_unit_columns(n, r, rng) for n in dims]
+    w = rng.standard_normal(r) + 1j * rng.standard_normal(r)
+    spec = "r," + ",".join(m + "r" for m in "abcd"[:d]) + "->" + "abcd"[:d]
+    want = np.einsum(spec, w, *factors, optimize=True)
+    for _ in range(2):  # the second call reuses the cached plan
+        assert evaluate_terms(w, factors).tobytes() == want.tobytes()
+
 
 class TestEssentiallyEqual:
     def test_reflexive(self):

@@ -161,6 +161,13 @@ class TestBestRank1:
         with pytest.raises(ValueError):
             best_rank1(np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_rejected(self, bad):
+        t = np.ones((3, 3, 3), dtype=complex)
+        t[0, 1, 2] = bad
+        with pytest.raises(ValueError, match=r"best_rank1: non-finite entry at index \(0, 1, 2\)"):
+            best_rank1(t)
+
 
 class TestOgaContinuous:
     def test_rank1_recovery(self):

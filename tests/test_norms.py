@@ -23,6 +23,20 @@ from cohcp.norms import (
 )
 
 
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("r", [1, 4, 6])
+def test_term_correlations_match_einsum_bytewise(d, r):
+    rng = np.random.default_rng(10 * d + r)
+    dims = (5, 3, 4, 2)[:d]
+    t = rng.standard_normal(dims) + 1j * rng.standard_normal(dims)
+    factors = [random_unit_columns(n, r, rng) for n in dims]
+    modes = "abcd"[:d]
+    spec = modes + "," + ",".join(m + "r" for m in modes) + "->r"
+    want = np.einsum(spec, t, *[f.conj() for f in factors], optimize=True)
+    for _ in range(2):  # the second call reuses the cached plan
+        assert norms._term_correlations(t, factors).tobytes() == want.tobytes()
+
+
 class TestSpectralNorm:
     def test_diagonal_matrix(self):
         cert = spectral_norm(np.diag([3.0, 1.0]).astype(complex))

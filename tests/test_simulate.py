@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cohcp import simulate
 from cohcp.coherence import coherence
 from cohcp.core import cp_evaluate, frobenius, rank1_outer
 from cohcp.simulate import (
@@ -106,6 +107,19 @@ class TestArrayScene:
     def test_wavelength(self):
         scene = cross_scene()
         assert abs(scene.wavelength - WAVELENGTH) < 1e-12
+
+    def test_stores_read_only_copies(self):
+        b = np.array([[0.0, 0.0, 0.0], [0.1, 0.0, 0.0]])
+        delta = np.array([[0.0, 0.0, 0.0], [0.0, 0.1, 0.0]])
+        scene = ArrayScene(b=b, delta=delta, pulsation=PULSATION, celerity=CELERITY)
+        b[1, 0] = 7.0
+        delta[1, 1] = 7.0
+        assert scene.b[1, 0] == 0.1
+        assert scene.delta[1, 1] == 0.1
+        with pytest.raises(ValueError):
+            scene.b[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            scene.delta[0, 0] = 1.0
 
 
 class TestSimulateArray:
@@ -371,6 +385,126 @@ class TestDoaEstimate:
         assert est.ambiguous
         assert est.alternates
         assert not est.separation_guaranteed
+
+
+def line_scene():
+    return ArrayScene(b=np.array([[0.12 * i, 0, 0] for i in range(5)], dtype=float),
+                      delta=np.zeros((1, 3)), pulsation=PULSATION, celerity=CELERITY)
+
+
+def estimate_bytes(est):
+    out = [est.direction.tobytes(), repr(est.score), est.ambiguous,
+           est.separation_guaranteed]
+    for alt in est.alternates:
+        out += estimate_bytes(alt)
+    return out
+
+
+class TestDoaGridCache:
+    @pytest.mark.parametrize("make_scene, resolution", [(cross_scene, 2.0),
+                                                        (line_scene, 3.0)])
+    def test_reused_scene_matches_fresh_scene_bytewise(self, make_scene, resolution):
+        scene = make_scene()
+        dirs = np.stack([unit([1, 0.3, 0.8]), unit([-0.4, 1, 0.2])])
+        u, _ = steering_vectors(scene, dirs)
+        u = u + 0.01 * np.random.default_rng(7).standard_normal(u.shape)
+        first = doa_estimate(u, scene, grid_resolution_deg=resolution)
+        again = doa_estimate(u, scene, grid_resolution_deg=resolution)
+        fresh = doa_estimate(u, make_scene(), grid_resolution_deg=resolution)
+        for a, b, c in zip(first, again, fresh):
+            assert estimate_bytes(a) == estimate_bytes(b) == estimate_bytes(c)
+
+    def test_grid_steering_built_once_per_scene_and_resolution(self, monkeypatch):
+        calls = []
+        original = simulate.steering_vectors
+
+        def counting(scene, directions):
+            calls.append((id(scene), np.shape(directions)[0]))
+            return original(scene, directions)
+
+        one, two = cross_scene(), cross_scene()
+        u, _ = steering_vectors(one, unit([0.3, 0.5, 0.9])[None, :])
+        monkeypatch.setattr(simulate, "steering_vectors", counting)
+        for _ in range(3):
+            doa_estimate(u, one, grid_resolution_deg=2.0)
+        doa_estimate(u, one, grid_resolution_deg=3.0)
+        doa_estimate(u, two, grid_resolution_deg=2.0)
+        n2 = simulate._grid_size_for_resolution(2.0)
+        n3 = simulate._grid_size_for_resolution(3.0)
+        assert sorted(calls) == sorted([(id(one), n2), (id(one), n3), (id(two), n2)])
+
+    def test_rejects_zero_column(self):
+        scene = cross_scene()
+        u, _ = steering_vectors(scene, np.stack([unit([1, 0, 1]), unit([0, 1, 1])]))
+        u[:, 1] = 0.0
+        with pytest.raises(ValueError, match="steering column 1 has zero norm"):
+            doa_estimate(u, scene, grid_resolution_deg=3.0)
+
+    def test_rejects_non_finite_column(self):
+        scene = cross_scene()
+        u, _ = steering_vectors(scene, np.stack([unit([1, 0, 1]), unit([0, 1, 1])]))
+        u[2, 0] = np.nan
+        with pytest.raises(ValueError, match="steering column 0 has a non-finite entry"):
+            doa_estimate(u, scene, grid_resolution_deg=3.0)
+
+
+def _tangent_basis_reference(d):
+    a = np.zeros(3)
+    a[int(np.argmin(np.abs(d)))] = 1.0
+    t1 = np.cross(d, a)
+    t1 /= np.linalg.norm(t1)
+    return t1, np.cross(d, t1)
+
+
+def _refine_direction_reference(scene, u_col, d0, step0, steps=20):
+    # the local ascent scored through steering_vectors, with np.cross tangents
+    def score(d):
+        u, _ = steering_vectors(scene, d[None, :])
+        return float(abs(np.vdot(u[:, 0], u_col)))
+
+    d = d0 / np.linalg.norm(d0)
+    best = score(d)
+    step = step0
+    for _ in range(steps):
+        t1, t2 = _tangent_basis_reference(d)
+        improved = False
+        for dd in (t1, -t1, t2, -t2):
+            cand = d + step * dd
+            cand /= np.linalg.norm(cand)
+            sc = score(cand)
+            if sc > best:
+                best, d = sc, cand
+                improved = True
+        if not improved:
+            step *= 0.5
+    return d, best
+
+
+def test_tangent_basis_matches_np_cross():
+    dirs = fibonacci_sphere(200)
+    dirs = np.vstack([dirs, np.eye(3), -np.eye(3)])
+    for d in dirs:
+        got = simulate._tangent_basis(d)
+        want = _tangent_basis_reference(d)
+        assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
+
+
+def test_refine_direction_matches_reference_bytewise():
+    scene = cross_scene()
+    rng = np.random.default_rng(8)
+    dirs = fibonacci_sphere(12)
+    u, _ = steering_vectors(scene, dirs)
+    u = u + 0.02 * (rng.standard_normal(u.shape) + 1j * rng.standard_normal(u.shape))
+    u /= np.linalg.norm(u, axis=0)
+    starts = fibonacci_sphere(300)
+    start_scores = np.abs(steering_vectors(scene, starts)[0].conj().T @ u)
+    for p in range(u.shape[1]):
+        d0 = starts[int(np.argmax(start_scores[:, p]))]
+        d, best = simulate._refine_direction(scene, u[:, p], d0, math.radians(3.0))
+        d_ref, best_ref = _refine_direction_reference(scene, u[:, p], d0,
+                                                      math.radians(3.0))
+        assert d.tobytes() == d_ref.tobytes()
+        assert best == best_ref
 
 
 def test_fibonacci_sphere_uniform_unit():
