@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .coherence import coherence, krank_lower_bound, kruskal_rank_bruteforce
 from .conditions import condition_report, temlyakov_condition
-from .core import frobenius
+from .core import evaluate_terms, frobenius
 from .decompose import (
     Dictionary,
     SolverConfig,
@@ -280,6 +280,8 @@ def _cmd_decompose(args) -> int:
                for fk in model.factors]
         out["achieved_coherences"] = mus
         out["conditions"] = condition_report(mus, model.rank or 1)
+        if not res.converged:
+            exit_code = EXIT_NOT_CONVERGED
     elif args.method == "woga":
         if not args.dictionary:
             raise ValidationError("woga needs --dict with a dictionary JSON file")
@@ -409,10 +411,7 @@ def _cmd_demo_recovery(args) -> int:
     rng = np.random.default_rng(args.seed + 1)
     idx = rng.choice(len(dictionary), 5, replace=False)
     coef = (0.5 + rng.random(5)) * np.exp(2j * math.pi * rng.random(5))
-    stacks = [np.stack([dictionary.atoms[i][k] for i in idx], axis=1)
-              for k in range(3)]
-    from .core import evaluate_terms
-    f = evaluate_terms(coef, stacks)
+    f = evaluate_terms(coef, [s[:, idx] for s in dictionary._stacks])
     res = woga(f, dictionary, t=1.0, max_iter=5)
     out = {
         "command": "demo-recovery",
@@ -426,32 +425,6 @@ def _cmd_demo_recovery(args) -> int:
     }
     _emit(out, args.out)
     return EXIT_OK if out["exact_recovery"] else EXIT_NOT_CONVERGED
-
-
-def _cmd_bench(args) -> int:
-    import time
-
-    rng = np.random.default_rng(0)
-    t = rng.standard_normal((8, 8, 8)) + 1j * rng.standard_normal((8, 8, 8))
-    timings = {}
-    t0 = time.perf_counter()
-    for _ in range(50):
-        from .norms import spectral_norm as _sn
-        _sn(t, restarts=8, max_sweeps=100)
-    timings["spectral_norm_8x8x8_ms"] = (time.perf_counter() - t0) / 50 * 1e3
-    v = rng.standard_normal((16, 8)) + 1j * rng.standard_normal((16, 8))
-    v /= np.linalg.norm(v, axis=0)
-    t0 = time.perf_counter()
-    for _ in range(200):
-        coherence(v)
-    timings["coherence_16x8_ms"] = (time.perf_counter() - t0) / 200 * 1e3
-    t0 = time.perf_counter()
-    for _ in range(50):
-        kruskal_rank_bruteforce(v)
-    timings["krank_bruteforce_16x8_ms"] = (time.perf_counter() - t0) / 50 * 1e3
-    out = {"command": "bench", "timings": timings}
-    _emit(out, args.out)
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------- parser
@@ -524,10 +497,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--out")
     c.set_defaults(func=_cmd_demo_recovery)
-
-    c = sub.add_parser("bench", help="micro-benchmarks of the core operations")
-    c.add_argument("--out")
-    c.set_defaults(func=_cmd_bench)
     return p
 
 

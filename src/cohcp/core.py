@@ -88,6 +88,61 @@ def planned_einsum(spec: str, *operands) -> np.ndarray:
     return np.einsum(spec, *operands, optimize=path)
 
 
+def finite_tensor(tensor, caller: str) -> np.ndarray:
+    """The tensor as complex128, refusing NaN or infinite entries."""
+    t = np.asarray(tensor, dtype=np.complex128)
+    finite = np.isfinite(t)
+    if not finite.all():
+        bad = np.argwhere(~finite)[0]
+        raise ValueError(f"{caller}: non-finite entry at index {tuple(bad.tolist())}")
+    return t
+
+
+def stack_terms(terms, dims) -> list:
+    """Factor matrices of rank-1 terms given as one vector per mode: the
+    n_k x m matrix of mode k holds term p in column p (n_k x 0 for none)."""
+    if len(terms) == 0:
+        return [np.zeros((n, 0), dtype=np.complex128) for n in dims]
+    return [np.stack([term[k] for term in terms], axis=1) for k in range(len(dims))]
+
+
+def khatri_rao_but(factors, k: int) -> np.ndarray:
+    """Khatri-Rao product of all factor matrices except mode k, ordered to
+    match the C-order unfolding of the remaining modes."""
+    kr = None
+    r = factors[0].shape[1]
+    for j, fj in enumerate(factors):
+        if j == k:
+            continue
+        kr = fj if kr is None else (kr[:, None, :] * fj[None, :, :]).reshape(-1, r)
+    return kr
+
+
+def term_gram(factors) -> np.ndarray:
+    """Gram matrix M_pq = <g_q, g_p> of the unit rank-1 terms."""
+    r = factors[0].shape[1]
+    gram = np.ones((r, r), dtype=np.complex128)
+    for f in factors:
+        gram *= f.conj().T @ f
+    return gram
+
+
+def gram_mu(gram: np.ndarray) -> float:
+    """Coherence of a unit-column set from its Gram: max off-diagonal |G_pq|."""
+    if gram.shape[0] < 2:
+        return 0.0
+    g = np.abs(gram)
+    np.fill_diagonal(g, 0.0)
+    return float(np.max(g))
+
+
+def term_correlations(t: np.ndarray, factors) -> np.ndarray:
+    """b_p = <T, phi_1p (x) ... (x) phi_dp> for all terms p at once."""
+    modes = _EINSUM_LETTERS[:t.ndim]
+    spec = modes + "," + ",".join(m + "r" for m in modes) + "->r"
+    return planned_einsum(spec, t, *[f.conj() for f in factors])
+
+
 def evaluate_terms(weights, factors) -> np.ndarray:
     """Evaluate sum_p weights[p] * (col p of each factor matrix) outer."""
     factors = [_as_complex(f) for f in factors]

@@ -19,18 +19,18 @@ from .core import (
     canonicalize,
     cp_evaluate,
     evaluate_terms,
+    finite_tensor,
     frobenius,
+    gram_mu,
     inner_product,
+    khatri_rao_but,
     rank1_outer,
     random_unit_columns,
+    stack_terms,
+    term_correlations,
+    term_gram,
 )
-from .norms import (
-    _alternating_spectral,
-    _finite_tensor,
-    _khatri_rao_but,
-    _term_correlations,
-    _term_gram,
-)
+from .norms import _alternating_spectral
 
 
 class Dictionary:
@@ -63,24 +63,17 @@ class Dictionary:
         for atom in self.atoms:
             if tuple(len(v) for v in atom) != self.dims:
                 raise ValueError("all atoms must share the same mode dimensions")
-        self._stacks = tuple(
-            np.stack([atom[k] for atom in self.atoms], axis=1) for k in range(d)
-        )
-        gram = np.ones((len(self.atoms), len(self.atoms)), dtype=np.complex128)
-        for s in self._stacks:
-            gram *= s.conj().T @ s
-        self.gram = gram
-        off = np.abs(gram).copy()
-        np.fill_diagonal(off, 0.0)
-        self.mu = float(np.max(off)) if len(self.atoms) > 1 else 0.0
+        self._stacks = tuple(stack_terms(self.atoms, self.dims))
+        self.gram = term_gram(self._stacks)
+        self.mu = gram_mu(self.gram)
 
     def __len__(self):
         return len(self.atoms)
 
     def correlations(self, tensor) -> np.ndarray:
         """<T, g> for every atom g, via one batched contraction."""
-        return _term_correlations(np.asarray(tensor, dtype=np.complex128),
-                                  self._stacks)
+        return term_correlations(np.asarray(tensor, dtype=np.complex128),
+                                 self._stacks)
 
     def atom_tensor(self, index: int) -> np.ndarray:
         return rank1_outer(self.atoms[index])
@@ -159,8 +152,7 @@ def woga(tensor, dictionary: Dictionary, t: float = 1.0,
         coeffs = _solve_gram(gram, rhs, flags)
         # materialized residual: the Gram identity ||f||^2 - <h_m, f>
         # cancels catastrophically once the fit is nearly exact
-        stacks = [np.stack([dictionary.atoms[i][k] for i in selected], axis=1)
-                  for k in range(f.ndim)]
+        stacks = [s[:, selected] for s in dictionary._stacks]
         residuals.append(frobenius(f - evaluate_terms(coeffs, stacks)))
         converged = residuals[-1] <= tol
         m += 1
@@ -168,20 +160,20 @@ def woga(tensor, dictionary: Dictionary, t: float = 1.0,
                         residuals=residuals, converged=converged, flags=flags)
 
 
-def best_rank1(tensor, restarts: int = 32, tol: float = 1e-13,
-               max_sweeps: int = 500, seed: int = 0):
+def best_rank1(tensor, restarts: int = 32, seed: int = 0):
     """Best separable (rank-1) approximation: the spectral-norm witness.
 
     Returns (weight, factors) with unit factors maximizing
     |<T, phi_1 (x) ... (x) phi_d>| and weight equal to that value.
     Non-finite entries raise ``ValueError``.
     """
-    f = _finite_tensor(tensor, "best_rank1")
+    f = finite_tensor(tensor, "best_rank1")
     if frobenius(f) == 0.0:
         raise ValueError("best rank-1 term undefined for the zero tensor")
     rng = np.random.default_rng(seed)
-    value, witness = _alternating_spectral(f, restarts, tol, max_sweeps, rng)
-    return value, witness
+    # a stop tolerance of 1e-13, tighter than spectral_norm's 1e-12: the
+    # greedy warm start of constrained_als depends on these exact sweeps
+    return _alternating_spectral(f, restarts, 1e-13, 500, rng)
 
 
 def oga_continuous(tensor, r: int, restarts: int = 32, tol: float = 1e-12,
@@ -211,10 +203,9 @@ def oga_continuous(tensor, r: int, restarts: int = 32, tol: float = 1e-12,
         weight, factors = best_rank1(residual, restarts=restarts,
                                      seed=seed + m)
         atoms.append(factors)
-        stacks = [np.stack([a[k] for a in atoms], axis=1)
-                  for k in range(f.ndim)]
-        gram = _term_gram(stacks)
-        rhs = _term_correlations(f, stacks)
+        stacks = stack_terms(atoms, f.shape)
+        gram = term_gram(stacks)
+        rhs = term_correlations(f, stacks)
         coeffs = _solve_gram(gram, rhs, flags)
         residual = f - evaluate_terms(coeffs, stacks)
         residuals.append(frobenius(residual))
@@ -225,31 +216,34 @@ def oga_continuous(tensor, r: int, restarts: int = 32, tol: float = 1e-12,
                 break
         else:
             stagnant = 0
-    stacks = [np.stack([a[k] for a in atoms], axis=1) for k in range(f.ndim)]
-    model = canonicalize(coeffs, stacks)
+    model = canonicalize(coeffs, stack_terms(atoms, f.shape))
     result = GreedyResult(selected=atoms, coefficients=coeffs,
                           residuals=residuals,
                           converged=residuals[-1] <= tol, flags=flags)
     return model, result
 
 
+ATOM_JITTER = 0.015      # Gaussian perturbation of the random dictionary atoms
+DICTIONARY_DRAWS = 50    # dictionary draws before giving up on mu_max
+
+
 def random_incoherent_dictionary(dims, n_atoms: int, mu_max: float = 0.09,
-                                 seed: int = 0, jitter: float = 0.015,
-                                 max_tries: int = 50) -> Dictionary:
+                                 seed: int = 0) -> Dictionary:
     """Random separable-atom dictionary with measured coherence below mu_max.
 
     Plain i.i.d. atoms in small dimensions are far too coherent, so atoms
     are built from random per-mode unitary bases at distinct index tuples
     (pairwise orthogonal before perturbation) and then jittered; the
-    measured coherence scales with ``jitter``.  Draws are repeated
-    deterministically until the measured coherence clears ``mu_max``.
+    measured coherence scales with ``ATOM_JITTER``.  Up to
+    ``DICTIONARY_DRAWS`` draws are made, deterministically, until the
+    measured coherence clears ``mu_max``.
     """
     dims = tuple(int(n) for n in dims)
     total = math.prod(dims)
     if n_atoms > total:
         raise ValueError(f"cannot place {n_atoms} distinct atoms in {dims}")
     rng = np.random.default_rng(seed)
-    for _ in range(max_tries):
+    for _ in range(DICTIONARY_DRAWS):
         bases = []
         for n in dims:
             g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -261,14 +255,14 @@ def random_incoherent_dictionary(dims, n_atoms: int, mu_max: float = 0.09,
             vecs = []
             for k, n in enumerate(dims):
                 g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-                v = bases[k][:, tup[k]] + jitter * g
+                v = bases[k][:, tup[k]] + ATOM_JITTER * g
                 vecs.append(v / np.linalg.norm(v))
             atoms.append(tuple(vecs))
         dictionary = Dictionary(atoms)
         if dictionary.mu < mu_max:
             return dictionary
     raise ValueError(
-        f"could not reach dictionary coherence < {mu_max} in {max_tries} draws"
+        f"could not reach dictionary coherence < {mu_max} in {DICTIONARY_DRAWS} draws"
     )
 
 
@@ -374,7 +368,7 @@ def _project_coherence(v: np.ndarray, cap: float, max_passes: int = 20,
     return v
 
 
-def _init_factors(f, r, d, dims, cfg, flags):
+def _init_factors(f, r, dims, cfg, flags):
     rng = np.random.default_rng(cfg.seed)
     if cfg.init == "greedy":
         try:
@@ -415,9 +409,7 @@ def constrained_als(tensor, cfg: SolverConfig):
 
     Returns (CPModel, AlsDiagnostics).
     """
-    f = np.asarray(tensor, dtype=np.complex128)
-    if not np.all(np.isfinite(f.real)) or not np.all(np.isfinite(f.imag)):
-        raise ValueError("tensor contains non-finite entries")
+    f = finite_tensor(tensor, "constrained_als")
     d = f.ndim
     dims = f.shape
     r = cfg.r
@@ -439,7 +431,7 @@ def constrained_als(tensor, cfg: SolverConfig):
         if r > dims[ortho_mode]:
             raise ValueError("separable orthogonality needs r <= max(n_k)")
 
-    factors, lam = _init_factors(f, r, d, dims, cfg, flags)
+    factors, lam = _init_factors(f, r, dims, cfg, flags)
     grams = [fk.conj().T @ fk for fk in factors]
     unfolds = [np.moveaxis(f, k, 0).reshape(dims[k], -1) for k in range(d)]
     lam_reg = cfg.tychonoff_lambda
@@ -455,7 +447,7 @@ def constrained_als(tensor, cfg: SolverConfig):
     it = 0
     for it in range(1, cfg.max_iter + 1):
         for k in range(d):
-            z = _khatri_rao_but(factors, k)
+            z = khatri_rao_but(factors, k)
             if cfg.orthogonality != ORTHO_NONE and (
                     cfg.orthogonality == ORTHO_PER_MODE or k == ortho_mode):
                 # Procrustes: min ||X_k - Q diag(lam) Z^T|| over unitary-column Q
@@ -478,12 +470,12 @@ def constrained_als(tensor, cfg: SolverConfig):
             grams[k] = factors[k].conj().T @ factors[k]
             if cfg.coherence_caps is not None:
                 cap = cfg.coherence_caps[k]
-                if _gram_mu(grams[k]) > cap:
+                if gram_mu(grams[k]) > cap:
                     factors[k] = _project_coherence(factors[k], cap, flags=flags)
                     grams[k] = factors[k].conj().T @ factors[k]
         # global weight re-solve
         gram = functools.reduce(np.multiply, grams)
-        rhs = _term_correlations(f, factors)
+        rhs = term_correlations(f, factors)
         if lam_reg > 0:
             lam = np.linalg.solve(gram + lam_reg * np.eye(r), rhs)
         else:
@@ -495,7 +487,7 @@ def constrained_als(tensor, cfg: SolverConfig):
             break
 
     model = canonicalize(lam, factors)
-    achieved = [_gram_mu(fk.conj().T @ fk) for fk in model.factors]
+    achieved = [gram_mu(fk.conj().T @ fk) for fk in model.factors]
     diag = AlsDiagnostics(
         loss_trace=loss_trace,
         final_residual=frobenius(f - cp_evaluate(model)),
@@ -505,15 +497,6 @@ def constrained_als(tensor, cfg: SolverConfig):
         flags=flags,
     )
     return model, diag
-
-
-def _gram_mu(gram: np.ndarray) -> float:
-    """Coherence of a unit-column set from its Gram: max off-diagonal |G_pq|."""
-    if gram.shape[0] < 2:
-        return 0.0
-    g = np.abs(gram)
-    np.fill_diagonal(g, 0.0)
-    return float(np.max(g))
 
 
 # Gershgorin margin 1-(r-1) prod_j mu_j above which a mode update solves
@@ -536,7 +519,7 @@ def _mode_solve(unfold: np.ndarray, z: np.ndarray, other_grams: list,
     """
     normal = functools.reduce(np.multiply, other_grams)
     r = normal.shape[0]
-    margin = 1.0 - (r - 1) * math.prod(_gram_mu(g) for g in other_grams)
+    margin = 1.0 - (r - 1) * math.prod(gram_mu(g) for g in other_grams)
     if reg > 0 or margin >= CERTIFIED_MARGIN:
         rhs = (unfold @ z.conj()).T
         return np.linalg.solve(normal + reg * np.eye(r), rhs).T

@@ -22,14 +22,21 @@ from .core import (
     canonicalize,
     cp_evaluate,
     evaluate_terms,
+    finite_tensor,
     frobenius,
     inner_product,
-    planned_einsum,
+    khatri_rao_but,
     random_unit_columns,
+    stack_terms,
+    term_correlations,
+    term_gram,
 )
 
-_LETTERS = "abcdefghijklmnopqstuvwxyz"
 TIE_RTOL = 1e-9  # nuclear bounds closer than this x max(1, upper) differ by rounding
+SWEEP_TOL = 1e-12  # alternating-spectral stop: relative gain of one sweep
+MAX_SWEEPS = 500   # alternating-spectral sweep cap
+FIT_SWEEPS = 112   # ALS sweeps of each exact fit; the reported bounds depend on it
+FIT_TOL = 1e-9     # relative residual at which a fit certifies an upper bound
 
 
 @dataclass(frozen=True)
@@ -55,13 +62,8 @@ class NormConfig:
     tol: float = 1e-3            # relative certification tolerance
     size_cap: int = 256          # refuse tensors with more entries
     restarts: int = 64
-    sweep_tol: float = 1e-12
-    max_sweeps: int = 500
     seed: int = 0
     search: bool = True          # search exact ALS fits by rank while the bracket is open
-    max_terms: int | None = None
-    als_sweeps: int = 120
-    fit_tol: float = 1e-9        # residual acceptance for upper bounds
     candidates: tuple = ()       # known CPModel decompositions of T
 
 
@@ -115,18 +117,7 @@ def _alternating_spectral(t: np.ndarray, restarts: int, tol: float,
     return value, witness
 
 
-def _finite_tensor(tensor, caller: str) -> np.ndarray:
-    """The tensor as complex128, refusing NaN or infinite entries."""
-    t = np.asarray(tensor, dtype=np.complex128)
-    finite = np.isfinite(t)
-    if not finite.all():
-        bad = np.argwhere(~finite)[0]
-        raise ValueError(f"{caller}: non-finite entry at index {tuple(bad.tolist())}")
-    return t
-
-
-def spectral_norm(tensor, restarts: int = 64, tol: float = 1e-12,
-                  max_sweeps: int = 500, seed: int = 0) -> NormCertificate:
+def spectral_norm(tensor, restarts: int = 64, seed: int = 0) -> NormCertificate:
     """Best |<T, phi_1 (x) ... (x) phi_d>| over unit vectors found by
     multi-start alternating maximization.
 
@@ -134,11 +125,11 @@ def spectral_norm(tensor, restarts: int = 64, tol: float = 1e-12,
     matrices it matches the largest singular value.  The zero tensor
     returns 0 with no witness; non-finite entries raise ``ValueError``.
     """
-    t = _finite_tensor(tensor, "spectral_norm")
+    t = finite_tensor(tensor, "spectral_norm")
     if frobenius(t) == 0.0:
         return NormCertificate(spectral=0.0, spectral_witness=None)
     rng = np.random.default_rng(seed)
-    value, witness = _alternating_spectral(t, restarts, tol, max_sweeps, rng)
+    value, witness = _alternating_spectral(t, restarts, SWEEP_TOL, MAX_SWEEPS, rng)
     return NormCertificate(spectral=value, spectral_witness=witness)
 
 
@@ -193,46 +184,7 @@ def _slice_terms(t: np.ndarray) -> list:
     return best[1]
 
 
-def _terms_to_model(terms, dims) -> CPModel:
-    r = len(terms)
-    weights = np.array([w for w, _ in terms], dtype=np.complex128)
-    factors = [np.zeros((n, r), dtype=np.complex128) for n in dims]
-    for p, (_, vecs) in enumerate(terms):
-        for k, v in enumerate(vecs):
-            factors[k][:, p] = v
-    return canonicalize(weights, factors)
-
-
-def _khatri_rao_but(factors, k: int) -> np.ndarray:
-    """Khatri-Rao product of all factor matrices except mode k, ordered to
-    match the C-order unfolding of the remaining modes."""
-    kr = None
-    r = factors[0].shape[1]
-    for j, fj in enumerate(factors):
-        if j == k:
-            continue
-        kr = fj if kr is None else (kr[:, None, :] * fj[None, :, :]).reshape(-1, r)
-    return kr
-
-
-def _term_correlations(t: np.ndarray, factors) -> np.ndarray:
-    """b_p = <T, phi_1p (x) ... (x) phi_dp> for all terms p at once."""
-    d = t.ndim
-    modes = _LETTERS[:d]
-    spec = modes + "," + ",".join(m + "r" for m in modes) + "->r"
-    return planned_einsum(spec, t, *[f.conj() for f in factors])
-
-
-def _term_gram(factors) -> np.ndarray:
-    """Gram matrix M_pq = <g_q, g_p> of the unit rank-1 terms."""
-    r = factors[0].shape[1]
-    gram = np.ones((r, r), dtype=np.complex128)
-    for f in factors:
-        gram *= f.conj().T @ f
-    return gram
-
-
-def _exact_fit(t: np.ndarray, r: int, cfg: NormConfig, rng) -> tuple | None:
+def _exact_fit(t: np.ndarray, r: int, rng) -> tuple | None:
     """Search an exact rank-r fit for a nuclear-norm upper bound.
 
     Alternating least squares on unit factors from a random start, then an
@@ -244,21 +196,19 @@ def _exact_fit(t: np.ndarray, r: int, cfg: NormConfig, rng) -> tuple | None:
     tnorm = frobenius(t)
     factors = [random_unit_columns(n, r, rng) for n in dims]
     unfolds = [np.moveaxis(t, k, 0).reshape(dims[k], -1) for k in range(d)]
-    # blocks of 14 sweeps, at least two per block; the reported bounds
-    # depend on this exact count
-    for _ in range(14 * max(2, cfg.als_sweeps // 14)):
+    for _ in range(FIT_SWEEPS):
         for k in range(d):
-            z = _khatri_rao_but(factors, k)
+            z = khatri_rao_but(factors, k)
             c = np.linalg.lstsq(z, unfolds[k].T, rcond=None)[0].T
             nrm = np.linalg.norm(c, axis=0)
             keep = nrm > 1e-300
             factors[k] = np.where(keep[None, :], c / np.where(keep, nrm, 1.0),
                                   factors[k])
-    gram = _term_gram(factors)
-    b = _term_correlations(t, factors)
+    gram = term_gram(factors)
+    b = term_correlations(t, factors)
     lam = np.linalg.lstsq(gram, b, rcond=None)[0]
     resid = frobenius(t - evaluate_terms(lam, factors))
-    if resid <= cfg.fit_tol * max(1.0, tnorm):
+    if resid <= FIT_TOL * max(1.0, tnorm):
         live = np.abs(lam) > 0
         if not np.any(live):
             return None
@@ -285,7 +235,7 @@ def nuclear_norm_bounds(tensor, cfg: NormConfig | None = None) -> NormCertificat
     entries raise ``ValueError``.
     """
     cfg = cfg or NormConfig()
-    t = _finite_tensor(tensor, "nuclear_norm_bounds")
+    t = finite_tensor(tensor, "nuclear_norm_bounds")
     if t.size > cfg.size_cap:
         raise ValueError(
             f"nuclear_norm_bounds refused: {t.size} entries exceeds cap "
@@ -296,7 +246,7 @@ def nuclear_norm_bounds(tensor, cfg: NormConfig | None = None) -> NormCertificat
         raise ValueError("nuclear norm bounds undefined for the zero tensor")
     rng = np.random.default_rng(cfg.seed)
     sigma, witness = _alternating_spectral(
-        t, cfg.restarts, cfg.sweep_tol, cfg.max_sweeps, rng)
+        t, cfg.restarts, SWEEP_TOL, MAX_SWEEPS, rng)
 
     lower = max(sigma, tnorm * tnorm / sigma)
     if t.ndim == 2:
@@ -305,23 +255,22 @@ def nuclear_norm_bounds(tensor, cfg: NormConfig | None = None) -> NormCertificat
         lower = max(lower, abs(inner_product(t, polar)))
 
     # upper bounds from exact decompositions
-    slice_model = _terms_to_model(_slice_terms(t), t.shape)
+    terms = _slice_terms(t)
+    slice_model = canonicalize(np.array([w for w, _ in terms], dtype=np.complex128),
+                               stack_terms([vecs for _, vecs in terms], t.shape))
     upper = float(np.sum(slice_model.weights))
     upper_witness = slice_model
     for cand in cfg.candidates:
         resid = frobenius(t - cp_evaluate(cand))
-        if resid <= cfg.fit_tol * max(1.0, tnorm):
+        if resid <= FIT_TOL * max(1.0, tnorm):
             val = float(np.sum(cand.weights)) + resid * math.sqrt(t.size)
             if val < upper:
                 upper, upper_witness = val, cand
     if cfg.search and t.ndim >= 3:
-        max_terms = cfg.max_terms
-        if max_terms is None:
-            max_terms = min(t.size // max(t.shape), 8)
-        for r in range(1, max_terms + 1):
+        for r in range(1, min(t.size // max(t.shape), 8) + 1):
             if upper - lower <= TIE_RTOL * max(1.0, upper):
                 break
-            got = _exact_fit(t, r, cfg, rng)
+            got = _exact_fit(t, r, rng)
             if got is not None and got[0] < upper:
                 upper, upper_witness = got[0], got[1]
 
@@ -345,13 +294,22 @@ def nuclear_norm_bounds(tensor, cfg: NormConfig | None = None) -> NormCertificat
 def duality_gap_check(f, g, cfg: NormConfig | None = None) -> float:
     """||f||_sigma * (nuclear upper of g) - |<f, g>|; >= -1e-9 must hold."""
     cfg = cfg or NormConfig()
-    spec = spectral_norm(f, restarts=cfg.restarts, tol=cfg.sweep_tol,
-                         max_sweeps=cfg.max_sweeps, seed=cfg.seed)
+    spec = spectral_norm(f, restarts=cfg.restarts, seed=cfg.seed)
     nuc = nuclear_norm_bounds(g, cfg)
     return spec.spectral * nuc.nuclear_upper - abs(inner_product(f, g))
 
 
 MATMUL_SIZE_CAP = 4
+
+
+def _matmul_support(n: int) -> tuple:
+    """Side n^2 of T_n and the 3 x n^3 index array of its ones
+    ((i,j), (j,k), (k,i)), one column per (i, j, k) in lexicographic order."""
+    n = int(n)
+    if n < 1 or n > MATMUL_SIZE_CAP:
+        raise ValueError(f"matrix multiplication fixture capped at n <= {MATMUL_SIZE_CAP}")
+    i, j, k = np.unravel_index(np.arange(n ** 3), (n, n, n))
+    return n * n, np.stack([i * n + j, j * n + k, k * n + i])
 
 
 def mat_mult_tensor(n: int) -> np.ndarray:
@@ -360,14 +318,9 @@ def mat_mult_tensor(n: int) -> np.ndarray:
     Entry ((i,j), (k,l), (m,p)) is 1 exactly when j = k, l = m, p = i
     (the trace-of-product pattern), so there are n^3 ones.
     """
-    n = int(n)
-    if n < 1 or n > MATMUL_SIZE_CAP:
-        raise ValueError(f"matrix multiplication fixture capped at n <= {MATMUL_SIZE_CAP}")
-    t = np.zeros((n * n, n * n, n * n), dtype=np.complex128)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                t[i * n + j, j * n + k, k * n + i] = 1.0
+    side, support = _matmul_support(n)
+    t = np.zeros((side, side, side), dtype=np.complex128)
+    t[tuple(support)] = 1.0
     return t
 
 
@@ -377,22 +330,10 @@ def mat_mult_decomposition(n: int) -> CPModel:
     Every weight is 1, so the weight sum n^3 certifies the nuclear-norm
     upper bound that is in fact exact for T_n.
     """
-    n = int(n)
-    if n < 1 or n > MATMUL_SIZE_CAP:
-        raise ValueError(f"matrix multiplication fixture capped at n <= {MATMUL_SIZE_CAP}")
-    r = n ** 3
-    f1 = np.zeros((n * n, r), dtype=np.complex128)
-    f2 = np.zeros((n * n, r), dtype=np.complex128)
-    f3 = np.zeros((n * n, r), dtype=np.complex128)
-    col = 0
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                f1[i * n + j, col] = 1.0
-                f2[j * n + k, col] = 1.0
-                f3[k * n + i, col] = 1.0
-                col += 1
-    return CPModel(weights=np.ones(r), factors=(f1, f2, f3))
+    side, support = _matmul_support(n)
+    units = np.eye(side, dtype=np.complex128)
+    return CPModel(weights=np.ones(support.shape[1]),
+                   factors=tuple(units[:, rows] for rows in support))
 
 
 def strassen_decomposition() -> CPModel:

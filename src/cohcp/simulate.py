@@ -114,11 +114,17 @@ def steering_vectors(scene: ArrayScene, directions) -> tuple:
     return u, v
 
 
-def _complex_noise(rng, shape, std: float) -> np.ndarray:
-    if std == 0.0:
-        return np.zeros(shape, dtype=np.complex128)
-    scale = std / math.sqrt(2.0)
-    return rng.normal(scale=scale, size=shape) + 1j * rng.normal(scale=scale, size=shape)
+def _observe(truth, noise_std: float, seed: int) -> np.ndarray:
+    """The evaluated truth plus circular complex Gaussian noise of per-entry
+    std ``noise_std`` drawn from ``seed``."""
+    clean = cp_evaluate(truth)
+    noise = np.zeros(clean.shape, dtype=np.complex128)
+    if noise_std != 0.0:
+        rng = np.random.default_rng(seed)
+        scale = noise_std / math.sqrt(2.0)
+        noise = (rng.normal(scale=scale, size=clean.shape)
+                 + 1j * rng.normal(scale=scale, size=clean.shape))
+    return clean + noise
 
 
 def simulate_array(scene: ArrayScene, paths: PathSet, noise_std: float = 0.0,
@@ -140,9 +146,7 @@ def simulate_array(scene: ArrayScene, paths: PathSet, noise_std: float = 0.0,
     n1, n2 = scene.b.shape[0], scene.delta.shape[0]
     lam = signorms * math.sqrt(n1 * n2)
     truth = canonicalize(lam.astype(np.complex128), [u, v, w])
-    clean = cp_evaluate(truth)
-    rng = np.random.default_rng(seed)
-    return clean + _complex_noise(rng, clean.shape, noise_std), truth
+    return _observe(truth, noise_std, seed), truth
 
 
 def is_resolvent(points, v, wavelength: float) -> bool:
@@ -300,9 +304,7 @@ def simulate_cdma(scene: CdmaScene, noise_std: float = 0.0, seed: int = 0):
         raise ValueError("every user needs nonzero gains, symbols, and codes")
     lam = (na * ns * nb).astype(np.complex128)
     truth = canonicalize(lam, [a / na, s / ns, b / nb])
-    clean = cp_evaluate(truth)
-    rng = np.random.default_rng(seed)
-    return clean + _complex_noise(rng, clean.shape, noise_std), truth
+    return _observe(truth, noise_std, seed), truth
 
 
 def simulate_fluorescence(concentrations, excitation, emission,
@@ -335,9 +337,7 @@ def simulate_fluorescence(concentrations, excitation, emission,
         "absorbance_likeness": coherence(y / ny).mu if y.shape[1] > 1 else 0.0,
         "fluorescence_likeness": coherence(z / nz).mu if z.shape[1] > 1 else 0.0,
     }
-    clean = cp_evaluate(truth)
-    rng = np.random.default_rng(seed)
-    return clean + _complex_noise(rng, clean.shape, noise_std), truth, likeness
+    return _observe(truth, noise_std, seed), truth, likeness
 
 
 def fibonacci_sphere(count: int) -> np.ndarray:
@@ -380,8 +380,12 @@ def _tangent_basis(d: np.ndarray) -> tuple:
     return t1, _cross(d, t1)
 
 
+REFINE_STEPS = 20      # local-ascent steps of each direction estimate
+AMBIGUITY_TOL = 1e-6   # grid score gap within which a rival maximum is reported
+
+
 def _refine_direction(scene: ArrayScene, u_col: np.ndarray, d0: np.ndarray,
-                      step0: float, steps: int = 20) -> tuple:
+                      step0: float) -> tuple:
     k = scene.wavenumber
     scale = math.sqrt(scene.b.shape[0])
 
@@ -396,7 +400,7 @@ def _refine_direction(scene: ArrayScene, u_col: np.ndarray, d0: np.ndarray,
     d = d0 / np.linalg.norm(d0)
     best = score(d)
     step = step0
-    for _ in range(steps):
+    for _ in range(REFINE_STEPS):
         t1, t2 = _tangent_basis(d)
         improved = False
         # sequential: an accepted candidate moves d for the next one
@@ -428,14 +432,13 @@ def _doa_grid(scene: ArrayScene, grid_resolution_deg: float) -> tuple:
 
 
 def doa_estimate(u_est: np.ndarray, scene: ArrayScene,
-                 grid_resolution_deg: float = 1.0, refine_steps: int = 20,
-                 ambiguity_tol: float = 1e-6):
+                 grid_resolution_deg: float = 1.0):
     """Direction-of-arrival estimates for estimated steering columns.
 
     Grid search over a Fibonacci-sphere direction grid at the requested
     resolution maximizing |<u(d), u_est_p>|, followed by deterministic
     local ascent.  If a second, well-separated grid maximum scores within
-    ``ambiguity_tol`` of the best one, both are refined and reported with
+    ``AMBIGUITY_TOL`` of the best one, both are refined and reported with
     the ``ambiguous`` flag set (mirror-symmetric arrays do this).
     Estimates carry no separation guarantee (flagged) when the scene lacks
     a resolvent triad.  The grid and its steering matrix are kept on the
@@ -463,16 +466,14 @@ def doa_estimate(u_est: np.ndarray, scene: ArrayScene,
     for p in range(cols.shape[1]):
         sc = scores[:, p]
         best_i = int(np.argmax(sc))
-        d_best, s_best = _refine_direction(scene, cols[:, p], grid[best_i],
-                                           step0, refine_steps)
-        near = sc >= sc[best_i] - ambiguity_tol
+        d_best, s_best = _refine_direction(scene, cols[:, p], grid[best_i], step0)
+        near = sc >= sc[best_i] - AMBIGUITY_TOL
         angles = np.arccos(np.clip(grid @ grid[best_i], -1.0, 1.0))
         rivals = np.flatnonzero(near & (angles > sep))
         alternates = []
         if rivals.size:
             j = rivals[int(np.argmax(sc[rivals]))]
-            d_alt, s_alt = _refine_direction(scene, cols[:, p], grid[j],
-                                             step0, refine_steps)
+            d_alt, s_alt = _refine_direction(scene, cols[:, p], grid[j], step0)
             alternates.append(DoaEstimate(direction=d_alt, score=s_alt,
                                           separation_guaranteed=guaranteed))
         out.append(DoaEstimate(direction=d_best, score=s_best,

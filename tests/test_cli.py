@@ -208,6 +208,34 @@ class TestDecomposeCommand:
         doc = load_report(out)
         assert doc["residuals"][-1] <= doc["residuals"][0]
 
+    def test_oga_exit_codes(self, tmp_path):
+        rng = np.random.default_rng(8)
+        vecs = [rng.standard_normal(3) + 1j * rng.standard_normal(3) for _ in range(3)]
+        from cohcp.core import rank1_outer
+        exact = rank1_outer(vecs)
+        noisy = exact + 0.1 * (rng.standard_normal((3, 3, 3))
+                               + 1j * rng.standard_normal((3, 3, 3)))
+        for name, t, want in (("exact", exact, 0), ("noisy", noisy, 3)):
+            p = tmp_path / f"{name}.htns"
+            write_htns(p, t)
+            out = tmp_path / f"{name}.json"
+            code = run_cli(["decompose", "--input", str(p), "--rank", "1",
+                            "--method", "oga", "--out", str(out)])
+            assert code == want
+            assert load_report(out)["converged"] is (want == 0)
+
+    def test_oga_zero_tensor(self, tmp_path):
+        p = tmp_path / "zero.htns"
+        write_htns(p, np.zeros((2, 3, 2), dtype=complex))
+        out = tmp_path / "r.json"
+        code = run_cli(["decompose", "--input", str(p), "--rank", "2",
+                        "--method", "oga", "--out", str(out)])
+        assert code == 0
+        doc = load_report(out)
+        assert doc["r"] == 0
+        assert doc["residuals"] == [0.0]
+        assert doc["converged"] is True
+
 
 class TestSimulateCommand:
     def scene_doc(self):

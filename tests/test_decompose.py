@@ -27,7 +27,8 @@ from cohcp.decompose import (
     random_incoherent_dictionary,
     woga,
 )
-from cohcp.norms import _khatri_rao_but, spectral_norm
+from cohcp.core import khatri_rao_but
+from cohcp.norms import spectral_norm
 
 
 def orthonormal_atoms(rng, dims=(3, 3, 3), count=3):
@@ -198,6 +199,14 @@ class TestOgaContinuous:
             tail = math.sqrt(float(np.sum(s[r:] ** 2)))
             assert abs(res.residuals[-1] - tail) < 1e-8 * max(1.0, tail)
 
+    def test_zero_tensor_gives_rank0_model(self):
+        model, res = oga_continuous(np.zeros((3, 4, 2)), 2)
+        assert model.rank == 0
+        assert model.dims == (3, 4, 2)
+        assert res.residuals == [0.0]
+        assert res.converged
+        assert res.selected == [] and res.flags == []
+
 
 class TestSolverConfig:
     def test_single_regime_enforced(self):
@@ -326,6 +335,18 @@ class TestConstrainedAls:
         with pytest.raises(ValueError):
             constrained_als(bad, SolverConfig(r=1))
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_entry_named_by_index(self, bad):
+        t = np.ones((3, 3, 3), dtype=complex)
+        t[0, 2, 1] = bad
+        with pytest.raises(ValueError,
+                           match=r"constrained_als: non-finite entry at index \(0, 2, 1\)"):
+            constrained_als(t, SolverConfig(r=1))
+
+    def test_zero_tensor_greedy_start_degenerate(self):
+        _, diag = constrained_als(np.zeros((3, 3, 3)), SolverConfig(r=2))
+        assert diag.flags[0] == "greedy_init_degenerate_fallback_random"
+
     def test_rejects_oversized_rank(self):
         with pytest.raises(ValueError):
             constrained_als(np.ones((2, 2)), SolverConfig(r=5))
@@ -348,7 +369,7 @@ def mode_problem(factors, k, rng):
     dims = tuple(fk.shape[0] for fk in factors)
     x = rng.standard_normal(dims) + 1j * rng.standard_normal(dims)
     unfold = np.moveaxis(x, k, 0).reshape(dims[k], -1)
-    z = _khatri_rao_but(factors, k)
+    z = khatri_rao_but(factors, k)
     grams = [fj.conj().T @ fj for j, fj in enumerate(factors) if j != k]
     return unfold, z, grams
 

@@ -9,6 +9,7 @@ from cohcp.core import (
     multilinear_action,
     rank1_outer,
     random_unit_columns,
+    term_correlations,
 )
 from cohcp.decompose import best_rank1
 from cohcp.norms import (
@@ -34,7 +35,7 @@ def test_term_correlations_match_einsum_bytewise(d, r):
     spec = modes + "," + ",".join(m + "r" for m in modes) + "->r"
     want = np.einsum(spec, t, *[f.conj() for f in factors], optimize=True)
     for _ in range(2):  # the second call reuses the cached plan
-        assert norms._term_correlations(t, factors).tobytes() == want.tobytes()
+        assert term_correlations(t, factors).tobytes() == want.tobytes()
 
 
 class TestSpectralNorm:
@@ -237,9 +238,9 @@ class TestNuclearBounds:
         ranks = []
         fit = norms._exact_fit
 
-        def counting(t, r, cfg, rng):
+        def counting(t, r, rng):
             ranks.append(r)
-            return fit(t, r, cfg, rng)
+            return fit(t, r, rng)
 
         monkeypatch.setattr(norms, "_exact_fit", counting)
         rng = np.random.default_rng(14)
