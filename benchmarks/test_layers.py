@@ -15,8 +15,17 @@ import math
 import numpy as np
 import pytest
 
-from cohcp.core import evaluate_terms, khatri_rao_but, random_unit_columns
-from cohcp.decompose import _mode_solve
+from cohcp.core import (
+    canonicalize,
+    cp_evaluate,
+    essentially_equal,
+    evaluate_terms,
+    khatri_rao_but,
+    random_unit_columns,
+    term_correlations,
+    term_gram,
+)
+from cohcp.decompose import SolverConfig, _init_factors, _mode_solve
 from cohcp.htns import dump_htns, parse_htns
 from cohcp.norms import NormConfig, _alternating_spectral, _exact_fit, nuclear_norm_bounds
 from cohcp.simulate import ArrayScene, _refine_direction, doa_estimate, steering_vectors
@@ -41,6 +50,60 @@ def test_certified_mode_solve_60_r6(benchmark):
     grams = [fj.conj().T @ fj for fj in factors[1:]]
     c = benchmark(_mode_solve, unfold, z, grams)
     assert c.shape == (60, r)
+
+
+def _planted_rank6(n):
+    # the dense_als input: planted rank-6 n^3 tensor at 40 dB
+    rng = np.random.default_rng(10)
+    factors = [random_unit_columns(n, 6, rng) for _ in range(3)]
+    f = evaluate_terms(np.linspace(2.0, 1.0, 6), factors)
+    noise = _complex(rng, f.shape)
+    return f + noise * (0.01 * np.linalg.norm(f) / np.linalg.norm(noise)), factors
+
+
+@pytest.mark.parametrize("n", [40, 60])
+def test_greedy_warm_start_r6(benchmark, n):
+    f, _ = _planted_rank6(n)
+    unfolds = [np.moveaxis(f, k, 0).reshape(n, -1) for k in range(3)]
+    factors, _ = benchmark(_init_factors, f, unfolds, SolverConfig(r=6), [])
+    assert factors[0].shape == (n, 6)
+
+
+def test_khatri_rao_but_40_r6(benchmark):
+    _, factors = _planted_rank6(40)
+    z = benchmark(khatri_rao_but, factors, 0)
+    assert z.shape == (1600, 6)
+
+
+def test_term_gram_40_r6(benchmark):
+    _, factors = _planted_rank6(40)
+    gram = benchmark(term_gram, factors)
+    assert gram.shape == (6, 6)
+
+
+def test_term_correlations_40_r6(benchmark):
+    f, factors = _planted_rank6(40)
+    b = benchmark(term_correlations, f, factors)
+    assert b.shape == (6,)
+
+
+def test_canonicalize_40_r6(benchmark):
+    _, factors = _planted_rank6(40)
+    weights = np.linspace(2.0, 1.0, 6) * np.exp(1j * np.arange(6))
+    model = benchmark(canonicalize, weights, factors)
+    assert model.rank == 6
+
+
+def test_essentially_equal_40_r6(benchmark):
+    _, factors = _planted_rank6(40)
+    m1 = canonicalize(np.linspace(2.0, 1.0, 6), factors)
+    # the same terms in reverse order, each mode scaled by a unimodular
+    # factor, phases summing to zero
+    phases = [np.exp(1j * 0.3), np.exp(-1j * 0.1), np.exp(-1j * 0.2)]
+    m2 = canonicalize(np.linspace(1.0, 2.0, 6),
+                      [f[:, ::-1] * ph for f, ph in zip(factors, phases)])
+    assert benchmark(essentially_equal, m1, m2, 1e-9)
+    assert np.allclose(cp_evaluate(m1), cp_evaluate(m2))
 
 
 @pytest.mark.parametrize("n, restarts", [(40, 16), (3, 64)])

@@ -46,12 +46,14 @@ class Dictionary:
             raise ValueError("dictionary must contain at least one atom")
         d = len(atoms[0])
         norm_atoms = []
-        for atom in atoms:
+        for i, atom in enumerate(atoms):
             if len(atom) != d:
                 raise ValueError("all atoms must have the same number of modes")
             vecs = []
-            for v in atom:
+            for k, v in enumerate(atom):
                 v = np.asarray(v, dtype=np.complex128)
+                if not np.all(np.isfinite(v)):
+                    raise ValueError(f"atom {i}, mode {k}: non-finite entry")
                 nrm = np.linalg.norm(v)
                 if v.ndim != 1 or nrm == 0.0:
                     raise ValueError("atom factors must be nonzero vectors")
@@ -115,11 +117,12 @@ def woga(tensor, dictionary: Dictionary, t: float = 1.0,
     current residual reaches t times the maximum; orthogonally project the
     original f onto span(g_1, .., g_m) by solving the Gram system; deflate.
     Stops when the residual norm drops to ``tol`` or after ``max_iter``
-    iterations (default: dictionary size).
+    iterations (default: dictionary size).  Non-finite entries raise
+    ``ValueError``.
     """
     if not (0.0 < t <= 1.0):
         raise ValueError("weakness parameter t must lie in (0, 1]")
-    f = np.asarray(tensor, dtype=np.complex128)
+    f = finite_tensor(tensor, "woga")
     if f.shape != dictionary.dims:
         raise ValueError(f"tensor dims {f.shape} do not match dictionary {dictionary.dims}")
     if max_iter is None:
@@ -186,8 +189,9 @@ def oga_continuous(tensor, r: int, restarts: int = 32, tol: float = 1e-12,
     early stop (flagged) on three consecutive stagnating iterations.
 
     Returns (CPModel, GreedyResult); ``selected`` holds the factor tuples.
+    Non-finite entries raise ``ValueError``.
     """
-    f = np.asarray(tensor, dtype=np.complex128)
+    f = finite_tensor(tensor, "oga_continuous")
     if r < 1:
         raise ValueError("r must be >= 1")
     fnorm2 = frobenius(f) ** 2
@@ -288,7 +292,9 @@ class SolverConfig:
     max_iter: int = 2000
     tol: float = 1e-10
     seed: int = 0
-    init: str = "greedy"  # "greedy" (rank-1 deflation warm start) or "random"
+    # "greedy" (rank-1 deflation warm start, run on the r x .. x r Tucker
+    # core of the modes with n_k > r) or "random"
+    init: str = "greedy"
 
     def __post_init__(self):
         if self.r < 1:
@@ -368,31 +374,69 @@ def _project_coherence(v: np.ndarray, cap: float, max_passes: int = 20,
     return v
 
 
-def _init_factors(f, r, dims, cfg, flags):
+def _compression_bases(unfolds, r):
+    """Orthonormal bases of the dominant r-dimensional column spaces of the
+    unfoldings with n_k > r (``None`` for the other modes).
+
+    Each basis is the top-r eigenvectors of the n_k x n_k Gram X_k X_k^H,
+    which is much cheaper than an SVD of the wide unfolding itself.
+    """
+    bases = []
+    for x in unfolds:
+        if x.shape[0] <= r:
+            bases.append(None)
+        else:
+            bases.append(np.linalg.eigh(x @ x.conj().T)[1][:, ::-1][:, :r])
+    return bases
+
+
+def _greedy_start(f, unfolds, r, seed):
+    """Greedy warm start, run on the Tucker core T x_k U_k^H for the modes
+    with n_k > r and expanded back as U_k G_k.
+
+    U_k has orthonormal columns, so <U_k a, U_k b> = <a, b>: the expanded
+    columns keep unit norm and every per-mode coherence of the core
+    factors.  A tensor with every n_k <= r is used as it is.
+    """
+    if any(n > r for n in f.shape):
+        bases = _compression_bases(unfolds, r)
+    else:
+        bases = [None] * f.ndim
+    core = f
+    for k, u in enumerate(bases):
+        if u is not None:
+            core = np.moveaxis(np.tensordot(u.conj().T, core, axes=(1, k)), 0, k)
+    model, _ = oga_continuous(core, r, restarts=16, seed=seed)
+    factors = [g if u is None else u @ g for u, g in zip(bases, model.factors)]
+    return model.weights, factors
+
+
+def _init_factors(f, unfolds, cfg, flags):
+    r = cfg.r
     rng = np.random.default_rng(cfg.seed)
     if cfg.init == "greedy":
         try:
-            model, _ = oga_continuous(f, r, restarts=16, seed=cfg.seed)
+            weights, factors = _greedy_start(f, unfolds, r, cfg.seed)
         except ValueError:
             flags.append("greedy_init_failed_fallback_random")
         else:
-            r0 = model.rank
+            r0 = len(weights)
             if r0 == r:
-                return [np.array(fac) for fac in model.factors], \
-                    model.weights.astype(np.complex128)
+                return [np.array(fac) for fac in factors], \
+                    weights.astype(np.complex128)
             if 0 < r0 < r:
                 # pad the greedy warm start with fresh random components
                 facs = [np.hstack([np.array(fac), random_unit_columns(n, r - r0, rng)])
-                        for fac, n in zip(model.factors, dims)]
+                        for fac, n in zip(factors, f.shape)]
                 lam = np.concatenate([
-                    model.weights.astype(np.complex128),
-                    np.full(r - r0, 1e-3 * max(model.weights[0], 1e-12),
+                    weights.astype(np.complex128),
+                    np.full(r - r0, 1e-3 * max(weights[0], 1e-12),
                             dtype=np.complex128),
                 ])
                 flags.append("greedy_init_padded")
                 return facs, lam
             flags.append("greedy_init_degenerate_fallback_random")
-    return [random_unit_columns(n, r, rng) for n in dims], \
+    return [random_unit_columns(n, r, rng) for n in f.shape], \
         np.ones(r, dtype=np.complex128)
 
 
@@ -406,6 +450,13 @@ def constrained_als(tensor, cfg: SolverConfig):
     the objective trace is monotone non-increasing in the unconstrained and
     Tychonoff regimes.  Weight positivity is a representation choice and is
     restored by canonicalization after convergence.
+
+    The greedy warm start runs on the Tucker core T x_k U_k^H, where U_k
+    spans the dominant r-dimensional column space of the mode-k unfolding
+    for every mode with n_k > r, and its factors are expanded as U_k G_k.
+    Orthonormal U_k keep every inner product, so coherences and the paper's
+    conditions are the same for core and expanded factors.  The sweeps run
+    on the full tensor and remove what the compression discarded.
 
     Returns (CPModel, AlsDiagnostics).
     """
@@ -431,9 +482,9 @@ def constrained_als(tensor, cfg: SolverConfig):
         if r > dims[ortho_mode]:
             raise ValueError("separable orthogonality needs r <= max(n_k)")
 
-    factors, lam = _init_factors(f, r, dims, cfg, flags)
-    grams = [fk.conj().T @ fk for fk in factors]
     unfolds = [np.moveaxis(f, k, 0).reshape(dims[k], -1) for k in range(d)]
+    factors, lam = _init_factors(f, unfolds, cfg, flags)
+    grams = [fk.conj().T @ fk for fk in factors]
     lam_reg = cfg.tychonoff_lambda
 
     def objective() -> float:

@@ -197,6 +197,16 @@ class TestDecomposeCommand:
         assert doc["selected"][0] == 3
         assert doc["converged"] is True
 
+    def test_woga_rejects_nan_atom(self, tmp_path, capsys):
+        dict_path = tmp_path / "atoms.json"
+        # Python's json reads the NaN literal as a float
+        dict_path.write_text('{"atoms": [[[NaN, 1.0], [1.0, 0.0]], [[0.0, 1.0], [1.0, 1.0]]]}')
+        p = tmp_path / "t.htns"
+        write_htns(p, np.ones((2, 2), dtype=complex))
+        assert run_cli(["decompose", "--input", str(p), "--rank", "1",
+                        "--method", "woga", "--dict", str(dict_path)]) == 2
+        assert "atom 0, mode 0: non-finite entry" in capsys.readouterr().err
+
     def test_oga_method(self, tmp_path):
         rng = np.random.default_rng(5)
         t = rng.standard_normal((3, 3, 3)) + 1j * rng.standard_normal((3, 3, 3))

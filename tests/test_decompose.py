@@ -11,6 +11,7 @@ from cohcp.core import (
     essentially_equal,
     evaluate_terms,
     frobenius,
+    gram_mu,
     inner_product,
     rank1_outer,
     random_unit_columns,
@@ -77,6 +78,15 @@ class TestDictionary:
         assert len(d) == 40
         assert 0.0 < d.mu < 0.09
 
+    @pytest.mark.parametrize("bad, atom, mode", [(np.nan, 0, 0), (np.inf, 1, 1)])
+    def test_non_finite_atom_rejected(self, bad, atom, mode):
+        atoms = [[np.array([1.0, 0.0]), np.array([1.0, 0.0])],
+                 [np.array([0.0, 1.0]), np.array([1.0, 1.0])]]
+        atoms[atom][mode] = np.array([bad, 1.0])
+        with pytest.raises(ValueError,
+                           match=rf"atom {atom}, mode {mode}: non-finite entry"):
+            Dictionary([tuple(a) for a in atoms])
+
 
 class TestWoga:
     def test_single_atom(self):
@@ -135,6 +145,14 @@ class TestWoga:
                               for _ in range(3)) for _ in range(2)])
         with pytest.raises(ValueError):
             woga(np.zeros((2, 2, 2)), d, t=0.0)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_rejected(self, bad):
+        d = random_incoherent_dictionary((3, 3, 3), 5, mu_max=0.5, seed=1)
+        t = np.ones((3, 3, 3), dtype=complex)
+        t[1, 1, 1] = bad
+        with pytest.raises(ValueError, match=r"woga: non-finite entry at index \(1, 1, 1\)"):
+            woga(t, d)
 
 
 class TestBestRank1:
@@ -206,6 +224,14 @@ class TestOgaContinuous:
         assert res.residuals == [0.0]
         assert res.converged
         assert res.selected == [] and res.flags == []
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_named_by_index(self, bad):
+        t = np.ones((3, 3, 3), dtype=complex)
+        t[1, 1, 1] = bad
+        with pytest.raises(ValueError,
+                           match=r"oga_continuous: non-finite entry at index \(1, 1, 1\)"):
+            oga_continuous(t, 2)
 
 
 class TestSolverConfig:
@@ -350,6 +376,71 @@ class TestConstrainedAls:
     def test_rejects_oversized_rank(self):
         with pytest.raises(ValueError):
             constrained_als(np.ones((2, 2)), SolverConfig(r=5))
+
+
+def planted_rank6(n, seed):
+    """Planted rank-6 n^3 tensor at 40 dB SNR and its canonical truth."""
+    rng = np.random.default_rng(seed)
+    truth = canonicalize(np.linspace(2.0, 1.0, 6),
+                         [random_unit_columns(n, 6, rng) for _ in range(3)])
+    f = cp_evaluate(truth)
+    noise = rng.standard_normal(f.shape) + 1j * rng.standard_normal(f.shape)
+    return f + noise * (0.01 * frobenius(f) / frobenius(noise)), truth
+
+
+def unfoldings(f):
+    return [np.moveaxis(f, k, 0).reshape(f.shape[k], -1) for k in range(f.ndim)]
+
+
+class TestCompressedWarmStart:
+    @pytest.mark.parametrize("n, seed", [(30, 40), (40, 41)])
+    def test_matches_uncompressed_start(self, monkeypatch, n, seed):
+        f, truth = planted_rank6(n, seed)
+        cfg = SolverConfig(r=6, seed=seed)
+        fast_model, fast = constrained_als(f, cfg)
+        monkeypatch.setattr(decompose, "_compression_bases",
+                            lambda unfolds, r: [None] * len(unfolds))
+        full_model, full = constrained_als(f, cfg)
+        assert fast.n_iter == full.n_iter
+        assert fast.flags == full.flags
+        assert abs(fast.final_residual - full.final_residual) \
+            <= 1e-12 * full.final_residual
+        np.testing.assert_allclose(fast_model.weights, full_model.weights,
+                                   rtol=0.0, atol=1e-10)
+        assert essentially_equal(fast_model, truth, 0.05)
+        assert essentially_equal(full_model, truth, 0.05)
+
+    def test_core_keeps_coherences(self):
+        f, _ = planted_rank6(30, 42)
+        bases = decompose._compression_bases(unfoldings(f), 6)
+        core = f
+        for k, u in enumerate(bases):
+            np.testing.assert_allclose(u.conj().T @ u, np.eye(6), rtol=0.0, atol=1e-12)
+            core = np.moveaxis(np.tensordot(u.conj().T, core, axes=(1, k)), 0, k)
+        assert core.shape == (6, 6, 6)
+        model, _ = oga_continuous(core, 6, restarts=16, seed=42)
+        for u, g in zip(bases, model.factors):
+            expanded = u @ g
+            np.testing.assert_allclose(np.linalg.norm(expanded, axis=0), 1.0,
+                                       rtol=0.0, atol=1e-12)
+            assert abs(gram_mu(g.conj().T @ g)
+                       - gram_mu(expanded.conj().T @ expanded)) <= 1e-12
+
+    def test_small_modes_take_the_full_tensor_path(self, monkeypatch):
+        def never(unfolds, r):
+            raise AssertionError("compression consulted with every n_k <= r")
+
+        monkeypatch.setattr(decompose, "_compression_bases", never)
+        rng = np.random.default_rng(43)
+        f = rng.standard_normal((3, 3, 3)) + 1j * rng.standard_normal((3, 3, 3))
+        flags = []
+        factors, lam = decompose._init_factors(f, unfoldings(f), SolverConfig(r=3, seed=7),
+                                               flags)
+        model, _ = oga_continuous(f, 3, restarts=16, seed=7)
+        assert flags == []
+        assert lam.tobytes() == model.weights.astype(np.complex128).tobytes()
+        for got, ref in zip(factors, model.factors):
+            assert got.tobytes() == ref.tobytes()
 
 
 def lstsq_spy(monkeypatch):
