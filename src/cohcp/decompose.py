@@ -375,16 +375,23 @@ def _project_coherence(v: np.ndarray, cap: float, max_passes: int = 20,
 
 
 def _compression_bases(unfolds, r):
-    """Orthonormal bases of the dominant r-dimensional column spaces of the
-    unfoldings with n_k > r (``None`` for the other modes).
+    """Orthonormal bases of the dominant (at most r-dimensional) column
+    spaces of the unfoldings with n_k > r (``None`` for the other modes).
 
-    Each basis is the top-r eigenvectors of the n_k x n_k Gram X_k X_k^H,
-    which is much cheaper than an SVD of the wide unfolding itself.
+    A wide unfolding (n_k <= m, the product of the other dims) takes the
+    top-r eigenvectors of the n_k x n_k Gram X_k X_k^H, which is much
+    cheaper than an SVD of the unfolding itself.  A tall one takes the
+    leading left singular vectors of its thin SVD instead, at most m of
+    them, so no n_k x n_k matrix is formed and the core has min(r, m) in
+    that mode.
     """
     bases = []
     for x in unfolds:
-        if x.shape[0] <= r:
+        n, m = x.shape
+        if n <= r:
             bases.append(None)
+        elif n > m:
+            bases.append(np.linalg.svd(x, full_matrices=False)[0][:, :r])
         else:
             bases.append(np.linalg.eigh(x @ x.conj().T)[1][:, ::-1][:, :r])
     return bases
@@ -398,10 +405,7 @@ def _greedy_start(f, unfolds, r, seed):
     columns keep unit norm and every per-mode coherence of the core
     factors.  A tensor with every n_k <= r is used as it is.
     """
-    if any(n > r for n in f.shape):
-        bases = _compression_bases(unfolds, r)
-    else:
-        bases = [None] * f.ndim
+    bases = _compression_bases(unfolds, r)
     core = f
     for k, u in enumerate(bases):
         if u is not None:
@@ -452,8 +456,9 @@ def constrained_als(tensor, cfg: SolverConfig):
     restored by canonicalization after convergence.
 
     The greedy warm start runs on the Tucker core T x_k U_k^H, where U_k
-    spans the dominant r-dimensional column space of the mode-k unfolding
-    for every mode with n_k > r, and its factors are expanded as U_k G_k.
+    spans the dominant (at most r-dimensional) column space of the mode-k
+    unfolding for every mode with n_k > r, and its factors are expanded as
+    U_k G_k.
     Orthonormal U_k keep every inner product, so coherences and the paper's
     conditions are the same for core and expanded factors.  The sweeps run
     on the full tensor and remove what the compression discarded.

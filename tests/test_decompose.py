@@ -426,11 +426,7 @@ class TestCompressedWarmStart:
             assert abs(gram_mu(g.conj().T @ g)
                        - gram_mu(expanded.conj().T @ expanded)) <= 1e-12
 
-    def test_small_modes_take_the_full_tensor_path(self, monkeypatch):
-        def never(unfolds, r):
-            raise AssertionError("compression consulted with every n_k <= r")
-
-        monkeypatch.setattr(decompose, "_compression_bases", never)
+    def test_small_modes_take_the_full_tensor_path(self):
         rng = np.random.default_rng(43)
         f = rng.standard_normal((3, 3, 3)) + 1j * rng.standard_normal((3, 3, 3))
         flags = []
@@ -441,6 +437,42 @@ class TestCompressedWarmStart:
         assert lam.tobytes() == model.weights.astype(np.complex128).tobytes()
         for got, ref in zip(factors, model.factors):
             assert got.tobytes() == ref.tobytes()
+
+    def test_tall_mode_forms_no_square_gram(self, monkeypatch):
+        # a 400 x 2 x 2 tensor: the mode-0 unfolding is 400 x 4, so an
+        # n_k x n_k Gram would be 400 x 400
+        shapes = []
+        for name in ("eigh", "svd"):
+            original = getattr(np.linalg, name)
+
+            def spy(a, *args, _original=original, **kwargs):
+                shapes.append(np.shape(a))
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, spy)
+        rng = np.random.default_rng(44)
+        f = rng.standard_normal((400, 2, 2)) + 1j * rng.standard_normal((400, 2, 2))
+        flags = []
+        factors, lam = decompose._init_factors(f, unfoldings(f), SolverConfig(r=2, seed=7),
+                                               flags)
+        assert shapes and all(min(s[-2:]) <= 4 for s in shapes)
+        assert flags == []
+        assert [fac.shape for fac in factors] == [(400, 2), (2, 2), (2, 2)]
+        for fac in factors:
+            np.testing.assert_allclose(np.linalg.norm(fac, axis=0), 1.0,
+                                       rtol=0.0, atol=1e-12)
+
+    def test_tall_mode_basis_narrower_than_rank(self):
+        # at r = 5 the 400 x 4 unfolding spans only 4 dimensions
+        rng = np.random.default_rng(45)
+        f = rng.standard_normal((400, 2, 2)) + 1j * rng.standard_normal((400, 2, 2))
+        bases = decompose._compression_bases(unfoldings(f), 5)
+        assert bases[0].shape == (400, 4) and bases[1:] == [None, None]
+        np.testing.assert_allclose(bases[0].conj().T @ bases[0], np.eye(4),
+                                   rtol=0.0, atol=1e-12)
+        model, diag = constrained_als(f, SolverConfig(r=5, seed=7))
+        assert all(fac.shape == (n, 5) for fac, n in zip(model.factors, f.shape))
+        assert np.isfinite(diag.final_residual)
 
 
 def lstsq_spy(monkeypatch):
