@@ -14,6 +14,12 @@ For every workload run on both sides, the output holds the seeds, the
 median and quartiles of each end-to-end metric of ``BENCHMARK.json`` on
 each side, the number of seeds on which the change is better, and one
 block of machine conditions.
+
+With ``--layers PARENT.json CHANGE.json`` it also holds the layer rows:
+the median and quartiles of every row both files time, from the same
+``benchmarks/test_layers.py`` run against each side's sources::
+
+    PYTHONPATH=PARENT/src python -m pytest benchmarks -q --benchmark-json=parent.json
 """
 
 from __future__ import annotations
@@ -74,13 +80,26 @@ def build(parent: dict, change: dict, pr: int) -> dict:
     return {"pr": pr, "conditions": conditions, "workloads": workloads}
 
 
+def layer_rows(parent: Path, change: Path) -> dict:
+    """Seconds per call of each pytest-benchmark row timed on both sides."""
+    sides = [{b["name"]: b["stats"] for b in json.loads(p.read_text())["benchmarks"]}
+             for p in (parent, change)]
+    return {name: {side: {k: sides[i][name][k] for k in ("median", "q1", "q3")}
+                   for i, side in enumerate(("parent", "change"))}
+            for name in sorted(sides[0].keys() & sides[1].keys())}
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent", type=Path, help="records of the parent commit")
     ap.add_argument("change", type=Path, help="records of the change")
     ap.add_argument("--pr", type=int, required=True)
+    ap.add_argument("--layers", type=Path, nargs=2, metavar=("PARENT", "CHANGE"),
+                    help="pytest-benchmark JSON of the layer rows on each side")
     args = ap.parse_args(argv)
     doc = build(load_records(args.parent), load_records(args.change), args.pr)
+    if args.layers:
+        doc["layers_s"] = layer_rows(*args.layers)
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(doc, indent=1) + "\n")
     print(out)

@@ -189,3 +189,11 @@ def test_evaluate_terms_17x4x48_r4(benchmark):
     weights = np.array([2.0, 1.6, 1.3, 1.0])
     t = benchmark(evaluate_terms, weights, factors)
     assert t.shape == (17, 4, 48)
+
+
+def test_term_correlations_17x4x48_r4(benchmark):
+    rng = np.random.default_rng(9)
+    factors = [random_unit_columns(n, 4, rng) for n in (17, 4, 48)]
+    t = _complex(rng, (17, 4, 48))
+    b = benchmark(term_correlations, t, factors)
+    assert b.shape == (4,)

@@ -15,14 +15,11 @@ pure functions.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 UNIT_TOL = 1e-12
-
-_EINSUM_LETTERS = "abcdefghijklmnopqstuvwxyz"  # 'r' reserved for the rank axis
 
 
 def _as_complex(a) -> np.ndarray:
@@ -65,27 +62,6 @@ def rank1_outer(factors) -> np.ndarray:
     for v in vecs[1:]:
         out = np.multiply.outer(out, v)
     return out
-
-
-def _einsum_spec(d: int) -> str:
-    if d > len(_EINSUM_LETTERS):
-        raise ValueError(f"order {d} exceeds supported maximum")
-    modes = _EINSUM_LETTERS[:d]
-    return "r," + ",".join(m + "r" for m in modes) + "->" + modes
-
-
-@functools.lru_cache(maxsize=256)
-def _einsum_plan(spec: str, shapes: tuple) -> tuple:
-    # the greedy path that einsum(optimize=True) would choose, searched once
-    # per spec and operand shapes; a fixed path keeps the contraction order
-    dummies = [np.broadcast_to(np.zeros((), dtype=np.complex128), s) for s in shapes]
-    return tuple(np.einsum_path(spec, *dummies, optimize="greedy")[0])
-
-
-def planned_einsum(spec: str, *operands) -> np.ndarray:
-    """``np.einsum(spec, *operands, optimize=True)`` without re-planning."""
-    path = _einsum_plan(spec, tuple(op.shape for op in operands))
-    return np.einsum(spec, *operands, optimize=path)
 
 
 def finite_tensor(tensor, caller: str) -> np.ndarray:
@@ -137,23 +113,42 @@ def gram_mu(gram: np.ndarray) -> float:
 
 
 def term_correlations(t: np.ndarray, factors) -> np.ndarray:
-    """b_p = <T, phi_1p (x) ... (x) phi_dp> for all terms p at once."""
-    modes = _EINSUM_LETTERS[:t.ndim]
-    spec = modes + "," + ",".join(m + "r" for m in modes) + "->r"
-    return planned_einsum(spec, t, *[f.conj() for f in factors])
+    """b_p = <T, phi_1p (x) ... (x) phi_dp> for all terms p at once: the
+    mode-1 unfolding times the conjugate Khatri-Rao product of the other
+    modes (MTTKRP), summed against conj(phi_1p)."""
+    if len(factors) == 0:
+        raise ValueError("term_correlations: need at least one mode")
+    cols = [f.shape[1] for f in factors]
+    dims = tuple(f.shape[0] for f in factors)
+    if len(set(cols)) != 1:
+        raise ValueError(f"term_correlations: factor column counts differ: {cols}")
+    if t.shape != dims:
+        raise ValueError(f"term_correlations: tensor shape {t.shape} does not "
+                         f"match the factor dims {dims}")
+    if cols[0] == 0:
+        return np.zeros(0, dtype=np.complex128)
+    kr = khatri_rao_but(factors, 0)
+    kr = np.ones((1, cols[0])) if kr is None else kr.conj()  # None: one mode
+    return np.sum((t.reshape(dims[0], -1) @ kr) * factors[0].conj(), axis=0)
 
 
 def evaluate_terms(weights, factors) -> np.ndarray:
-    """Evaluate sum_p weights[p] * (col p of each factor matrix) outer."""
+    """Evaluate sum_p weights[p] * (col p of each factor matrix) outer, as
+    the weighted mode-1 factor times the transposed Khatri-Rao product."""
     factors = [_as_complex(f) for f in factors]
+    if len(factors) == 0:
+        raise ValueError("evaluate_terms: need at least one mode")
     w = _as_complex(np.atleast_1d(weights))
     r = w.shape[0]
     for f in factors:
         if f.ndim != 2 or f.shape[1] != r:
             raise ValueError("each factor matrix needs one column per term")
+    dims = tuple(f.shape[0] for f in factors)
     if r == 0:
-        return np.zeros(tuple(f.shape[0] for f in factors), dtype=np.complex128)
-    return planned_einsum(_einsum_spec(len(factors)), w, *factors)
+        return np.zeros(dims, dtype=np.complex128)
+    kr = khatri_rao_but(factors, 0)
+    kr = np.ones((1, r)) if kr is None else kr  # None: one mode
+    return ((factors[0] * w) @ kr.T).reshape(dims)
 
 
 @dataclass(frozen=True)

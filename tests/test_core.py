@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cohcp.core import (
     CPModel,
@@ -236,17 +238,46 @@ class TestCPModelValidation:
                 canonicalize(np.array([1.0]), [np.ones((2, 1)), f])
 
 
-@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("r", [1, 4, 6])
-def test_evaluate_terms_matches_einsum_bytewise(d, r):
+def test_evaluate_terms_agrees_with_einsum(d, r):
+    # the Khatri-Rao matmul sums in another order than einsum; every entry
+    # of a unit-column model is bounded by sum_p |w_p|, so a few ulps of it
     rng = np.random.default_rng(100 * d + r)
-    dims = (5, 3, 4, 2)[:d]
+    dims = (5, 3, 4, 2, 3)[:d]
     factors = [random_unit_columns(n, r, rng) for n in dims]
     w = rng.standard_normal(r) + 1j * rng.standard_normal(r)
-    spec = "r," + ",".join(m + "r" for m in "abcd"[:d]) + "->" + "abcd"[:d]
+    modes = "abcde"[:d]
+    spec = "r," + ",".join(m + "r" for m in modes) + "->" + modes
     want = np.einsum(spec, w, *factors, optimize=True)
-    for _ in range(2):  # the second call reuses the cached plan
-        assert evaluate_terms(w, factors).tobytes() == want.tobytes()
+    got = evaluate_terms(w, factors)
+    assert got.shape == want.shape == dims
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.sum(np.abs(w))
+
+
+def test_evaluate_terms_rejects_empty_factor_list():
+    with pytest.raises(ValueError, match="evaluate_terms: need at least one mode"):
+        evaluate_terms([1.0], [])
+
+
+class TestCanonicalizeProperties:
+    @settings(deadline=None, max_examples=60)
+    @given(dims=st.lists(st.integers(1, 4), min_size=1, max_size=4),
+           r=st.integers(0, 5), seed=st.integers(0, 2**32 - 1))
+    def test_idempotent_and_preserves_tensor(self, dims, r, seed):
+        rng = np.random.default_rng(seed)
+        w = rng.standard_normal(r) + 1j * rng.standard_normal(r)
+        factors = [rng.uniform(0.1, 10.0, r)
+                   * (rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r)))
+                   for n in dims]
+        raw = evaluate_terms(w, factors)
+        model = canonicalize(w, factors)
+        assert frobenius(cp_evaluate(model) - raw) <= 1e-12 * frobenius(raw)
+        again = canonicalize(model.weights, model.factors)
+        assert again.dropped_terms == 0
+        tol = 1e-12 * np.max(model.weights, initial=1.0)  # weights are not unit
+        assert essentially_equal(again, model, tol)
+        assert frobenius(cp_evaluate(again) - raw) <= 1e-12 * frobenius(raw)
 
 
 class TestEssentiallyEqual:

@@ -73,6 +73,14 @@ class TestDictionary:
         for i in range(4):
             assert abs(got[i] - inner_product(f, d.atom_tensor(i))) < 1e-12
 
+    def test_correlations_reject_mismatched_tensor(self):
+        rng = np.random.default_rng(4)
+        d = Dictionary([tuple(rng.standard_normal(n) for n in (2, 3, 4))
+                        for _ in range(3)])
+        with pytest.raises(ValueError, match=r"tensor shape \(2, 4, 3\) does not "
+                                             r"match the factor dims \(2, 3, 4\)"):
+            d.correlations(np.ones((2, 4, 3)))
+
     def test_incoherent_generator(self):
         d = random_incoherent_dictionary((4, 4, 4), 40, mu_max=0.09, seed=3)
         assert len(d) == 40

@@ -24,18 +24,39 @@ from cohcp.norms import (
 )
 
 
-@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("r", [1, 4, 6])
-def test_term_correlations_match_einsum_bytewise(d, r):
+def test_term_correlations_agree_with_einsum(d, r):
+    # the Khatri-Rao matmul sums in another order than einsum; |b_p| <= ||T||_F
+    # for unit columns, so a few ulps of ||T||_F (relative to the largest
+    # |b_p| would fail on cancellation in small b_p)
     rng = np.random.default_rng(10 * d + r)
-    dims = (5, 3, 4, 2)[:d]
+    dims = (5, 3, 4, 2, 3)[:d]
     t = rng.standard_normal(dims) + 1j * rng.standard_normal(dims)
     factors = [random_unit_columns(n, r, rng) for n in dims]
-    modes = "abcd"[:d]
+    modes = "abcde"[:d]
     spec = modes + "," + ",".join(m + "r" for m in modes) + "->r"
     want = np.einsum(spec, t, *[f.conj() for f in factors], optimize=True)
-    for _ in range(2):  # the second call reuses the cached plan
-        assert term_correlations(t, factors).tobytes() == want.tobytes()
+    got = term_correlations(t, factors)
+    assert got.shape == want.shape == (r,)
+    assert np.max(np.abs(got - want)) <= 1e-15 * frobenius(t)
+
+
+class TestTermCorrelationsRejectsMalformed:
+    def test_no_modes(self):
+        with pytest.raises(ValueError, match="need at least one mode"):
+            term_correlations(np.ones(()), [])
+
+    def test_column_counts_differ(self):
+        # a one-column factor must not broadcast over the other factor's columns
+        with pytest.raises(ValueError, match=r"column counts differ: \[1, 2\]"):
+            term_correlations(np.ones((2, 3)), [np.ones((2, 1)), np.ones((3, 2))])
+
+    def test_permuted_dims(self):
+        # same size, so the unfolding would reshape without error
+        with pytest.raises(ValueError, match=r"tensor shape \(3, 2\) does not "
+                                             r"match the factor dims \(2, 3\)"):
+            term_correlations(np.ones((3, 2)), [np.ones((2, 1)), np.ones((3, 1))])
 
 
 class TestSpectralNorm:
