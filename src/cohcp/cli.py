@@ -106,13 +106,13 @@ def _emit(report: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _complex_matrix(rows) -> np.ndarray:
-    arr = np.asarray(rows, dtype=np.float64)
-    if arr.ndim == 3 and arr.shape[2] == 2:
-        return arr[..., 0] + 1j * arr[..., 1]
-    if arr.ndim == 2:
-        return arr.astype(np.complex128)
-    raise ValidationError("expected a matrix of numbers or [re, im] pairs")
+def _numbers(value, what: str) -> np.ndarray:
+    """A JSON value as a float array; anything but (nested lists of)
+    numbers is a validation error that names ``what``."""
+    try:
+        return np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"{what} must hold only numbers in equal-length lists") from None
 
 
 def _model_payload(model) -> dict:
@@ -173,7 +173,9 @@ def _cmd_check(args) -> int:
         raise ValidationError("check needs --mus or --factors")
     if args.d is not None and args.d != len(mus):
         raise ValidationError(f"--d {args.d} does not match {len(mus)} coherences")
-    kranks = [int(k) for k in _parse_float_list(args.kranks)] if args.kranks else None
+    kranks = _parse_float_list(args.kranks) if args.kranks else None
+    if kranks is not None and not all(k.is_integer() for k in kranks):
+        raise ValidationError(f"--kranks must be integers, got {args.kranks!r}")
     report = condition_report(mus, args.r, kranks=kranks)
     report["command"] = "check"
     _emit(report, args.out)
@@ -227,11 +229,13 @@ def _load_dictionary(path: str) -> Dictionary:
         doc = json.load(fh)
     if not isinstance(doc, dict) or "atoms" not in doc:
         raise ValidationError("dictionary JSON must contain an 'atoms' list")
+    if not (isinstance(doc["atoms"], list) and all(isinstance(a, list) for a in doc["atoms"])):
+        raise ValidationError("dictionary field 'atoms' must be a list of lists of vectors")
     atoms = []
     for atom in doc["atoms"]:
         vecs = []
         for vec in atom:
-            arr = np.asarray(vec, dtype=np.float64)
+            arr = _numbers(vec, "dictionary atom vectors")
             if arr.ndim == 2 and arr.shape[1] == 2:
                 vecs.append(arr[:, 0] + 1j * arr[:, 1])
             elif arr.ndim == 1:
@@ -303,11 +307,15 @@ def _cmd_decompose(args) -> int:
     return exit_code
 
 
-def _signals_from_spec(spec, n3_default: int, r: int, seed: int) -> np.ndarray:
+def _signals_from_spec(doc, n3_default: int, r: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
+    spec = doc.get("signals", {})
     if isinstance(spec, dict):
         kind = spec.get("kind", "gaussian")
-        n3 = int(spec.get("n_samples", n3_default))
+        n3 = _numbers(spec.get("n_samples", n3_default), "signals field 'n_samples'")
+        if n3.ndim != 0 or not float(n3).is_integer() or n3 < 1:
+            raise ValidationError("signals field 'n_samples' must be a positive integer")
+        n3 = int(n3)
         if kind == "qpsk":
             sym = rng.integers(0, 4, size=(n3, r))
             sig = np.exp(1j * (math.pi / 4 + math.pi / 2 * sym))
@@ -318,16 +326,34 @@ def _signals_from_spec(spec, n3_default: int, r: int, seed: int) -> np.ndarray:
             raise ValidationError(f"unknown signal kind {kind!r}")
         norms = spec.get("norms")
         if norms is not None:
-            sig = sig / np.linalg.norm(sig, axis=0) * np.asarray(norms, dtype=float)
+            sig = sig / np.linalg.norm(sig, axis=0) * _numbers(norms, "signals field 'norms'")
         return sig
-    return _complex_matrix(spec)
+    return _scene_matrix(doc, "signals")
 
 
-def _scene_field(doc, key: str):
+def _scene_array(doc, key: str) -> np.ndarray:
     try:
-        return doc[key]
+        value = doc[key]
     except (KeyError, TypeError):
         raise ValidationError(f"scene JSON is missing field {key!r}") from None
+    return _numbers(value, f"scene field {key!r}")
+
+
+def _scene_matrix(doc, key: str) -> np.ndarray:
+    arr = _scene_array(doc, key)
+    if arr.ndim == 3 and arr.shape[2] == 2:
+        return arr[..., 0] + 1j * arr[..., 1]
+    if arr.ndim == 2:
+        return arr.astype(np.complex128)
+    raise ValidationError(f"scene field {key!r}: expected a matrix of numbers or "
+                          "[re, im] pairs")
+
+
+def _scene_number(doc, key: str) -> float:
+    value = _scene_array(doc, key)
+    if value.ndim != 0 or not np.isfinite(value):
+        raise ValidationError(f"scene field {key!r} must be a finite number")
+    return float(value)
 
 
 def _cmd_simulate(args) -> int:
@@ -337,34 +363,36 @@ def _cmd_simulate(args) -> int:
                  "noise_std": args.noise_std}
     if args.kind == "array":
         scene = ArrayScene(
-            b=np.asarray(_scene_field(doc, "positions"), dtype=float),
-            delta=np.asarray(_scene_field(doc, "translations"), dtype=float),
-            pulsation=float(_scene_field(doc, "pulsation")),
-            celerity=float(_scene_field(doc, "celerity")),
+            b=_scene_array(doc, "positions"),
+            delta=_scene_array(doc, "translations"),
+            pulsation=_scene_number(doc, "pulsation"),
+            celerity=_scene_number(doc, "celerity"),
         )
-        directions = np.asarray(_scene_field(doc, "directions"), dtype=float)
-        directions = directions / np.linalg.norm(directions, axis=1, keepdims=True)
-        signals = _signals_from_spec(doc.get("signals", {}), 64,
-                                     directions.shape[0], args.seed + 1)
+        directions = _scene_array(doc, "directions")
+        if directions.ndim != 2 or directions.shape[1] != 3:
+            raise ValidationError("scene field 'directions' must hold [x, y, z] vectors")
+        with np.errstate(invalid="ignore"):  # PathSet rejects a zero or inf vector
+            directions = directions / np.linalg.norm(directions, axis=1, keepdims=True)
+        signals = _signals_from_spec(doc, 64, directions.shape[0], args.seed + 1)
         paths = PathSet(directions=directions, signals=signals)
         tensor, truth = simulate_array(scene, paths, args.noise_std, args.seed)
         out["resolvent_triad"] = has_resolvent_triad(scene.b, scene.wavelength)
         out["wavelength"] = scene.wavelength
     elif args.kind == "cdma":
-        gains = _complex_matrix(_scene_field(doc, "gains"))
-        symbols = _complex_matrix(_scene_field(doc, "symbols"))
+        gains = _scene_matrix(doc, "gains")
+        symbols = _scene_matrix(doc, "symbols")
         if "codes" in doc:
-            codes = _complex_matrix(doc["codes"])
+            codes = _scene_matrix(doc, "codes")
         else:
-            codes = effective_codes(_complex_matrix(_scene_field(doc, "spreading")),
-                                    _complex_matrix(_scene_field(doc, "impulse")))
+            codes = effective_codes(_scene_matrix(doc, "spreading"),
+                                    _scene_matrix(doc, "impulse"))
         scene = CdmaScene(gains=gains, symbols=symbols, codes=codes)
         tensor, truth = simulate_cdma(scene, args.noise_std, args.seed)
     elif args.kind == "fluorescence":
         tensor, truth, likeness = simulate_fluorescence(
-            np.asarray(_scene_field(doc, "concentrations"), dtype=float),
-            np.asarray(_scene_field(doc, "excitation"), dtype=float),
-            np.asarray(_scene_field(doc, "emission"), dtype=float),
+            _scene_array(doc, "concentrations"),
+            _scene_array(doc, "excitation"),
+            _scene_array(doc, "emission"),
             args.noise_std, args.seed)
         out["likeness"] = likeness
     else:
@@ -385,10 +413,9 @@ def _cmd_simulate(args) -> int:
 def _cmd_demo_nonexistence(args) -> int:
     e1 = np.array([1.0, 0.0], dtype=complex)
     e2 = np.array([0.0, 1.0], dtype=complex)
-    ns = [2 ** k for k in range(0, max(1, args.nmax).bit_length())]
-    ns = [n for n in ns if n <= args.nmax]
-    if ns[-1] != args.nmax:
-        ns.append(args.nmax)
+    if args.nmax < 1:
+        raise ValidationError(f"--nmax must be >= 1, got {args.nmax}")
+    ns = sorted({2 ** k for k in range(args.nmax.bit_length())} | {args.nmax})
     records = divergence_witness([e1] * 3, [e2] * 3, ns)
     out = {
         "command": "demo-nonexistence",

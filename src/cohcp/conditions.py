@@ -25,12 +25,14 @@ def _ge(a: float, b: float) -> bool:
     return a >= b - _BOUNDARY_RTOL * max(1.0, abs(a), abs(b))
 
 
-def _check_mus(mus, lo: float = 0.0) -> np.ndarray:
+def _check_mus(mus) -> np.ndarray:
     m = np.asarray(mus, dtype=np.float64)
     if m.ndim != 1 or m.size < 1:
         raise ValueError("need a nonempty list of per-mode coherences")
-    if np.any(m < lo) or np.any(m > 1.0):
-        raise ValueError(f"coherences must lie in [{lo}, 1]")
+    if not np.all(np.isfinite(m)):
+        raise ValueError(f"coherences must be finite, got {m.tolist()}")
+    if np.any(m < 0.0) or np.any(m > 1.0):
+        raise ValueError("coherences must lie in [0, 1]")
     return m
 
 
@@ -146,8 +148,8 @@ def temlyakov_condition(r: int, mu: float, t: float) -> bool:
     r = _check_r(r)
     if not (0.0 < t <= 1.0):
         raise ValueError("weakness parameter t must lie in (0, 1]")
-    if mu < 0.0 or mu >= 1.0:
-        raise ValueError("dictionary coherence must lie in [0, 1)")
+    if not (0.0 <= mu < 1.0):
+        raise ValueError(f"dictionary coherence must lie in [0, 1), got {mu}")
     if mu == 0.0:
         return True
     return r < (t / (1.0 + t)) * (1.0 + 1.0 / mu)
@@ -165,6 +167,8 @@ def coercivity_lower_bound(weights, mus) -> float:
     r = w.size
     if r < 1:
         raise ValueError("need at least one weight")
+    if not np.all(np.isfinite(w)):
+        raise ValueError("coercivity_lower_bound: weights must be finite")
     lam2 = float(np.sum(np.abs(w) ** 2))
     return (1.0 - (r - 1) * float(np.prod(m))) * lam2
 

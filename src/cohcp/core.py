@@ -151,6 +151,35 @@ def evaluate_terms(weights, factors) -> np.ndarray:
     return ((factors[0] * w) @ kr.T).reshape(dims)
 
 
+def alternating_rank1(t: np.ndarray, restarts: int, tol: float,
+                      max_sweeps: int, rng) -> tuple:
+    """Batched alternating maximization of |<T, phi_1 (x) .. (x) phi_d>|
+    (higher-order power method), all restarts in lockstep; returns the best
+    restart as (|<T, witness>|, witness).  Each mode update normalizes the
+    MTTKRP X_(k) conj(KR of the other modes), which increases the objective
+    monotonically; a vector's unfolding column broadcasts over the restarts.
+    """
+    if restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
+    vecs = [random_unit_columns(n, restarts, rng) for n in t.shape]
+    unfolds = [np.moveaxis(t, k, 0).reshape(n, -1) for k, n in enumerate(t.shape)]
+    vals = np.zeros(restarts)
+    for _ in range(max_sweeps):
+        prev = vals
+        for k, x in enumerate(unfolds):
+            kr = khatri_rao_but([v.conj() for v in vecs], k)
+            c = x if kr is None else x @ kr
+            nrm = np.linalg.norm(c, axis=0)
+            safe = np.where(nrm > 0, nrm, 1.0)
+            vecs[k] = np.where(nrm > 0, c / safe, vecs[k])
+            vals = nrm
+        if np.max(vals - prev) <= tol * max(1.0, float(np.max(vals))):
+            break
+    best = int(np.argmax(vals))
+    witness = tuple(v[:, best].copy() for v in vecs)
+    return float(abs(term_correlations(t, [w[:, None] for w in witness])[0])), witness
+
+
 @dataclass(frozen=True)
 class CPModel:
     """Canonical-form CP model: descending positive weights, unit columns.

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
+    alternating_rank1,
     canonicalize,
     cp_evaluate,
     evaluate_terms,
@@ -30,7 +31,6 @@ from .core import (
     term_correlations,
     term_gram,
 )
-from .norms import _alternating_spectral
 
 
 class Dictionary:
@@ -45,6 +45,8 @@ class Dictionary:
         if len(atoms) == 0:
             raise ValueError("dictionary must contain at least one atom")
         d = len(atoms[0])
+        if d == 0:
+            raise ValueError("dictionary atoms need at least one mode")
         norm_atoms = []
         for i, atom in enumerate(atoms):
             if len(atom) != d:
@@ -176,7 +178,7 @@ def best_rank1(tensor, restarts: int = 32, seed: int = 0):
     rng = np.random.default_rng(seed)
     # a stop tolerance of 1e-13, tighter than spectral_norm's 1e-12: the
     # greedy warm start of constrained_als depends on these exact sweeps
-    return _alternating_spectral(f, restarts, 1e-13, 500, rng)
+    return alternating_rank1(f, restarts, 1e-13, 500, rng)
 
 
 def oga_continuous(tensor, r: int, restarts: int = 32, tol: float = 1e-12,
@@ -327,19 +329,21 @@ class AlsDiagnostics:
     flags: list = field(default_factory=list)
 
 
-def _project_coherence(v: np.ndarray, cap: float, max_passes: int = 20,
-                       flags: list | None = None) -> np.ndarray:
+PROJECTION_PASSES = 20  # pairwise rotations of one coherence projection
+
+
+def _project_coherence(v: np.ndarray, cap: float, flags: list) -> np.ndarray:
     """Restore the per-mode coherence cap by pairwise rotations.
 
     Repeatedly takes the worst offending pair and rotates both columns
     symmetrically apart within their 2-D span until |<u, w>| equals the
-    cap; passes are capped, with a flag if still infeasible.
+    cap; after ``PROJECTION_PASSES`` rotations an infeasible cap is flagged.
     """
     v = v.copy()
     r = v.shape[1]
     if r < 2:
         return v
-    for _ in range(max_passes):
+    for _ in range(PROJECTION_PASSES):
         gram = np.abs(v.conj().T @ v)
         np.fill_diagonal(gram, 0.0)
         worst = float(np.max(gram))
@@ -369,7 +373,7 @@ def _project_coherence(v: np.ndarray, cap: float, max_passes: int = 20,
         v[:, q] = (math.cos(half_target) * bis + math.sin(half_target) * perp) * phase
         v[:, p] /= np.linalg.norm(v[:, p])
         v[:, q] /= np.linalg.norm(v[:, q])
-    if flags is not None and "coherence_projection_incomplete" not in flags:
+    if "coherence_projection_incomplete" not in flags:
         flags.append("coherence_projection_incomplete")
     return v
 
@@ -527,7 +531,7 @@ def constrained_als(tensor, cfg: SolverConfig):
             if cfg.coherence_caps is not None:
                 cap = cfg.coherence_caps[k]
                 if gram_mu(grams[k]) > cap:
-                    factors[k] = _project_coherence(factors[k], cap, flags=flags)
+                    factors[k] = _project_coherence(factors[k], cap, flags)
                     grams[k] = factors[k].conj().T @ factors[k]
         # global weight re-solve
         gram = functools.reduce(np.multiply, grams)

@@ -19,6 +19,7 @@ import numpy as np
 
 from .core import (
     CPModel,
+    alternating_rank1,
     canonicalize,
     cp_evaluate,
     evaluate_terms,
@@ -67,56 +68,6 @@ class NormConfig:
     candidates: tuple = ()       # known CPModel decompositions of T
 
 
-def _mode_contraction(tk: np.ndarray, others: list) -> np.ndarray:
-    """Contract a mode-k-first copy of T against one vector per other mode
-    and restart: column s is T with every other mode j contracted against
-    ``others[j][:, s]``, mode k left open.
-
-    ``others`` holds the (already conjugated) n_j x R blocks in the order of
-    the remaining axes of ``tk``.  The last mode goes through one matmul,
-    the rest through matmuls batched over the restarts.  A vector has no
-    other mode; its single column broadcasts over the restarts.
-    """
-    if not others:
-        return tk[:, None]
-    last = others[-1]
-    c = (tk.reshape(-1, last.shape[0]) @ last).T
-    for v in reversed(others[:-1]):
-        c = (c.reshape(c.shape[0], -1, v.shape[0]) @ v.T[:, :, None])[..., 0]
-    return c.T
-
-
-def _alternating_spectral(t: np.ndarray, restarts: int, tol: float,
-                          max_sweeps: int, rng) -> tuple:
-    """Batched alternating maximization of |<T, phi_1 (x) .. (x) phi_d>|.
-
-    All restarts are updated in lockstep; each mode update replaces the
-    mode-k vector by the normalized contraction of T against the other
-    modes, which increases the objective monotonically.
-    """
-    d = t.ndim
-    dims = t.shape
-    vecs = [random_unit_columns(n, restarts, rng) for n in dims]
-    firsts = [np.ascontiguousarray(np.moveaxis(t, k, 0)) for k in range(d)]
-    vals = np.zeros(restarts)
-    for _ in range(max_sweeps):
-        prev = vals
-        for k in range(d):
-            others = [vecs[j].conj() for j in range(d) if j != k]
-            c = _mode_contraction(firsts[k], others)
-            nrm = np.linalg.norm(c, axis=0)
-            safe = np.where(nrm > 0, nrm, 1.0)
-            vecs[k] = np.where(nrm > 0, c / safe, vecs[k])
-            vals = nrm
-        if np.max(vals - prev) <= tol * max(1.0, float(np.max(vals))):
-            break
-    best = int(np.argmax(vals))
-    witness = tuple(v[:, best].copy() for v in vecs)
-    # reproducible certified value
-    value = abs(inner_product(t, evaluate_terms([1.0], [w[:, None] for w in witness])))
-    return value, witness
-
-
 def spectral_norm(tensor, restarts: int = 64, seed: int = 0) -> NormCertificate:
     """Best |<T, phi_1 (x) ... (x) phi_d>| over unit vectors found by
     multi-start alternating maximization.
@@ -129,7 +80,7 @@ def spectral_norm(tensor, restarts: int = 64, seed: int = 0) -> NormCertificate:
     if frobenius(t) == 0.0:
         return NormCertificate(spectral=0.0, spectral_witness=None)
     rng = np.random.default_rng(seed)
-    value, witness = _alternating_spectral(t, restarts, SWEEP_TOL, MAX_SWEEPS, rng)
+    value, witness = alternating_rank1(t, restarts, SWEEP_TOL, MAX_SWEEPS, rng)
     return NormCertificate(spectral=value, spectral_witness=witness)
 
 
@@ -245,8 +196,7 @@ def nuclear_norm_bounds(tensor, cfg: NormConfig | None = None) -> NormCertificat
     if tnorm == 0.0:
         raise ValueError("nuclear norm bounds undefined for the zero tensor")
     rng = np.random.default_rng(cfg.seed)
-    sigma, witness = _alternating_spectral(
-        t, cfg.restarts, SWEEP_TOL, MAX_SWEEPS, rng)
+    sigma, witness = alternating_rank1(t, cfg.restarts, SWEEP_TOL, MAX_SWEEPS, rng)
 
     lower = max(sigma, tnorm * tnorm / sigma)
     if t.ndim == 2:

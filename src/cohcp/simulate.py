@@ -63,13 +63,11 @@ class ArrayScene:
 
 @dataclass(frozen=True)
 class PathSet:
-    """Propagation paths: unit directions (r, 3), per-path signal time
-    series as columns of an (n3, r) matrix, optional polarization angles
-    (alpha_p, beta_p) per path."""
+    """Propagation paths: unit directions (r, 3) and per-path signal time
+    series as columns of an (n3, r) matrix."""
 
     directions: np.ndarray
     signals: np.ndarray
-    polarization: np.ndarray | None = None
 
     def __post_init__(self):
         d = np.atleast_2d(np.asarray(self.directions, dtype=np.float64))
@@ -77,17 +75,10 @@ class PathSet:
         if d.shape[1] != 3 or d.shape[0] < 1:
             raise ValueError("directions must be (r, 3)")
         norms = np.linalg.norm(d, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-9):
+        if not np.all(np.abs(norms - 1.0) <= 1e-9):  # NaN fails too
             raise ValueError("directions must be unit vectors")
         if s.ndim != 2 or s.shape[1] != d.shape[0]:
             raise ValueError("signals must be (n3, r), one column per path")
-        if self.polarization is not None:
-            pol = np.atleast_2d(np.asarray(self.polarization, dtype=np.float64))
-            if pol.shape != (d.shape[0], 2):
-                raise ValueError("polarization must be (r, 2) angle pairs")
-            for alpha, beta in pol:
-                _check_polarization_angles(alpha, beta, strict_alpha=True)
-            object.__setattr__(self, "polarization", pol)
         object.__setattr__(self, "directions", d)
         object.__setattr__(self, "signals", s)
 
@@ -106,7 +97,7 @@ def steering_vectors(scene: ArrayScene, directions) -> tuple:
     if d.shape[1] != 3:
         raise ValueError("directions must be (r, 3)")
     norms = np.linalg.norm(d, axis=1)
-    if np.any(np.abs(norms - 1.0) > 1e-9):
+    if not np.all(np.abs(norms - 1.0) <= 1e-9):  # NaN fails too
         raise ValueError("directions must be unit vectors")
     k = scene.wavenumber
     u = np.exp(1j * k * (scene.b @ d.T)) / math.sqrt(scene.b.shape[0])
@@ -204,20 +195,6 @@ def collinearity_check(scene: ArrayScene, d_p, d_q) -> CollinearityResult:
     )
 
 
-def _check_polarization_angles(alpha: float, beta: float,
-                               strict_alpha: bool = False) -> None:
-    # orientation acts mod pi; scene data keeps the principal domain
-    if strict_alpha and not (-math.pi / 2 < alpha <= math.pi / 2):
-        raise ValueError("orientation angle alpha must lie in (-pi/2, pi/2]")
-    if not math.isfinite(alpha):
-        raise ValueError("orientation angle alpha must be finite")
-    if beta == 0.0:
-        raise ValueError("ellipticity beta = 0 rejected: polarization must be "
-                         "neither linear nor circular")
-    if not (-math.pi / 4 < beta < math.pi / 4):
-        raise ValueError("ellipticity beta must lie in (-pi/4, 0) or (0, pi/4)")
-
-
 def direction_triad(theta: float, phi: float) -> tuple:
     """Right orthonormal triad (d, e, f) for azimuth theta, elevation phi."""
     d = np.array([math.cos(theta) * math.cos(phi),
@@ -232,7 +209,13 @@ def direction_triad(theta: float, phi: float) -> tuple:
 
 def polarization_gain(alpha: float, beta: float) -> np.ndarray:
     """g = Q(alpha) (cos beta, j sin beta): orientation/ellipticity gain."""
-    _check_polarization_angles(alpha, beta)
+    if not math.isfinite(alpha):
+        raise ValueError("orientation angle alpha must be finite")
+    if beta == 0.0:
+        raise ValueError("ellipticity beta = 0 rejected: polarization must be "
+                         "neither linear nor circular")
+    if not (-math.pi / 4 < beta < math.pi / 4):
+        raise ValueError("ellipticity beta must lie in (-pi/4, 0) or (0, pi/4)")
     q = np.array([[math.cos(alpha), math.sin(alpha)],
                   [-math.sin(alpha), math.cos(alpha)]])
     h = np.array([math.cos(beta), 1j * math.sin(beta)])

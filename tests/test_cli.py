@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cohcp.cli import main, render_report
 from cohcp.core import cp_evaluate, frobenius
@@ -370,3 +372,117 @@ class TestDeterminism:
         assert strip_timestamp(outs[0]) == strip_timestamp(outs[1])
         # and the raw bytes differ only in the timestamp line
         assert outs[0].split('"timestamp"')[0] == outs[1].split('"timestamp"')[0]
+
+
+def _array_scene():
+    return TestSimulateCommand().scene_doc()
+
+
+CDMA_SCENE = {"gains": [[1.0, 0.5], [0.2, 1.0]], "symbols": [[1.0, 0.0], [0.3, 1.0]],
+              "spreading": [[1.0, -1.0], [1.0, 1.0]], "impulse": [[1.0, 0.5], [0.2, 1.0]]}
+FLUORESCENCE_SCENE = {"concentrations": [[1.0, 0.2], [0.3, 1.0]],
+                      "excitation": [[1.0, 0.9], [0.2, 0.3]],
+                      "emission": [[0.5, 0.4], [0.5, 0.6]]}
+
+
+def _with(doc, key, value):
+    doc = json.loads(json.dumps(doc))
+    doc[key] = value
+    return doc
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    write_htns(path / "t.htns", np.ones((2, 2), dtype=complex))
+    return path
+
+
+def _simulate(path, kind, doc):
+    (path / "scene.json").write_text(json.dumps(doc))
+    return main(["simulate", "--kind", kind, "--scene", str(path / "scene.json"),
+                 "--out", str(path / "r.json")])
+
+
+def _woga(path, doc):
+    (path / "atoms.json").write_text(json.dumps(doc))
+    return main(["decompose", "--input", str(path / "t.htns"), "--rank", "1",
+                 "--method", "woga", "--dict", str(path / "atoms.json"),
+                 "--out", str(path / "r.json")])
+
+
+class TestNoTraceback:
+    """Malformed input exits 2 with a message naming the field, never with a
+    traceback."""
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"atoms": 5}, "dictionary field 'atoms'"),
+        ({"atoms": [5]}, "dictionary field 'atoms'"),
+        ({"atoms": [[{"re": 1.0}]]}, "dictionary atom vectors"),
+        ({"atoms": [[]]}, "dictionary atoms need at least one mode"),
+    ])
+    def test_dictionary_corpus(self, fuzz_dir, capsys, doc, message):
+        assert _woga(fuzz_dir, doc) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("pulsation", None, "scene field 'pulsation' must be a finite number"),
+        ("pulsation", [1, 2], "scene field 'pulsation' must be a finite number"),
+        ("signals", {"n_samples": None}, "signals field 'n_samples'"),
+        ("positions", {"x": 1.0}, "scene field 'positions'"),
+        ("directions", [1.0, 0.0, 0.0], "scene field 'directions'"),
+    ])
+    def test_array_scene_corpus(self, fuzz_dir, capsys, key, value, message):
+        assert _simulate(fuzz_dir, "array", _with(_array_scene(), key, value)) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args, message", [
+        (["demo-nonexistence", "--nmax", "0"], "--nmax must be >= 1, got 0"),
+        (["demo-nonexistence", "--nmax", "-3"], "--nmax must be >= 1, got -3"),
+        (["check", "--mus", "nan,0.5,0.5", "--r", "2"], "coherences must be finite"),
+        (["check", "--mus", "0.5,0.5,0.5", "--r", "2", "--kranks", "inf,2,2"],
+         "--kranks must be integers"),
+        (["norms", "--fixture", "matmul:2", "--restarts", "0"], "restarts must be >= 1, got 0"),
+        (["norms", "--fixture", "matmul:2", "--restarts", "-1"], "restarts must be >= 1, got -1"),
+    ])
+    def test_flag_corpus(self, capsys, args, message):
+        assert main(args) == 2
+        assert message in capsys.readouterr().err
+
+
+# small JSON values: every integer and finite float within 64 in magnitude,
+# so that no generated shape or sample count allocates much memory
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-64, 64) | st.text(max_size=3)
+    | st.floats(-64, 64) | st.sampled_from([math.nan, math.inf, -math.inf]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=12)
+
+
+class TestFuzz:
+    @settings(deadline=None, max_examples=60,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(kind=st.sampled_from(["array", "cdma", "fluorescence"]),
+           key=st.sampled_from(["positions", "translations", "pulsation", "celerity",
+                                "directions", "signals", "gains", "symbols", "codes",
+                                "spreading", "impulse", "concentrations", "excitation",
+                                "emission"]),
+           value=JSON_VALUES)
+    def test_scene_field(self, fuzz_dir, kind, key, value):
+        base = {"array": _array_scene(), "cdma": CDMA_SCENE,
+                "fluorescence": FLUORESCENCE_SCENE}[kind]
+        assert _simulate(fuzz_dir, kind, _with(base, key, value)) in (0, 2, 3)
+
+    @settings(deadline=None, max_examples=30,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(key=st.sampled_from(["kind", "n_samples", "norms"]), value=JSON_VALUES)
+    def test_signals_field(self, fuzz_dir, key, value):
+        doc = _with(_array_scene(), "signals", {"kind": "qpsk", "n_samples": 8, key: value})
+        assert _simulate(fuzz_dir, "array", doc) in (0, 2, 3)
+
+    @settings(deadline=None, max_examples=60,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(doc=JSON_VALUES | st.builds(lambda atoms: {"atoms": atoms}, JSON_VALUES))
+    def test_dictionary(self, fuzz_dir, doc):
+        assert _woga(fuzz_dir, doc) in (0, 2, 3)

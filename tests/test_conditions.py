@@ -238,3 +238,32 @@ class TestConditionReport:
         rep = condition_report([0.4, 0.4], 2)
         assert not rep["existence_uniqueness"]["holds"]
         assert "note" in rep["existence_uniqueness"]
+
+
+class TestNonFiniteRejected:
+    # NaN fails no range comparison; unchecked, it counts as 1/mu = inf
+    # and certifies uniqueness
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("check", [
+        existence_condition, uniqueness_condition, existence_uniqueness_condition,
+        sufficient_sum, sufficient_sumsq, condition_report])
+    def test_coherences(self, check, bad):
+        with pytest.raises(ValueError, match="coherences must be finite"):
+            check([bad, 0.5, 0.5], 2)
+
+    def test_nan_does_not_certify_uniqueness(self):
+        with pytest.raises(ValueError, match=r"coherences must be finite, got \[nan"):
+            uniqueness_condition([math.nan, 0.5, 0.5], 2)
+
+    def test_temlyakov_coherence(self):
+        with pytest.raises(ValueError, match=r"dictionary coherence must lie in \[0, 1\)"):
+            temlyakov_condition(3, math.nan, 1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0, math.nan)])
+    def test_coercivity_weights(self, bad):
+        with pytest.raises(ValueError, match="coercivity_lower_bound: weights must be finite"):
+            coercivity_lower_bound([1.0, bad], [0.1, 0.1, 0.1])
+
+    def test_coercivity_coherences(self):
+        with pytest.raises(ValueError, match="coherences must be finite"):
+            coercivity_lower_bound([1.0, 1.0], [math.nan, 0.1, 0.1])

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cohcp import norms
 from cohcp.core import (
+    alternating_rank1,
     cp_evaluate,
     frobenius,
     inner_product,
@@ -14,7 +17,6 @@ from cohcp.core import (
 from cohcp.decompose import best_rank1
 from cohcp.norms import (
     NormConfig,
-    _mode_contraction,
     duality_gap_check,
     mat_mult_decomposition,
     mat_mult_tensor,
@@ -103,22 +105,29 @@ class TestSpectralNorm:
         assert np.allclose(factors[0], v / 5.0, atol=1e-15)
 
     @pytest.mark.parametrize("shape", [(5,), (4, 6), (3, 4, 5), (2, 3, 4, 3)])
-    def test_mode_contraction_matches_einsum(self, shape):
-        rng = np.random.default_rng(7)
+    def test_alternating_rank1_sweep_matches_einsum(self, shape):
+        # one sweep from the kernel's seeded starts, each mode update
+        # contracted by einsum instead of the Khatri-Rao MTTKRP
         restarts = 6
+        rng = np.random.default_rng(7)
         t = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        vecs = [rng.standard_normal((n, restarts))
-                + 1j * rng.standard_normal((n, restarts)) for n in shape]
+        value, witness = alternating_rank1(t, restarts, 0.0, 1,
+                                           np.random.default_rng(8))
+        starts = np.random.default_rng(8)
+        vecs = [random_unit_columns(n, restarts, starts) for n in shape]
         letters = "abcd"[:len(shape)]
         for k in range(len(shape)):
             others = [vecs[j].conj() for j in range(len(shape)) if j != k]
             spec = ",".join([letters] + [letters[j] + "r" for j in range(len(shape))
                                          if j != k]) + "->" + letters[k] + "r"
-            ref = (np.einsum(spec, t, *others) if others
-                   else np.repeat(t[:, None], restarts, axis=1))
-            got = _mode_contraction(np.moveaxis(t, k, 0).copy(), others)
-            assert np.allclose(np.broadcast_to(got, ref.shape), ref,
-                               rtol=1e-13, atol=1e-13)
+            c = (np.einsum(spec, t, *others) if others
+                 else np.repeat(t[:, None], restarts, axis=1))
+            vals = np.linalg.norm(c, axis=0)
+            vecs[k] = c / vals
+        best = int(np.argmax(vals))
+        assert abs(value - vals[best]) <= 1e-13 * vals[best]
+        for got, v in zip(witness, vecs):
+            assert np.allclose(got, v[:, best], rtol=1e-13, atol=1e-13)
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(0, np.nan)])
     def test_non_finite_rejected(self, bad):
@@ -131,6 +140,15 @@ class TestSpectralNorm:
         cert = spectral_norm(np.zeros((2, 2, 2)))
         assert cert.spectral == 0.0
         assert cert.spectral_witness is None
+
+    @pytest.mark.parametrize("restarts", [0, -1])
+    def test_restarts_below_one_rejected(self, restarts):
+        t = np.ones((2, 3, 2), dtype=complex)
+        for call in (lambda: spectral_norm(t, restarts=restarts),
+                     lambda: best_rank1(t, restarts=restarts),
+                     lambda: nuclear_norm_bounds(t, NormConfig(restarts=restarts))):
+            with pytest.raises(ValueError, match=f"restarts must be >= 1, got {restarts}"):
+                call()
 
     def test_never_exceeds_frobenius(self):
         rng = np.random.default_rng(3)
@@ -147,6 +165,26 @@ class TestSpectralNorm:
         s0 = spectral_norm(t, restarts=32).spectral
         s1 = spectral_norm(multilinear_action(qs, t), restarts=32).spectral
         assert abs(s0 - s1) < 1e-8 * max(1.0, s0)
+
+
+class TestNormProperties:
+    @settings(deadline=None, max_examples=40)
+    @given(dims=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+           seed=st.integers(0, 2**32 - 1))
+    def test_sandwich_and_witness(self, dims, seed):
+        # spectral <= Frobenius <= nuclear upper, lower <= upper, and the
+        # spectral witness is unit and reproduces the spectral value
+        rng = np.random.default_rng(seed)
+        t = rng.standard_normal(dims) + 1j * rng.standard_normal(dims)
+        cert = nuclear_norm_bounds(t)
+        tn = frobenius(t)
+        assert cert.spectral <= tn * (1 + 1e-12)
+        assert tn <= cert.nuclear_upper * (1 + 1e-12)
+        assert cert.nuclear_lower <= cert.nuclear_upper
+        again = abs(inner_product(t, rank1_outer(cert.spectral_witness)))
+        assert abs(again - cert.spectral) <= 1e-12 * cert.spectral
+        for v in cert.spectral_witness:
+            assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
 
 
 class TestNuclearBounds:

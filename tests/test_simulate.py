@@ -86,6 +86,21 @@ class TestSteeringVectors:
         with pytest.raises(ValueError):
             steering_vectors(scene, np.array([[1.0, 1.0, 0.0]]))
 
+    def test_rejects_nan_direction(self):
+        # NaN fails no `>` comparison, so the unit-norm check must reject it explicitly
+        scene = cross_scene()
+        bad = np.array([[np.nan, 0.0, 0.0]])
+        with pytest.raises(ValueError, match="directions must be unit vectors"):
+            steering_vectors(scene, bad)
+        with pytest.raises(ValueError, match="directions must be unit vectors"):
+            PathSet(directions=bad, signals=np.ones((4, 1)))
+
+    def test_path_set_takes_no_polarization(self):
+        # simulate_array models no polarization; angles must not be dropped silently
+        with pytest.raises(TypeError, match="polarization"):
+            PathSet(directions=[[0.0, 0.0, 1.0]], signals=np.ones((4, 1)),
+                    polarization=[[0.1, 0.2]])
+
     def test_mu_invariant_under_rigid_translation(self):
         scene = cross_scene()
         shift = np.array([1.7, -0.4, 2.2])
