@@ -15,11 +15,18 @@ median and quartiles of each end-to-end metric of ``BENCHMARK.json`` on
 each side, the number of seeds on which the change is better, and one
 block of machine conditions.
 
-With ``--layers PARENT.json CHANGE.json`` it also holds the layer rows:
-the median and quartiles of every row both files time, from the same
-``benchmarks/test_layers.py`` run against each side's sources::
+With ``--layers P1.json C1.json P2.json C2.json ...`` it also holds the
+layer rows, from several runs of the same ``benchmarks/test_layers.py``
+against each side's sources, passed as (parent, change) pairs; run the
+sides in alternating order, as for the workloads::
 
-    PYTHONPATH=PARENT/src python -m pytest benchmarks -q --benchmark-json=parent.json
+    PYTHONPATH=PARENT/src python -m pytest benchmarks -q --benchmark-json=p1.json
+    PYTHONPATH=CHANGE/src python -m pytest benchmarks -q --benchmark-json=c1.json
+
+For every row timed in all runs, each side gets the median of its run
+medians and their range.  One run per side cannot tell a layer change
+from host drift: rows of unchanged code have moved by 30% between two
+single runs.
 """
 
 from __future__ import annotations
@@ -80,13 +87,20 @@ def build(parent: dict, change: dict, pr: int) -> dict:
     return {"pr": pr, "conditions": conditions, "workloads": workloads}
 
 
-def layer_rows(parent: Path, change: Path) -> dict:
-    """Seconds per call of each pytest-benchmark row timed on both sides."""
-    sides = [{b["name"]: b["stats"] for b in json.loads(p.read_text())["benchmarks"]}
-             for p in (parent, change)]
-    return {name: {side: {k: sides[i][name][k] for k in ("median", "q1", "q3")}
-                   for i, side in enumerate(("parent", "change"))}
-            for name in sorted(sides[0].keys() & sides[1].keys())}
+def layer_rows(runs: list) -> dict:
+    """Seconds per call of each pytest-benchmark row timed in every run;
+    ``runs`` are (parent, change) pairs: P1, C1, P2, C2, ..."""
+    if len(runs) < 2 or len(runs) % 2:
+        raise SystemExit("--layers needs parent and change runs in pairs")
+    medians = [{b["name"]: b["stats"]["median"] for b in json.loads(p.read_text())["benchmarks"]}
+               for p in runs]
+    names = sorted(set.intersection(*(set(m) for m in medians)))
+    sides = {"parent": medians[0::2], "change": medians[1::2]}
+    return {name: {side: {"median": statistics.median(m[name] for m in ms),
+                          "range": [min(m[name] for m in ms), max(m[name] for m in ms)],
+                          "runs": len(ms)}
+                   for side, ms in sides.items()}
+            for name in names}
 
 
 def main(argv=None) -> int:
@@ -94,12 +108,13 @@ def main(argv=None) -> int:
     ap.add_argument("parent", type=Path, help="records of the parent commit")
     ap.add_argument("change", type=Path, help="records of the change")
     ap.add_argument("--pr", type=int, required=True)
-    ap.add_argument("--layers", type=Path, nargs=2, metavar=("PARENT", "CHANGE"),
-                    help="pytest-benchmark JSON of the layer rows on each side")
+    ap.add_argument("--layers", type=Path, nargs="+", metavar="JSON",
+                    help="pytest-benchmark JSON of the layer rows as (parent, change) "
+                         "pairs: P1 C1 P2 C2 ...")
     args = ap.parse_args(argv)
     doc = build(load_records(args.parent), load_records(args.change), args.pr)
     if args.layers:
-        doc["layers_s"] = layer_rows(*args.layers)
+        doc["layers_s"] = layer_rows(args.layers)
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(doc, indent=1) + "\n")
     print(out)

@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .coherence import coherence, krank_lower_bound, kruskal_rank_bruteforce
 from .conditions import condition_report, temlyakov_condition
-from .core import evaluate_terms, frobenius
+from .core import evaluate_terms, frobenius, gram_mu
 from .decompose import (
     Dictionary,
     SolverConfig,
@@ -46,6 +46,9 @@ from .simulate import (
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NOT_CONVERGED = 3
+
+# cap on an array scene's signals.n_samples: 10^12 would ask for terabytes
+MAX_SIGNAL_SAMPLES = 1 << 16
 
 
 class ValidationError(Exception):
@@ -280,8 +283,7 @@ def _cmd_decompose(args) -> int:
         out["residual"] = res.residuals[-1]
         out["converged"] = res.converged
         out["flags"] = res.flags
-        mus = [coherence(np.asarray(fk)).mu if model.rank > 1 else 0.0
-               for fk in model.factors]
+        mus = [gram_mu(fk.conj().T @ fk) for fk in model.factors]
         out["achieved_coherences"] = mus
         out["conditions"] = condition_report(mus, model.rank or 1)
         if not res.converged:
@@ -315,6 +317,9 @@ def _signals_from_spec(doc, n3_default: int, r: int, seed: int) -> np.ndarray:
         n3 = _numbers(spec.get("n_samples", n3_default), "signals field 'n_samples'")
         if n3.ndim != 0 or not float(n3).is_integer() or n3 < 1:
             raise ValidationError("signals field 'n_samples' must be a positive integer")
+        if n3 > MAX_SIGNAL_SAMPLES:
+            raise ValidationError(f"signals field 'n_samples' must be at most "
+                                  f"{MAX_SIGNAL_SAMPLES}, got {int(n3)}")
         n3 = int(n3)
         if kind == "qpsk":
             sym = rng.integers(0, 4, size=(n3, r))
@@ -397,8 +402,7 @@ def _cmd_simulate(args) -> int:
         out["likeness"] = likeness
     else:
         raise ValidationError(f"unknown simulation kind {args.kind!r}")
-    mus = [coherence(np.asarray(fk)).mu if truth.rank > 1 else 0.0
-           for fk in truth.factors]
+    mus = [gram_mu(fk.conj().T @ fk) for fk in truth.factors]
     out["dims"] = list(tensor.shape)
     out["truth_coherences"] = mus
     out["conditions"] = condition_report(mus, truth.rank or 1)

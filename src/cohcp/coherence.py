@@ -13,6 +13,8 @@ from itertools import combinations
 
 import numpy as np
 
+from .core import coherent_pair
+
 NORM_TOL = 1e-9
 KRANK_BUDGET = 14
 RANK_RTOL = 1e-8
@@ -51,34 +53,29 @@ def coherence(vectors) -> CoherenceReport:
     For a single vector, returns mu = 0 flagged trivial.
     """
     v = _check_unit_columns(vectors)
-    r = v.shape[1]
-    if r < 2:
+    mu, pair = coherent_pair(v.conj().T @ v)
+    if pair is None:
         return CoherenceReport(mu=0.0, omega=math.inf, argpair=None, trivial=True)
-    gram = np.abs(v.conj().T @ v)
-    np.fill_diagonal(gram, -1.0)
-    flat = int(np.argmax(gram))
-    p, q = divmod(flat, r)
-    mu = float(min(gram[p, q], 1.0))
     omega = (1.0 - mu) / mu if mu > 0 else math.inf
-    return CoherenceReport(mu=mu, omega=omega, argpair=(min(p, q), max(p, q)))
+    return CoherenceReport(mu=mu, omega=omega, argpair=(min(pair), max(pair)))
 
 
-def _independent(subset: np.ndarray, rtol: float) -> bool:
+def _independent(subset: np.ndarray) -> bool:
     s = np.linalg.svd(subset, compute_uv=False)
     if s[0] == 0.0:
         return False
-    return bool(s[-1] > rtol * s[0])
+    return bool(s[-1] > RANK_RTOL * s[0])
 
 
-def kruskal_rank_bruteforce(vectors, rtol: float = RANK_RTOL,
-                            budget: int = KRANK_BUDGET) -> int:
+def kruskal_rank_bruteforce(vectors, budget: int = KRANK_BUDGET) -> int:
     """Largest k such that every k-subset of columns is linearly independent.
 
     Exhaustive subset enumeration (the problem is strongly NP-hard), so the
     set size r is capped by ``budget`` and exceeding it raises rather than
     silently approximating.  Independence of a subset means the smallest
-    singular value exceeds rtol times the largest.  Enumeration runs from
-    k = min(r, n) downward and stops at the first k where all subsets pass.
+    singular value exceeds ``RANK_RTOL`` times the largest.  Enumeration
+    runs from k = min(r, n) downward and stops at the first k where all
+    subsets pass.
     """
     v = _check_unit_columns(vectors)
     n, r = v.shape
@@ -87,13 +84,12 @@ def kruskal_rank_bruteforce(vectors, rtol: float = RANK_RTOL,
             f"brute-force Kruskal rank refused: r={r} exceeds budget {budget}"
         )
     for k in range(min(n, r), 0, -1):
-        if all(_independent(v[:, list(c)], rtol) for c in combinations(range(r), k)):
+        if all(_independent(v[:, list(c)]) for c in combinations(range(r), k)):
             return k
     return 0
 
 
-def spark_bruteforce(vectors, rtol: float = RANK_RTOL,
-                     budget: int = KRANK_BUDGET) -> int:
+def spark_bruteforce(vectors, budget: int = KRANK_BUDGET) -> int:
     """Size of the smallest linearly dependent subset of columns.
 
     Independent enumeration path (increasing k); returns r + 1 when every
@@ -109,7 +105,7 @@ def spark_bruteforce(vectors, rtol: float = RANK_RTOL,
         if k > n:
             return k  # any k > n columns are dependent
         for c in combinations(range(r), k):
-            if not _independent(v[:, list(c)], rtol):
+            if not _independent(v[:, list(c)]):
                 return k
     return r + 1
 

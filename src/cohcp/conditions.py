@@ -6,6 +6,8 @@ grids.  Strictness at the boundaries matters and is preserved: the
 existence product bound is strict, the uniqueness and combined bounds are
 non-strict.  Non-strict comparisons carry a 1e-12 relative slack so that
 mathematically exact equalities are not lost to floating-point rounding.
+Each inequality is evaluated once, by a private function returning the
+report entry (``holds`` and both sides) that its predicate also reads.
 """
 
 from __future__ import annotations
@@ -43,17 +45,58 @@ def _check_r(r: int) -> int:
     return r
 
 
+def _existence(m: np.ndarray, r: int) -> dict:
+    prod = float(np.prod(m))
+    rhs = math.inf if r == 1 else 1.0 / (r - 1)
+    return {"holds": prod < rhs, "lhs_product": prod, "rhs": rhs, "strict": True}
+
+
+def _uniqueness(m: np.ndarray, r: int) -> dict:
+    # a zero (or subnormal) coherence counts as 1/mu = inf
+    with np.errstate(divide="ignore", over="ignore"):
+        invsum = float(np.sum(1.0 / m))
+    rhs = float(2 * r + m.size - 1)
+    return {"holds": _ge(invsum, rhs), "lhs_inverse_sum": invsum, "rhs": rhs,
+            "strict": False}
+
+
+def _d3_bounds(m: np.ndarray, r: int) -> dict:
+    """Entries of the combined bound and the two sufficient ones, d >= 3."""
+    d = m.size
+    thresh = d / (2 * r + d - 1)
+    sides = {
+        "existence_uniqueness": ("lhs_geometric_mean", float(np.prod(m)) ** (1.0 / d), thresh),
+        "sufficient_sum": ("lhs_sum", float(np.sum(m)), d * d / (2 * r + d - 1)),
+        "sufficient_sumsq": ("lhs_sum_squares", float(np.sum(m * m)), d * thresh * thresh),
+    }
+    return {name: {"holds": _le(lhs, rhs), key: lhs, "rhs": rhs, "strict": False}
+            for name, (key, lhs, rhs) in sides.items()}
+
+
+def _d3_holds(mus, r: int, name: str, low_order: str) -> bool:
+    m = _check_mus(mus)
+    r = _check_r(r)
+    if m.size < 3:
+        raise ValueError(low_order)
+    return _d3_bounds(m, r)[name]["holds"]
+
+
+def _kruskal(kranks, r: int) -> dict:
+    ks = [int(k) for k in kranks]
+    if len(ks) < 1 or any(k < 0 for k in ks):
+        raise ValueError("kranks must be nonnegative integers, one per mode")
+    lhs = 2 * _check_r(r) + len(ks) - 1
+    return {"holds": lhs <= sum(ks), "lhs": float(lhs),
+            "rhs_krank_sum": float(sum(ks)), "kranks": ks}
+
+
 def existence_condition(mus, r: int) -> bool:
     """Best rank-r approximation exists if prod(mu_k) < 1/(r-1) (strict).
 
     The case r = 1 always has a solution (the set of separable functions
     is closed), so this returns True.
     """
-    m = _check_mus(mus)
-    r = _check_r(r)
-    if r == 1:
-        return True
-    return bool(np.prod(m) < 1.0 / (r - 1))
+    return _existence(_check_mus(mus), _check_r(r))["holds"]
 
 
 def uniqueness_condition(mus, r: int) -> bool:
@@ -63,12 +106,7 @@ def uniqueness_condition(mus, r: int) -> bool:
     A zero coherence contributes 1/mu = inf and therefore satisfies the
     condition outright.
     """
-    m = _check_mus(mus)
-    r = _check_r(r)
-    d = m.size
-    with np.errstate(divide="ignore"):
-        total = float(np.sum(np.where(m > 0, 1.0 / np.where(m > 0, m, 1.0), np.inf)))
-    return _ge(total, 2 * r + d - 1)
+    return _uniqueness(_check_mus(mus), _check_r(r))["holds"]
 
 
 def existence_uniqueness_condition(mus, r: int) -> bool:
@@ -77,46 +115,24 @@ def existence_uniqueness_condition(mus, r: int) -> bool:
     For d <= 2 the underlying uniqueness inequality can never hold (the
     Kruskal rank of r vectors cannot exceed r), so this rejects.
     """
-    m = _check_mus(mus)
-    r = _check_r(r)
-    d = m.size
-    if d < 3:
-        raise ValueError(
-            "combined existence/uniqueness requires d >= 3; Kruskal-type "
-            "uniqueness is unattainable for d <= 2"
-        )
-    gm = float(np.prod(m)) ** (1.0 / d)
-    return _le(gm, d / (2 * r + d - 1))
+    return _d3_holds(mus, r, "existence_uniqueness",
+                     "combined existence/uniqueness requires d >= 3; Kruskal-type "
+                     "uniqueness is unattainable for d <= 2")
 
 
 def sufficient_sum(mus, r: int) -> bool:
     """Stronger sufficient condition: sum mu_k <= d^2 / (2r + d - 1)."""
-    m = _check_mus(mus)
-    r = _check_r(r)
-    d = m.size
-    if d < 3:
-        raise ValueError("sufficient conditions require d >= 3")
-    return _le(float(np.sum(m)), d * d / (2 * r + d - 1))
+    return _d3_holds(mus, r, "sufficient_sum", "sufficient conditions require d >= 3")
 
 
 def sufficient_sumsq(mus, r: int) -> bool:
     """Stronger sufficient condition: sum mu_k^2 <= d (d/(2r+d-1))^2."""
-    m = _check_mus(mus)
-    r = _check_r(r)
-    d = m.size
-    if d < 3:
-        raise ValueError("sufficient conditions require d >= 3")
-    thresh = d / (2 * r + d - 1)
-    return _le(float(np.sum(m * m)), d * thresh * thresh)
+    return _d3_holds(mus, r, "sufficient_sumsq", "sufficient conditions require d >= 3")
 
 
 def kruskal_condition(kranks, r: int) -> bool:
     """Kruskal uniqueness: 2r + d - 1 <= sum_k krank_k (integer exact)."""
-    ks = [int(k) for k in kranks]
-    if len(ks) < 1 or any(k < 0 for k in ks):
-        raise ValueError("kranks must be nonnegative integers, one per mode")
-    r = _check_r(r)
-    return 2 * r + len(ks) - 1 <= sum(ks)
+    return _kruskal(kranks, r)["holds"]
 
 
 def expected_rank(dims) -> int:
@@ -214,60 +230,23 @@ def greedy_bound_check(kind: str, r: int, mu: float):
 
 def condition_report(mus, r: int, kranks=None) -> dict:
     """All condition verdicts with the numbers on both sides of each
-    inequality, ready for JSON serialization."""
+    inequality, ready for JSON serialization.  Each entry is the one the
+    matching predicate reads, so ``holds`` is the comparison of the
+    printed sides.  ``kranks`` needs one Kruskal rank per coherence."""
     m = _check_mus(mus)
     r = _check_r(r)
     d = m.size
-    prod = float(np.prod(m))
-    with np.errstate(divide="ignore"):
-        invsum = float(np.sum(np.where(m > 0, 1.0 / np.where(m > 0, m, 1.0), np.inf)))
-    report = {
-        "d": d,
-        "r": r,
-        "mus": [float(x) for x in m],
-        "existence": {
-            "holds": existence_condition(m, r),
-            "lhs_product": prod,
-            "rhs": math.inf if r == 1 else 1.0 / (r - 1),
-            "strict": True,
-        },
-        "uniqueness": {
-            "holds": uniqueness_condition(m, r),
-            "lhs_inverse_sum": invsum,
-            "rhs": float(2 * r + d - 1),
-            "strict": False,
-        },
-    }
+    report = {"d": d, "r": r, "mus": [float(x) for x in m],
+              "existence": _existence(m, r), "uniqueness": _uniqueness(m, r)}
     if d >= 3:
-        thresh = d / (2 * r + d - 1)
-        report["existence_uniqueness"] = {
-            "holds": existence_uniqueness_condition(m, r),
-            "lhs_geometric_mean": prod ** (1.0 / d),
-            "rhs": thresh,
-            "strict": False,
-        }
-        report["sufficient_sum"] = {
-            "holds": sufficient_sum(m, r),
-            "lhs_sum": float(np.sum(m)),
-            "rhs": d * d / (2 * r + d - 1),
-            "strict": False,
-        }
-        report["sufficient_sumsq"] = {
-            "holds": sufficient_sumsq(m, r),
-            "lhs_sum_squares": float(np.sum(m * m)),
-            "rhs": d * thresh * thresh,
-            "strict": False,
-        }
+        report.update(_d3_bounds(m, r))
     else:
         note = "requires d >= 3 (unattainable for d <= 2)"
-        report["existence_uniqueness"] = {"holds": False, "note": note}
-        report["sufficient_sum"] = {"holds": False, "note": note}
-        report["sufficient_sumsq"] = {"holds": False, "note": note}
+        for name in ("existence_uniqueness", "sufficient_sum", "sufficient_sumsq"):
+            report[name] = {"holds": False, "note": note}
     if kranks is not None:
-        report["kruskal"] = {
-            "holds": kruskal_condition(kranks, r),
-            "lhs": float(2 * r + d - 1),
-            "rhs_krank_sum": float(sum(int(k) for k in kranks)),
-            "kranks": [int(k) for k in kranks],
-        }
+        if len(kranks) != d:
+            raise ValueError(f"need one Kruskal rank per mode: got {len(kranks)} "
+                             f"kranks for {d} coherences")
+        report["kruskal"] = _kruskal(kranks, r)
     return report

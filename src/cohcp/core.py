@@ -74,6 +74,12 @@ def finite_tensor(tensor, caller: str) -> np.ndarray:
     return t
 
 
+def check_tol(tol) -> None:
+    """Refuse a negative or non-finite tolerance (a NaN one never stops)."""
+    if not 0.0 <= tol < np.inf:
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
+
+
 def stack_terms(terms, dims) -> list:
     """Factor matrices of rank-1 terms given as one vector per mode: the
     n_k x m matrix of mode k holds term p in column p (n_k x 0 for none)."""
@@ -103,13 +109,23 @@ def term_gram(factors) -> np.ndarray:
     return gram
 
 
-def gram_mu(gram: np.ndarray) -> float:
-    """Coherence of a unit-column set from its Gram: max off-diagonal |G_pq|."""
-    if gram.shape[0] < 2:
-        return 0.0
+def coherent_pair(gram: np.ndarray) -> tuple:
+    """Coherence of a unit-column set from its Gram G, with the pair that
+    attains it: (min(|G_pq|, 1), (p, q)) at the first largest off-diagonal
+    entry, or (0.0, None) for fewer than two columns.  Cauchy-Schwarz bounds
+    |G_pq| by 1; the clip removes a rounding overshoot of about an ulp."""
+    r = gram.shape[0]
+    if r < 2:
+        return 0.0, None
     g = np.abs(gram)
-    np.fill_diagonal(g, 0.0)
-    return float(np.max(g))
+    np.fill_diagonal(g, -1.0)
+    p, q = divmod(int(np.argmax(g)), r)
+    return min(float(g[p, q]), 1.0), (p, q)
+
+
+def gram_mu(gram: np.ndarray) -> float:
+    """Coherence of a unit-column set from its Gram (see ``coherent_pair``)."""
+    return coherent_pair(gram)[0]
 
 
 def term_correlations(t: np.ndarray, factors) -> np.ndarray:

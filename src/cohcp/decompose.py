@@ -18,6 +18,8 @@ import numpy as np
 from .core import (
     alternating_rank1,
     canonicalize,
+    check_tol,
+    coherent_pair,
     cp_evaluate,
     evaluate_terms,
     finite_tensor,
@@ -31,6 +33,7 @@ from .core import (
     term_correlations,
     term_gram,
 )
+from .conditions import existence_condition
 
 
 class Dictionary:
@@ -124,6 +127,7 @@ def woga(tensor, dictionary: Dictionary, t: float = 1.0,
     """
     if not (0.0 < t <= 1.0):
         raise ValueError("weakness parameter t must lie in (0, 1]")
+    check_tol(tol)
     f = finite_tensor(tensor, "woga")
     if f.shape != dictionary.dims:
         raise ValueError(f"tensor dims {f.shape} do not match dictionary {dictionary.dims}")
@@ -196,6 +200,7 @@ def oga_continuous(tensor, r: int, restarts: int = 32, tol: float = 1e-12,
     f = finite_tensor(tensor, "oga_continuous")
     if r < 1:
         raise ValueError("r must be >= 1")
+    check_tol(tol)
     fnorm2 = frobenius(f) ** 2
     atoms: list = []
     flags: list = []
@@ -301,6 +306,9 @@ class SolverConfig:
     def __post_init__(self):
         if self.r < 1:
             raise ValueError("target rank must be >= 1")
+        if not np.isfinite(self.tychonoff_lambda):
+            raise ValueError(f"tychonoff_lambda must be finite, got {self.tychonoff_lambda}")
+        check_tol(self.tol)
         active = [
             self.coherence_caps is not None,
             self.tychonoff_lambda > 0.0,
@@ -340,16 +348,11 @@ def _project_coherence(v: np.ndarray, cap: float, flags: list) -> np.ndarray:
     cap; after ``PROJECTION_PASSES`` rotations an infeasible cap is flagged.
     """
     v = v.copy()
-    r = v.shape[1]
-    if r < 2:
-        return v
     for _ in range(PROJECTION_PASSES):
-        gram = np.abs(v.conj().T @ v)
-        np.fill_diagonal(gram, 0.0)
-        worst = float(np.max(gram))
+        worst, pair = coherent_pair(v.conj().T @ v)
         if worst <= cap + 1e-12:
             return v
-        p, q = divmod(int(np.argmax(gram)), r)
+        p, q = pair
         u, w = v[:, p], v[:, q]
         ip = np.vdot(u, w)
         phase = ip / abs(ip)
@@ -479,8 +482,7 @@ def constrained_als(tensor, cfg: SolverConfig):
     if cfg.coherence_caps is not None:
         if len(cfg.coherence_caps) != d:
             raise ValueError("need one coherence cap per mode")
-        prod_caps = float(np.prod(cfg.coherence_caps))
-        if r > 1 and prod_caps >= 1.0 / (r - 1):
+        if not existence_condition(cfg.coherence_caps, r):
             flags.append("existence_condition_violated_by_caps")
     ortho_mode = None
     if cfg.orthogonality == ORTHO_PER_MODE:
@@ -547,11 +549,10 @@ def constrained_als(tensor, cfg: SolverConfig):
             break
 
     model = canonicalize(lam, factors)
-    achieved = [gram_mu(fk.conj().T @ fk) for fk in model.factors]
     diag = AlsDiagnostics(
         loss_trace=loss_trace,
         final_residual=frobenius(f - cp_evaluate(model)),
-        achieved_mus=achieved,
+        achieved_mus=[gram_mu(fk.conj().T @ fk) for fk in model.factors],
         converged=converged,
         n_iter=it,
         flags=flags,

@@ -21,6 +21,7 @@ from .core import (
     CPModel,
     alternating_rank1,
     canonicalize,
+    check_tol,
     cp_evaluate,
     evaluate_terms,
     finite_tensor,
@@ -66,6 +67,9 @@ class NormConfig:
     seed: int = 0
     search: bool = True          # search exact ALS fits by rank while the bracket is open
     candidates: tuple = ()       # known CPModel decompositions of T
+
+    def __post_init__(self):
+        check_tol(self.tol)
 
 
 def spectral_norm(tensor, restarts: int = 64, seed: int = 0) -> NormCertificate:

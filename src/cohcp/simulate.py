@@ -13,8 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coherence import coherence
-from .core import canonicalize, cp_evaluate
+from .core import canonicalize, cp_evaluate, finite_tensor, gram_mu
 
 POSITION_TOL = 1e-9
 
@@ -61,6 +60,16 @@ class ArrayScene:
         return self.pulsation / self.celerity
 
 
+def _unit_directions(directions) -> np.ndarray:
+    """Directions as an (r, 3) float array of unit rows."""
+    d = np.atleast_2d(np.asarray(directions, dtype=np.float64))
+    if d.shape[1] != 3:
+        raise ValueError("directions must be (r, 3)")
+    if not np.all(np.abs(np.linalg.norm(d, axis=1) - 1.0) <= 1e-9):  # NaN fails too
+        raise ValueError("directions must be unit vectors")
+    return d
+
+
 @dataclass(frozen=True)
 class PathSet:
     """Propagation paths: unit directions (r, 3) and per-path signal time
@@ -70,13 +79,10 @@ class PathSet:
     signals: np.ndarray
 
     def __post_init__(self):
-        d = np.atleast_2d(np.asarray(self.directions, dtype=np.float64))
-        s = np.asarray(self.signals, dtype=np.complex128)
-        if d.shape[1] != 3 or d.shape[0] < 1:
+        d = _unit_directions(self.directions)
+        if d.shape[0] < 1:
             raise ValueError("directions must be (r, 3)")
-        norms = np.linalg.norm(d, axis=1)
-        if not np.all(np.abs(norms - 1.0) <= 1e-9):  # NaN fails too
-            raise ValueError("directions must be unit vectors")
+        s = finite_tensor(self.signals, "PathSet signals")
         if s.ndim != 2 or s.shape[1] != d.shape[0]:
             raise ValueError("signals must be (n3, r), one column per path")
         object.__setattr__(self, "directions", d)
@@ -93,12 +99,7 @@ def steering_vectors(scene: ArrayScene, directions) -> tuple:
     u_p(i) = exp(j (omega/C) b_i . d_p) / sqrt(n1),
     v_p(j) = exp(j (omega/C) Delta_j . d_p) / sqrt(n2).
     """
-    d = np.atleast_2d(np.asarray(directions, dtype=np.float64))
-    if d.shape[1] != 3:
-        raise ValueError("directions must be (r, 3)")
-    norms = np.linalg.norm(d, axis=1)
-    if not np.all(np.abs(norms - 1.0) <= 1e-9):  # NaN fails too
-        raise ValueError("directions must be unit vectors")
+    d = _unit_directions(directions)
     k = scene.wavenumber
     u = np.exp(1j * k * (scene.b @ d.T)) / math.sqrt(scene.b.shape[0])
     v = np.exp(1j * k * (scene.delta @ d.T)) / math.sqrt(scene.delta.shape[0])
@@ -314,12 +315,10 @@ def simulate_fluorescence(concentrations, excitation, emission,
     if np.any(nx * ny * nz == 0):
         raise ValueError("every substance needs nonzero columns in all modes")
     lam = (nx * ny * nz).astype(np.complex128)
-    truth = canonicalize(lam, [x / nx, y / ny, z / nz])
-    likeness = {
-        "concentration_likeness": coherence(x / nx).mu if x.shape[1] > 1 else 0.0,
-        "absorbance_likeness": coherence(y / ny).mu if y.shape[1] > 1 else 0.0,
-        "fluorescence_likeness": coherence(z / nz).mu if z.shape[1] > 1 else 0.0,
-    }
+    cols = [(m / n).astype(np.complex128) for m, n in ((x, nx), (y, ny), (z, nz))]
+    truth = canonicalize(lam, cols)
+    likeness = {name: gram_mu(c.conj().T @ c) for name, c in zip(
+        ("concentration_likeness", "absorbance_likeness", "fluorescence_likeness"), cols)}
     return _observe(truth, noise_std, seed), truth, likeness
 
 

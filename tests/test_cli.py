@@ -1,14 +1,16 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from cohcp import cli
 from cohcp.cli import main, render_report
-from cohcp.core import cp_evaluate, frobenius
-from cohcp.htns import read_htns, write_htns
+from cohcp.core import cp_evaluate, frobenius, rank1_outer, random_unit_columns
+from cohcp.htns import dump_htns, read_htns, write_htns
 from cohcp.norms import mat_mult_tensor
 
 
@@ -77,6 +79,13 @@ class TestCheckCommand:
 
     def test_unknown_flag_exits_2(self):
         assert run_cli(["check", "--mus", "0.4", "--r", "2", "--bogus"]) == 2
+
+    def test_kranks_length_must_match_coherences(self, capsys):
+        # the verdict counted d = 2 modes, the printed left side d = 3, and
+        # the report said "holds": true beside lhs 6.0 > rhs_krank_sum 5.0
+        assert run_cli(["check", "--mus", "0.4,0.4,0.4", "--r", "2",
+                        "--kranks", "3,2"]) == 2
+        assert "need one Kruskal rank per mode" in capsys.readouterr().err
 
 
 class TestCoherenceCommand:
@@ -165,6 +174,31 @@ class TestDecomposeCommand:
         assert doc["relative_residual"] < 1e-8
         assert len(doc["weights"]) == 2
         assert doc["conditions"]["existence"]["holds"] is True
+
+    def test_coherences_of_aligned_columns_clipped(self, tmp_path):
+        # a rank-1 tensor fitted at rank 2 aligns both columns of every mode;
+        # the unclipped coherence 1.0000000000000004 made the report exit 2
+        rng = np.random.default_rng(45)
+        p = tmp_path / "t.htns"
+        write_htns(p, rank1_outer([random_unit_columns(3, 1, rng)[:, 0] for _ in range(3)]))
+        out = tmp_path / "r.json"
+        assert run_cli(["decompose", "--input", str(p), "--rank", "2", "--seed", "45",
+                        "--out", str(out)]) == 0
+        assert all(mu <= 1.0 for mu in load_report(out)["achieved_coherences"])
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--tychonoff", "nan"], "tychonoff_lambda must be finite"),
+        (["--tychonoff", "inf"], "tychonoff_lambda must be finite"),
+        (["--tol", "nan"], "tol must be finite and >= 0"),
+        (["--tol", "-1"], "tol must be finite and >= 0"),
+        (["--method", "oga", "--tol", "nan"], "tol must be finite and >= 0"),
+    ])
+    def test_bad_solver_settings_exit_2(self, tmp_path, capsys, flags, message):
+        p = tmp_path / "t.htns"
+        write_htns(p, np.arange(27, dtype=complex).reshape(3, 3, 3))
+        assert run_cli(["decompose", "--input", str(p), "--rank", "2",
+                        "--max-iter", "20", *flags]) == 2
+        assert message in capsys.readouterr().err
 
     def test_woga_requires_dictionary(self, tmp_path):
         t = np.ones((2, 2, 2), dtype=complex)
@@ -336,6 +370,33 @@ class TestSimulateCommand:
         assert rep["dims"] == [3, 5, 5]  # chips: 4 + 2 - 1
 
 
+class TestArraySignals:
+    def test_nan_signal_norm_named(self, tmp_path, capsys):
+        doc = TestSimulateCommand().scene_doc()
+        doc["signals"] = {"kind": "gaussian", "n_samples": 8, "norms": [math.nan, 1.0]}
+        scene = tmp_path / "scene.json"
+        scene.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning on the way
+            code = run_cli(["simulate", "--kind", "array", "--scene", str(scene)])
+        assert code == 2
+        assert "PathSet signals: non-finite entry" in capsys.readouterr().err
+
+    def test_n_samples_capped_before_drawing(self, tmp_path, capsys, monkeypatch):
+        class NoDraws:  # any draw of 10^12 samples would ask for terabytes
+            def __getattr__(self, name):
+                raise AssertionError(f"signals drawn with rng.{name}")
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed=None: NoDraws())
+        doc = TestSimulateCommand().scene_doc()
+        doc["signals"] = {"kind": "gaussian", "n_samples": 10 ** 12}
+        scene = tmp_path / "scene.json"
+        scene.write_text(json.dumps(doc))
+        assert run_cli(["simulate", "--kind", "array", "--scene", str(scene)]) == 2
+        err = capsys.readouterr().err
+        assert f"signals field 'n_samples' must be at most {cli.MAX_SIGNAL_SAMPLES}" in err
+
+
 class TestDemos:
     def test_demo_nonexistence(self, tmp_path):
         out = tmp_path / "r.json"
@@ -444,6 +505,7 @@ class TestNoTraceback:
          "--kranks must be integers"),
         (["norms", "--fixture", "matmul:2", "--restarts", "0"], "restarts must be >= 1, got 0"),
         (["norms", "--fixture", "matmul:2", "--restarts", "-1"], "restarts must be >= 1, got -1"),
+        (["norms", "--fixture", "matmul:2", "--tol", "nan"], "tol must be finite and >= 0"),
     ])
     def test_flag_corpus(self, capsys, args, message):
         assert main(args) == 2
@@ -486,3 +548,60 @@ class TestFuzz:
     @given(doc=JSON_VALUES | st.builds(lambda atoms: {"atoms": atoms}, JSON_VALUES))
     def test_dictionary(self, fuzz_dir, doc):
         assert _woga(fuzz_dir, doc) in (0, 2, 3)
+
+
+# HTNS inputs of every command that reads one
+HTNS_COMMANDS = [["coherence", "--input"], ["check", "--r", "2", "--factors"],
+                 ["norms", "--no-search", "--input"], ["decompose", "--rank", "1", "--input"],
+                 ["decompose", "--rank", "1", "--method", "oga", "--input"]]
+
+
+def _malformed(kind: str, lines: list, junk: str) -> list:
+    """A valid HTNS1 text (header and entry lines) broken in one way."""
+    header, entries = lines[:2], lines[2:]
+    if kind == "drop_entry":
+        return header + entries[:-1]
+    if kind == "extra_entry":
+        return lines + ["1 2"]
+    if kind == "junk_token":
+        return header + [f"1 {junk}"] + entries[1:]
+    if kind == "arity":
+        return header + ["1 2 3" if len(junk) % 2 else "1"] + entries[1:]
+    if kind == "non_finite":
+        return header + ["nan 0" if len(junk) % 2 else "0 -inf"] + entries[1:]
+    if kind == "order":
+        return [str(len(header[1].split()) + 1)] + lines[1:]
+    if kind == "dims":
+        return [header[0], " ".join(["0"] + header[1].split()[1:])] + entries
+    if kind == "junk_dim":
+        return [header[0], " ".join([junk] + header[1].split()[1:])] + entries
+    return header[:1]  # truncated header
+
+
+class TestHtnsFuzz:
+    @settings(deadline=None, max_examples=80,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(shape=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+           kind=st.sampled_from(["drop_entry", "extra_entry", "junk_token", "arity",
+                                 "non_finite", "order", "dims", "junk_dim", "header"]),
+           junk=st.text(alphabet="xyz#,;[]{}", min_size=1, max_size=4),
+           command=st.sampled_from(HTNS_COMMANDS))
+    def test_malformed_file_exits_2(self, fuzz_dir, capsys, shape, kind, junk, command):
+        lines = dump_htns(np.full(shape, 0.5 + 0.25j)).splitlines()
+        path = fuzz_dir / "bad.htns"
+        path.write_text("\n".join(_malformed(kind, lines, junk)) + "\n")
+        capsys.readouterr()
+        assert main([*command, str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @settings(deadline=None, max_examples=80,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(raw=st.binary(max_size=64) | st.text(alphabet="0123456789 .-+e\nnaif", max_size=64),
+           command=st.sampled_from(HTNS_COMMANDS))
+    def test_arbitrary_file_never_escapes(self, fuzz_dir, raw, command):
+        path = fuzz_dir / "any.htns"
+        if isinstance(raw, bytes):
+            path.write_bytes(raw)
+        else:
+            path.write_text(raw)
+        assert main([*command, str(path), "--out", str(fuzz_dir / "r.json")]) in (0, 2, 3)

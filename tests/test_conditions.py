@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cohcp.conditions import (
+    _BOUNDARY_RTOL,
     coercivity_lower_bound,
     condition_report,
     existence_condition,
@@ -17,7 +20,7 @@ from cohcp.conditions import (
     temlyakov_condition,
     uniqueness_condition,
 )
-from cohcp.core import evaluate_terms, frobenius, random_unit_columns
+from cohcp.core import evaluate_terms, frobenius, gram_mu, random_unit_columns
 
 
 class TestExistence:
@@ -190,6 +193,22 @@ class TestCoercivity:
             true_sq = frobenius(evaluate_terms(lam, factors)) ** 2
             assert true_sq >= coercivity_lower_bound(lam, mus) - 1e-10
 
+    @settings(deadline=None, max_examples=100)
+    @given(dims=st.lists(st.integers(1, 4), min_size=1, max_size=4),
+           r=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
+           coherent=st.booleans())
+    def test_bound_holds_property(self, dims, r, seed, coherent):
+        rng = np.random.default_rng(seed)
+        factors = [random_unit_columns(n, r, rng) for n in dims]
+        if coherent:  # near-collinear columns: mu_k close to 1
+            factors = [f[:, :1] + 0.05 * f for f in factors]
+            factors = [f / np.linalg.norm(f, axis=0) for f in factors]
+        lam = rng.standard_normal(r) + 1j * rng.standard_normal(r)
+        mus = [gram_mu(f.conj().T @ f) for f in factors]
+        true_sq = frobenius(evaluate_terms(lam, factors)) ** 2
+        lam2 = float(np.sum(np.abs(lam) ** 2))
+        assert true_sq >= coercivity_lower_bound(lam, mus) - 1e-12 * lam2
+
 
 class TestGreedyBounds:
     def test_tropp_small_r(self):
@@ -238,6 +257,55 @@ class TestConditionReport:
         rep = condition_report([0.4, 0.4], 2)
         assert not rep["existence_uniqueness"]["holds"]
         assert "note" in rep["existence_uniqueness"]
+
+    def test_kranks_need_one_per_mode(self):
+        # two kranks for three modes: the verdict counted d = 2 while the
+        # printed left side counted d = 3, and "holds" contradicted 6 <= 5
+        with pytest.raises(ValueError, match="need one Kruskal rank per mode"):
+            condition_report([0.4, 0.4, 0.4], 2, kranks=[3, 2])
+
+
+def _with_slack(a, b):
+    return _BOUNDARY_RTOL * max(1.0, abs(a), abs(b))
+
+
+# each entry's inequality, stated on its printed sides, and its predicate
+STATED = {
+    "existence": ("lhs_product", lambda a, b: a < b, existence_condition),
+    "uniqueness": ("lhs_inverse_sum", lambda a, b: a >= b - _with_slack(a, b),
+                   uniqueness_condition),
+    "existence_uniqueness": ("lhs_geometric_mean",
+                             lambda a, b: a <= b + _with_slack(a, b),
+                             existence_uniqueness_condition),
+    "sufficient_sum": ("lhs_sum", lambda a, b: a <= b + _with_slack(a, b), sufficient_sum),
+    "sufficient_sumsq": ("lhs_sum_squares", lambda a, b: a <= b + _with_slack(a, b),
+                         sufficient_sumsq),
+}
+
+# coherences drawn from a grid that hits the boundaries exactly, and anywhere
+MUS = st.lists(st.sampled_from([0.0, 0.25, 1 / 3, 0.5, 0.75, 1.0]) | st.floats(0.0, 1.0),
+               min_size=1, max_size=5)
+
+
+class TestReportProperties:
+    @settings(deadline=None, max_examples=300)
+    @given(mus=MUS, r=st.integers(1, 9), data=st.data())
+    def test_entries_are_their_predicates_and_sides(self, mus, r, data):
+        kranks = data.draw(st.lists(st.integers(0, 12), min_size=len(mus),
+                                    max_size=len(mus)))
+        rep = condition_report(mus, r, kranks=kranks)
+        for name, (lhs, compare, predicate) in STATED.items():
+            entry = rep[name]
+            if len(mus) < 3 and name not in ("existence", "uniqueness"):
+                assert entry["holds"] is False and "note" in entry
+                with pytest.raises(ValueError, match="d >= 3"):
+                    predicate(mus, r)
+                continue
+            assert entry["holds"] is predicate(mus, r)
+            assert entry["holds"] == compare(entry[lhs], entry["rhs"])
+        kr = rep["kruskal"]
+        assert kr["holds"] is kruskal_condition(kranks, r)
+        assert kr["holds"] == (kr["lhs"] <= kr["rhs_krank_sum"])
 
 
 class TestNonFiniteRejected:

@@ -280,6 +280,37 @@ class TestCanonicalizeProperties:
         assert frobenius(cp_evaluate(again) - raw) <= 1e-12 * frobenius(raw)
 
 
+class TestEssentiallyEqualProperties:
+    """The verdict is invariant under permutations of terms within a block
+    of equal weights and under per-term unimodular scalings whose phases
+    sum to zero over the modes."""
+
+    @settings(deadline=None, max_examples=80)
+    @given(dims=st.lists(st.integers(1, 4), min_size=1, max_size=4),
+           weights=st.lists(st.sampled_from([1.0, 2.0, 3.0]), min_size=1, max_size=5),
+           seed=st.integers(0, 2**32 - 1))
+    def test_invariant_under_block_permutations_and_balanced_phases(self, dims, weights,
+                                                                     seed):
+        rng = np.random.default_rng(seed)
+        w = np.sort(np.array(weights))[::-1]
+        r = w.size
+        model = CPModel(weights=w, factors=tuple(random_unit_columns(n, r, rng)
+                                                 for n in dims))
+        perm = np.concatenate([rng.permutation(np.flatnonzero(w == v))
+                               for v in np.unique(w)[::-1]])
+        thetas = rng.uniform(-np.pi, np.pi, (len(dims), r))
+        thetas[-1] = -thetas[:-1].sum(axis=0)
+        moved = CPModel(weights=w, factors=tuple(
+            np.exp(1j * th) * f[:, perm] for th, f in zip(thetas, model.factors)))
+        # a third model: term 0 with one mode's phase unbalanced
+        factors = [np.array(f) for f in model.factors]
+        factors[0][:, 0] *= np.exp(0.4j)
+        other = CPModel(weights=w, factors=tuple(factors))
+        assert essentially_equal(moved, model, 1e-9)
+        assert essentially_equal(model, moved, 1e-9)
+        assert essentially_equal(moved, other, 1e-9) == essentially_equal(model, other, 1e-9)
+
+
 class TestEssentiallyEqual:
     def test_reflexive(self):
         rng = np.random.default_rng(16)

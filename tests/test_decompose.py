@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cohcp.coherence import coherence
-from cohcp.conditions import coercivity_lower_bound, temlyakov_condition
+from cohcp.conditions import coercivity_lower_bound, condition_report, temlyakov_condition
 from cohcp.core import (
     canonicalize,
     cp_evaluate,
@@ -255,6 +255,32 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig(r=2, coherence_caps=(0.5, 1.5, 0.5))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_tychonoff_rejected(self, bad):
+        # NaN reached LAPACK and inf ran every sweep before failing
+        with pytest.raises(ValueError, match="tychonoff_lambda must be finite"):
+            SolverConfig(r=2, tychonoff_lambda=bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1e-3])
+    def test_bad_tol_rejected(self, bad):
+        # a NaN tolerance never stops the sweeps
+        with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+            SolverConfig(r=2, tol=bad)
+
+
+class TestGreedyTolRejected:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_woga(self, bad):
+        rng = np.random.default_rng(3)
+        dictionary = Dictionary(orthonormal_atoms(rng))
+        with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+            woga(np.ones((3, 3, 3)), dictionary, tol=bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_oga_continuous(self, bad):
+        with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+            oga_continuous(np.ones((2, 2, 2)), 1, tol=bad)
+
 
 class TestConstrainedAls:
     def test_exact_orthonormal_recovery(self):
@@ -398,6 +424,17 @@ def planted_rank6(n, seed):
 
 def unfoldings(f):
     return [np.moveaxis(f, k, 0).reshape(f.shape[k], -1) for k in range(f.ndim)]
+
+
+def test_achieved_coherences_clipped_to_one():
+    # a rank-1 target fitted at rank 2: both columns of every mode align, and
+    # the unclipped Gram entry read 1.0000000000000004, which the condition
+    # report then refused as a coherence outside [0, 1]
+    rng = np.random.default_rng(45)
+    f = rank1_outer([random_unit_columns(3, 1, rng)[:, 0] for _ in range(3)])
+    _, diag = constrained_als(f, SolverConfig(r=2, seed=45))
+    assert max(diag.achieved_mus) == 1.0
+    condition_report(diag.achieved_mus, 2)
 
 
 class TestCompressedWarmStart:

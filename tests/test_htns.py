@@ -2,6 +2,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cohcp.htns import _CHUNK_LINES, dump_htns, parse_htns, read_htns, write_htns
 
@@ -140,3 +142,20 @@ def test_round_trip_bit_exact_large(tmp_path, shape):
     back = read_htns(path)
     assert back.shape == t.shape
     assert np.array_equal(back.view(np.float64), t.view(np.float64))
+
+
+# every finite double, with -0.0, subnormals and the extremes drawn often
+FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 1e308, -1e308,
+     1.7976931348623157e308, -1.7976931348623157e308])
+
+
+@settings(deadline=None, max_examples=200)
+@given(shape=st.lists(st.integers(1, 4), min_size=1, max_size=3), data=st.data())
+def test_round_trip_bit_exact_property(shape, data):
+    count = 2 * int(np.prod(shape))
+    parts = data.draw(st.lists(FINITE, min_size=count, max_size=count))
+    t = np.array(parts, dtype=np.float64).view(np.complex128).reshape(shape)
+    back = parse_htns(dump_htns(t))
+    assert back.shape == t.shape
+    assert back.tobytes() == t.tobytes()  # bit for bit, -0.0 included

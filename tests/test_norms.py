@@ -187,6 +187,13 @@ class TestNormProperties:
             assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -1e-3])
+def test_norm_config_rejects_bad_tol(bad):
+    # a NaN tolerance can never certify
+    with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+        NormConfig(tol=bad)
+
+
 class TestNuclearBounds:
     def test_matrix_exact(self):
         rng = np.random.default_rng(5)

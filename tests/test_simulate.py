@@ -95,6 +95,13 @@ class TestSteeringVectors:
         with pytest.raises(ValueError, match="directions must be unit vectors"):
             PathSet(directions=bad, signals=np.ones((4, 1)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
+    def test_path_set_rejects_non_finite_signals(self, bad):
+        signals = np.ones((4, 2), dtype=complex)
+        signals[2, 1] = bad
+        with pytest.raises(ValueError, match=r"PathSet signals: non-finite entry at index \(2, 1\)"):
+            PathSet(directions=[[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]], signals=signals)
+
     def test_path_set_takes_no_polarization(self):
         # simulate_array models no polarization; angles must not be dropped silently
         with pytest.raises(TypeError, match="polarization"):
