@@ -25,7 +25,6 @@ from .core import (
     finite_tensor,
     frobenius,
     gram_mu,
-    inner_product,
     khatri_rao_but,
     rank1_outer,
     random_unit_columns,
@@ -634,7 +633,8 @@ def divergence_witness(phis, psis, ns):
         for k in range(3):
             g = mixed[k] / np.linalg.norm(mixed[k])
             h = phis[k] / np.linalg.norm(phis[k])
-            mus.append(abs(inner_product(g, h)))
+            pair = np.stack([g, h], axis=1)
+            mus.append(gram_mu(pair.conj().T @ pair))
         records.append({
             "n": n,
             "loss": float(loss),

@@ -594,6 +594,15 @@ class TestCertifiedModeSolve:
 
 
 class TestDivergenceWitness:
+    def test_mode_coherences_clipped_to_one(self):
+        # at n = 2^37 the normalized pair is aligned to rounding; the inner
+        # product computed on its own read 1.0000000000000002
+        rng = np.random.default_rng(0)
+        phis = [rng.standard_normal(3) + 1j * rng.standard_normal(3) for _ in range(3)]
+        psis = [rng.standard_normal(3) + 1j * rng.standard_normal(3) for _ in range(3)]
+        (rec,) = divergence_witness(phis, psis, [2 ** 37])
+        assert max(rec["mode_coherences"]) == 1.0
+
     def test_matches_entrywise_formulas(self):
         rng = np.random.default_rng(23)
         phis = [rng.standard_normal(3) + 1j * rng.standard_normal(3) for _ in range(3)]
