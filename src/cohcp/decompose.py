@@ -101,16 +101,32 @@ class GreedyResult:
     flags: list = field(default_factory=list)
 
 
-def _solve_gram(gram: np.ndarray, rhs: np.ndarray, flags: list):
-    try:
-        cond = np.linalg.cond(gram)
-    except np.linalg.LinAlgError:
-        cond = np.inf
-    if not np.isfinite(cond) or cond > 1e12:
-        if "singular_gram_pseudoinverse" not in flags:
-            flags.append("singular_gram_pseudoinverse")
-        return np.linalg.pinv(gram, rcond=1e-12) @ rhs
-    return np.linalg.solve(gram, rhs)
+CERTIFIED_MARGIN = 0.25  # certifies a condition number of at most 7
+
+
+def _certified(grams: list, reg: float) -> bool:
+    """Whether (G + reg I) x = b, G the Hadamard product of the unit-diagonal
+    ``grams``, has a ridge or a margin 1-(r-1) prod_k mu_k >= CERTIFIED_MARGIN
+    (the coercivity bound: by Gershgorin, at most the least eigenvalue of G)."""
+    return reg > 0 or (1.0 - (len(grams[0]) - 1) * math.prod(map(gram_mu, grams))
+                       >= CERTIFIED_MARGIN)
+
+
+def _solve_gram(grams: list, rhs: np.ndarray, flags: list, reg: float = 0.0):
+    """Solve (G + reg I) x = rhs for G the Hadamard product of ``grams``: a
+    certified system directly, any other when its condition number is at
+    most 1e12, else by the pseudoinverse (``singular_gram_pseudoinverse``)."""
+    gram = functools.reduce(np.multiply, grams)
+    if not _certified(grams, reg):
+        try:
+            cond = np.linalg.cond(gram)
+        except np.linalg.LinAlgError:
+            cond = np.inf
+        if not np.isfinite(cond) or cond > 1e12:
+            if "singular_gram_pseudoinverse" not in flags:
+                flags.append("singular_gram_pseudoinverse")
+            return np.linalg.pinv(gram, rcond=1e-12) @ rhs
+    return np.linalg.solve(gram + reg * np.eye(len(gram)), rhs)
 
 
 def woga(tensor, dictionary: Dictionary, t: float = 1.0,
@@ -132,6 +148,8 @@ def woga(tensor, dictionary: Dictionary, t: float = 1.0,
         raise ValueError(f"tensor dims {f.shape} do not match dictionary {dictionary.dims}")
     if max_iter is None:
         max_iter = len(dictionary)
+    elif max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
 
     fnorm2 = frobenius(f) ** 2
     b_all = dictionary.correlations(f)
@@ -154,10 +172,8 @@ def woga(tensor, dictionary: Dictionary, t: float = 1.0,
             break
         pick = int(np.argmax(scores >= threshold))
         selected.append(pick)
-        sub = np.ix_(selected, selected)
-        gram = dictionary.gram[sub]
-        rhs = b_all[selected]
-        coeffs = _solve_gram(gram, rhs, flags)
+        coeffs = _solve_gram([dictionary.gram[np.ix_(selected, selected)]],
+                             b_all[selected], flags)
         # materialized residual: the Gram identity ||f||^2 - <h_m, f>
         # cancels catastrophically once the fit is nearly exact
         stacks = [s[:, selected] for s in dictionary._stacks]
@@ -214,9 +230,7 @@ def oga_continuous(tensor, r: int, restarts: int = 32, tol: float = 1e-12,
                                      seed=seed + m)
         atoms.append(factors)
         stacks = stack_terms(atoms, f.shape)
-        gram = term_gram(stacks)
-        rhs = term_correlations(f, stacks)
-        coeffs = _solve_gram(gram, rhs, flags)
+        coeffs = _solve_gram([term_gram(stacks)], term_correlations(f, stacks), flags)
         residual = f - evaluate_terms(coeffs, stacks)
         residuals.append(frobenius(residual))
         if residuals[-2] - residuals[-1] < tol * max(1.0, residuals[0]):
@@ -298,13 +312,16 @@ class SolverConfig:
     max_iter: int = 2000
     tol: float = 1e-10
     seed: int = 0
-    # "greedy" (rank-1 deflation warm start, run on the r x .. x r Tucker
-    # core of the modes with n_k > r) or "random"
+    # "greedy" (rank-1 deflation warm start on the Tucker core) or "random"
     init: str = "greedy"
 
     def __post_init__(self):
         if self.r < 1:
             raise ValueError("target rank must be >= 1")
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+        if self.init not in ("greedy", "random"):
+            raise ValueError(f"unknown init {self.init!r}")
         if not np.isfinite(self.tychonoff_lambda):
             raise ValueError(f"tychonoff_lambda must be finite, got {self.tychonoff_lambda}")
         check_tol(self.tol)
@@ -535,12 +552,7 @@ def constrained_als(tensor, cfg: SolverConfig):
                     factors[k] = _project_coherence(factors[k], cap, flags)
                     grams[k] = factors[k].conj().T @ factors[k]
         # global weight re-solve
-        gram = functools.reduce(np.multiply, grams)
-        rhs = term_correlations(f, factors)
-        if lam_reg > 0:
-            lam = np.linalg.solve(gram + lam_reg * np.eye(r), rhs)
-        else:
-            lam = _solve_gram(gram, rhs, flags)
+        lam = _solve_gram(grams, term_correlations(f, factors), flags, lam_reg)
         loss_trace.append(objective())
         prev, cur = loss_trace[-2], loss_trace[-1]
         if abs(prev - cur) <= cfg.tol * max(1.0, prev):
@@ -559,30 +571,17 @@ def constrained_als(tensor, cfg: SolverConfig):
     return model, diag
 
 
-# Gershgorin margin 1-(r-1) prod_j mu_j above which a mode update solves
-# its normal equations; 1/4 certifies a condition number of at most 7
-CERTIFIED_MARGIN = 0.25
-
-
 def _mode_solve(unfold: np.ndarray, z: np.ndarray, other_grams: list,
                 reg: float = 0.0) -> np.ndarray:
     """Mode update C minimizing ||X_k - C Z^T||^2 + reg ||C||^2.
 
-    Z is the Khatri-Rao product of the other (unit-column) factors, so its
-    Gram Z^H Z is the Hadamard product of their Grams G_j, with unit
-    diagonal and off-diagonal entries at most prod_j mu_j.  Gershgorin then
-    bounds its smallest eigenvalue below by 1-(r-1) prod_j mu_j.  When that
-    certificate clears ``CERTIFIED_MARGIN`` (or a ridge term is present)
-    the r x r normal equations (Z^H Z + reg I) C^T = (X_k Z-bar)^T are
-    solved; otherwise ``lstsq`` on Z itself, which does not square the
-    conditioning.
+    Z is the Khatri-Rao product of the other (unit-column) factors, so Z^H Z
+    is the Hadamard product of their Grams.  A certified system (see
+    ``_certified``) solves (Z^H Z + reg I) C^T = (X_k Z-bar)^T, any other
+    runs ``lstsq`` on Z, which does not square the conditioning.
     """
-    normal = functools.reduce(np.multiply, other_grams)
-    r = normal.shape[0]
-    margin = 1.0 - (r - 1) * math.prod(gram_mu(g) for g in other_grams)
-    if reg > 0 or margin >= CERTIFIED_MARGIN:
-        rhs = (unfold @ z.conj()).T
-        return np.linalg.solve(normal + reg * np.eye(r), rhs).T
+    if _certified(other_grams, reg):
+        return _solve_gram(other_grams, (unfold @ z.conj()).T, [], reg).T
     return np.linalg.lstsq(z, unfold.T, rcond=None)[0].T
 
 

@@ -1,8 +1,10 @@
-"""The names the benchmark tracer wraps must exist in the package.
+"""The names the benchmark tracer wraps and the layer rows import must
+exist in the package.
 
-``perfbench/run.py`` lists them as ``"module.name"`` strings in ``TRACED``;
-a rename that misses them would break the tracer only when the benchmark
-runs.  The tuple is read with ``ast`` so the harness is never imported.
+``perfbench/run.py`` lists them as ``"module.name"`` strings in ``TRACED``,
+and ``benchmarks/test_layers.py`` imports private kernels by name; a rename
+that misses them would break either only when the benchmark runs.  Both
+files are read with ``ast``, so neither is imported.
 """
 
 import ast
@@ -11,7 +13,9 @@ from pathlib import Path
 
 import pytest
 
-RUN_PY = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+ROOT = Path(__file__).resolve().parents[1]
+RUN_PY = ROOT / "perfbench" / "run.py"
+LAYERS_PY = ROOT / "benchmarks" / "test_layers.py"
 
 
 def traced_names() -> tuple:
@@ -33,3 +37,25 @@ def test_traced_name_resolves_to_callable(name):
     # (cohcp.coherence), so the module comes from the import system
     mod = importlib.import_module(f"cohcp.{module}")
     assert callable(getattr(mod, attr, None)), f"cohcp.{module} has no callable {attr}"
+
+
+def layer_imports() -> list:
+    """``module.name`` for every name ``from cohcp.<module> import ...``
+    brings into the layer rows."""
+    return [f"{node.module.removeprefix('cohcp.')}.{alias.name}"
+            for node in ast.walk(ast.parse(LAYERS_PY.read_text()))
+            if isinstance(node, ast.ImportFrom) and node.module.startswith("cohcp.")
+            for alias in node.names]
+
+
+def test_layer_rows_import_private_kernels():
+    names = layer_imports()
+    assert {"decompose._init_factors", "decompose._mode_solve",
+            "norms._exact_fit", "simulate._refine_direction"} <= set(names)
+
+
+@pytest.mark.parametrize("name", layer_imports())
+def test_layer_import_resolves(name):
+    module, _, attr = name.partition(".")
+    mod = importlib.import_module(f"cohcp.{module}")
+    assert hasattr(mod, attr), f"cohcp.{module} has no {attr}"

@@ -192,6 +192,7 @@ class TestDecomposeCommand:
         (["--tol", "nan"], "tol must be finite and >= 0"),
         (["--tol", "-1"], "tol must be finite and >= 0"),
         (["--method", "oga", "--tol", "nan"], "tol must be finite and >= 0"),
+        (["--max-iter", "-5"], "max_iter must be >= 1, got -5"),
     ])
     def test_bad_solver_settings_exit_2(self, tmp_path, capsys, flags, message):
         p = tmp_path / "t.htns"
@@ -232,6 +233,16 @@ class TestDecomposeCommand:
         doc = load_report(out)
         assert doc["selected"][0] == 3
         assert doc["converged"] is True
+
+    def test_woga_rejects_max_iter_below_one(self, tmp_path, capsys):
+        # exited 3 with no selection instead of naming the setting
+        dict_path = tmp_path / "atoms.json"
+        dict_path.write_text('{"atoms": [[[1.0, 0.0], [1.0, 0.0]], [[0.0, 1.0], [0.0, 1.0]]]}')
+        p = tmp_path / "t.htns"
+        write_htns(p, np.ones((2, 2), dtype=complex))
+        assert run_cli(["decompose", "--input", str(p), "--rank", "1", "--method", "woga",
+                        "--dict", str(dict_path), "--max-iter", "0"]) == 2
+        assert "max_iter must be >= 1, got 0" in capsys.readouterr().err
 
     def test_woga_rejects_nan_atom(self, tmp_path, capsys):
         dict_path = tmp_path / "atoms.json"

@@ -154,6 +154,13 @@ class TestWoga:
         with pytest.raises(ValueError):
             woga(np.zeros((2, 2, 2)), d, t=0.0)
 
+    def test_max_iter_below_one_rejected(self):
+        # None still means the dictionary size
+        d = Dictionary(orthonormal_atoms(np.random.default_rng(3)))
+        assert len(woga(np.ones((3, 3, 3)), d, max_iter=None).residuals) == 4
+        with pytest.raises(ValueError, match="max_iter must be >= 1, got 0"):
+            woga(np.ones((3, 3, 3)), d, max_iter=0)
+
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_non_finite_rejected(self, bad):
         d = random_incoherent_dictionary((3, 3, 3), 5, mu_max=0.5, seed=1)
@@ -266,6 +273,17 @@ class TestSolverConfig:
         # a NaN tolerance never stops the sweeps
         with pytest.raises(ValueError, match="tol must be finite and >= 0"):
             SolverConfig(r=2, tol=bad)
+
+    @pytest.mark.parametrize("bad", [0, -5])
+    def test_max_iter_below_one_rejected(self, bad):
+        # ran no sweep and returned the unswept warm start as unconverged
+        with pytest.raises(ValueError, match=f"max_iter must be >= 1, got {bad}"):
+            SolverConfig(r=2, max_iter=bad)
+
+    def test_unknown_init_rejected(self):
+        # any value but "greedy" used to select the random start
+        with pytest.raises(ValueError, match="unknown init 'Greedy'"):
+            SolverConfig(r=2, init="Greedy")
 
 
 class TestGreedyTolRejected:
@@ -520,17 +538,22 @@ class TestCompressedWarmStart:
         assert np.isfinite(diag.final_residual)
 
 
-def lstsq_spy(monkeypatch):
-    """Record every np.linalg.lstsq call while still running it."""
+def linalg_spy(monkeypatch, name):
+    """Record the first argument's shape of every np.linalg.<name> call
+    while still running it."""
     calls = []
-    original = np.linalg.lstsq
+    original = getattr(np.linalg, name)
 
     def spy(*args, **kwargs):
         calls.append(args[0].shape)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "lstsq", spy)
+    monkeypatch.setattr(np.linalg, name, spy)
     return calls, original
+
+
+def lstsq_spy(monkeypatch):
+    return linalg_spy(monkeypatch, "lstsq")
 
 
 def mode_problem(factors, k, rng):
@@ -591,6 +614,58 @@ class TestCertifiedModeSolve:
         assert fast.flags == slow.flags
         np.testing.assert_allclose(fast.loss_trace, slow.loss_trace,
                                    rtol=1e-10, atol=0.0)
+
+
+class TestSolveGram:
+    def test_certified_skips_the_condition_number(self, monkeypatch):
+        rng = np.random.default_rng(33)
+        factors = [random_unit_columns(n, 4, rng) for n in (20, 24, 30)]
+        grams = [fk.conj().T @ fk for fk in factors]
+        rhs = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        assert decompose._certified(grams, 0.0)
+        calls, _ = linalg_spy(monkeypatch, "cond")
+        flags = []
+        got = decompose._solve_gram(grams, rhs, flags)
+        assert calls == [] and flags == []
+        ref = np.linalg.solve(grams[0] * grams[1] * grams[2], rhs)
+        assert got.tobytes() == ref.tobytes()
+
+    def test_singular_takes_pinv_and_flags_once(self, monkeypatch):
+        e1 = np.array([1.0, 0.0], dtype=complex)
+        pair = np.stack([e1, e1], axis=1)  # mu = 1: margin 1-(r-1) = 0
+        grams = [pair.conj().T @ pair] * 3
+        assert not decompose._certified(grams, 0.0)
+        calls, _ = linalg_spy(monkeypatch, "pinv")
+        flags = []
+        rhs = np.array([2.0, 2.0], dtype=complex)
+        for _ in range(2):
+            got = decompose._solve_gram(grams, rhs, flags)
+        assert len(calls) == 2
+        assert flags == ["singular_gram_pseudoinverse"]
+        np.testing.assert_allclose(got, [1.0, 1.0], rtol=0.0, atol=1e-12)
+
+    def test_tychonoff_matches_ridge_solve(self, monkeypatch):
+        e1 = np.array([1.0, 0.0], dtype=complex)
+        e2 = np.array([0.0, 1.0], dtype=complex)
+        # coherent pairs: the ridge alone certifies the system
+        pair = np.stack([(e1 + e2 / 8) / np.linalg.norm(e1 + e2 / 8), e1], axis=1)
+        grams = [pair.conj().T @ pair] * 3
+        assert not decompose._certified(grams, 0.0)
+        calls, _ = linalg_spy(monkeypatch, "cond")
+        rhs = np.array([1.0 + 2.0j, -0.5j])
+        got = decompose._solve_gram(grams, rhs, [], 0.05)
+        assert calls == []
+        gram = grams[0] * grams[1] * grams[2]
+        ref = np.linalg.solve(gram + 0.05 * np.eye(2), rhs)
+        assert got.tobytes() == ref.tobytes()
+
+    def test_certified_als_runs_no_condition_number(self, monkeypatch):
+        rng = np.random.default_rng(32)
+        f = evaluate_terms(np.array([4.0, 3.0, 2.0, 1.0]),
+                           [random_unit_columns(20, 4, rng) for _ in range(3)])
+        calls, _ = linalg_spy(monkeypatch, "cond")
+        _, diag = constrained_als(f, SolverConfig(r=4, seed=0))
+        assert calls == [] and diag.converged
 
 
 class TestDivergenceWitness:
