@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .coherence import coherence, krank_lower_bound, kruskal_rank_bruteforce
 from .conditions import condition_report, temlyakov_condition
-from .core import evaluate_terms, frobenius, gram_mu
+from .core import check_tol, evaluate_terms, frobenius, gram_mu
 from .decompose import (
     Dictionary,
     SolverConfig,
@@ -249,7 +249,28 @@ def _load_dictionary(path: str) -> Dictionary:
     return Dictionary(atoms)
 
 
+# decompose flags that only some methods read: flag -> (dest, default, methods).
+# Their argparse default is None, so an explicitly given flag that the chosen
+# method would ignore can be refused by name.
+_METHOD_FLAGS = {
+    "--caps": ("caps", None, ("als",)),
+    "--tychonoff": ("tychonoff", 0.0, ("als",)),
+    "--ortho": ("ortho", "none", ("als",)),
+    "--max-iter": ("max_iter", 2000, ("als", "woga")),
+    "--dict": ("dictionary", None, ("woga",)),
+    "--t": ("t", 1.0, ("woga",)),
+}
+
+
 def _cmd_decompose(args) -> int:
+    check_tol(args.tol)  # read by every method, so checked before the method's flags
+    stray = [flag for flag, (dest, _, methods) in _METHOD_FLAGS.items()
+             if getattr(args, dest) is not None and args.method not in methods]
+    if stray:
+        raise ValidationError(f"--method {args.method} does not read {', '.join(stray)}")
+    for dest, default, _ in _METHOD_FLAGS.values():
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
     f = read_htns(args.input)
     exit_code = EXIT_OK
     out: dict = {"command": "decompose", "method": args.method,
@@ -499,12 +520,13 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--input", required=True, help="HTNS1 tensor")
     c.add_argument("--rank", type=int, required=True)
     c.add_argument("--method", choices=["als", "oga", "woga"], default="als")
-    c.add_argument("--caps", help="comma-separated per-mode coherence caps")
-    c.add_argument("--tychonoff", type=float, default=0.0)
-    c.add_argument("--ortho", choices=["none", "per-mode", "separable"], default="none")
+    c.add_argument("--caps", help="comma-separated per-mode coherence caps (als)")
+    c.add_argument("--tychonoff", type=float, help="ridge weight (als)")
+    c.add_argument("--ortho", choices=["none", "per-mode", "separable"],
+                   help="orthogonality constraint (als)")
     c.add_argument("--dict", dest="dictionary", help="atoms JSON file (woga)")
-    c.add_argument("--t", type=float, default=1.0, help="weakness parameter (woga)")
-    c.add_argument("--max-iter", type=int, default=2000)
+    c.add_argument("--t", type=float, help="weakness parameter (woga)")
+    c.add_argument("--max-iter", type=int, help="iteration cap (als, woga)")
     c.add_argument("--tol", type=float, default=1e-10)
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--out")

@@ -139,17 +139,53 @@ def _slice_terms(t: np.ndarray) -> list:
     return best[1]
 
 
+def _tail(m: np.ndarray, r: int) -> float:
+    """(sum_{i>r} sigma_i(m)^2)^{1/2}: the distance from m to rank <= r."""
+    return float(np.linalg.norm(np.linalg.svd(m, compute_uv=False)[r:]))
+
+
+def _rank_floor(t: np.ndarray, r: int) -> float:
+    """rho_r <= ||T - T'||_F for every tensor T' of rank <= r.
+
+    The larger of two flattening bounds, each linear in T:
+    - Eckart-Young on each unfolding: rank T'_(k) <= r, so
+      ||T - T'||_F >= (sum_{i>r} sigma_i(T_(k))^2)^{1/2};
+    - Strassen's Koszul flattening for each mode of size 3, with slices
+      A, B, C flattened to matrices by their first mode:
+      M(T) = [[0, A, -B], [-A, 0, C], [B, -C, 0]] maps a rank-1 term a (x) X
+      to a rank-2 skew 3x3 matrix (x) X, so rank M(T') <= 2r, and
+      ||M(E)||_F = sqrt(2) ||E||_F, so
+      ||T - T'||_F >= (sum_{i>2r} sigma_i(M(T))^2)^{1/2} / sqrt(2).
+    """
+    floor = 0.0
+    for k, n in enumerate(t.shape):
+        unfold = np.moveaxis(t, k, 0)
+        floor = max(floor, _tail(unfold.reshape(n, -1), r))
+        if n == 3:
+            a, b, c = (s.reshape(s.shape[0], -1) for s in unfold)
+            z = np.zeros_like(a)
+            koszul = np.block([[z, a, -b], [-a, z, c], [b, -c, z]])
+            floor = max(floor, _tail(koszul, 2 * r) / math.sqrt(2.0))
+    return floor
+
+
 def _exact_fit(t: np.ndarray, r: int, rng) -> tuple | None:
     """Search an exact rank-r fit for a nuclear-norm upper bound.
 
     Alternating least squares on unit factors from a random start, then an
     exact weight solve.  Only decompositions meeting the residual tolerance
     produce upper bounds.  Returns (weight_sum, model, residual) or None.
+    The start is drawn first, so the rng stream does not depend on the gate:
+    when the rank floor exceeds twice the residual tolerance (the factor 2
+    absorbs the rounding of the floor and of the fit's residual), no rank-r
+    fit could certify and the sweeps are skipped.
     """
     dims = t.shape
     d = t.ndim
     tnorm = frobenius(t)
     factors = [random_unit_columns(n, r, rng) for n in dims]
+    if _rank_floor(t, r) > 2.0 * FIT_TOL * max(1.0, tnorm):
+        return None
     unfolds = [np.moveaxis(t, k, 0).reshape(dims[k], -1) for k in range(d)]
     for _ in range(FIT_SWEEPS):
         for k in range(d):

@@ -293,6 +293,28 @@ class TestDecomposeCommand:
         assert doc["residuals"] == [0.0]
         assert doc["converged"] is True
 
+    # an explicitly given flag that the method does not read is refused by
+    # name before any work, even when it carries the default value
+    @pytest.mark.parametrize("method, flags, named", [
+        ("als", ["--t", "0.5"], "--t"),
+        ("oga", ["--max-iter", "5", "--caps", "0.1,0.1,0.1", "--tychonoff", "5",
+                 "--ortho", "none"], "--caps, --tychonoff, --ortho, --max-iter"),
+        ("woga", ["--caps", "0.5,0.5", "--tychonoff", "0", "--ortho", "per-mode"],
+         "--caps, --tychonoff, --ortho"),
+    ])
+    def test_flags_the_method_does_not_read_exit_2(self, tmp_path, capsys, method,
+                                                    flags, named):
+        dict_path = tmp_path / "atoms.json"
+        dict_path.write_text('{"atoms": [[[1.0, 0.0], [1.0, 0.0]], [[0.0, 1.0], [0.0, 1.0]]]}')
+        p = tmp_path / "t.htns"
+        write_htns(p, np.ones((2, 2), dtype=complex))
+        out = tmp_path / "r.json"
+        extra = ["--dict", str(dict_path)] if method == "woga" else []
+        assert run_cli(["decompose", "--input", str(p), "--rank", "1", "--method", method,
+                        *extra, *flags, "--out", str(out)]) == 2
+        assert f"--method {method} does not read {named}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSimulateCommand:
     def scene_doc(self):

@@ -7,6 +7,7 @@ from cohcp import norms
 from cohcp.core import (
     alternating_rank1,
     cp_evaluate,
+    evaluate_terms,
     frobenius,
     inner_product,
     multilinear_action,
@@ -323,6 +324,88 @@ class TestNuclearBounds:
             nuclear_norm_bounds(t)
         with pytest.raises(ValueError, match="non-finite"):
             duality_gap_check(np.ones((3, 3, 3)), t)
+
+
+def _random_tensor(rng, dims):
+    return rng.standard_normal(dims) + 1j * rng.standard_normal(dims)
+
+
+def _planted(rng, dims, r):
+    """A tensor of rank at most r with complex Gaussian factors."""
+    factors = [_random_tensor(rng, (n, r)) for n in dims]
+    return evaluate_terms(rng.standard_normal(r) + 0j, factors)
+
+
+GATE_CASES = {
+    **{f"golden{seed}": (lambda seed=seed: _random_tensor(np.random.default_rng(seed),
+                                                           (3, 3, 3)))
+       for seed in (11, 12, 13)},
+    **{f"planted_r{r}": (lambda r=r: _planted(np.random.default_rng(20 + r), (3, 3, 3), r))
+       for r in (1, 2, 3, 4)},
+    "2x2x2": lambda: _random_tensor(np.random.default_rng(15), (2, 2, 2)),
+    "2x2x2x2": lambda: _random_tensor(np.random.default_rng(16), (2, 2, 2, 2)),
+    "matmul2": lambda: mat_mult_tensor(2),
+}
+
+
+class TestRankFloor:
+    """``_rank_floor`` bounds the distance to rank r from below, and the gate
+    it drives in ``_exact_fit`` skips only fits that could not certify."""
+
+    @settings(deadline=None, max_examples=80)
+    @given(dims=st.lists(st.integers(2, 4), min_size=3, max_size=4),
+           r=st.integers(1, 4), scale=st.sampled_from([10.0, 1.0, 1e-3, 1e-7]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_floor_below_distance_to_rank_r(self, dims, r, scale, seed):
+        rng = np.random.default_rng(seed)
+        near = _planted(rng, dims, r)
+        t = near + scale * _random_tensor(rng, dims)
+        assert norms._rank_floor(t, r) <= frobenius(t - near) + 1e-14 * frobenius(t)
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_planted_rank_not_gated(self, d):
+        # a tensor of rank r sits at rounding distance from rank r
+        rng = np.random.default_rng(30 + d)
+        for _ in range(60):
+            dims = tuple(int(n) for n in rng.integers(2, 5, size=d))
+            r = int(rng.integers(1, 5))
+            t = _planted(rng, dims, r)
+            assert norms._rank_floor(t, r) <= 16 * np.finfo(float).eps * frobenius(t)
+
+    @pytest.mark.parametrize("case", sorted(GATE_CASES))
+    def test_gate_leaves_results_unchanged(self, monkeypatch, case):
+        t = GATE_CASES[case]()
+        gated = nuclear_norm_bounds(t)
+        monkeypatch.setattr(norms, "_rank_floor", lambda t, r: 0.0)
+        ungated = nuclear_norm_bounds(t)
+        for name in ("spectral", "nuclear_lower", "nuclear_upper", "certified"):
+            assert getattr(gated, name) == getattr(ungated, name), name
+        for a, b in zip(gated.spectral_witness, ungated.spectral_witness, strict=True):
+            assert np.array_equal(a, b)
+        assert np.array_equal(gated.upper_witness.weights, ungated.upper_witness.weights)
+        for a, b in zip(gated.upper_witness.factors, ungated.upper_witness.factors,
+                        strict=True):
+            assert np.array_equal(a, b)
+
+    def test_gate_skips_ranks_below_border_rank_5(self, monkeypatch):
+        # Eckart-Young gates r = 1, 2 and the Koszul flattening r = 3, 4 on a
+        # random 3x3x3 tensor; r = 5..8 run all their sweeps (ranks are tried
+        # in increasing order, so the largest key is the fit in progress)
+        sweeps = {}
+        fit, kr = norms._exact_fit, norms.khatri_rao_but
+
+        def fit_spy(t, r, rng):
+            sweeps[r] = 0
+            return fit(t, r, rng)
+
+        def kr_spy(factors, k):
+            sweeps[max(sweeps)] += 1
+            return kr(factors, k)
+
+        monkeypatch.setattr(norms, "_exact_fit", fit_spy)
+        monkeypatch.setattr(norms, "khatri_rao_but", kr_spy)
+        nuclear_norm_bounds(_random_tensor(np.random.default_rng(17), (3, 3, 3)))
+        assert sweeps == {r: 0 if r <= 4 else 3 * norms.FIT_SWEEPS for r in range(1, 9)}
 
 
 class TestDuality:
