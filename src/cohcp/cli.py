@@ -259,6 +259,7 @@ _METHOD_FLAGS = {
     "--max-iter": ("max_iter", 2000, ("als", "woga")),
     "--dict": ("dictionary", None, ("woga",)),
     "--t": ("t", 1.0, ("woga",)),
+    "--seed": ("seed", 0, ("als", "oga")),
 }
 
 
@@ -528,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--t", type=float, help="weakness parameter (woga)")
     c.add_argument("--max-iter", type=int, help="iteration cap (als, woga)")
     c.add_argument("--tol", type=float, default=1e-10)
-    c.add_argument("--seed", type=int, default=0)
+    c.add_argument("--seed", type=int, help="random seed (als, oga)")
     c.add_argument("--out")
     c.set_defaults(func=_cmd_decompose)
 

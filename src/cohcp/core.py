@@ -118,8 +118,8 @@ def coherent_pair(gram: np.ndarray) -> tuple:
     if r < 2:
         return 0.0, None
     g = np.abs(gram)
-    np.fill_diagonal(g, -1.0)
-    p, q = divmod(int(np.argmax(g)), r)
+    g.flat[::r + 1] = -1.0
+    p, q = divmod(int(g.argmax()), r)
     return min(float(g[p, q]), 1.0), (p, q)
 
 

@@ -104,20 +104,22 @@ class GreedyResult:
 CERTIFIED_MARGIN = 0.25  # certifies a condition number of at most 7
 
 
-def _certified(grams: list, reg: float) -> bool:
+def _certified(grams: list, reg: float, mus: list | None = None) -> bool:
     """Whether (G + reg I) x = b, G the Hadamard product of the unit-diagonal
     ``grams``, has a ridge or a margin 1-(r-1) prod_k mu_k >= CERTIFIED_MARGIN
-    (the coercivity bound: by Gershgorin, at most the least eigenvalue of G)."""
-    return reg > 0 or (1.0 - (len(grams[0]) - 1) * math.prod(map(gram_mu, grams))
-                       >= CERTIFIED_MARGIN)
+    (the coercivity bound: by Gershgorin, at most the least eigenvalue of G),
+    with the coherences ``mus`` of ``grams`` when the caller holds them."""
+    return reg > 0 or (1.0 - (len(grams[0]) - 1) * math.prod(
+        map(gram_mu, grams) if mus is None else mus) >= CERTIFIED_MARGIN)
 
 
-def _solve_gram(grams: list, rhs: np.ndarray, flags: list, reg: float = 0.0):
+def _solve_gram(grams: list, rhs: np.ndarray, flags: list, reg: float = 0.0,
+                mus: list | None = None):
     """Solve (G + reg I) x = rhs for G the Hadamard product of ``grams``: a
     certified system directly, any other when its condition number is at
     most 1e12, else by the pseudoinverse (``singular_gram_pseudoinverse``)."""
     gram = functools.reduce(np.multiply, grams)
-    if not _certified(grams, reg):
+    if not _certified(grams, reg, mus):
         try:
             cond = np.linalg.cond(gram)
         except np.linalg.LinAlgError:
@@ -361,7 +363,8 @@ def _project_coherence(v: np.ndarray, cap: float, flags: list) -> np.ndarray:
 
     Repeatedly takes the worst offending pair and rotates both columns
     symmetrically apart within their 2-D span until |<u, w>| equals the
-    cap; after ``PROJECTION_PASSES`` rotations an infeasible cap is flagged.
+    cap; after ``PROJECTION_PASSES`` rotations, or at once when the pair
+    spans no plane to rotate in, an infeasible cap is flagged.
     """
     v = v.copy()
     for _ in range(PROJECTION_PASSES):
@@ -387,6 +390,8 @@ def _project_coherence(v: np.ndarray, cap: float, flags: list) -> np.ndarray:
             base[int(np.argmin(np.abs(u)))] = 1.0
             perp = base - np.vdot(bis, base) * bis
             pn = np.linalg.norm(perp)
+            if pn == 0.0:
+                break  # a mode of size 1 has no direction to rotate into
         perp = perp / pn
         v[:, p] = math.cos(half_target) * bis - math.sin(half_target) * perp
         v[:, q] = (math.cos(half_target) * bis + math.sin(half_target) * perp) * phase
@@ -490,6 +495,8 @@ def constrained_als(tensor, cfg: SolverConfig):
     """
     f = finite_tensor(tensor, "constrained_als")
     d = f.ndim
+    if d < 2:
+        raise ValueError(f"constrained_als needs at least 2 modes, got {d}")
     dims = f.shape
     r = cfg.r
     if r > f.size:
@@ -511,7 +518,10 @@ def constrained_als(tensor, cfg: SolverConfig):
 
     unfolds = [np.moveaxis(f, k, 0).reshape(dims[k], -1) for k in range(d)]
     factors, lam = _init_factors(f, unfolds, cfg, flags)
+    # mus[k] = gram_mu(grams[k]), set with grams[k]; mu <= 1, so a cap of 1 never projects
     grams = [fk.conj().T @ fk for fk in factors]
+    mus = [gram_mu(g) for g in grams]
+    caps = cfg.coherence_caps or (1.0,) * d
     lam_reg = cfg.tychonoff_lambda
 
     def objective() -> float:
@@ -533,7 +543,8 @@ def constrained_als(tensor, cfg: SolverConfig):
                 uu, _, vv = np.linalg.svd(m, full_matrices=False)
                 factors[k] = uu @ vv
             else:
-                c = _mode_solve(unfolds[k], z, grams[:k] + grams[k + 1:], lam_reg)
+                c = _mode_solve(unfolds[k], z, grams[:k] + grams[k + 1:], lam_reg,
+                                mus[:k] + mus[k + 1:])
                 nrm = np.linalg.norm(c, axis=0)
                 dead = nrm <= 1e-300
                 if np.any(dead):
@@ -546,13 +557,13 @@ def constrained_als(tensor, cfg: SolverConfig):
                 lam = nrm.astype(np.complex128)
                 factors[k] = c / nrm
             grams[k] = factors[k].conj().T @ factors[k]
-            if cfg.coherence_caps is not None:
-                cap = cfg.coherence_caps[k]
-                if gram_mu(grams[k]) > cap:
-                    factors[k] = _project_coherence(factors[k], cap, flags)
-                    grams[k] = factors[k].conj().T @ factors[k]
+            mus[k] = gram_mu(grams[k])
+            if mus[k] > caps[k]:
+                factors[k] = _project_coherence(factors[k], caps[k], flags)
+                grams[k] = factors[k].conj().T @ factors[k]
+                mus[k] = gram_mu(grams[k])
         # global weight re-solve
-        lam = _solve_gram(grams, term_correlations(f, factors), flags, lam_reg)
+        lam = _solve_gram(grams, term_correlations(f, factors), flags, lam_reg, mus)
         loss_trace.append(objective())
         prev, cur = loss_trace[-2], loss_trace[-1]
         if abs(prev - cur) <= cfg.tol * max(1.0, prev):
@@ -572,17 +583,19 @@ def constrained_als(tensor, cfg: SolverConfig):
 
 
 def _mode_solve(unfold: np.ndarray, z: np.ndarray, other_grams: list,
-                reg: float = 0.0) -> np.ndarray:
+                reg: float = 0.0, mus: list | None = None) -> np.ndarray:
     """Mode update C minimizing ||X_k - C Z^T||^2 + reg ||C||^2.
 
     Z is the Khatri-Rao product of the other (unit-column) factors, so Z^H Z
     is the Hadamard product of their Grams.  A certified system (see
-    ``_certified``) solves (Z^H Z + reg I) C^T = (X_k Z-bar)^T, any other
-    runs ``lstsq`` on Z, which does not square the conditioning.
+    ``_certified``, which reads ``mus``, their coherences, when given)
+    solves (Z^H Z + reg I) C^T = (X_k Z-bar)^T, any other runs ``lstsq`` on
+    Z, which does not square the conditioning.
     """
-    if _certified(other_grams, reg):
-        return _solve_gram(other_grams, (unfold @ z.conj()).T, [], reg).T
-    return np.linalg.lstsq(z, unfold.T, rcond=None)[0].T
+    if not _certified(other_grams, reg, mus):
+        return np.linalg.lstsq(z, unfold.T, rcond=None)[0].T
+    gram = functools.reduce(np.multiply, other_grams)
+    return np.linalg.solve(gram + reg * np.eye(len(gram)), (unfold @ z.conj()).T).T
 
 
 def divergence_witness(phis, psis, ns):

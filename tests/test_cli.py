@@ -301,6 +301,7 @@ class TestDecomposeCommand:
                  "--ortho", "none"], "--caps, --tychonoff, --ortho, --max-iter"),
         ("woga", ["--caps", "0.5,0.5", "--tychonoff", "0", "--ortho", "per-mode"],
          "--caps, --tychonoff, --ortho"),
+        ("woga", ["--seed", "5"], "--seed"),
     ])
     def test_flags_the_method_does_not_read_exit_2(self, tmp_path, capsys, method,
                                                     flags, named):
@@ -314,6 +315,23 @@ class TestDecomposeCommand:
                         *extra, *flags, "--out", str(out)]) == 2
         assert f"--method {method} does not read {named}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [[], ["--ortho", "per-mode"], ["--tychonoff", "0.1"]])
+    def test_als_on_one_mode_tensor_exits_2(self, tmp_path, capsys, flags):
+        p = tmp_path / "v.htns"
+        write_htns(p, np.array([1.0, 2.0j, -1.0]))
+        assert run_cli(["decompose", "--input", str(p), "--rank", "1", *flags]) == 2
+        assert "needs at least 2 modes, got 1" in capsys.readouterr().err
+
+    def test_woga_report_echoes_default_seed(self, tmp_path):
+        dict_path = tmp_path / "atoms.json"
+        dict_path.write_text('{"atoms": [[[1.0, 0.0], [1.0, 0.0]], [[0.0, 1.0], [0.0, 1.0]]]}')
+        p = tmp_path / "t.htns"
+        write_htns(p, np.ones((2, 2), dtype=complex))
+        out = tmp_path / "r.json"
+        assert run_cli(["decompose", "--input", str(p), "--rank", "1", "--method", "woga",
+                        "--dict", str(dict_path), "--out", str(out)]) in (0, 3)
+        assert load_report(out)["seed"] == 0
 
 
 class TestSimulateCommand:
@@ -626,6 +644,29 @@ class TestHtnsFuzz:
         capsys.readouterr()
         assert main([*command, str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    # a well-formed tensor of 1-3 modes of size 1-3 through every HTNS
+    # command and every ALS regime: a one-mode tensor and a cap on a mode of
+    # size 1 once escaped as a traceback or as LAPACK's parameter warning
+    @settings(deadline=None, max_examples=30,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(shape=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+           zero=st.booleans(), seed=st.integers(0, 2 ** 16), rank=st.integers(1, 3))
+    def test_valid_file_exits_0_2_or_3(self, fuzz_dir, capfd, shape, zero, seed, rank):
+        rng = np.random.default_rng(seed)
+        t = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        path = fuzz_dir / "valid.htns"
+        write_htns(path, np.zeros(shape, dtype=complex) if zero else t)
+        als = ["decompose", "--rank", str(rank), "--max-iter", "50", "--input", str(path)]
+        commands = [*([*command, str(path)] for command in HTNS_COMMANDS),
+                    [*als, "--caps", ",".join(["0.5"] * len(shape))],
+                    [*als, "--ortho", "per-mode"], [*als, "--ortho", "separable"],
+                    [*als, "--tychonoff", "0.1"]]
+        capfd.readouterr()
+        for command in commands:
+            assert main([*command, "--out", str(fuzz_dir / "r.json")]) in (0, 2, 3)
+        out, err = capfd.readouterr()
+        assert "LASCL" not in out + err
 
     @settings(deadline=None, max_examples=80,
               suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from cohcp.core import (
     CPModel,
     canonicalize,
+    coherent_pair,
     cp_evaluate,
     essentially_equal,
     evaluate_terms,
@@ -253,6 +254,20 @@ def test_evaluate_terms_agrees_with_einsum(d, r):
     got = evaluate_terms(w, factors)
     assert got.shape == want.shape == dims
     assert np.max(np.abs(got - want)) <= 1e-15 * np.sum(np.abs(w))
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 7])
+def test_coherent_pair_matches_fill_diagonal_argmax(r):
+    # reference: the first largest off-diagonal |G_pq| in C order, found
+    # with np.fill_diagonal and np.argmax; also on a transposed (F-order)
+    # Gram and on one whose off-diagonal entries all tie
+    rng = np.random.default_rng(r)
+    v = random_unit_columns(3, r, rng)
+    for gram in (v.conj().T @ v, (v.conj().T @ v).T, np.ones((r, r))):
+        g = np.abs(gram)
+        np.fill_diagonal(g, -1.0)
+        p, q = divmod(int(np.argmax(g)), r)
+        assert coherent_pair(gram) == (min(float(g[p, q]), 1.0), (p, q))
 
 
 def test_evaluate_terms_rejects_empty_factor_list():

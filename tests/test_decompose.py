@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cohcp.coherence import coherence
 from cohcp.conditions import coercivity_lower_bound, condition_report, temlyakov_condition
@@ -428,6 +430,103 @@ class TestConstrainedAls:
     def test_rejects_oversized_rank(self):
         with pytest.raises(ValueError):
             constrained_als(np.ones((2, 2)), SolverConfig(r=5))
+
+    # a one-mode tensor has no other mode to solve a mode update against
+    @pytest.mark.parametrize("regime", [{}, {"orthogonality": "per-mode"},
+                                        {"tychonoff_lambda": 0.1}])
+    def test_rejects_one_mode_tensor(self, regime):
+        with pytest.raises(ValueError, match="at least 2 modes, got 1"):
+            constrained_als(np.ones(3, dtype=complex), SolverConfig(r=1, **regime))
+
+
+def test_projection_on_mode_of_size_one_stays_finite_and_flags():
+    # every column of a size-1 mode is a phase: no cap below 1 is
+    # reachable, and the collinear fallback has no direction to split along
+    flags = []
+    v = decompose._project_coherence(np.array([[1, 1j, -1]]), 0.5, flags)
+    assert np.all(np.isfinite(v))
+    assert flags == ["coherence_projection_incomplete"]
+
+
+def gram_mu_spy(monkeypatch):
+    calls = []
+
+    def spy(gram):
+        calls.append(gram.shape)
+        return gram_mu(gram)
+
+    monkeypatch.setattr(decompose, "gram_mu", spy)
+    return calls
+
+
+class TestCoherenceState:
+    @pytest.mark.parametrize("regime", [
+        {"coherence_caps": (0.3, 0.5, 0.9)}, {}, {"tychonoff_lambda": 0.05},
+        {"orthogonality": "separable"}])
+    def test_gram_mu_once_per_gram(self, monkeypatch, regime):
+        # d at the start, one per mode update, one per projection, d for the
+        # report; the random start runs no greedy projections of its own
+        rng = np.random.default_rng(51)
+        f = rng.standard_normal((5, 4, 6)) + 1j * rng.standard_normal((5, 4, 6))
+        projections = []
+        project = decompose._project_coherence
+        monkeypatch.setattr(decompose, "_project_coherence",
+                            lambda *a: projections.append(1) or project(*a))
+        calls = gram_mu_spy(monkeypatch)
+        _, diag = constrained_als(f, SolverConfig(r=3, seed=4, init="random",
+                                                  max_iter=40, **regime))
+        if "coherence_caps" in regime:
+            assert projections
+        assert len(calls) <= 3 + 3 * diag.n_iter + len(projections) + 3
+
+    def test_mode_solve_reads_given_coherences_once(self, monkeypatch):
+        rng = np.random.default_rng(52)
+        factors = [random_unit_columns(n, 4, rng) for n in (20, 24, 30)]
+        unfold, z, grams = mode_problem(factors, 0, rng)
+        mus = [gram_mu(g) for g in grams]
+        ref = decompose._mode_solve(unfold, z, grams)
+        certified = []
+        check = decompose._certified
+        monkeypatch.setattr(decompose, "_certified",
+                            lambda *a: certified.append(1) or check(*a))
+        calls = gram_mu_spy(monkeypatch)
+        got = decompose._mode_solve(unfold, z, grams, 0.0, mus)
+        assert calls == [] and len(certified) == 1
+        assert got.tobytes() == ref.tobytes()
+
+
+def small_problem(data):
+    """A random complex tensor with 2-4 modes of size at most 5 and a rank
+    of at most 4 that it can hold."""
+    dims = tuple(data.draw(st.lists(st.integers(1, 5), min_size=2, max_size=4)))
+    r = data.draw(st.integers(1, min(4, math.prod(dims))))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    return rng.standard_normal(dims) + 1j * rng.standard_normal(dims), r
+
+
+class TestSolverInvariants:
+    @settings(deadline=None, max_examples=30)
+    @given(data=st.data())
+    def test_caps_hold_unless_flagged(self, data):
+        f, r = small_problem(data)
+        caps = tuple(data.draw(st.floats(0.05, 1.0)) for _ in f.shape)
+        init = data.draw(st.sampled_from(["greedy", "random"]))
+        _, diag = constrained_als(f, SolverConfig(r=r, coherence_caps=caps, init=init,
+                                                  max_iter=30))
+        if "coherence_projection_incomplete" not in diag.flags:
+            assert all(mu <= cap + 1e-12 for mu, cap in zip(diag.achieved_mus, caps))
+
+    @settings(deadline=None, max_examples=30)
+    @given(data=st.data())
+    def test_loss_trace_non_increasing(self, data):
+        f, r = small_problem(data)
+        reg = data.draw(st.sampled_from([0.0, 1e-3, 0.5]))
+        init = data.draw(st.sampled_from(["greedy", "random"]))
+        _, diag = constrained_als(f, SolverConfig(r=r, tychonoff_lambda=reg, init=init,
+                                                  max_iter=30))
+        # relative to ||f||^2, the scale at which the loss is rounded: an
+        # exact fit's loss moves at 1e-32 between sweeps
+        assert np.all(np.diff(diag.loss_trace) <= 1e-12 * frobenius(f) ** 2)
 
 
 def planted_rank6(n, seed):
