@@ -29,7 +29,8 @@ from cohcp.core import (
 from cohcp.decompose import SolverConfig, _init_factors, _mode_solve
 from cohcp.htns import dump_htns, parse_htns
 from cohcp.norms import NormConfig, _exact_fit, nuclear_norm_bounds
-from cohcp.simulate import ArrayScene, _refine_direction, doa_estimate, steering_vectors
+from cohcp.simulate import _refine_direction, doa_estimate, steering_vectors
+from perfbench.workloads import array_scene
 
 
 def _complex(rng, shape):
@@ -138,46 +139,29 @@ def test_exact_fit_3_r5(benchmark):
     benchmark(fit)
 
 
-WAVELENGTH = 0.3
-
-
-def _array_scene():
-    # 17 sensors: a 4x4 grid at 0.45 wavelength plus one elevated sensor
-    s = 0.45 * WAVELENGTH
-    b = [[i * s, j * s, 0.0] for i in range(4) for j in range(4)]
-    b.append([s, s, 0.4 * WAVELENGTH])
-    t = 0.3 * WAVELENGTH
-    delta = [[0, 0, 0], [t, 0, 0], [0, t, 0], [t, t, 0.25 * WAVELENGTH]]
-    return ArrayScene(b=np.array(b), delta=np.array(delta),
-                      pulsation=2.0 * math.pi * 3.0e8 / WAVELENGTH, celerity=3.0e8)
-
-
-def _noisy_steering(scene):
-    h = 1.0 / 0.9 / 2.0
-    uz = math.sqrt(1.0 - 2.0 * h * h)
-    dirs = np.array([[-h, -h, uz], [h, -h, uz], [-h, h, uz], [h, h, uz]])
+def _noisy_steering():
+    # the blind_id scene and directions, steering columns at 1% noise
+    scene, dirs = array_scene()
     u, _ = steering_vectors(scene, dirs)
-    return u + 0.01 * _complex(np.random.default_rng(6), u.shape), dirs
+    return scene, u + 0.01 * _complex(np.random.default_rng(6), u.shape), dirs
 
 
 @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
 def test_doa_estimate_17_sensors_1deg(benchmark, warm):
-    scene = _array_scene()
-    u, _ = _noisy_steering(scene)
+    scene, u, _ = _noisy_steering()
     if warm:
         doa_estimate(u, scene, grid_resolution_deg=1.0)
         ests = benchmark(doa_estimate, u, scene, grid_resolution_deg=1.0)
     else:
         # a new scene per round, so every call builds its grid
         ests = benchmark.pedantic(
-            doa_estimate, setup=lambda: ((u, _array_scene()), {"grid_resolution_deg": 1.0}),
+            doa_estimate, setup=lambda: ((u, array_scene()[0]), {"grid_resolution_deg": 1.0}),
             rounds=10)
     assert len(ests) == 4
 
 
 def test_refine_direction_one_column(benchmark):
-    scene = _array_scene()
-    u, dirs = _noisy_steering(scene)
+    scene, u, dirs = _noisy_steering()
     col = u[:, 0] / np.linalg.norm(u[:, 0])
     start = dirs[0] + np.array([0.01, -0.01, 0.0])
     d, _ = benchmark(_refine_direction, scene, col, start, math.radians(1.0))

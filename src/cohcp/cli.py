@@ -118,6 +118,19 @@ def _numbers(value, what: str) -> np.ndarray:
         raise ValidationError(f"{what} must hold only numbers in equal-length lists") from None
 
 
+def _complex(value, what: str, ndim: int) -> np.ndarray:
+    """A JSON vector (``ndim`` 1) or matrix (``ndim`` 2) of numbers or
+    [re, im] pairs as a complex array; any other shape is a validation
+    error that names ``what``."""
+    arr = _numbers(value, what)
+    if arr.ndim == ndim + 1 and arr.shape[-1] == 2:
+        return arr[..., 0] + 1j * arr[..., 1]
+    if arr.ndim == ndim:
+        return arr.astype(np.complex128)
+    raise ValidationError(f"{what}: expected a {('vector', 'matrix')[ndim - 1]} "
+                          "of numbers or [re, im] pairs")
+
+
 def _model_payload(model) -> dict:
     return {
         "r": model.rank,
@@ -234,19 +247,8 @@ def _load_dictionary(path: str) -> Dictionary:
         raise ValidationError("dictionary JSON must contain an 'atoms' list")
     if not (isinstance(doc["atoms"], list) and all(isinstance(a, list) for a in doc["atoms"])):
         raise ValidationError("dictionary field 'atoms' must be a list of lists of vectors")
-    atoms = []
-    for atom in doc["atoms"]:
-        vecs = []
-        for vec in atom:
-            arr = _numbers(vec, "dictionary atom vectors")
-            if arr.ndim == 2 and arr.shape[1] == 2:
-                vecs.append(arr[:, 0] + 1j * arr[:, 1])
-            elif arr.ndim == 1:
-                vecs.append(arr.astype(np.complex128))
-            else:
-                raise ValidationError("atom vectors must be numbers or [re, im] pairs")
-        atoms.append(tuple(vecs))
-    return Dictionary(atoms)
+    return Dictionary([tuple(_complex(vec, "dictionary atom vectors", 1) for vec in atom)
+                       for atom in doc["atoms"]])
 
 
 # decompose flags that only some methods read: flag -> (dest, default, methods).
@@ -310,7 +312,7 @@ def _cmd_decompose(args) -> int:
         out["conditions"] = condition_report(mus, model.rank or 1)
         if not res.converged:
             exit_code = EXIT_NOT_CONVERGED
-    elif args.method == "woga":
+    else:  # woga
         if not args.dictionary:
             raise ValidationError("woga needs --dict with a dictionary JSON file")
         dictionary = _load_dictionary(args.dictionary)
@@ -325,8 +327,6 @@ def _cmd_decompose(args) -> int:
             max(args.rank, 1), dictionary.mu, args.t) if dictionary.mu < 1 else False
         if not res.converged:
             exit_code = EXIT_NOT_CONVERGED
-    else:
-        raise ValidationError(f"unknown method {args.method!r}")
     _emit(out, args.out)
     return exit_code
 
@@ -367,13 +367,7 @@ def _scene_array(doc, key: str) -> np.ndarray:
 
 
 def _scene_matrix(doc, key: str) -> np.ndarray:
-    arr = _scene_array(doc, key)
-    if arr.ndim == 3 and arr.shape[2] == 2:
-        return arr[..., 0] + 1j * arr[..., 1]
-    if arr.ndim == 2:
-        return arr.astype(np.complex128)
-    raise ValidationError(f"scene field {key!r}: expected a matrix of numbers or "
-                          "[re, im] pairs")
+    return _complex(_scene_array(doc, key), f"scene field {key!r}", 2)
 
 
 def _scene_number(doc, key: str) -> float:
@@ -415,15 +409,13 @@ def _cmd_simulate(args) -> int:
                                     _scene_matrix(doc, "impulse"))
         scene = CdmaScene(gains=gains, symbols=symbols, codes=codes)
         tensor, truth = simulate_cdma(scene, args.noise_std, args.seed)
-    elif args.kind == "fluorescence":
+    else:  # fluorescence
         tensor, truth, likeness = simulate_fluorescence(
             _scene_array(doc, "concentrations"),
             _scene_array(doc, "excitation"),
             _scene_array(doc, "emission"),
             args.noise_std, args.seed)
         out["likeness"] = likeness
-    else:
-        raise ValidationError(f"unknown simulation kind {args.kind!r}")
     mus = [gram_mu(fk.conj().T @ fk) for fk in truth.factors]
     out["dims"] = list(tensor.shape)
     out["truth_coherences"] = mus

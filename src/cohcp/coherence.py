@@ -13,7 +13,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import coherent_pair
+from .core import coherent_pair, finite_tensor
 
 NORM_TOL = 1e-9
 KRANK_BUDGET = 14
@@ -34,7 +34,7 @@ class CoherenceReport:
 
 
 def _check_unit_columns(vectors) -> np.ndarray:
-    v = np.asarray(vectors, dtype=np.complex128)
+    v = finite_tensor(vectors, "factor set")
     if v.ndim != 2 or v.shape[0] < 1 or v.shape[1] < 1:
         raise ValueError("factor set must be a nonempty n x r matrix")
     norms = np.linalg.norm(v, axis=0)

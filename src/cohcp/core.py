@@ -367,6 +367,7 @@ def essentially_equal(m1: CPModel, m2: CPModel, tol: float) -> bool:
     scalings e^{i theta_kp} with sum_k theta_kp = 0 mod 2pi, each mode
     within tol.
     """
+    check_tol(tol)
     if not isinstance(m1, CPModel) or not isinstance(m2, CPModel):
         raise ValueError("essentially_equal expects canonical CPModel inputs")
     if m1.dims != m2.dims:

@@ -55,9 +55,7 @@ class Dictionary:
                 raise ValueError("all atoms must have the same number of modes")
             vecs = []
             for k, v in enumerate(atom):
-                v = np.asarray(v, dtype=np.complex128)
-                if not np.all(np.isfinite(v)):
-                    raise ValueError(f"atom {i}, mode {k}: non-finite entry")
+                v = finite_tensor(v, f"atom {i}, mode {k}")
                 nrm = np.linalg.norm(v)
                 if v.ndim != 1 or nrm == 0.0:
                     raise ValueError("atom factors must be nonzero vectors")
@@ -138,6 +136,8 @@ def woga(tensor, dictionary: Dictionary, t: float = 1.0,
     Per iteration: select the first atom g_m whose correlation with the
     current residual reaches t times the maximum; orthogonally project the
     original f onto span(g_1, .., g_m) by solving the Gram system; deflate.
+    No atom is selected twice: when no unselected atom correlates with the
+    residual, the run stops and flags ``residual_orthogonal_to_dictionary``.
     Stops when the residual norm drops to ``tol`` or after ``max_iter``
     iterations (default: dictionary size).  Non-finite entries raise
     ``ValueError``.
@@ -163,11 +163,8 @@ def woga(tensor, dictionary: Dictionary, t: float = 1.0,
     m = 0
     while not converged and m < max_iter:
         # residual correlations without materializing the residual
-        if selected:
-            res_corr = b_all - dictionary.gram[:, selected] @ coeffs
-        else:
-            res_corr = b_all
-        scores = np.abs(res_corr)
+        scores = np.abs(b_all - dictionary.gram[:, selected] @ coeffs)
+        scores[selected] = 0.0
         threshold = t * float(np.max(scores))
         if threshold <= 0.0:
             flags.append("residual_orthogonal_to_dictionary")
@@ -228,8 +225,7 @@ def oga_continuous(tensor, r: int, restarts: int = 32, tol: float = 1e-12,
     for m in range(r):
         if residuals[-1] <= tol:
             break
-        weight, factors = best_rank1(residual, restarts=restarts,
-                                     seed=seed + m)
+        _, factors = best_rank1(residual, restarts=restarts, seed=seed + m)
         atoms.append(factors)
         stacks = stack_terms(atoms, f.shape)
         coeffs = _solve_gram([term_gram(stacks)], term_correlations(f, stacks), flags)
@@ -376,7 +372,6 @@ def _project_coherence(v: np.ndarray, cap: float, flags: list) -> np.ndarray:
         ip = np.vdot(u, w)
         phase = ip / abs(ip)
         w_al = w * phase.conjugate()  # now the pair inner product is real positive
-        c = min(float(np.real(np.vdot(u, w_al))), 1.0 - 1e-15)
         # the pair spans a real plane; rotate both away from the bisector
         # until the angle matches the cap
         half_target = math.acos(max(min(cap, 1.0), -1.0)) / 2.0
@@ -453,19 +448,17 @@ def _init_factors(f, unfolds, cfg, flags):
             flags.append("greedy_init_failed_fallback_random")
         else:
             r0 = len(weights)
-            if r0 == r:
-                return [np.array(fac) for fac in factors], \
-                    weights.astype(np.complex128)
-            if 0 < r0 < r:
-                # pad the greedy warm start with fresh random components
-                facs = [np.hstack([np.array(fac), random_unit_columns(n, r - r0, rng)])
+            if r0 > 0:
+                if r0 < r:
+                    flags.append("greedy_init_padded")
+                # pad the greedy warm start with r - r0 fresh random components
+                facs = [np.hstack([fac, random_unit_columns(n, r - r0, rng)])
                         for fac, n in zip(factors, f.shape)]
                 lam = np.concatenate([
                     weights.astype(np.complex128),
                     np.full(r - r0, 1e-3 * max(weights[0], 1e-12),
                             dtype=np.complex128),
                 ])
-                flags.append("greedy_init_padded")
                 return facs, lam
             flags.append("greedy_init_degenerate_fallback_random")
     return [random_unit_columns(n, r, rng) for n in f.shape], \
@@ -507,14 +500,12 @@ def constrained_als(tensor, cfg: SolverConfig):
             raise ValueError("need one coherence cap per mode")
         if not existence_condition(cfg.coherence_caps, r):
             flags.append("existence_condition_violated_by_caps")
-    ortho_mode = None
-    if cfg.orthogonality == ORTHO_PER_MODE:
-        if r > min(dims):
-            raise ValueError("per-mode orthogonality needs r <= min(n_k)")
-    elif cfg.orthogonality == ORTHO_SEPARABLE:
-        ortho_mode = int(np.argmax(dims))
-        if r > dims[ortho_mode]:
-            raise ValueError("separable orthogonality needs r <= max(n_k)")
+    # the modes updated by Procrustes: none, every mode, or the largest mode
+    procrustes = {ORTHO_NONE: (), ORTHO_PER_MODE: tuple(range(d)),
+                  ORTHO_SEPARABLE: (int(np.argmax(dims)),)}[cfg.orthogonality]
+    if any(r > dims[k] for k in procrustes):
+        raise ValueError(f"{cfg.orthogonality} orthogonality needs r <= n_k on "
+                         f"modes {list(procrustes)}, got r = {r} for dims {dims}")
 
     unfolds = [np.moveaxis(f, k, 0).reshape(dims[k], -1) for k in range(d)]
     factors, lam = _init_factors(f, unfolds, cfg, flags)
@@ -536,8 +527,7 @@ def constrained_als(tensor, cfg: SolverConfig):
     for it in range(1, cfg.max_iter + 1):
         for k in range(d):
             z = khatri_rao_but(factors, k)
-            if cfg.orthogonality != ORTHO_NONE and (
-                    cfg.orthogonality == ORTHO_PER_MODE or k == ortho_mode):
+            if k in procrustes:
                 # Procrustes: min ||X_k - Q diag(lam) Z^T|| over unitary-column Q
                 m = unfolds[k] @ z.conj() @ np.diag(lam.conj())
                 uu, _, vv = np.linalg.svd(m, full_matrices=False)

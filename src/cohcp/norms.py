@@ -88,18 +88,6 @@ def spectral_norm(tensor, restarts: int = 64, seed: int = 0) -> NormCertificate:
     return NormCertificate(spectral=value, spectral_witness=witness)
 
 
-def _vector_terms(v: np.ndarray) -> list:
-    """l1 decomposition of a vector into weighted unit basis vectors."""
-    terms = []
-    for i, x in enumerate(v):
-        a = abs(x)
-        if a > 0.0:
-            e = np.zeros(v.shape[0], dtype=np.complex128)
-            e[i] = x / a
-            terms.append((a, [e]))
-    return terms
-
-
 def _matrix_terms(m: np.ndarray) -> list:
     """Exact SVD decomposition of a matrix; sum of weights = nuclear norm."""
     u, s, vh = np.linalg.svd(m, full_matrices=False)
@@ -117,10 +105,12 @@ def _slice_terms(t: np.ndarray) -> list:
 
     Any exact decomposition certifies a nuclear-norm upper bound; slicing
     one mode into basis vectors and decomposing each slice exactly is a
-    cheap closed-form choice (exact SVD at the matrix level).
+    cheap closed-form choice (exact SVD at the matrix level).  A nonzero
+    vector is one term, its norm times its direction.
     """
     if t.ndim == 1:
-        return _vector_terms(t)
+        nrm = frobenius(t)
+        return [(nrm, [t / nrm])]
     if t.ndim == 2:
         return _matrix_terms(t)
     best = None
@@ -240,7 +230,7 @@ def nuclear_norm_bounds(tensor, cfg: NormConfig | None = None) -> NormCertificat
 
     lower = max(sigma, tnorm * tnorm / sigma)
     if t.ndim == 2:
-        u, s, vh = np.linalg.svd(t, full_matrices=False)
+        u, _, vh = np.linalg.svd(t, full_matrices=False)
         polar = u @ vh
         lower = max(lower, abs(inner_product(t, polar)))
 

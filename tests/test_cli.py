@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from cohcp import cli
 from cohcp.cli import main, render_report
 from cohcp.core import cp_evaluate, frobenius, rank1_outer, random_unit_columns
+from cohcp.decompose import random_incoherent_dictionary
 from cohcp.htns import dump_htns, read_htns, write_htns
 from cohcp.norms import mat_mult_tensor
 
@@ -142,6 +143,16 @@ class TestNormsCommand:
     def test_missing_input(self):
         assert run_cli(["norms"]) == 2
 
+    def test_vector_input_certified(self, tmp_path):
+        # exited 3 with the l1 bracket [5, 7]
+        p = tmp_path / "v.htns"
+        write_htns(p, np.array([3.0, 4.0]))
+        out = tmp_path / "r.json"
+        assert run_cli(["norms", "--input", str(p), "--out", str(out)]) == 0
+        doc = load_report(out)
+        assert doc["nuclear_upper"] == pytest.approx(5.0, rel=1e-12)
+        assert doc["certified"] is True
+
     def test_nonfinite_input_rejected_at_read(self, tmp_path, capsys):
         t = np.ones((2, 2, 2), dtype=complex)
         t[1, 0, 1] = np.nan
@@ -233,6 +244,22 @@ class TestDecomposeCommand:
         doc = load_report(out)
         assert doc["selected"][0] == 3
         assert doc["converged"] is True
+
+    def test_woga_out_of_span_stops_after_every_atom(self, tmp_path):
+        # with the default --max-iter 2000 this ran for hours, reselecting
+        # atoms once every correlation was at rounding level
+        d = random_incoherent_dictionary((4, 4, 4), 30, mu_max=0.09, seed=5)
+        dict_path = tmp_path / "atoms.json"
+        dict_path.write_text(json.dumps({"atoms": [
+            [[[float(x.real), float(x.imag)] for x in v] for v in atom] for atom in d.atoms]}))
+        p = tmp_path / "t.htns"
+        write_htns(p, np.random.default_rng(7).standard_normal((4, 4, 4)))
+        out = tmp_path / "r.json"
+        assert run_cli(["decompose", "--input", str(p), "--rank", "1", "--method", "woga",
+                        "--dict", str(dict_path), "--out", str(out)]) == 3
+        doc = load_report(out)
+        assert sorted(doc["selected"]) == list(range(30))
+        assert doc["flags"] == ["residual_orthogonal_to_dictionary"]
 
     def test_woga_rejects_max_iter_below_one(self, tmp_path, capsys):
         # exited 3 with no selection instead of naming the setting
@@ -381,6 +408,18 @@ class TestSimulateCommand:
         assert code == 2
         assert f"missing field '{field}'" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("noise_std", ["nan", "inf", "-0.5"])
+    def test_bad_noise_std_exits_2(self, tmp_path, capsys, noise_std):
+        # NaN exited 0 and wrote a tensor file that read_htns rejects
+        scene_path = tmp_path / "scene.json"
+        scene_path.write_text(json.dumps(self.scene_doc()))
+        tensor_path = tmp_path / "t.htns"
+        code = run_cli(["simulate", "--kind", "array", "--scene", str(scene_path),
+                        "--noise-std", noise_std, "--out-tensor", str(tensor_path)])
+        assert code == 2
+        assert "noise_std must be finite and >= 0" in capsys.readouterr().err
+        assert not tensor_path.exists()
 
     def test_non_object_scene_exits_2(self, tmp_path):
         scene_path = tmp_path / "scene.json"

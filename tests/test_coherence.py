@@ -43,6 +43,13 @@ class TestCoherence:
         with pytest.raises(ValueError):
             coherence(np.array([[2.0, 0.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("check", [coherence, kruskal_rank_bruteforce, spark_bruteforce])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry_named(self, check, bad):
+        # |norm - 1| > tol is false for a NaN norm
+        with pytest.raises(ValueError, match=r"factor set: non-finite entry at index \(0, 0\)"):
+            check(np.array([[bad, 1.0], [1.0, 0.0]]))
+
     def test_matches_direct_gram_scan(self):
         rng = np.random.default_rng(0)
         v = random_unit_columns(5, 6, rng)

@@ -388,6 +388,15 @@ class TestEssentiallyEqual:
         assert not essentially_equal(m1, m2, 0.1)
         assert essentially_equal(m1, m2, 0.6)
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-9])
+    def test_bad_tol_rejected(self, tol):
+        # every "> tol" comparison is false for NaN, so two different models
+        # compared equal
+        rng = np.random.default_rng(24)
+        m1, m2 = random_model(rng), random_model(rng)
+        with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+            essentially_equal(m1, m2, tol)
+
     def test_dims_mismatch_raises(self):
         rng = np.random.default_rng(23)
         m1 = random_model(rng, dims=(3, 3, 3))

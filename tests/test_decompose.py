@@ -163,6 +163,29 @@ class TestWoga:
         with pytest.raises(ValueError, match="max_iter must be >= 1, got 0"):
             woga(np.ones((3, 3, 3)), d, max_iter=0)
 
+    def test_out_of_span_selects_each_atom_once(self):
+        # once every residual correlation is at rounding level, woga used to
+        # reselect atoms, each time with a larger singular Gram
+        d = random_incoherent_dictionary((4, 4, 4), 30, mu_max=0.09, seed=5)
+        f = np.random.default_rng(7).standard_normal((4, 4, 4))
+        res = woga(f, d, max_iter=200)
+        assert sorted(res.selected) == list(range(len(d)))
+        assert res.flags == ["residual_orthogonal_to_dictionary"]
+        assert not res.converged
+        assert len(res.residuals) == len(d) + 1
+
+    def test_residual_orthogonal_to_dictionary_flagged(self):
+        # every atom is e_0 in mode 0, and f vanishes on that slice
+        rng = np.random.default_rng(11)
+        e0, e1 = np.eye(3)[:2]
+        d = Dictionary([(e0, rng.standard_normal(3), rng.standard_normal(3))
+                        for _ in range(4)])
+        f = rank1_outer([e1, np.ones(3), np.ones(3)])
+        res = woga(f, d)
+        assert res.selected == []
+        assert res.flags == ["residual_orthogonal_to_dictionary"]
+        assert res.residuals == [frobenius(f)] and not res.converged
+
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_non_finite_rejected(self, bad):
         d = random_incoherent_dictionary((3, 3, 3), 5, mu_max=0.5, seed=1)
@@ -426,6 +449,38 @@ class TestConstrainedAls:
     def test_zero_tensor_greedy_start_degenerate(self):
         _, diag = constrained_als(np.zeros((3, 3, 3)), SolverConfig(r=2))
         assert diag.flags[0] == "greedy_init_degenerate_fallback_random"
+
+    def test_greedy_start_padded_below_target_rank(self):
+        # the greedy start stops after the one term of an exact rank-1 tensor
+        rng = np.random.default_rng(12)
+        f = rank1_outer([rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                         for n in (4, 5, 3)])
+        flags = []
+        unfolds = [np.moveaxis(f, k, 0).reshape(f.shape[k], -1) for k in range(3)]
+        factors, lam = decompose._init_factors(f, unfolds, SolverConfig(r=2), flags)
+        assert flags == ["greedy_init_padded"]
+        assert [fk.shape for fk in factors] == [(4, 2), (5, 2), (3, 2)]
+        assert abs(lam[1]) == pytest.approx(1e-3 * abs(lam[0]))
+        _, diag = constrained_als(f, SolverConfig(r=2))
+        assert diag.flags[0] == "greedy_init_padded"
+
+    def test_greedy_start_failure_falls_back_to_random(self, monkeypatch):
+        def fail(*args):
+            raise ValueError("no greedy start")
+
+        f = np.random.default_rng(13).standard_normal((3, 4, 5))
+        monkeypatch.setattr(decompose, "_greedy_start", fail)
+        model, diag = constrained_als(f, SolverConfig(r=2, max_iter=5))
+        assert diag.flags[0] == "greedy_init_failed_fallback_random"
+        random_model, _ = constrained_als(f, SolverConfig(r=2, max_iter=5, init="random"))
+        assert np.array_equal(model.weights, random_model.weights)
+
+    @pytest.mark.parametrize("regime, dims, modes", [
+        ("per-mode", (2, 4, 4), r"\[0, 1, 2\]"), ("separable", (2, 3, 2), r"\[1\]")])
+    def test_orthogonality_rank_beyond_mode_rejected(self, regime, dims, modes):
+        with pytest.raises(ValueError,
+                           match=rf"{regime} orthogonality needs r <= n_k on modes {modes}"):
+            constrained_als(np.ones(dims), SolverConfig(r=4, orthogonality=regime))
 
     def test_rejects_oversized_rank(self):
         with pytest.raises(ValueError):

@@ -223,6 +223,15 @@ class TestNuclearBounds:
         assert abs(cert.nuclear_upper - 5.0) < 1e-6
         assert cert.certified
 
+    def test_vector_nuclear_norm_is_its_length(self):
+        # an order-1 tensor is one term: its nuclear norm is its l2 norm,
+        # not the l1 norm of its entries
+        cert = nuclear_norm_bounds(np.array([3.0, 4.0]))
+        assert cert.nuclear_lower == pytest.approx(5.0, rel=1e-12)
+        assert cert.nuclear_upper == pytest.approx(5.0, rel=1e-12)
+        assert cert.certified
+        assert np.allclose(cert.upper_witness.factors[0][:, 0], [0.6, 0.8])
+
     def test_rank1_multiplicativity(self):
         rng = np.random.default_rng(7)
         vecs = [v * s for v, s in zip(

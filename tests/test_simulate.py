@@ -201,6 +201,22 @@ class TestSimulateArray:
         assert np.array_equal(t1, t2)
 
 
+@pytest.mark.parametrize("noise_std", [np.nan, np.inf, -0.1])
+@pytest.mark.parametrize("kind", ["array", "cdma", "fluorescence"])
+def test_bad_noise_std_named(kind, noise_std):
+    # NaN and inf gave a NaN tensor, a negative std numpy's bare "scale < 0"
+    rng = np.random.default_rng(13)
+    x, y, z = (rng.random((3, 2)) for _ in range(3))
+    paths = TestSimulateArray().paths(rng, r=1, n3=4)
+    with pytest.raises(ValueError, match="noise_std must be finite and >= 0"):
+        if kind == "array":
+            simulate_array(cross_scene(), paths, noise_std)
+        elif kind == "cdma":
+            simulate_cdma(CdmaScene(gains=x, symbols=y, codes=z), noise_std)
+        else:
+            simulate_fluorescence(x, y, z, noise_std)
+
+
 class TestResolvent:
     def test_quarter_wave_pair(self):
         pts = np.array([[0, 0, 0], [WAVELENGTH / 4, 0, 0]])
