@@ -29,8 +29,14 @@ from cohcp.core import (
 from cohcp.decompose import SolverConfig, _init_factors, _mode_solve
 from cohcp.htns import dump_htns, parse_htns
 from cohcp.norms import NormConfig, _exact_fit, nuclear_norm_bounds
-from cohcp.simulate import _refine_direction, doa_estimate, steering_vectors
-from perfbench.workloads import array_scene
+from cohcp.simulate import (
+    PathSet,
+    _refine_direction,
+    doa_estimate,
+    simulate_array,
+    steering_vectors,
+)
+from perfbench.workloads import array_scene, correlated_signals
 
 
 def _complex(rng, shape):
@@ -52,6 +58,21 @@ def test_certified_mode_solve_60_r6(benchmark):
     grams = [fj.conj().T @ fj for fj in factors[1:]]
     c = benchmark(_mode_solve, unfold, z, grams)
     assert c.shape == (60, r)
+
+
+def test_first_mode_solve_17x4x48_r4(benchmark):
+    # the first-mode update of blind identification at the true factors:
+    # signal coherence 0.8 fails the worst-pair margin, the Gershgorin rows hold
+    scene, dirs = array_scene()
+    u, v = steering_vectors(scene, dirs)
+    sig = correlated_signals(np.random.default_rng(14), 48, 1.0)
+    t, _ = simulate_array(scene, PathSet(directions=dirs, signals=sig), 0.01, seed=14)
+    s = sig / np.linalg.norm(sig, axis=0)
+    unfold = t.reshape(17, -1)
+    z = khatri_rao_but([u, v, s], 0)
+    c = benchmark(_mode_solve, unfold, z, [v.conj().T @ v, s.conj().T @ s])
+    ref = np.linalg.lstsq(z, unfold.T, rcond=None)[0].T
+    assert np.linalg.norm(c - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
 def _planted_rank6(n):

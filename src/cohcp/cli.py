@@ -475,6 +475,17 @@ def _cmd_demo_recovery(args) -> int:
 # ---------------------------------------------------------------- parser
 
 
+def _seed(text: str) -> int:
+    """argparse type of ``--seed``: numpy's generators take no negative seed."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {seed}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="cohcp",
@@ -505,7 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--tol", type=float, default=1e-3)
     c.add_argument("--size-cap", type=int, default=256)
     c.add_argument("--no-search", action="store_true")
-    c.add_argument("--seed", type=int, default=0)
+    c.add_argument("--seed", type=_seed, default=0)
     c.add_argument("--out")
     c.set_defaults(func=_cmd_norms)
 
@@ -521,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--t", type=float, help="weakness parameter (woga)")
     c.add_argument("--max-iter", type=int, help="iteration cap (als, woga)")
     c.add_argument("--tol", type=float, default=1e-10)
-    c.add_argument("--seed", type=int, help="random seed (als, oga)")
+    c.add_argument("--seed", type=_seed, help="random seed (als, oga)")
     c.add_argument("--out")
     c.set_defaults(func=_cmd_decompose)
 
@@ -529,7 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--kind", choices=["array", "cdma", "fluorescence"], required=True)
     c.add_argument("--scene", required=True, help="scene description JSON")
     c.add_argument("--noise-std", type=float, default=0.0)
-    c.add_argument("--seed", type=int, default=0)
+    c.add_argument("--seed", type=_seed, default=0)
     c.add_argument("--out-tensor", help="write the observation tensor (HTNS1)")
     c.add_argument("--out")
     c.set_defaults(func=_cmd_simulate)
@@ -540,7 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(func=_cmd_demo_nonexistence)
 
     c = sub.add_parser("demo-recovery", help="exact greedy recovery demo")
-    c.add_argument("--seed", type=int, default=0)
+    c.add_argument("--seed", type=_seed, default=0)
     c.add_argument("--out")
     c.set_defaults(func=_cmd_demo_recovery)
     return p

@@ -89,7 +89,8 @@ class GreedyResult:
 
     ``residuals[m]`` is the residual norm after m iterations
     (``residuals[0] = ||f||``); the sequence is non-increasing because the
-    projection spaces are nested.
+    projection spaces are nested (``woga`` undoes a selection that does not
+    lower it, which only rounding can cause).
     """
 
     selected: list
@@ -104,11 +105,26 @@ CERTIFIED_MARGIN = 0.25  # certifies a condition number of at most 7
 
 def _certified(grams: list, reg: float, mus: list | None = None) -> bool:
     """Whether (G + reg I) x = b, G the Hadamard product of the unit-diagonal
-    ``grams``, has a ridge or a margin 1-(r-1) prod_k mu_k >= CERTIFIED_MARGIN
-    (the coercivity bound: by Gershgorin, at most the least eigenvalue of G),
-    with the coherences ``mus`` of ``grams`` when the caller holds them."""
+    ``grams``, has a ridge or a Gershgorin margin of at least
+    CERTIFIED_MARGIN, a lower bound on the least eigenvalue of G.
+
+    The paper's coercivity margin 1-(r-1) prod_k mu_k is tried first, free
+    from the coherences ``mus`` of ``grams`` when the caller holds them.
+    Only if it fails is G formed for its row margin (``_row_margin``), which
+    is never below the paper's, since |G_pq| <= prod_k mu_k, and certifies
+    correlated sources whose worst pair alone fails it.  Either margin of
+    1/4 bounds the largest eigenvalue by 7/4, so the condition number by 7."""
     return reg > 0 or (1.0 - (len(grams[0]) - 1) * math.prod(
-        map(gram_mu, grams) if mus is None else mus) >= CERTIFIED_MARGIN)
+        map(gram_mu, grams) if mus is None else mus) >= CERTIFIED_MARGIN) or (
+        _row_margin(functools.reduce(np.multiply, grams)) >= CERTIFIED_MARGIN)
+
+
+def _row_margin(gram: np.ndarray) -> float:
+    """min_p (Re G_pp - sum_{q != p} |G_pq|), by Gershgorin at most the least
+    eigenvalue of the Hermitian ``gram``: one minus the cumulative coherence
+    of Tropp, "Greed is good" (IEEE Trans. Inf. Theory 50(10), 2004)."""
+    a = np.abs(gram)
+    return float(np.min(gram.diagonal().real + a.diagonal() - a.sum(axis=1)))
 
 
 def _solve_gram(grams: list, rhs: np.ndarray, flags: list, reg: float = 0.0,
@@ -137,7 +153,9 @@ def woga(tensor, dictionary: Dictionary, t: float = 1.0,
     current residual reaches t times the maximum; orthogonally project the
     original f onto span(g_1, .., g_m) by solving the Gram system; deflate.
     No atom is selected twice: when no unselected atom correlates with the
-    residual, the run stops and flags ``residual_orthogonal_to_dictionary``.
+    residual, or the projection would not lower the residual (the
+    correlations are rounding error), the run stops and flags
+    ``residual_orthogonal_to_dictionary``.
     Stops when the residual norm drops to ``tol`` or after ``max_iter``
     iterations (default: dictionary size).  Non-finite entries raise
     ``ValueError``.
@@ -170,14 +188,20 @@ def woga(tensor, dictionary: Dictionary, t: float = 1.0,
             flags.append("residual_orthogonal_to_dictionary")
             break
         pick = int(np.argmax(scores >= threshold))
-        selected.append(pick)
-        coeffs = _solve_gram([dictionary.gram[np.ix_(selected, selected)]],
-                             b_all[selected], flags)
+        trial = selected + [pick]
+        projection = _solve_gram([dictionary.gram[np.ix_(trial, trial)]],
+                                 b_all[trial], flags)
         # materialized residual: the Gram identity ||f||^2 - <h_m, f>
         # cancels catastrophically once the fit is nearly exact
-        stacks = [s[:, selected] for s in dictionary._stacks]
-        residuals.append(frobenius(f - evaluate_terms(coeffs, stacks)))
-        converged = residuals[-1] <= tol
+        stacks = [s[:, trial] for s in dictionary._stacks]
+        residual = frobenius(f - evaluate_terms(projection, stacks))
+        if residual >= residuals[-1]:
+            # the correlations were rounding error: the selection is undone
+            flags.append("residual_orthogonal_to_dictionary")
+            break
+        selected, coeffs = trial, projection
+        residuals.append(residual)
+        converged = residual <= tol
         m += 1
     return GreedyResult(selected=selected, coefficients=coeffs,
                         residuals=residuals, converged=converged, flags=flags)

@@ -12,6 +12,7 @@ machine precision.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -129,9 +130,23 @@ def _slice_terms(t: np.ndarray) -> list:
     return best[1]
 
 
-def _tail(m: np.ndarray, r: int) -> float:
-    """(sum_{i>r} sigma_i(m)^2)^{1/2}: the distance from m to rank <= r."""
-    return float(np.linalg.norm(np.linalg.svd(m, compute_uv=False)[r:]))
+@functools.lru_cache(maxsize=1)
+def _flattening_spectra(dtype: str, shape: tuple, data: bytes) -> tuple:
+    """(sigma, m, c) for each flattening M of the tensor with these bytes:
+    its singular values, the rank m r that M(T') has at most for T' of rank
+    <= r, and ||M(E)||_F / ||E||_F.  Cached for the last tensor, so the
+    rank search of one tensor computes them once."""
+    t = np.frombuffer(data, dtype).reshape(shape)
+    spectra = []
+    for k, n in enumerate(shape):
+        unfold = np.moveaxis(t, k, 0)
+        spectra.append((np.linalg.svd(unfold.reshape(n, -1), compute_uv=False), 1, 1.0))
+        if n == 3:
+            a, b, c = (s.reshape(s.shape[0], -1) for s in unfold)
+            z = np.zeros_like(a)
+            koszul = np.block([[z, a, -b], [-a, z, c], [b, -c, z]])
+            spectra.append((np.linalg.svd(koszul, compute_uv=False), 2, math.sqrt(2.0)))
+    return tuple(spectra)
 
 
 def _rank_floor(t: np.ndarray, r: int) -> float:
@@ -147,16 +162,8 @@ def _rank_floor(t: np.ndarray, r: int) -> float:
       ||M(E)||_F = sqrt(2) ||E||_F, so
       ||T - T'||_F >= (sum_{i>2r} sigma_i(M(T))^2)^{1/2} / sqrt(2).
     """
-    floor = 0.0
-    for k, n in enumerate(t.shape):
-        unfold = np.moveaxis(t, k, 0)
-        floor = max(floor, _tail(unfold.reshape(n, -1), r))
-        if n == 3:
-            a, b, c = (s.reshape(s.shape[0], -1) for s in unfold)
-            z = np.zeros_like(a)
-            koszul = np.block([[z, a, -b], [-a, z, c], [b, -c, z]])
-            floor = max(floor, _tail(koszul, 2 * r) / math.sqrt(2.0))
-    return floor
+    spectra = _flattening_spectra(t.dtype.str, t.shape, t.tobytes())
+    return max(float(np.linalg.norm(s[m * r:])) / c for s, m, c in spectra)
 
 
 def _exact_fit(t: np.ndarray, r: int, rng) -> tuple | None:

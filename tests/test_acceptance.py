@@ -309,6 +309,28 @@ def test_criterion_09_blind_identification_round_trip():
            f"min separation {min_sep:.1f} deg; {elapsed:.1f}s")
 
 
+def test_criterion_09_mode_updates_certified(monkeypatch):
+    # guard, not a criterion: the correlated sources fail the worst-pair
+    # margin 1-(r-1) prod mu_k on the first mode, but its Gershgorin rows
+    # hold, so no mode update of the capped ALS falls back to lstsq
+    scene, dirs = _round_trip_scene()
+    norm_scale = 1.0 / math.sqrt(scene.b.shape[0] * scene.delta.shape[0])
+    calls = []
+    lstsq = np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(1) or lstsq(*a, **k))
+    for seed in range(10):
+        rng = np.random.default_rng(90_000 + seed)
+        paths = PathSet(directions=dirs, signals=_correlated_signals(rng, 48, norm_scale))
+        clean, _ = simulate_array(scene, paths, 0.0)
+        noise_std = frobenius(clean) / math.sqrt(clean.size) * 10 ** (-30 / 20)
+        noisy, _ = simulate_array(scene, paths, noise_std, seed=seed)
+        _, diag = constrained_als(
+            noisy, SolverConfig(r=4, coherence_caps=(0.2, 0.7, 0.9),
+                                seed=seed, max_iter=1500))
+        assert diag.n_iter > 1
+    assert calls == []
+
+
 def test_criterion_10_krank_oracle_check():
     rng = np.random.default_rng(10)
     t0 = time.perf_counter()

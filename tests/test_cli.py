@@ -601,6 +601,20 @@ class TestNoTraceback:
         assert main(args) == 2
         assert message in capsys.readouterr().err
 
+    # the flag is checked while parsing, before any input file is opened
+    @pytest.mark.parametrize("command", [
+        ["decompose", "--input", "t.htns", "--rank", "2"],
+        ["norms", "--fixture", "matmul:2"],
+        ["simulate", "--kind", "array", "--scene", "scene.json"],
+        ["demo-recovery"],
+    ])
+    @pytest.mark.parametrize("seed", ["-1", "-70000"])
+    def test_negative_seed_named(self, capsys, command, seed):
+        # numpy's own message named neither the flag nor the value
+        assert main([*command, "--seed", seed]) == 2
+        err = capsys.readouterr().err
+        assert f"argument --seed: must be a non-negative integer, got {seed}" in err
+
 
 # small JSON values: every integer and finite float within 64 in magnitude,
 # so that no generated shape or sample count allocates much memory

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -193,6 +194,40 @@ class TestWoga:
         t[1, 1, 1] = bad
         with pytest.raises(ValueError, match=r"woga: non-finite entry at index \(1, 1, 1\)"):
             woga(t, d)
+
+    def test_exact_recovery_at_tol_zero_stops_at_rounding(self):
+        # after the planted atoms every correlation is rounding error: the
+        # sixth selection raised the residual from 6.50e-16 to 6.71e-16, and
+        # the run went on to select all 40 atoms
+        d = random_incoherent_dictionary((4, 4, 4), 40, mu_max=0.09, seed=5)
+        idx = [0, 3, 7, 11, 19]
+        rng = np.random.default_rng(0)
+        f = planted_combination(d, idx, rng.standard_normal(5) + 1j * rng.standard_normal(5))
+        res = woga(f, d, tol=0.0)
+        assert sorted(res.selected) == idx
+        assert res.flags == ["residual_orthogonal_to_dictionary"]
+        assert len(res.residuals) == 6 and res.residuals[-1] <= 1e-14 * frobenius(f)
+        assert not res.converged
+        ref = woga(f, d, tol=0.0, max_iter=5)
+        assert ref.selected == res.selected and ref.residuals == res.residuals
+        assert ref.coefficients.tobytes() == res.coefficients.tobytes()
+
+    @settings(deadline=None, max_examples=40)
+    @given(n_atoms=st.integers(1, 20), in_span=st.integers(0, 5),
+           t=st.sampled_from([1.0, 0.7, 0.3]), tol=st.sampled_from([0.0, 1e-12]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_residuals_non_increasing_property(self, n_atoms, in_span, t, tol, seed):
+        rng = np.random.default_rng(seed)
+        d = Dictionary([tuple(rng.standard_normal(3) + 1j * rng.standard_normal(3)
+                              for _ in range(3)) for _ in range(n_atoms)])
+        if in_span:
+            idx = rng.choice(n_atoms, min(in_span, n_atoms), replace=False)
+            f = planted_combination(d, idx, rng.standard_normal(len(idx)) + 1j)
+        else:
+            f = rng.standard_normal((3, 3, 3)) + 1j * rng.standard_normal((3, 3, 3))
+        res = woga(f, d, t=t, tol=tol)
+        assert all(b <= a for a, b in zip(res.residuals, res.residuals[1:]))
+        assert len(set(res.selected)) == len(res.selected) == len(res.residuals) - 1
 
 
 class TestBestRank1:
@@ -820,6 +855,39 @@ class TestSolveGram:
         calls, _ = linalg_spy(monkeypatch, "cond")
         _, diag = constrained_als(f, SolverConfig(r=4, seed=0))
         assert calls == [] and diag.converged
+
+
+class TestRowCertificate:
+    def test_row_margin_certifies_a_coherent_pair(self, monkeypatch):
+        # one pair coherent in both other modes, as correlated sources are:
+        # the worst-pair margin 1-(r-1) mu_1 mu_2 fails, every row holds
+        rng = np.random.default_rng(34)
+        factors = [random_unit_columns(n, 4, rng) for n in (20, 24, 30)]
+        for fk in factors[1:]:
+            fk[:, 1] = fk[:, 0] + fk[:, 1]
+            fk[:, 1] /= np.linalg.norm(fk[:, 1])
+        unfold, z, grams = mode_problem(factors, 0, rng)
+        assert 1.0 - 3 * math.prod(map(gram_mu, grams)) < CERTIFIED_MARGIN
+        assert decompose._row_margin(grams[0] * grams[1]) >= CERTIFIED_MARGIN
+        calls, lstsq = lstsq_spy(monkeypatch)
+        got = decompose._mode_solve(unfold, z, grams)
+        assert calls == []
+        ref = lstsq(z, unfold.T, rcond=None)[0].T
+        assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    @settings(deadline=None, max_examples=100)
+    @given(dims=st.lists(st.integers(2, 8), min_size=1, max_size=3),
+           r=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1))
+    def test_between_paper_margin_and_least_eigenvalue(self, dims, r, seed):
+        rng = np.random.default_rng(seed)
+        grams = [fk.conj().T @ fk for fk in (random_unit_columns(n, r, rng) for n in dims)]
+        gram = functools.reduce(np.multiply, grams)
+        row = decompose._row_margin(gram)
+        eps = np.finfo(float).eps
+        # the Hadamard diagonal is 1 to a few ulps (measured up to 5), and
+        # the eigensolver rounds at about r ulps
+        assert row >= 1.0 - (r - 1) * math.prod(map(gram_mu, grams)) - 8 * eps
+        assert row <= np.linalg.eigvalsh(gram)[0] + 8 * r * eps
 
 
 class TestDivergenceWitness:

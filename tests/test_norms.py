@@ -396,6 +396,13 @@ class TestRankFloor:
                         strict=True):
             assert np.array_equal(a, b)
 
+    def test_spectra_computed_once_per_tensor(self):
+        # the search asks for the floor at each of its 8 ranks
+        norms._flattening_spectra.cache_clear()
+        nuclear_norm_bounds(_random_tensor(np.random.default_rng(18), (3, 3, 3)))
+        info = norms._flattening_spectra.cache_info()
+        assert (info.misses, info.hits) == (1, 7)
+
     def test_gate_skips_ranks_below_border_rank_5(self, monkeypatch):
         # Eckart-Young gates r = 1, 2 and the Koszul flattening r = 3, 4 on a
         # random 3x3x3 tensor; r = 5..8 run all their sweeps (ranks are tried
