@@ -26,7 +26,13 @@ from cohcp.core import (
     term_correlations,
     term_gram,
 )
-from cohcp.decompose import SolverConfig, _init_factors, _mode_solve
+from cohcp.decompose import (
+    SolverConfig,
+    _init_factors,
+    _mode_solve,
+    best_rank1,
+    constrained_als,
+)
 from cohcp.htns import dump_htns, parse_htns
 from cohcp.norms import NormConfig, _exact_fit, nuclear_norm_bounds
 from cohcp.simulate import (
@@ -36,7 +42,7 @@ from cohcp.simulate import (
     simulate_array,
     steering_vectors,
 )
-from perfbench.workloads import array_scene, correlated_signals
+from perfbench.workloads import BlindId, array_scene, correlated_signals
 
 
 def _complex(rng, shape):
@@ -139,6 +145,23 @@ def test_alternating_spectral_sweep(benchmark, n, restarts):
 
     value, _ = benchmark(sweep)
     assert value > 0.0
+
+
+def test_best_rank1_4cubed_16_restarts(benchmark):
+    # a full fit as the greedy warm start runs it on an r x r x r core
+    t = _complex(np.random.default_rng(11), (4, 4, 4))
+    weight, _ = benchmark(best_rank1, t, 16, 0)
+    assert weight > 0.0
+
+
+def test_constrained_als_blind_id_item(benchmark):
+    # one capped solve of the blind_id workload, on a seeded pool item
+    workload = BlindId(pool=1)
+    item = workload.setup(15, None)[0]
+    t, _ = simulate_array(workload.scene, item.paths, item.noise_std, item.seed)
+    cfg = SolverConfig(r=4, coherence_caps=workload.caps, seed=item.seed, max_iter=1500)
+    _, diag = benchmark(constrained_als, t, cfg)
+    assert diag.converged
 
 
 def _tensor_3cubed():

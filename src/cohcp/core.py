@@ -174,20 +174,25 @@ def alternating_rank1(t: np.ndarray, restarts: int, tol: float,
     restart as (|<T, witness>|, witness).  Each mode update normalizes the
     MTTKRP X_(k) conj(KR of the other modes), which increases the objective
     monotonically; a vector's unfolding column broadcasts over the restarts.
+    Each vector's conjugate is kept and refreshed only when the vector
+    changes; the column norms are the code of ``np.linalg.norm(c, axis=0)``
+    without its call overhead, so the bits are the same.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     vecs = [random_unit_columns(n, restarts, rng) for n in t.shape]
+    conjs = [v.conj() for v in vecs]
     unfolds = [np.moveaxis(t, k, 0).reshape(n, -1) for k, n in enumerate(t.shape)]
     vals = np.zeros(restarts)
     for _ in range(max_sweeps):
         prev = vals
         for k, x in enumerate(unfolds):
-            kr = khatri_rao_but([v.conj() for v in vecs], k)
+            kr = khatri_rao_but(conjs, k)
             c = x if kr is None else x @ kr
-            nrm = np.linalg.norm(c, axis=0)
-            safe = np.where(nrm > 0, nrm, 1.0)
-            vecs[k] = np.where(nrm > 0, c / safe, vecs[k])
+            nrm = np.sqrt(np.add.reduce((c.conj() * c).real, axis=0))
+            live = nrm > 0
+            vecs[k] = np.where(live, c / np.where(live, nrm, 1.0), vecs[k])
+            conjs[k] = vecs[k].conj()
             vals = nrm
         if np.max(vals - prev) <= tol * max(1.0, float(np.max(vals))):
             break

@@ -500,6 +500,14 @@ def constrained_als(tensor, cfg: SolverConfig):
     Tychonoff regimes.  Weight positivity is a representation choice and is
     restored by canonicalization after convergence.
 
+    The weight re-solve reads b_p = <f, term p> from the last mode's MTTKRP,
+    and the sweep loss is the Gram identity ||f||^2 - 2 Re lam^H b +
+    lam^H G lam on that b and the Hadamard Gram G.  The residual is
+    materialized for the first trace entry, for ``final_residual``, and for
+    any sweep whose identity rounding bound is not 16 times below the stop
+    test's resolution ``tol * max(1, loss)``, so ``tol = 0`` always
+    materializes it.
+
     The greedy warm start runs on the Tucker core T x_k U_k^H, where U_k
     spans the dominant (at most r-dimensional) column space of the mode-k
     unfolding for every mode with n_k > r, and its factors are expanded as
@@ -538,12 +546,17 @@ def constrained_als(tensor, cfg: SolverConfig):
     mus = [gram_mu(g) for g in grams]
     caps = cfg.coherence_caps or (1.0,) * d
     lam_reg = cfg.tychonoff_lambda
+    fnorm = frobenius(f)
+    # rounding bound of the Gram-identity loss: its three terms are at most
+    # (||f|| + ||lam||_1)^2 in size (|b_p| <= ||f||, |G_pq| <= 1), and each
+    # sums over the tensor, losing log2(size) ulps of that as a pairwise sum
+    ulps = np.finfo(np.float64).eps * max(1.0, math.log2(f.size))
+
+    def ridge() -> float:
+        return lam_reg * float(np.sum(np.abs(lam) ** 2)) if lam_reg > 0 else 0.0
 
     def objective() -> float:
-        res = frobenius(f - evaluate_terms(lam, factors)) ** 2
-        if lam_reg > 0:
-            res += lam_reg * float(np.sum(np.abs(lam) ** 2))
-        return res
+        return frobenius(f - evaluate_terms(lam, factors)) ** 2 + ridge()
 
     loss_trace = [objective()]
     converged = False
@@ -551,14 +564,15 @@ def constrained_als(tensor, cfg: SolverConfig):
     for it in range(1, cfg.max_iter + 1):
         for k in range(d):
             z = khatri_rao_but(factors, k)
+            mttkrp = unfolds[k] @ z.conj()
             if k in procrustes:
                 # Procrustes: min ||X_k - Q diag(lam) Z^T|| over unitary-column Q
-                m = unfolds[k] @ z.conj() @ np.diag(lam.conj())
-                uu, _, vv = np.linalg.svd(m, full_matrices=False)
+                uu, _, vv = np.linalg.svd(mttkrp @ np.diag(lam.conj()),
+                                          full_matrices=False)
                 factors[k] = uu @ vv
             else:
                 c = _mode_solve(unfolds[k], z, grams[:k] + grams[k + 1:], lam_reg,
-                                mus[:k] + mus[k + 1:])
+                                mus[:k] + mus[k + 1:], mttkrp)
                 nrm = np.linalg.norm(c, axis=0)
                 dead = nrm <= 1e-300
                 if np.any(dead):
@@ -576,10 +590,22 @@ def constrained_als(tensor, cfg: SolverConfig):
                 factors[k] = _project_coherence(factors[k], caps[k], flags)
                 grams[k] = factors[k].conj().T @ factors[k]
                 mus[k] = gram_mu(grams[k])
-        # global weight re-solve
-        lam = _solve_gram(grams, term_correlations(f, factors), flags, lam_reg, mus)
-        loss_trace.append(objective())
-        prev, cur = loss_trace[-2], loss_trace[-1]
+        # global weight re-solve on b_p = <f, term p>, read from the last
+        # mode's MTTKRP: it depends only on the other modes, so it holds
+        # however the last factor was set
+        b = np.sum(mttkrp * factors[-1].conj(), axis=0)
+        lam = _solve_gram(grams, b, flags, lam_reg, mus)
+        prev = loss_trace[-1]
+        if 16.0 * ulps * (fnorm + float(np.sum(np.abs(lam)))) ** 2 \
+                < cfg.tol * max(1.0, prev):
+            # ||f - sum_p lam_p g_p||^2 = ||f||^2 - 2 Re lam^H b + lam^H G lam,
+            # its rounding well below the stop test's resolution
+            gram = functools.reduce(np.multiply, grams)
+            cur = float(fnorm ** 2 - 2.0 * np.vdot(lam, b).real
+                        + np.vdot(lam, gram @ lam).real) + ridge()
+        else:
+            cur = objective()
+        loss_trace.append(cur)
         if abs(prev - cur) <= cfg.tol * max(1.0, prev):
             converged = True
             break
@@ -597,19 +623,23 @@ def constrained_als(tensor, cfg: SolverConfig):
 
 
 def _mode_solve(unfold: np.ndarray, z: np.ndarray, other_grams: list,
-                reg: float = 0.0, mus: list | None = None) -> np.ndarray:
+                reg: float = 0.0, mus: list | None = None,
+                mttkrp: np.ndarray | None = None) -> np.ndarray:
     """Mode update C minimizing ||X_k - C Z^T||^2 + reg ||C||^2.
 
     Z is the Khatri-Rao product of the other (unit-column) factors, so Z^H Z
     is the Hadamard product of their Grams.  A certified system (see
     ``_certified``, which reads ``mus``, their coherences, when given)
-    solves (Z^H Z + reg I) C^T = (X_k Z-bar)^T, any other runs ``lstsq`` on
-    Z, which does not square the conditioning.
+    solves (Z^H Z + reg I) C^T = (X_k Z-bar)^T, taking the MTTKRP
+    X_k Z-bar as ``mttkrp`` when the caller holds it; any other runs
+    ``lstsq`` on Z, which does not square the conditioning.
     """
     if not _certified(other_grams, reg, mus):
         return np.linalg.lstsq(z, unfold.T, rcond=None)[0].T
+    if mttkrp is None:
+        mttkrp = unfold @ z.conj()
     gram = functools.reduce(np.multiply, other_grams)
-    return np.linalg.solve(gram + reg * np.eye(len(gram)), (unfold @ z.conj()).T).T
+    return np.linalg.solve(gram + reg * np.eye(len(gram)), mttkrp.T).T
 
 
 def divergence_witness(phis, psis, ns):

@@ -244,16 +244,16 @@ def polarization_vector(theta: float, phi: float, alpha: float,
 @dataclass(frozen=True)
 class CdmaScene:
     """Synchronous CDMA mixing data: antenna gains (m, r), transmitted
-    symbols (n_sym, r), effective codes (n_chip, r)."""
+    symbols (n_sym, r), effective codes (n_chip, r).  A non-finite entry
+    raises ``ValueError`` naming the field and the entry's index."""
 
     gains: np.ndarray
     symbols: np.ndarray
     codes: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.gains, dtype=np.complex128)
-        s = np.asarray(self.symbols, dtype=np.complex128)
-        b = np.asarray(self.codes, dtype=np.complex128)
+        a, s, b = (finite_tensor(getattr(self, name), f"CdmaScene {name}")
+                   for name in ("gains", "symbols", "codes"))
         if a.ndim != 2 or s.ndim != 2 or b.ndim != 2:
             raise ValueError("gains, symbols, codes must be matrices")
         if not (a.shape[1] == s.shape[1] == b.shape[1]):
@@ -269,8 +269,8 @@ def effective_codes(spreading, impulse) -> np.ndarray:
     Plain full convolution of each spreading sequence with its channel
     impulse response; guard-chip handling is out of scope.
     """
-    c = np.asarray(spreading, dtype=np.complex128)
-    h = np.asarray(impulse, dtype=np.complex128)
+    c = finite_tensor(spreading, "effective_codes spreading")
+    h = finite_tensor(impulse, "effective_codes impulse")
     if c.ndim != 2 or h.ndim != 2 or c.shape[1] != h.shape[1]:
         raise ValueError("spreading and impulse need one column per user")
     r = c.shape[1]
@@ -298,11 +298,11 @@ def simulate_fluorescence(concentrations, excitation, emission,
                           noise_std: float = 0.0, seed: int = 0):
     """Fluorescence data tensor sum_p x_p (x) y_p (x) z_p + noise.
 
-    All inputs must be nonnegative (concentrations and spectral
-    intensities).  Returns (tensor, truth, likeness) where likeness maps
-    each mode coherence to its reading: concentration likeness of the
-    substances across samples, absorbance (excitation) likeness, and
-    fluorescence (emission) likeness.
+    All inputs must be finite and nonnegative (concentrations and spectral
+    intensities); a non-finite entry is named by input and index.  Returns
+    (tensor, truth, likeness) where likeness maps each mode coherence to its
+    reading: concentration likeness of the substances across samples,
+    absorbance (excitation) likeness, and fluorescence (emission) likeness.
     """
     x = np.asarray(concentrations, dtype=np.float64)
     y = np.asarray(excitation, dtype=np.float64)
@@ -310,6 +310,7 @@ def simulate_fluorescence(concentrations, excitation, emission,
     for name, m in (("concentrations", x), ("excitation", y), ("emission", z)):
         if m.ndim != 2:
             raise ValueError(f"{name} must be a matrix with one column per substance")
+        finite_tensor(m, f"simulate_fluorescence {name}")
         if np.any(m < 0):
             raise ValueError(f"{name} must be nonnegative")
     if not (x.shape[1] == y.shape[1] == z.shape[1]):
@@ -335,10 +336,23 @@ def fibonacci_sphere(count: int) -> np.ndarray:
     return np.stack([rho * np.cos(ang), rho * np.sin(ang), z], axis=1)
 
 
+DOA_GRID_CAP = 1_000_000  # direction-grid points, about 0.2 degrees
+
+
 def _grid_size_for_resolution(resolution_deg: float) -> int:
-    # mean spacing of N Fibonacci points is ~ sqrt(4 pi / N) radians
+    """Points of the direction grid at ``resolution_deg``; a non-finite or
+    non-positive resolution, or one finer than ``DOA_GRID_CAP`` points
+    allow, raises ``ValueError`` before anything is allocated."""
+    if not 0.0 < resolution_deg < math.inf:
+        raise ValueError(f"grid_resolution_deg must be finite and > 0, got {resolution_deg}")
+    # mean spacing of N Fibonacci points is ~ sqrt(4 pi / N) radians; s * s
+    # underflows to 0 below about 1e-152 degrees
     s = math.radians(resolution_deg)
-    return max(int(math.ceil(4.0 * math.pi / (s * s))), 16)
+    points = 4.0 * math.pi / (s * s) if s * s > 0.0 else math.inf
+    if points > DOA_GRID_CAP:
+        raise ValueError(f"grid_resolution_deg {resolution_deg} needs more than "
+                         f"the {DOA_GRID_CAP} grid points doa_estimate allows")
+    return max(int(math.ceil(points)), 16)
 
 
 @dataclass
@@ -426,7 +440,9 @@ def doa_estimate(u_est: np.ndarray, scene: ArrayScene,
     Estimates carry no separation guarantee (flagged) when the scene lacks
     a resolvent triad.  The grid and its steering matrix are kept on the
     scene, so repeated calls on one scene build them once per resolution.
-    A zero or non-finite steering column raises ``ValueError``.
+    A zero or non-finite steering column raises ``ValueError``, and so does
+    a ``grid_resolution_deg`` that is not finite and positive or that needs
+    more than ``DOA_GRID_CAP`` grid points.
     """
     u_est = np.asarray(u_est, dtype=np.complex128)
     if u_est.ndim == 1:
@@ -450,9 +466,10 @@ def doa_estimate(u_est: np.ndarray, scene: ArrayScene,
         sc = scores[:, p]
         best_i = int(np.argmax(sc))
         d_best, s_best = _refine_direction(scene, cols[:, p], grid[best_i], step0)
-        near = sc >= sc[best_i] - AMBIGUITY_TOL
-        angles = np.arccos(np.clip(grid @ grid[best_i], -1.0, 1.0))
-        rivals = np.flatnonzero(near & (angles > sep))
+        # rivals among the near ties only, which are few
+        near = np.flatnonzero(sc >= sc[best_i] - AMBIGUITY_TOL)
+        angles = np.arccos(np.clip(grid[near] @ grid[best_i], -1.0, 1.0))
+        rivals = near[angles > sep]
         alternates = []
         if rivals.size:
             j = rivals[int(np.argmax(sc[rivals]))]

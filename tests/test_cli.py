@@ -421,6 +421,38 @@ class TestSimulateCommand:
         assert "noise_std must be finite and >= 0" in capsys.readouterr().err
         assert not tensor_path.exists()
 
+    @pytest.mark.parametrize("kind, field, message", [
+        ("cdma", "gains", "CdmaScene gains"),
+        ("cdma", "symbols", "CdmaScene symbols"),
+        ("cdma", "codes", "CdmaScene codes"),
+        ("cdma", "spreading", "effective_codes spreading"),
+        ("fluorescence", "concentrations", "simulate_fluorescence concentrations"),
+        ("fluorescence", "excitation", "simulate_fluorescence excitation"),
+        ("fluorescence", "emission", "simulate_fluorescence emission"),
+    ])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_scene_entry_exits_2(self, tmp_path, capsys, kind, field,
+                                            message, bad):
+        # a NaN gain ended in four RuntimeWarnings and "weights must be finite"
+        doc = {"cdma": {"gains": [[1.0, 0.5], [0.2, 1.0]],
+                        "symbols": [[1.0, 0.0], [0.3, 1.0]]},
+               "fluorescence": {"concentrations": [[1.0, 0.2], [0.3, 1.0]],
+                                "excitation": [[1.0, 0.9], [0.2, 0.3]],
+                                "emission": [[0.5, 0.4], [0.5, 0.6]]}}[kind]
+        if kind == "cdma":
+            doc.update({"spreading": [[1.0, -1.0], [1.0, 1.0]], "impulse": [[1.0, 0.5]]}
+                       if field == "spreading" else {"codes": [[1.0, -1.0], [1.0, 1.0]]})
+        doc.setdefault(field, [[1.0, -1.0], [1.0, 1.0]])[1][0] = bad
+        scene_path = tmp_path / "scene.json"
+        scene_path.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli(["simulate", "--kind", kind, "--scene", str(scene_path),
+                            "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        assert f"{message}: non-finite entry at index (1, 0)" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
     def test_non_object_scene_exits_2(self, tmp_path):
         scene_path = tmp_path / "scene.json"
         scene_path.write_text("[1, 2]")

@@ -608,6 +608,28 @@ class TestSolverInvariants:
 
     @settings(deadline=None, max_examples=30)
     @given(data=st.data())
+    def test_oga_continuous_residuals_non_increasing(self, data):
+        # each projection is onto a span containing the previous one
+        f, r = small_problem(data)
+        _, res = oga_continuous(f, r, restarts=4, seed=data.draw(st.integers(0, 99)))
+        assert np.all(np.diff(res.residuals) <= 1e-12 * frobenius(f))
+
+    @settings(deadline=None, max_examples=30)
+    @given(data=st.data(), regime=st.sampled_from(["per-mode", "separable"]))
+    def test_procrustes_factors_orthonormal(self, data, regime):
+        f, _ = small_problem(data)
+        modes = (range(f.ndim) if regime == "per-mode"
+                 else [int(np.argmax(f.shape))])
+        r = data.draw(st.integers(1, min(f.shape[k] for k in modes)))
+        init = data.draw(st.sampled_from(["greedy", "random"]))
+        model, _ = constrained_als(f, SolverConfig(r=r, orthogonality=regime, init=init,
+                                                   max_iter=30))
+        for k in modes:
+            fk = np.asarray(model.factors[k])
+            assert np.max(np.abs(fk.conj().T @ fk - np.eye(model.rank))) <= 1e-12
+
+    @settings(deadline=None, max_examples=30)
+    @given(data=st.data())
     def test_loss_trace_non_increasing(self, data):
         f, r = small_problem(data)
         reg = data.draw(st.sampled_from([0.0, 1e-3, 0.5]))
@@ -803,6 +825,69 @@ class TestCertifiedModeSolve:
         assert fast.flags == slow.flags
         np.testing.assert_allclose(fast.loss_trace, slow.loss_trace,
                                    rtol=1e-10, atol=0.0)
+
+
+def evaluate_terms_spy(monkeypatch):
+    """Record every residual ALS materializes (with a random start, which
+    runs no greedy projections of its own)."""
+    calls = []
+    evaluate = decompose.evaluate_terms
+    monkeypatch.setattr(decompose, "evaluate_terms",
+                        lambda *a: calls.append(1) or evaluate(*a))
+    return calls
+
+
+class TestGramIdentityLoss:
+    @pytest.mark.parametrize("regime", [
+        {"coherence_caps": (0.3, 0.5, 0.9)}, {}, {"tychonoff_lambda": 0.05},
+        {"orthogonality": "per-mode"}, {"orthogonality": "separable"}])
+    def test_trace_matches_materialized_loss(self, monkeypatch, regime):
+        # each run's last entry against its materialized final residual
+        rng = np.random.default_rng(53)
+        f = rng.standard_normal((5, 4, 6)) + 1j * rng.standard_normal((5, 4, 6))
+        reg = regime.get("tychonoff_lambda", 0.0)
+        calls = evaluate_terms_spy(monkeypatch)
+        for sweeps in range(1, 9):
+            calls.clear()
+            model, diag = constrained_als(f, SolverConfig(r=3, seed=6, init="random",
+                                                          max_iter=sweeps, **regime))
+            assert len(calls) == 1  # the first entry; every sweep took the identity
+            loss = diag.final_residual ** 2 + reg * float(np.sum(model.weights ** 2))
+            assert abs(diag.loss_trace[-1] - loss) <= 1e-10 * loss
+
+    def test_tol_zero_materializes_every_sweep(self, monkeypatch):
+        rng = np.random.default_rng(54)
+        f = rng.standard_normal((5, 4, 6)) + 1j * rng.standard_normal((5, 4, 6))
+        calls = evaluate_terms_spy(monkeypatch)
+        _, diag = constrained_als(f, SolverConfig(r=3, seed=6, init="random",
+                                                  max_iter=12, tol=0.0))
+        assert len(calls) == 1 + diag.n_iter == 13
+
+    def test_cancelling_identity_materialized(self, monkeypatch):
+        # ||f||^2 = 1.4e5 and a loss that falls to 1e-10: the identity would
+        # cancel 15 digits, so its rounding reaches the stop test's resolution
+        rng = np.random.default_rng(55)
+        truth = canonicalize(np.array([300.0, 200.0, 100.0]),
+                             [random_unit_columns(n, 3, rng) for n in (5, 4, 6)])
+        f = cp_evaluate(truth)
+        calls = evaluate_terms_spy(monkeypatch)
+        _, diag = constrained_als(f, SolverConfig(r=3, seed=6, init="random",
+                                                  max_iter=200))
+        # every sweep that starts below a loss of 1 materializes its residual
+        assert len(calls) >= 1 + sum(loss < 1.0 for loss in diag.loss_trace[:-1]) > 10
+        # where the identity's own error would be of the loss's size
+        loss = diag.final_residual ** 2
+        assert loss < 1e-9 and abs(diag.loss_trace[-1] - loss) <= 1e-6 * loss
+
+    def test_mode_solve_given_mttkrp_matches_bytewise(self):
+        rng = np.random.default_rng(56)
+        factors = [random_unit_columns(n, 4, rng) for n in (20, 24, 30)]
+        for k in range(3):
+            unfold, z, grams = mode_problem(factors, k, rng)
+            for reg in (0.0, 0.1):
+                ref = decompose._mode_solve(unfold, z, grams, reg)
+                got = decompose._mode_solve(unfold, z, grams, reg, None, unfold @ z.conj())
+                assert got.tobytes() == ref.tobytes()
 
 
 class TestSolveGram:

@@ -10,6 +10,7 @@ from cohcp.core import (
     evaluate_terms,
     frobenius,
     inner_product,
+    khatri_rao_but,
     multilinear_action,
     rank1_outer,
     random_unit_columns,
@@ -25,6 +26,28 @@ from cohcp.norms import (
     spectral_norm,
     strassen_decomposition,
 )
+
+
+def alternating_rank1_reference(t, restarts, tol, max_sweeps, rng):
+    """``core.alternating_rank1`` as it was before it kept the conjugates:
+    every mode update conjugates all d vectors and norms by linalg.norm."""
+    vecs = [random_unit_columns(n, restarts, rng) for n in t.shape]
+    unfolds = [np.moveaxis(t, k, 0).reshape(n, -1) for k, n in enumerate(t.shape)]
+    vals = np.zeros(restarts)
+    for _ in range(max_sweeps):
+        prev = vals
+        for k, x in enumerate(unfolds):
+            kr = khatri_rao_but([v.conj() for v in vecs], k)
+            c = x if kr is None else x @ kr
+            nrm = np.linalg.norm(c, axis=0)
+            safe = np.where(nrm > 0, nrm, 1.0)
+            vecs[k] = np.where(nrm > 0, c / safe, vecs[k])
+            vals = nrm
+        if np.max(vals - prev) <= tol * max(1.0, float(np.max(vals))):
+            break
+    best = int(np.argmax(vals))
+    witness = tuple(v[:, best].copy() for v in vecs)
+    return float(abs(term_correlations(t, [w[:, None] for w in witness])[0])), witness
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
@@ -136,6 +159,21 @@ class TestSpectralNorm:
         t[0, 1, 2] = bad
         with pytest.raises(ValueError, match=r"non-finite entry at index \(0, 1, 2\)"):
             spectral_norm(t)
+
+    @pytest.mark.parametrize("restarts", [1, 16, 64])
+    @pytest.mark.parametrize("n", [3, 4, 6])
+    def test_alternating_rank1_matches_reference_bytewise(self, n, restarts):
+        rng = np.random.default_rng(100 * n + restarts)
+        tensors = [rng.standard_normal((n,) * 3) + 1j * rng.standard_normal((n,) * 3),
+                   np.zeros((n,) * 3, dtype=complex)]
+        for t in tensors:
+            for tol, sweeps in ((1e-13, 500), (0.0, 3)):
+                got = alternating_rank1(t, restarts, tol, sweeps,
+                                        np.random.default_rng(restarts))
+                want = alternating_rank1_reference(t, restarts, tol, sweeps,
+                                                   np.random.default_rng(restarts))
+                assert got[0] == want[0]
+                assert [w.tobytes() for w in got[1]] == [w.tobytes() for w in want[1]]
 
     def test_zero_tensor(self):
         cert = spectral_norm(np.zeros((2, 2, 2)))

@@ -1,4 +1,7 @@
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -362,6 +365,26 @@ class TestCdma:
         assert frobenius(tensor - direct) < 1e-12 * frobenius(tensor)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
+@pytest.mark.parametrize("field", ["gains", "symbols", "codes"])
+def test_cdma_scene_non_finite_named(field, bad):
+    mats = {name: np.array([[1.0, 0.5], [0.2, 1.0]], dtype=complex)
+            for name in ("gains", "symbols", "codes")}
+    mats[field][0, 1] = bad
+    with pytest.raises(ValueError, match=rf"CdmaScene {field}: "
+                                         r"non-finite entry at index \(0, 1\)"):
+        CdmaScene(**mats)
+
+
+@pytest.mark.parametrize("field", ["spreading", "impulse"])
+def test_effective_codes_non_finite_named(field):
+    mats = {"spreading": np.ones((2, 2)), "impulse": np.ones((2, 2))}
+    mats[field][1, 1] = np.nan
+    with pytest.raises(ValueError, match=rf"effective_codes {field}: "
+                                         r"non-finite entry at index \(1, 1\)"):
+        effective_codes(**mats)
+
+
 class TestFluorescence:
     def test_rank1(self):
         x = np.array([[1.0], [2.0]])
@@ -392,6 +415,18 @@ class TestFluorescence:
         with pytest.raises(ValueError, match="nonnegative"):
             simulate_fluorescence(np.array([[-1.0]]), np.array([[1.0]]),
                                   np.array([[1.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["concentrations", "excitation", "emission"])
+    def test_non_finite_named(self, field, bad):
+        # NaN passed the sign check and ended in RuntimeWarnings and
+        # "weights must be finite"; -inf read as merely negative
+        mats = {name: np.array([[1.0, 0.2], [0.3, 1.0]]) for name in
+                ("concentrations", "excitation", "emission")}
+        mats[field][1, 0] = bad
+        with pytest.raises(ValueError, match=rf"simulate_fluorescence {field}: "
+                                             r"non-finite entry at index \(1, 0\)"):
+            simulate_fluorescence(**mats)
 
 
 class TestDoaEstimate:
@@ -484,6 +519,94 @@ class TestDoaGridCache:
         u[2, 0] = np.nan
         with pytest.raises(ValueError, match="steering column 0 has a non-finite entry"):
             doa_estimate(u, scene, grid_resolution_deg=3.0)
+
+
+class TestGridResolution:
+    @pytest.mark.parametrize("bad, message", [
+        (np.nan, "must be finite and > 0, got nan"),
+        (0.0, "must be finite and > 0, got 0.0"),
+        (-1.0, "must be finite and > 0, got -1.0"),
+        (np.inf, "must be finite and > 0, got inf"),
+        (1e-6, "needs more than the 1000000 grid points"),
+        (1e-300, "needs more than the 1000000 grid points")])
+    def test_rejected_by_name_before_any_grid(self, monkeypatch, bad, message):
+        # NaN raised "cannot convert float NaN to integer", 0 a
+        # ZeroDivisionError, -1 flagged every estimate ambiguous, inf gave
+        # RuntimeWarnings and garbage, 1e-6 asked for 4e16 grid points
+        def no_grid(*args):
+            raise AssertionError("a direction grid was built")
+
+        monkeypatch.setattr(simulate, "fibonacci_sphere", no_grid)
+        scene = cross_scene()
+        u, _ = steering_vectors(scene, unit([0.3, 0.5, 0.9])[None, :])
+        with pytest.raises(ValueError, match=f"grid_resolution_deg .*{message}"):
+            doa_estimate(u, scene, grid_resolution_deg=bad)
+
+    def test_cap_is_on_points(self):
+        # the finest resolution the cap admits, and one just below it
+        finest = math.degrees(math.sqrt(4.0 * math.pi / simulate.DOA_GRID_CAP))
+        assert simulate._grid_size_for_resolution(finest * (1 + 1e-9)) \
+            <= simulate.DOA_GRID_CAP
+        with pytest.raises(ValueError, match="grid points"):
+            simulate._grid_size_for_resolution(finest * (1 - 1e-9))
+
+
+def _doa_estimate_reference(u_est, scene, grid_resolution_deg):
+    """``doa_estimate`` as it was before the rival search was restricted to
+    the near ties: the angle to the best point is taken over the whole grid."""
+    guaranteed = has_resolvent_triad(scene.b, scene.wavelength)
+    grid, ug_conj = simulate._doa_grid(scene, grid_resolution_deg)
+    cols = u_est / np.linalg.norm(u_est, axis=0)
+    scores = np.abs(ug_conj.T @ cols)
+    sep = 3.0 * math.radians(grid_resolution_deg)
+    step0 = math.radians(grid_resolution_deg)
+    out = []
+    for p in range(cols.shape[1]):
+        sc = scores[:, p]
+        best_i = int(np.argmax(sc))
+        d_best, s_best = simulate._refine_direction(scene, cols[:, p], grid[best_i], step0)
+        near = sc >= sc[best_i] - simulate.AMBIGUITY_TOL
+        angles = np.arccos(np.clip(grid @ grid[best_i], -1.0, 1.0))
+        rivals = np.flatnonzero(near & (angles > sep))
+        alternates = []
+        if rivals.size:
+            j = rivals[int(np.argmax(sc[rivals]))]
+            d_alt, s_alt = simulate._refine_direction(scene, cols[:, p], grid[j], step0)
+            alternates.append(simulate.DoaEstimate(direction=d_alt, score=s_alt,
+                                                   separation_guaranteed=guaranteed))
+        out.append(simulate.DoaEstimate(direction=d_best, score=s_best,
+                                        ambiguous=bool(alternates), alternates=alternates,
+                                        separation_guaranteed=guaranteed))
+    return out
+
+
+def _blind_id_workload():
+    # the benchmark's criterion-9 workload, loaded from its file: the tests
+    # do not need the repository root on sys.path
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module.BlindId(pool=6)
+
+
+def test_doa_estimate_matches_reference_bytewise():
+    # the fitted steering columns of the seed-611 blind_id pool, then a
+    # mirror-symmetric line, whose near ties hold a rival
+    workload = _blind_id_workload()
+    cases = [(np.asarray(workload.op(item).model.factors[0]), workload.scene, 1.0)
+             for item in workload.setup(611, Path("."))]
+    line = line_scene()
+    u, _ = steering_vectors(line, np.stack([unit([0.5, 0.8, 0.0]), unit([0.2, 0.4, 0.9])]))
+    cases.append((u + 0.01 * np.random.default_rng(9).standard_normal(u.shape), line, 3.0))
+    rivals = 0
+    for u_est, scene, resolution in cases:
+        got = doa_estimate(u_est, scene, grid_resolution_deg=resolution)
+        want = _doa_estimate_reference(u_est, scene, resolution)
+        assert [estimate_bytes(e) for e in got] == [estimate_bytes(e) for e in want]
+        rivals += sum(e.ambiguous for e in got)
+    assert rivals
 
 
 def _tangent_basis_reference(d):
