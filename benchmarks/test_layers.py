@@ -33,7 +33,7 @@ from cohcp.decompose import (
     best_rank1,
     constrained_als,
 )
-from cohcp.htns import dump_htns, parse_htns
+from cohcp.htns import dump_htns, parse_htns, write_htns
 from cohcp.norms import NormConfig, _exact_fit, nuclear_norm_bounds
 from cohcp.simulate import (
     PathSet,
@@ -53,6 +53,13 @@ def test_read_htns_40(benchmark):
     text = dump_htns(_complex(np.random.default_rng(0), (40, 40, 40)))
     t = benchmark(parse_htns, text)
     assert t.shape == (40, 40, 40)
+
+
+def test_write_htns_60(benchmark, tmp_path):
+    # the largest file the dense_als set-up writes
+    path = tmp_path / "t.htns"
+    benchmark(write_htns, path, _complex(np.random.default_rng(0), (60, 60, 60)))
+    assert path.stat().st_size > 60 ** 3 * 2 * 17
 
 
 def test_certified_mode_solve_60_r6(benchmark):

@@ -497,8 +497,9 @@ def constrained_als(tensor, cfg: SolverConfig):
 
     Per sweep, each mode solves an exact (ridge) least-squares block, so
     the objective trace is monotone non-increasing in the unconstrained and
-    Tychonoff regimes.  Weight positivity is a representation choice and is
-    restored by canonicalization after convergence.
+    Tychonoff regimes; there ``tol = 0`` stops once a sweep lowers the loss
+    by no more than its rounding.  Weight positivity is a representation
+    choice and is restored by canonicalization after convergence.
 
     The weight re-solve reads b_p = <f, term p> from the last mode's MTTKRP,
     and the sweep loss is the Gram identity ||f||^2 - 2 Re lam^H b +
@@ -558,6 +559,8 @@ def constrained_als(tensor, cfg: SolverConfig):
     def objective() -> float:
         return frobenius(f - evaluate_terms(lam, factors)) ** 2 + ridge()
 
+    # tol = 0 where the loss never rises: stop at its rounding level
+    to_rounding = cfg.tol == 0.0 and cfg.coherence_caps is None and not procrustes
     loss_trace = [objective()]
     converged = False
     it = 0
@@ -596,8 +599,9 @@ def constrained_als(tensor, cfg: SolverConfig):
         b = np.sum(mttkrp * factors[-1].conj(), axis=0)
         lam = _solve_gram(grams, b, flags, lam_reg, mus)
         prev = loss_trace[-1]
-        if 16.0 * ulps * (fnorm + float(np.sum(np.abs(lam)))) ** 2 \
-                < cfg.tol * max(1.0, prev):
+        scale = fnorm + float(np.sum(np.abs(lam)))
+        resolution = cfg.tol * max(1.0, prev)
+        if 16.0 * ulps * scale ** 2 < resolution:
             # ||f - sum_p lam_p g_p||^2 = ||f||^2 - 2 Re lam^H b + lam^H G lam,
             # its rounding well below the stop test's resolution
             gram = functools.reduce(np.multiply, grams)
@@ -606,8 +610,13 @@ def constrained_als(tensor, cfg: SolverConfig):
         else:
             cur = objective()
         loss_trace.append(cur)
-        if abs(prev - cur) <= cfg.tol * max(1.0, prev):
-            converged = True
+        if to_rounding:
+            # a fall of at most 16 times the materialized loss's rounding,
+            # about ulps ||f - sum_p lam_p g_p|| (||f|| + ||lam||_1)
+            converged = prev - cur <= 16.0 * ulps * scale * math.sqrt(prev)
+        else:
+            converged = abs(prev - cur) <= resolution
+        if converged:
             break
 
     model = canonicalize(lam, factors)

@@ -6,8 +6,8 @@ Layout::
     line 2:  n_1 n_2 ... n_d        (dims, space separated)
     then prod(n_k) lines of "re im" in row-major order (mode 1 slowest)
 
-Values are written with 17 significant digits, which round-trips IEEE
-doubles exactly.  Blank lines are skipped on reading.
+Values are written as ``%.17g``, which round-trips IEEE doubles exactly.
+Blank lines are skipped on reading.
 """
 
 from __future__ import annotations
@@ -18,26 +18,32 @@ import math
 
 import numpy as np
 
-# entry lines converted per bulk call; bounds the parser's working memory
+# entry lines converted per bulk call; bounds the reader's and the
+# writer's working memory
 _CHUNK_LINES = 1 << 14
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def dump_htns(tensor) -> str:
-    t = np.ascontiguousarray(np.asarray(tensor, dtype=np.complex128))
-    lines = [str(t.ndim), " ".join(str(n) for n in t.shape)]
-    for v in t.ravel():
-        lines.append(f"{_fmt(v.real)} {_fmt(v.imag)}")
-    return "\n".join(lines) + "\n"
+    buf = io.StringIO()
+    _write(buf, tensor)
+    return buf.getvalue()
 
 
 def write_htns(path, tensor) -> None:
     """Write a hypermatrix to an HTNS1 text file."""
     with open(path, "w") as fh:
-        fh.write(dump_htns(tensor))
+        _write(fh, tensor)
+
+
+def _write(fh, tensor) -> None:
+    """Write the header, then the entries ``_CHUNK_LINES`` lines per write,
+    each chunk formatted by one ``%`` call on its Python floats."""
+    t = np.ascontiguousarray(np.asarray(tensor, dtype=np.complex128))
+    fh.write(f"{t.ndim}\n{' '.join(str(n) for n in t.shape)}\n")
+    flat = t.reshape(-1).view(np.float64)
+    for start in range(0, flat.size, 2 * _CHUNK_LINES):
+        values = flat[start:start + 2 * _CHUNK_LINES].tolist()
+        fh.write(("%.17g %.17g\n" * (len(values) // 2)) % tuple(values))
 
 
 def parse_htns(text: str) -> np.ndarray:

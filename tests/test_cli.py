@@ -44,6 +44,21 @@ class TestReportFormat:
         text = render_report({"v": 0.1})
         assert "0.10000000000000001" in text
 
+    def test_non_finite_values_as_strings(self):
+        doc = json.loads(render_report({"nan": math.nan, "ninf": -math.inf,
+                                        "z": complex(math.nan, 1.0)}))
+        assert doc["nan"] == "nan" and doc["ninf"] == "-inf"
+        assert doc["z"] == ["nan", 1.0]
+
+    def test_report_to_stdout_without_out(self, tmp_path, capsys):
+        args = ["check", "--mus", "0.4,0.4,0.4", "--r", "2", "--d", "3"]
+        assert run_cli(args) == 0
+        printed = capsys.readouterr().out
+        out = tmp_path / "r.json"
+        assert run_cli(args + ["--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert strip_timestamp(printed) == strip_timestamp(out.read_text())
+
 
 class TestCheckCommand:
     def test_basic_verdicts(self, tmp_path):

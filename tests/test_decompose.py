@@ -292,6 +292,17 @@ class TestOgaContinuous:
             tail = math.sqrt(float(np.sum(s[r:] ** 2)))
             assert abs(res.residuals[-1] - tail) < 1e-8 * max(1.0, tail)
 
+    def test_large_tol_stops_on_stagnation(self):
+        # the stop test is absolute, the stagnation test relative to
+        # max(1, ||f||): with ||f|| = 10 and tol = 1 every fall is stagnant
+        rng = np.random.default_rng(16)
+        f = rng.standard_normal((3, 3, 3)) + 1j * rng.standard_normal((3, 3, 3))
+        f *= 10.0 / frobenius(f)
+        model, res = oga_continuous(f, 5, tol=1.0)
+        assert res.flags == ["stagnation_early_stop"]
+        assert len(res.selected) == model.rank == 3
+        assert res.residuals[-1] > 1.0 and not res.converged
+
     def test_zero_tensor_gives_rank0_model(self):
         model, res = oga_continuous(np.zeros((3, 4, 2)), 2)
         assert model.rank == 0
@@ -862,6 +873,24 @@ class TestGramIdentityLoss:
         _, diag = constrained_als(f, SolverConfig(r=3, seed=6, init="random",
                                                   max_iter=12, tol=0.0))
         assert len(calls) == 1 + diag.n_iter == 13
+
+    @pytest.mark.parametrize("reg", [0.0, 0.1])
+    def test_tol_zero_sweeps_ignore_last_bit(self, reg):
+        # tol = 0 stops at the loss's rounding level, not at two bitwise-equal
+        # losses, so the last bit of one entry does not move the sweep count
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            f = evaluate_terms(np.array([3.0, 2.0, 1.0]),
+                               [random_unit_columns(12, 3, rng) for _ in range(3)])
+            noise = rng.standard_normal(f.shape) + 1j * rng.standard_normal(f.shape)
+            f += noise * (0.01 * frobenius(f) / frobenius(noise))
+            g = f.copy()
+            g.real[0, 0, 0] = np.nextafter(g.real[0, 0, 0], np.inf)
+            cfg = SolverConfig(r=3, seed=seed, max_iter=200, tol=0.0, tychonoff_lambda=reg)
+            _, a = constrained_als(f, cfg)
+            _, b = constrained_als(g, cfg)
+            assert a.converged and b.converged
+            assert a.n_iter == b.n_iter < 200
 
     def test_cancelling_identity_materialized(self, monkeypatch):
         # ||f||^2 = 1.4e5 and a loss that falls to 1e-10: the identity would

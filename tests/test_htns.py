@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cohcp.htns import _CHUNK_LINES, dump_htns, parse_htns, read_htns, write_htns
+from cohcp.htns import _CHUNK_LINES, _write, dump_htns, parse_htns, read_htns, write_htns
 
 
 def test_round_trip_random(tmp_path):
@@ -159,3 +159,59 @@ def test_round_trip_bit_exact_property(shape, data):
     back = parse_htns(dump_htns(t))
     assert back.shape == t.shape
     assert back.tobytes() == t.tobytes()  # bit for bit, -0.0 included
+
+
+def reference_dump(tensor) -> str:
+    # one format(x, ".17g") per value, joined line by line
+    t = np.ascontiguousarray(np.asarray(tensor, dtype=np.complex128))
+    lines = [str(t.ndim), " ".join(str(n) for n in t.shape)]
+    lines += [f"{format(v.real, '.17g')} {format(v.imag, '.17g')}" for v in t.ravel().tolist()]
+    return "\n".join(lines) + "\n"
+
+
+VALUE = FINITE | st.sampled_from([np.inf, -np.inf, np.nan])
+
+
+@settings(deadline=None, max_examples=200)
+@given(pairs=st.lists(st.tuples(VALUE, VALUE), min_size=1, max_size=20))
+def test_entry_lines_are_17g(pairs):
+    t = np.array(pairs, dtype=np.float64).view(np.complex128)
+    lines = dump_htns(t).splitlines()[2:]
+    assert lines == [f"{format(re, '.17g')} {format(im, '.17g')}" for re, im in pairs]
+
+
+@pytest.mark.parametrize("shape", [
+    (2, _CHUNK_LINES // 2 + 3),   # a partial last chunk
+    (2, _CHUNK_LINES),            # exactly two chunks
+    (),                           # 0-d: written as one entry of a vector
+    (3, 0, 2),                    # no entries
+])
+def test_dump_matches_reference_join(shape):
+    rng = np.random.default_rng(5)
+    t = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    assert dump_htns(t) == reference_dump(t)
+
+
+def test_file_bytes_equal_dump(tmp_path):
+    rng = np.random.default_rng(6)
+    t = rng.standard_normal((3, _CHUNK_LINES // 3 + 5)) * 1e-200
+    path = tmp_path / "w.htns"
+    write_htns(path, t)
+    assert path.read_bytes() == dump_htns(t).encode()
+
+
+class RecordingFile:
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+
+
+def test_writes_bounded_by_chunk():
+    t = np.ones((5, _CHUNK_LINES // 2), dtype=complex)
+    fh = RecordingFile()
+    _write(fh, t)
+    assert "".join(fh.writes) == dump_htns(t)
+    assert max(w.count("\n") for w in fh.writes[1:]) <= _CHUNK_LINES
+    assert len(fh.writes) == 1 + 3  # the header, then 5/2 chunks rounded up
