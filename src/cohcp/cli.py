@@ -31,7 +31,7 @@ from .decompose import (
     woga,
 )
 from .htns import read_htns, write_htns
-from .norms import NormConfig, mat_mult_decomposition, mat_mult_tensor, nuclear_norm_bounds
+from .norms import NormConfig, mat_mult_tensor, nuclear_norm_bounds
 from .simulate import (
     ArrayScene,
     CdmaScene,
@@ -49,10 +49,6 @@ EXIT_NOT_CONVERGED = 3
 
 # cap on an array scene's signals.n_samples: 10^12 would ask for terabytes
 MAX_SIGNAL_SAMPLES = 1 << 16
-
-
-class ValidationError(Exception):
-    pass
 
 
 # ---------------------------------------------------------------- reports
@@ -115,7 +111,7 @@ def _numbers(value, what: str) -> np.ndarray:
     try:
         return np.asarray(value, dtype=np.float64)
     except (TypeError, ValueError, OverflowError):
-        raise ValidationError(f"{what} must hold only numbers in equal-length lists") from None
+        raise ValueError(f"{what} must hold only numbers in equal-length lists") from None
 
 
 def _complex(value, what: str, ndim: int) -> np.ndarray:
@@ -127,8 +123,8 @@ def _complex(value, what: str, ndim: int) -> np.ndarray:
         return arr[..., 0] + 1j * arr[..., 1]
     if arr.ndim == ndim:
         return arr.astype(np.complex128)
-    raise ValidationError(f"{what}: expected a {('vector', 'matrix')[ndim - 1]} "
-                          "of numbers or [re, im] pairs")
+    raise ValueError(f"{what}: expected a {('vector', 'matrix')[ndim - 1]} "
+                     "of numbers or [re, im] pairs")
 
 
 def _model_payload(model) -> dict:
@@ -145,7 +141,7 @@ def _parse_float_list(text: str) -> list:
     try:
         return [float(x) for x in text.split(",") if x.strip() != ""]
     except ValueError:
-        raise ValidationError(f"expected comma-separated numbers, got {text!r}")
+        raise ValueError(f"expected comma-separated numbers, got {text!r}")
 
 
 # ---------------------------------------------------------------- commands
@@ -154,7 +150,7 @@ def _parse_float_list(text: str) -> list:
 def _cmd_coherence(args) -> int:
     mat = read_htns(args.input)
     if mat.ndim != 2:
-        raise ValidationError("coherence expects an HTNS1 factor matrix (d = 2)")
+        raise ValueError("coherence expects an HTNS1 factor matrix (d = 2)")
     rep = coherence(mat)
     r = mat.shape[1]
     out = {
@@ -186,12 +182,12 @@ def _cmd_check(args) -> int:
     elif args.factors:
         mus = [coherence(read_htns(p)).mu for p in args.factors]
     else:
-        raise ValidationError("check needs --mus or --factors")
+        raise ValueError("check needs --mus or --factors")
     if args.d is not None and args.d != len(mus):
-        raise ValidationError(f"--d {args.d} does not match {len(mus)} coherences")
+        raise ValueError(f"--d {args.d} does not match {len(mus)} coherences")
     kranks = _parse_float_list(args.kranks) if args.kranks else None
     if kranks is not None and not all(k.is_integer() for k in kranks):
-        raise ValidationError(f"--kranks must be integers, got {args.kranks!r}")
+        raise ValueError(f"--kranks must be integers, got {args.kranks!r}")
     report = condition_report(mus, args.r, kranks=kranks)
     report["command"] = "check"
     _emit(report, args.out)
@@ -201,29 +197,27 @@ def _cmd_check(args) -> int:
 def _parse_fixture(text: str):
     kind, _, arg = text.partition(":")
     if kind != "matmul":
-        raise ValidationError(f"unknown fixture {text!r}; expected matmul:n")
+        raise ValueError(f"unknown fixture {text!r}; expected matmul:n")
     try:
         n = int(arg)
     except ValueError:
-        raise ValidationError(f"bad fixture size in {text!r}")
-    return mat_mult_tensor(n), (mat_mult_decomposition(n),)
+        raise ValueError(f"bad fixture size in {text!r}")
+    return mat_mult_tensor(n)
 
 
 def _cmd_norms(args) -> int:
-    candidates = ()
     if args.fixture:
-        tensor, candidates = _parse_fixture(args.fixture)
+        tensor = _parse_fixture(args.fixture)
     elif args.input:
         tensor = read_htns(args.input)
     else:
-        raise ValidationError("norms needs --input or --fixture")
+        raise ValueError("norms needs --input or --fixture")
     cfg = NormConfig(
         tol=args.tol,
         size_cap=args.size_cap,
         restarts=args.restarts,
         seed=args.seed,
         search=not args.no_search,
-        candidates=candidates,
     )
     cert = nuclear_norm_bounds(tensor, cfg)
     out = {
@@ -244,9 +238,9 @@ def _load_dictionary(path: str) -> Dictionary:
     with open(path) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict) or "atoms" not in doc:
-        raise ValidationError("dictionary JSON must contain an 'atoms' list")
+        raise ValueError("dictionary JSON must contain an 'atoms' list")
     if not (isinstance(doc["atoms"], list) and all(isinstance(a, list) for a in doc["atoms"])):
-        raise ValidationError("dictionary field 'atoms' must be a list of lists of vectors")
+        raise ValueError("dictionary field 'atoms' must be a list of lists of vectors")
     return Dictionary([tuple(_complex(vec, "dictionary atom vectors", 1) for vec in atom)
                        for atom in doc["atoms"]])
 
@@ -270,7 +264,7 @@ def _cmd_decompose(args) -> int:
     stray = [flag for flag, (dest, _, methods) in _METHOD_FLAGS.items()
              if getattr(args, dest) is not None and args.method not in methods]
     if stray:
-        raise ValidationError(f"--method {args.method} does not read {', '.join(stray)}")
+        raise ValueError(f"--method {args.method} does not read {', '.join(stray)}")
     for dest, default, _ in _METHOD_FLAGS.values():
         if getattr(args, dest) is None:
             setattr(args, dest, default)
@@ -314,7 +308,7 @@ def _cmd_decompose(args) -> int:
             exit_code = EXIT_NOT_CONVERGED
     else:  # woga
         if not args.dictionary:
-            raise ValidationError("woga needs --dict with a dictionary JSON file")
+            raise ValueError("woga needs --dict with a dictionary JSON file")
         dictionary = _load_dictionary(args.dictionary)
         res = woga(f, dictionary, t=args.t, max_iter=args.max_iter, tol=args.tol)
         out["selected"] = res.selected
@@ -338,10 +332,10 @@ def _signals_from_spec(doc, n3_default: int, r: int, seed: int) -> np.ndarray:
         kind = spec.get("kind", "gaussian")
         n3 = _numbers(spec.get("n_samples", n3_default), "signals field 'n_samples'")
         if n3.ndim != 0 or not float(n3).is_integer() or n3 < 1:
-            raise ValidationError("signals field 'n_samples' must be a positive integer")
+            raise ValueError("signals field 'n_samples' must be a positive integer")
         if n3 > MAX_SIGNAL_SAMPLES:
-            raise ValidationError(f"signals field 'n_samples' must be at most "
-                                  f"{MAX_SIGNAL_SAMPLES}, got {int(n3)}")
+            raise ValueError(f"signals field 'n_samples' must be at most "
+                             f"{MAX_SIGNAL_SAMPLES}, got {int(n3)}")
         n3 = int(n3)
         if kind == "qpsk":
             sym = rng.integers(0, 4, size=(n3, r))
@@ -350,7 +344,7 @@ def _signals_from_spec(doc, n3_default: int, r: int, seed: int) -> np.ndarray:
             sig = (rng.standard_normal((n3, r))
                    + 1j * rng.standard_normal((n3, r))) / math.sqrt(2)
         else:
-            raise ValidationError(f"unknown signal kind {kind!r}")
+            raise ValueError(f"unknown signal kind {kind!r}")
         norms = spec.get("norms")
         if norms is not None:
             sig = sig / np.linalg.norm(sig, axis=0) * _numbers(norms, "signals field 'norms'")
@@ -362,7 +356,7 @@ def _scene_array(doc, key: str) -> np.ndarray:
     try:
         value = doc[key]
     except (KeyError, TypeError):
-        raise ValidationError(f"scene JSON is missing field {key!r}") from None
+        raise ValueError(f"scene JSON is missing field {key!r}") from None
     return _numbers(value, f"scene field {key!r}")
 
 
@@ -373,7 +367,7 @@ def _scene_matrix(doc, key: str) -> np.ndarray:
 def _scene_number(doc, key: str) -> float:
     value = _scene_array(doc, key)
     if value.ndim != 0 or not np.isfinite(value):
-        raise ValidationError(f"scene field {key!r} must be a finite number")
+        raise ValueError(f"scene field {key!r} must be a finite number")
     return float(value)
 
 
@@ -391,7 +385,7 @@ def _cmd_simulate(args) -> int:
         )
         directions = _scene_array(doc, "directions")
         if directions.ndim != 2 or directions.shape[1] != 3:
-            raise ValidationError("scene field 'directions' must hold [x, y, z] vectors")
+            raise ValueError("scene field 'directions' must hold [x, y, z] vectors")
         with np.errstate(invalid="ignore"):  # PathSet rejects a zero or inf vector
             directions = directions / np.linalg.norm(directions, axis=1, keepdims=True)
         signals = _signals_from_spec(doc, 64, directions.shape[0], args.seed + 1)
@@ -432,7 +426,7 @@ def _cmd_demo_nonexistence(args) -> int:
     e1 = np.array([1.0, 0.0], dtype=complex)
     e2 = np.array([0.0, 1.0], dtype=complex)
     if args.nmax < 1:
-        raise ValidationError(f"--nmax must be >= 1, got {args.nmax}")
+        raise ValueError(f"--nmax must be >= 1, got {args.nmax}")
     ns = sorted({2 ** k for k in range(args.nmax.bit_length())} | {args.nmax})
     records = divergence_witness([e1] * 3, [e2] * 3, ns)
     out = {
@@ -566,10 +560,10 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except (ValidationError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
 
-if __name__ == "__main__":
+if __name__ == "__main__":  # run as a script only; tests call main()
     sys.exit(main())

@@ -62,8 +62,6 @@ def coherence(vectors) -> CoherenceReport:
 
 def _independent(subset: np.ndarray) -> bool:
     s = np.linalg.svd(subset, compute_uv=False)
-    if s[0] == 0.0:
-        return False
     return bool(s[-1] > RANK_RTOL * s[0])
 
 
@@ -75,7 +73,7 @@ def kruskal_rank_bruteforce(vectors, budget: int = KRANK_BUDGET) -> int:
     silently approximating.  Independence of a subset means the smallest
     singular value exceeds ``RANK_RTOL`` times the largest.  Enumeration
     runs from k = min(r, n) downward and stops at the first k where all
-    subsets pass.
+    subsets pass; a single unit column is independent, so k = 1 always does.
     """
     v = _check_unit_columns(vectors)
     n, r = v.shape
@@ -83,10 +81,10 @@ def kruskal_rank_bruteforce(vectors, budget: int = KRANK_BUDGET) -> int:
         raise ValueError(
             f"brute-force Kruskal rank refused: r={r} exceeds budget {budget}"
         )
-    for k in range(min(n, r), 0, -1):
+    for k in range(min(n, r), 1, -1):
         if all(_independent(v[:, list(c)]) for c in combinations(range(r), k)):
             return k
-    return 0
+    return 1
 
 
 def spark_bruteforce(vectors, budget: int = KRANK_BUDGET) -> int:

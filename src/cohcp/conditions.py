@@ -140,11 +140,8 @@ def expected_rank(dims) -> int:
     ns = [int(n) for n in dims]
     if len(ns) < 1 or any(n < 1 for n in ns):
         raise ValueError("dims must be positive integers")
-    denom = 1 - len(ns) + sum(ns)
-    if denom <= 0:
-        raise ValueError("degenerate dimension count: 1 - d + sum(n_k) <= 0")
-    num = math.prod(ns)
-    return -(-num // denom)
+    # every n_k >= 1, so the denominator 1 + sum(n_k - 1) is at least 1
+    return -(-math.prod(ns) // (1 - len(ns) + sum(ns)))
 
 
 def kruskal_simple_bound(n1: int, n2: int) -> int:

@@ -345,22 +345,21 @@ def _align_phases(m1: CPModel, m2: CPModel, p: int, q: int, tol: float) -> bool:
 
 
 def _match_block(ok: np.ndarray) -> bool:
-    """Backtracking search for a perfect matching in a boolean matrix."""
+    """Whether the square boolean matrix has a perfect matching (row i to
+    column j where ok[i, j]): Kuhn's augmenting paths, at most n^3 reads."""
     n = ok.shape[0]
-    used = [False] * n
+    owner = [-1] * n  # owner[j]: the row matched to column j, -1 if none
 
-    def extend(i: int) -> bool:
-        if i == n:
-            return True
+    def augment(i: int, seen: list) -> bool:
         for j in range(n):
-            if ok[i, j] and not used[j]:
-                used[j] = True
-                if extend(i + 1):
+            if ok[i, j] and not seen[j]:
+                seen[j] = True
+                if owner[j] < 0 or augment(owner[j], seen):
+                    owner[j] = i
                     return True
-                used[j] = False
         return False
 
-    return extend(0)
+    return all(augment(i, [False] * n) for i in range(n))
 
 
 def essentially_equal(m1: CPModel, m2: CPModel, tol: float) -> bool:

@@ -31,14 +31,24 @@ def dump_htns(tensor) -> str:
 
 def write_htns(path, tensor) -> None:
     """Write a hypermatrix to an HTNS1 text file."""
+    t = _writable(tensor)  # before opening, so a refused tensor leaves no file
     with open(path, "w") as fh:
-        _write(fh, tensor)
+        _write(fh, t)
+
+
+def _writable(tensor) -> np.ndarray:
+    """The tensor as C-contiguous complex128, refusing what ``read_htns``
+    refuses: a 0-d tensor or one with no entries."""
+    t = np.asarray(tensor, dtype=np.complex128)
+    if t.ndim == 0 or t.size == 0:
+        raise ValueError("HTNS1: dims must be positive")
+    return np.ascontiguousarray(t)
 
 
 def _write(fh, tensor) -> None:
     """Write the header, then the entries ``_CHUNK_LINES`` lines per write,
     each chunk formatted by one ``%`` call on its Python floats."""
-    t = np.ascontiguousarray(np.asarray(tensor, dtype=np.complex128))
+    t = _writable(tensor)
     fh.write(f"{t.ndim}\n{' '.join(str(n) for n in t.shape)}\n")
     flat = t.reshape(-1).view(np.float64)
     for start in range(0, flat.size, 2 * _CHUNK_LINES):
@@ -116,4 +126,5 @@ def _parse_chunk(lines: list, first: int) -> np.ndarray:
         except ValueError:
             raise ValueError(f"HTNS1: entry {i}: values must be numbers, "
                              f"got {ln.strip()!r}")
+    # no input is known to reach this: lines that each parse also parse as one chunk
     raise ValueError(f"HTNS1: unreadable entries from entry {first}")

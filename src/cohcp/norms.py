@@ -198,7 +198,7 @@ def _exact_fit(t: np.ndarray, r: int, rng) -> tuple | None:
     resid = frobenius(t - evaluate_terms(lam, factors))
     if resid <= FIT_TOL * max(1.0, tnorm):
         live = np.abs(lam) > 0
-        if not np.any(live):
+        if not np.any(live):  # seen only for the zero tensor, which the caller refuses
             return None
         model = canonicalize(lam[live], [f[:, live] for f in factors])
         # rigorous slack for the accepted residual

@@ -50,6 +50,10 @@ class TestReportFormat:
         assert doc["nan"] == "nan" and doc["ninf"] == "-inf"
         assert doc["z"] == ["nan", 1.0]
 
+    def test_unserializable_value_raises(self):
+        with pytest.raises(TypeError, match="cannot serialize <class 'object'>"):
+            render_report({"x": object()})
+
     def test_report_to_stdout_without_out(self, tmp_path, capsys):
         args = ["check", "--mus", "0.4,0.4,0.4", "--r", "2", "--d", "3"]
         assert run_cli(args) == 0
@@ -226,6 +230,17 @@ class TestDecomposeCommand:
         assert run_cli(["decompose", "--input", str(p), "--rank", "2",
                         "--max-iter", "20", *flags]) == 2
         assert message in capsys.readouterr().err
+
+    def test_als_not_converged_exits_3_with_report(self, tmp_path):
+        rng = np.random.default_rng(7)
+        p = tmp_path / "t.htns"
+        write_htns(p, rng.standard_normal((3, 3, 3)) + 1j * rng.standard_normal((3, 3, 3)))
+        out = tmp_path / "r.json"
+        assert run_cli(["decompose", "--input", str(p), "--rank", "2", "--method", "als",
+                        "--max-iter", "1", "--out", str(out)]) == 3
+        doc = load_report(out)
+        assert doc["converged"] is False and doc["n_iter"] == 1
+        assert len(doc["weights"]) == 2
 
     def test_woga_requires_dictionary(self, tmp_path):
         t = np.ones((2, 2, 2), dtype=complex)
@@ -508,6 +523,24 @@ class TestSimulateCommand:
 
 
 class TestArraySignals:
+    def test_explicit_signal_matrix(self, tmp_path):
+        # three samples of two paths, each entry an [re, im] pair
+        doc = TestSimulateCommand().scene_doc()
+        doc["signals"] = [[[1.0, 0.0], [0.0, 1.0]], [[0.0, 0.0], [1.0, 0.0]],
+                          [[1.0, 0.0], [1.0, -1.0]]]
+        scene = tmp_path / "scene.json"
+        scene.write_text(json.dumps(doc))
+        tensor_path = tmp_path / "t.htns"
+        assert run_cli(["simulate", "--kind", "array", "--scene", str(scene),
+                        "--out-tensor", str(tensor_path),
+                        "--out", str(tmp_path / "r.json")]) == 0
+        assert read_htns(tensor_path).shape == (10, 3, 3)
+        # truth weights are sqrt(n1 n2) times the signal column norms
+        signals = np.array([[1, 1j], [0, 1], [1, 1 - 1j]])
+        expected = np.sort(np.linalg.norm(signals, axis=0))[::-1] * math.sqrt(10 * 3)
+        weights = load_report(tmp_path / "r.json")["truth"]["weights"]
+        np.testing.assert_allclose(weights, expected, rtol=1e-12)
+
     def test_nan_signal_norm_named(self, tmp_path, capsys):
         doc = TestSimulateCommand().scene_doc()
         doc["signals"] = {"kind": "gaussian", "n_samples": 8, "norms": [math.nan, 1.0]}
@@ -618,6 +651,8 @@ class TestNoTraceback:
         ({"atoms": [5]}, "dictionary field 'atoms'"),
         ({"atoms": [[{"re": 1.0}]]}, "dictionary atom vectors"),
         ({"atoms": [[]]}, "dictionary atoms need at least one mode"),
+        ({"atoms": [[[[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], [1.0, 0.0]]]},
+         "dictionary atom vectors: expected a vector of numbers or [re, im] pairs"),
     ])
     def test_dictionary_corpus(self, fuzz_dir, capsys, doc, message):
         assert _woga(fuzz_dir, doc) == 2
@@ -643,6 +678,9 @@ class TestNoTraceback:
         (["norms", "--fixture", "matmul:2", "--restarts", "0"], "restarts must be >= 1, got 0"),
         (["norms", "--fixture", "matmul:2", "--restarts", "-1"], "restarts must be >= 1, got -1"),
         (["norms", "--fixture", "matmul:2", "--tol", "nan"], "tol must be finite and >= 0"),
+        (["norms", "--fixture", "cube:2"], "unknown fixture 'cube:2'; expected matmul:n"),
+        (["norms", "--fixture", "matmul:two"], "bad fixture size in 'matmul:two'"),
+        (["demo-recovery", "--seed", "1.5"], "argument --seed: invalid int value: '1.5'"),
     ])
     def test_flag_corpus(self, capsys, args, message):
         assert main(args) == 2

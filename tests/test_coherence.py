@@ -127,6 +127,19 @@ class TestKruskalRank:
             s = spark_bruteforce(v)
             assert s == k + 1
 
+    def test_spark_of_independent_set_is_r_plus_one(self):
+        v = np.eye(4, 3, dtype=complex)
+        assert spark_bruteforce(v) == 4 == kruskal_rank_bruteforce(v) + 1
+
+    def test_single_column_has_krank_one(self):
+        assert kruskal_rank_bruteforce(np.ones((1, 1), dtype=complex)) == 1
+        assert spark_bruteforce(np.ones((1, 1), dtype=complex)) == 2
+
+    def test_spark_budget_refusal(self):
+        v = random_unit_columns(4, 15, np.random.default_rng(5))
+        with pytest.raises(ValueError, match="brute-force spark refused: r=15 exceeds budget 14"):
+            spark_bruteforce(v)
+
 
 class TestKrankLowerBound:
     def test_half(self):

@@ -335,3 +335,41 @@ class TestNonFiniteRejected:
     def test_coercivity_coherences(self):
         with pytest.raises(ValueError, match="coherences must be finite"):
             coercivity_lower_bound([1.0, 1.0], [math.nan, 0.1, 0.1])
+
+
+class TestRangeRejected:
+    """Each checker names the argument that is out of its range."""
+
+    @pytest.mark.parametrize("mus", [[], [[0.5, 0.5]]])
+    def test_coherences_not_a_nonempty_list(self, mus):
+        with pytest.raises(ValueError, match="need a nonempty list of per-mode coherences"):
+            existence_condition(mus, 2)
+
+    @pytest.mark.parametrize("bad", [-0.1, 1.5])
+    def test_coherence_outside_unit_interval(self, bad):
+        with pytest.raises(ValueError, match=r"coherences must lie in \[0, 1\]"):
+            condition_report([0.5, bad, 0.5], 2)
+
+    @pytest.mark.parametrize("r", [0, -3])
+    def test_rank_below_one(self, r):
+        with pytest.raises(ValueError, match="rank r must be >= 1"):
+            uniqueness_condition([0.5, 0.5, 0.5], r)
+
+    @pytest.mark.parametrize("kranks", [[], [2, -1, 2]])
+    def test_kranks_empty_or_negative(self, kranks):
+        with pytest.raises(ValueError, match="kranks must be nonnegative integers"):
+            kruskal_condition(kranks, 2)
+
+    @pytest.mark.parametrize("n1, n2", [(0, 3), (3, 0)])
+    def test_kruskal_simple_bound_sizes(self, n1, n2):
+        with pytest.raises(ValueError, match="subarray sizes must be positive"):
+            kruskal_simple_bound(n1, n2)
+
+    def test_coercivity_needs_a_weight(self):
+        with pytest.raises(ValueError, match="need at least one weight"):
+            coercivity_lower_bound([], [0.1, 0.1, 0.1])
+
+    @pytest.mark.parametrize("mu", [0.0, 1.0])
+    def test_greedy_bound_coherence_open_interval(self, mu):
+        with pytest.raises(ValueError, match=r"coherence must lie in \(0, 1\)"):
+            greedy_bound_check("gms", 2, mu)

@@ -1,8 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cohcp import core
 from cohcp.core import (
     CPModel,
     canonicalize,
@@ -15,6 +18,7 @@ from cohcp.core import (
     multilinear_action,
     rank1_outer,
     random_unit_columns,
+    term_correlations,
 )
 
 
@@ -230,6 +234,24 @@ class TestCPModelValidation:
         with pytest.raises(ValueError, match=r"factors\[1\] must be finite"):
             CPModel(weights=np.array([1.0]), factors=(np.ones((1, 1)), f))
 
+    @pytest.mark.parametrize("weights, factors, message", [
+        (np.ones((1, 1)), (np.ones((2, 1)),), "weights must be a vector"),
+        (np.ones(1), (), "need at least one mode"),
+        (np.ones(2), (np.ones((2, 2)), np.ones((2, 1))), "factor matrices must be n_k x r"),
+        (np.ones(1), (np.ones((1, 1)), np.ones((0, 1))), "empty mode"),
+    ])
+    def test_rejects_malformed_shapes(self, weights, factors, message):
+        with pytest.raises(ValueError, match=message):
+            CPModel(weights=weights, factors=factors)
+
+    @pytest.mark.parametrize("factors, message", [
+        ([], "need at least one mode"),
+        ([np.ones((2, 1)), np.ones((2, 2))], "each factor matrix needs one column per term"),
+    ])
+    def test_canonicalize_rejects_malformed_shapes(self, factors, message):
+        with pytest.raises(ValueError, match=message):
+            canonicalize(np.ones(1), factors)
+
     def test_canonicalize_rejects_non_finite(self):
         with np.errstate(invalid="ignore"):
             with pytest.raises(ValueError, match="weights must be finite"):
@@ -268,6 +290,16 @@ def test_coherent_pair_matches_fill_diagonal_argmax(r):
         np.fill_diagonal(g, -1.0)
         p, q = divmod(int(np.argmax(g)), r)
         assert coherent_pair(gram) == (min(float(g[p, q]), 1.0), (p, q))
+
+
+def test_evaluate_terms_rejects_column_count_mismatch():
+    with pytest.raises(ValueError, match="each factor matrix needs one column per term"):
+        evaluate_terms(np.ones(2), [np.ones((3, 2)), np.ones((3, 1))])
+
+
+def test_term_correlations_of_no_terms():
+    out = term_correlations(np.ones((2, 3)), [np.zeros((2, 0)), np.zeros((3, 0))])
+    assert out.shape == (0,) and out.dtype == np.complex128
 
 
 def test_evaluate_terms_rejects_empty_factor_list():
@@ -404,6 +436,58 @@ class TestEssentiallyEqual:
         with pytest.raises(ValueError):
             essentially_equal(m1, m2, 1e-9)
 
+    def test_rank_mismatch_is_unequal(self):
+        rng = np.random.default_rng(28)
+        m = random_model(rng, r=3)
+        fewer = CPModel(weights=m.weights[:2], factors=tuple(f[:, :2] for f in m.factors))
+        assert not essentially_equal(m, fewer, 1e-9)
+
+    def test_orthogonal_factors_do_not_align(self):
+        e = np.eye(2, dtype=complex)
+        m1 = CPModel(weights=np.ones(1), factors=(e[:, :1], e[:, :1]))
+        m2 = CPModel(weights=np.ones(1), factors=(e[:, :1], e[:, 1:]))
+        assert not essentially_equal(m1, m2, 1e-9)
+
+    def test_non_model_input_rejected(self):
+        m = random_model(np.random.default_rng(29))
+        with pytest.raises(ValueError, match="essentially_equal expects canonical CPModel"):
+            essentially_equal(m, cp_evaluate(m), 1e-9)
+
+
+class CountingMatrix:
+    """A boolean matrix that counts the entries read from it."""
+
+    def __init__(self, ok):
+        self.ok = ok
+        self.shape = ok.shape
+        self.reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return self.ok[index]
+
+
+class TestMatchBlock:
+    def test_no_perfect_matching_in_cubic_reads(self):
+        # the last two rows match only column 0; backtracking read about
+        # 2.7 million entries at n = 9 and ten times more per extra row
+        n = 12
+        ok = np.ones((n, n), dtype=bool)
+        ok[-2:, 1:] = False
+        counted = CountingMatrix(ok)
+        assert core._match_block(counted) is False
+        assert counted.reads <= n ** 3
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_agrees_with_permutation_search(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(200):
+            n = int(rng.integers(1, 6))
+            ok = rng.random((n, n)) < rng.random()
+            exists = any(all(ok[i, p[i]] for i in range(n))
+                         for p in itertools.permutations(range(n)))
+            assert core._match_block(ok) is exists
+
 
 class TestMultilinearAction:
     def test_identity(self):
@@ -441,3 +525,7 @@ class TestMultilinearAction:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             multilinear_action([np.eye(2), np.eye(3)], np.zeros((2, 2)))
+
+    def test_one_matrix_per_mode(self):
+        with pytest.raises(ValueError, match="need exactly one matrix per mode"):
+            multilinear_action([np.eye(2)], np.zeros((2, 2)))

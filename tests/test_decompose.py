@@ -98,6 +98,27 @@ class TestDictionary:
                            match=rf"atom {atom}, mode {mode}: non-finite entry"):
             Dictionary([tuple(a) for a in atoms])
 
+    @pytest.mark.parametrize("atoms, message", [
+        ([(np.ones(2), np.ones(2)), (np.ones(2),)],
+         "all atoms must have the same number of modes"),
+        ([(np.ones(2), np.zeros(2))], "atom factors must be nonzero vectors"),
+        ([(np.ones(2), np.ones((2, 2)))], "atom factors must be nonzero vectors"),
+        ([(np.ones(2), np.ones(2)), (np.ones(2), np.ones(3))],
+         "all atoms must share the same mode dimensions"),
+    ])
+    def test_malformed_atoms_rejected(self, atoms, message):
+        with pytest.raises(ValueError, match=message):
+            Dictionary(atoms)
+
+    def test_generator_refuses_more_atoms_than_index_tuples(self):
+        with pytest.raises(ValueError, match=r"cannot place 9 distinct atoms in \(2, 2, 2\)"):
+            random_incoherent_dictionary((2, 2, 2), 9)
+
+    def test_generator_gives_up_after_its_draws(self):
+        with pytest.raises(ValueError, match="could not reach dictionary coherence < 1e-09 "
+                                             f"in {decompose.DICTIONARY_DRAWS} draws"):
+            random_incoherent_dictionary((2, 2), 3, mu_max=1e-9)
+
 
 class TestWoga:
     def test_single_atom(self):
@@ -321,6 +342,15 @@ class TestOgaContinuous:
 
 
 class TestSolverConfig:
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"r": 0}, "target rank must be >= 1"),
+        ({"r": 2, "tychonoff_lambda": -0.5}, "tychonoff_lambda must be >= 0"),
+        ({"r": 2, "orthogonality": "joint"}, "unknown orthogonality regime 'joint'"),
+    ])
+    def test_out_of_range_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            SolverConfig(**kwargs)
+
     def test_single_regime_enforced(self):
         with pytest.raises(ValueError):
             SolverConfig(r=2, coherence_caps=(0.5, 0.5, 0.5), tychonoff_lambda=0.1)
@@ -369,6 +399,19 @@ class TestGreedyTolRejected:
     def test_oga_continuous(self, bad):
         with pytest.raises(ValueError, match="tol must be finite and >= 0"):
             oga_continuous(np.ones((2, 2, 2)), 1, tol=bad)
+
+
+class TestGreedyShapeRejected:
+    def test_woga_tensor_dims(self):
+        dictionary = Dictionary(orthonormal_atoms(np.random.default_rng(3)))
+        with pytest.raises(ValueError, match=r"tensor dims \(3, 3\) do not match "
+                                             r"dictionary \(3, 3, 3\)"):
+            woga(np.ones((3, 3)), dictionary)
+
+    @pytest.mark.parametrize("r", [0, -1])
+    def test_oga_continuous_rank(self, r):
+        with pytest.raises(ValueError, match="r must be >= 1"):
+            oga_continuous(np.ones((2, 2, 2)), r)
 
 
 class TestConstrainedAls:
@@ -531,6 +574,10 @@ class TestConstrainedAls:
     def test_rejects_oversized_rank(self):
         with pytest.raises(ValueError):
             constrained_als(np.ones((2, 2)), SolverConfig(r=5))
+
+    def test_rejects_cap_count_other_than_modes(self):
+        with pytest.raises(ValueError, match="need one coherence cap per mode"):
+            constrained_als(np.ones((2, 2, 2)), SolverConfig(r=2, coherence_caps=(0.5, 0.5)))
 
     # a one-mode tensor has no other mode to solve a mode update against
     @pytest.mark.parametrize("regime", [{}, {"orthogonality": "per-mode"},
@@ -962,6 +1009,24 @@ class TestSolveGram:
         ref = np.linalg.solve(gram + 0.05 * np.eye(2), rhs)
         assert got.tobytes() == ref.tobytes()
 
+    def test_failed_condition_number_takes_pinv(self, monkeypatch):
+        # np.linalg.cond raises LinAlgError when its SVD does not converge
+        def failing_cond(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        e1 = np.array([1.0, 0.0], dtype=complex)
+        e2 = np.array([0.0, 1.0], dtype=complex)
+        pair = np.stack([(e1 + e2 / 8) / np.linalg.norm(e1 + e2 / 8), e1], axis=1)
+        grams = [pair.conj().T @ pair] * 3
+        assert not decompose._certified(grams, 0.0)
+        monkeypatch.setattr(np.linalg, "cond", failing_cond)
+        flags = []
+        rhs = np.array([1.0 + 2.0j, -0.5j])
+        got = decompose._solve_gram(grams, rhs, flags)
+        assert flags == ["singular_gram_pseudoinverse"]
+        ref = np.linalg.pinv(grams[0] * grams[1] * grams[2], rcond=1e-12) @ rhs
+        assert got.tobytes() == ref.tobytes()
+
     def test_certified_als_runs_no_condition_number(self, monkeypatch):
         rng = np.random.default_rng(32)
         f = evaluate_terms(np.array([4.0, 3.0, 2.0, 1.0]),
@@ -1058,3 +1123,14 @@ class TestDivergenceWitness:
         v = np.array([1.0, 1.0], dtype=complex)
         with pytest.raises(ValueError, match="dependent"):
             divergence_witness([v] * 3, [2.0 * v, v, v], [4])
+
+    def test_rejects_other_than_three_pairs(self):
+        e = np.eye(2, dtype=complex)
+        with pytest.raises(ValueError, match=r"need exactly three \(phi_k, psi_k\) pairs"):
+            divergence_witness([e[0]] * 2, [e[1]] * 2, [4])
+
+    @pytest.mark.parametrize("n", [0, -4])
+    def test_rejects_nonpositive_n(self, n):
+        e = np.eye(2, dtype=complex)
+        with pytest.raises(ValueError, match="n values must be positive"):
+            divergence_witness([e[0]] * 3, [e[1]] * 3, [4, n])

@@ -109,6 +109,11 @@ def test_blank_lines_between_entries_skipped():
     assert np.array_equal(t, np.array([1, 2 - 1j, 3 + 0.5j]))
 
 
+def test_chunk_of_only_blank_lines_skipped():
+    t = parse_htns("1\n2\n" + "\n" * _CHUNK_LINES + "1 2\n\n3 4\n")
+    assert np.array_equal(t, np.array([1 + 2j, 3 + 4j]))
+
+
 def test_crlf_line_endings(tmp_path):
     text = "2\r\n1 2\r\n1 0\r\n0.25 -2\r\n"
     expected = np.array([[1, 0.25 - 2j]])
@@ -183,13 +188,22 @@ def test_entry_lines_are_17g(pairs):
 @pytest.mark.parametrize("shape", [
     (2, _CHUNK_LINES // 2 + 3),   # a partial last chunk
     (2, _CHUNK_LINES),            # exactly two chunks
-    (),                           # 0-d: written as one entry of a vector
-    (3, 0, 2),                    # no entries
 ])
 def test_dump_matches_reference_join(shape):
     rng = np.random.default_rng(5)
     t = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     assert dump_htns(t) == reference_dump(t)
+
+
+@pytest.mark.parametrize("shape", [(), (3, 0, 2), (0,)])
+def test_writer_refuses_what_the_reader_refuses(tmp_path, shape):
+    t = np.zeros(shape, dtype=complex)
+    with pytest.raises(ValueError, match="HTNS1: dims must be positive"):
+        dump_htns(t)
+    path = tmp_path / "t.htns"
+    with pytest.raises(ValueError, match="HTNS1: dims must be positive"):
+        write_htns(path, t)
+    assert not path.exists()
 
 
 def test_file_bytes_equal_dump(tmp_path):

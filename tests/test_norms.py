@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from cohcp import norms
 from cohcp.core import (
     alternating_rank1,
+    canonicalize,
     cp_evaluate,
     evaluate_terms,
     frobenius,
@@ -362,6 +363,34 @@ class TestNuclearBounds:
         cert = nuclear_norm_bounds(t)
         assert ranks == list(range(1, 9))
         assert cert.nuclear_upper - cert.nuclear_lower > 1e-3
+
+    def test_candidate_below_slice_bound_is_the_witness(self):
+        # a rank-1 term off the basis: each slicing sums the l1 norm of a
+        # unit vector, above its weight 1
+        rng = np.random.default_rng(15)
+        cand = canonicalize(np.ones(1), [random_unit_columns(3, 1, rng) for _ in range(3)])
+        cfg = NormConfig(search=False, candidates=(cand,))
+        cert = nuclear_norm_bounds(cp_evaluate(cand), cfg)
+        slice_only = nuclear_norm_bounds(cp_evaluate(cand), NormConfig(search=False))
+        assert slice_only.nuclear_upper > 1.2
+        assert cert.upper_witness is cand
+        assert cert.nuclear_upper == pytest.approx(1.0, abs=1e-12)
+        assert cert.certified
+
+    def test_spectral_underestimate_is_not_certified(self, monkeypatch):
+        # a spectral estimate below the true norm raises the lower bound
+        # ||T||_F^2 / sigma above the upper one, which must not certify
+        real = norms.alternating_rank1
+
+        def halved(*args):
+            value, witness = real(*args)
+            return value / 2, witness
+
+        monkeypatch.setattr(norms, "alternating_rank1", halved)
+        cert = nuclear_norm_bounds(mat_mult_tensor(2), NormConfig(search=False))
+        assert cert.nuclear_lower == pytest.approx(16.0)
+        assert cert.nuclear_upper == pytest.approx(8.0)
+        assert cert.certified is False
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_non_finite_rejected(self, bad):

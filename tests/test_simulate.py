@@ -459,6 +459,18 @@ class TestDoaEstimate:
         assert est.alternates
         assert not est.separation_guaranteed
 
+    def test_one_dimensional_estimate_is_one_column(self):
+        scene = cross_scene()
+        u, _ = steering_vectors(scene, unit([0.3, 0.5, 0.9])[None, :])
+        (flat,) = doa_estimate(u[:, 0], scene, grid_resolution_deg=2.0)
+        (col,) = doa_estimate(u, scene, grid_resolution_deg=2.0)
+        assert flat.direction.tobytes() == col.direction.tobytes()
+        assert flat.score == col.score
+
+    def test_sensor_count_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="do not match the sensor count"):
+            doa_estimate(np.ones((5, 1)), cross_scene())
+
 
 def line_scene():
     return ArrayScene(b=np.array([[0.12 * i, 0, 0] for i in range(5)], dtype=float),
@@ -675,3 +687,79 @@ def test_fibonacci_sphere_uniform_unit():
     signs = (pts > 0).astype(int)
     counts = np.bincount(signs @ np.array([1, 2, 4]), minlength=8)
     assert counts.min() > 30
+
+
+class TestMalformedInputRejected:
+    """Each simulator names what is wrong with a malformed input."""
+
+    @pytest.mark.parametrize("b, delta, pulsation, message", [
+        (np.zeros((2, 3)), np.zeros((1, 2)), PULSATION, "delta must be an"),
+        ([[0.0, np.nan, 0.0]], np.zeros((1, 3)), PULSATION, "positions must be finite"),
+        (np.zeros((2, 3)), np.zeros((1, 3)), 0.0, "pulsation and celerity must be positive"),
+    ])
+    def test_array_scene(self, b, delta, pulsation, message):
+        with pytest.raises(ValueError, match=message):
+            ArrayScene(b=b, delta=delta, pulsation=pulsation, celerity=CELERITY)
+
+    @pytest.mark.parametrize("directions, signals, message", [
+        (np.ones((1, 2)), np.ones((4, 1)), r"directions must be \(r, 3\)"),
+        (np.zeros((0, 3)), np.ones((4, 0)), r"directions must be \(r, 3\)"),
+        (np.eye(3)[:2], np.ones((4, 3)), r"signals must be \(n3, r\), one column per path"),
+    ])
+    def test_path_set(self, directions, signals, message):
+        with pytest.raises(ValueError, match=message):
+            PathSet(directions=directions, signals=signals)
+
+    def test_path_set_counts_paths(self):
+        assert PathSet(directions=np.eye(3)[:2], signals=np.ones((4, 2))).r == 2
+
+    def test_zero_signal(self):
+        paths = PathSet(directions=np.eye(3)[:2], signals=np.array([[1.0, 0.0]] * 4))
+        with pytest.raises(ValueError, match="every path needs a nonzero signal"):
+            simulate_array(cross_scene(), paths)
+
+    def test_resolvent_wavelength(self):
+        with pytest.raises(ValueError, match="wavelength must be positive"):
+            is_resolvent(np.zeros((2, 3)), [0.1, 0.0, 0.0], 0.0)
+
+    def test_fewer_than_three_resolvent_directions(self):
+        # one pair gives the directions v and -v only
+        assert not has_resolvent_triad(np.array([[0.0, 0, 0], [0.1, 0, 0]]), WAVELENGTH)
+
+    @pytest.mark.parametrize("alpha, beta, message", [
+        (math.nan, 0.2, "orientation angle alpha must be finite"),
+        (0.3, math.pi / 4, r"ellipticity beta must lie in \(-pi/4, 0\) or \(0, pi/4\)"),
+        (0.3, -1.0, r"ellipticity beta must lie in"),
+    ])
+    def test_polarization_gain(self, alpha, beta, message):
+        with pytest.raises(ValueError, match=message):
+            polarization_gain(alpha, beta)
+
+    @pytest.mark.parametrize("gains, symbols, codes, message", [
+        (np.ones(2), np.ones((3, 2)), np.ones((4, 2)), "must be matrices"),
+        (np.ones((2, 2)), np.ones((3, 1)), np.ones((4, 2)), "need one column per user"),
+    ])
+    def test_cdma_scene(self, gains, symbols, codes, message):
+        with pytest.raises(ValueError, match=message):
+            CdmaScene(gains=gains, symbols=symbols, codes=codes)
+
+    def test_effective_codes_columns(self):
+        with pytest.raises(ValueError, match="spreading and impulse need one column per user"):
+            effective_codes(np.ones((4, 2)), np.ones((2, 3)))
+
+    def test_cdma_silent_user(self):
+        scene = CdmaScene(gains=np.array([[1.0, 0.0], [1.0, 0.0]]),
+                          symbols=np.ones((3, 2)), codes=np.ones((4, 2)))
+        with pytest.raises(ValueError, match="every user needs nonzero gains"):
+            simulate_cdma(scene)
+
+    @pytest.mark.parametrize("x, y, z, message", [
+        (np.ones(2), np.ones((3, 1)), np.ones((2, 1)), "concentrations must be a matrix"),
+        (np.ones((2, 2)), np.ones((3, 1)), np.ones((2, 2)),
+         "need one column per substance in every mode"),
+        (np.array([[1.0, 0.0], [1.0, 0.0]]), np.ones((3, 2)), np.ones((2, 2)),
+         "every substance needs nonzero columns in all modes"),
+    ])
+    def test_fluorescence(self, x, y, z, message):
+        with pytest.raises(ValueError, match=message):
+            simulate_fluorescence(x, y, z)
