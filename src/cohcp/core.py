@@ -167,6 +167,18 @@ def evaluate_terms(weights, factors) -> np.ndarray:
     return ((factors[0] * w) @ kr.T).reshape(dims)
 
 
+def unit_columns(c: np.ndarray, keep: np.ndarray, floor: float = 0.0) -> tuple:
+    """(u, nrm): the columns of c over their norms, with column p of keep
+    wherever nrm[p] <= floor or is NaN.  The norms are the code of
+    ``np.linalg.norm(c, axis=0)`` without its call overhead, so the bits
+    are the same; when every norm is above the floor, u is one division."""
+    nrm = np.sqrt(np.add.reduce((c.conj() * c).real, axis=0))
+    live = nrm > floor
+    if live.all():
+        return c / nrm, nrm
+    return np.where(live, c / np.where(live, nrm, 1.0), keep), nrm
+
+
 def alternating_rank1(t: np.ndarray, restarts: int, tol: float,
                       max_sweeps: int, rng) -> tuple:
     """Batched alternating maximization of |<T, phi_1 (x) .. (x) phi_d>|
@@ -175,8 +187,8 @@ def alternating_rank1(t: np.ndarray, restarts: int, tol: float,
     MTTKRP X_(k) conj(KR of the other modes), which increases the objective
     monotonically; a vector's unfolding column broadcasts over the restarts.
     Each vector's conjugate is kept and refreshed only when the vector
-    changes; the column norms are the code of ``np.linalg.norm(c, axis=0)``
-    without its call overhead, so the bits are the same.
+    changes; ``unit_columns`` normalizes the MTTKRP and keeps the previous
+    vector of a restart whose MTTKRP vanishes.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
@@ -189,12 +201,9 @@ def alternating_rank1(t: np.ndarray, restarts: int, tol: float,
         for k, x in enumerate(unfolds):
             kr = khatri_rao_but(conjs, k)
             c = x if kr is None else x @ kr
-            nrm = np.sqrt(np.add.reduce((c.conj() * c).real, axis=0))
-            live = nrm > 0
-            vecs[k] = np.where(live, c / np.where(live, nrm, 1.0), vecs[k])
+            vecs[k], vals = unit_columns(c, vecs[k])
             conjs[k] = vecs[k].conj()
-            vals = nrm
-        if np.max(vals - prev) <= tol * max(1.0, float(np.max(vals))):
+        if (vals - prev).max() <= tol * max(1.0, float(vals.max())):
             break
     best = int(np.argmax(vals))
     witness = tuple(v[:, best].copy() for v in vecs)

@@ -31,6 +31,7 @@ from .core import (
     stack_terms,
     term_correlations,
     term_gram,
+    unit_columns,
 )
 from .conditions import existence_condition
 
@@ -576,7 +577,7 @@ def constrained_als(tensor, cfg: SolverConfig):
             else:
                 c = _mode_solve(unfolds[k], z, grams[:k] + grams[k + 1:], lam_reg,
                                 mus[:k] + mus[k + 1:], mttkrp)
-                nrm = np.linalg.norm(c, axis=0)
+                factors[k], nrm = unit_columns(c, factors[k], 1e-300)
                 dead = nrm <= 1e-300
                 if np.any(dead):
                     if "dead_component_reseeded" not in flags:
@@ -584,9 +585,8 @@ def constrained_als(tensor, cfg: SolverConfig):
                     rng = np.random.default_rng(cfg.seed + 977 + it)
                     c[:, dead] = random_unit_columns(dims[k], int(dead.sum()), rng) \
                         * (1e-6 * max(np.max(nrm), 1e-6))
-                    nrm = np.linalg.norm(c, axis=0)
+                    factors[k], nrm = unit_columns(c, factors[k], 1e-300)
                 lam = nrm.astype(np.complex128)
-                factors[k] = c / nrm
             grams[k] = factors[k].conj().T @ factors[k]
             mus[k] = gram_mu(grams[k])
             if mus[k] > caps[k]:

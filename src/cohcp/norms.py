@@ -33,6 +33,7 @@ from .core import (
     stack_terms,
     term_correlations,
     term_gram,
+    unit_columns,
 )
 
 TIE_RTOL = 1e-9  # nuclear bounds closer than this x max(1, upper) differ by rounding
@@ -107,27 +108,34 @@ def _slice_terms(t: np.ndarray) -> list:
     Any exact decomposition certifies a nuclear-norm upper bound; slicing
     one mode into basis vectors and decomposing each slice exactly is a
     cheap closed-form choice (exact SVD at the matrix level).  A nonzero
-    vector is one term, its norm times its direction.
+    vector is one term, its norm times its direction.  A sub-tensor is named
+    by the tuple of fixed indices (None for a free mode), and its term list
+    is built once, so a tensor makes at most prod(n_k + 1) of them.
     """
-    if t.ndim == 1:
-        nrm = frobenius(t)
-        return [(nrm, [t / nrm])]
-    if t.ndim == 2:
-        return _matrix_terms(t)
-    best = None
-    for k in range(t.ndim):
-        total = 0.0
-        terms = []
-        for i in range(t.shape[k]):
-            sl = np.take(t, i, axis=k)
-            for w, vecs in _slice_terms(sl):
-                e = np.zeros(t.shape[k], dtype=np.complex128)
-                e[i] = 1.0
-                terms.append((w, vecs[:k] + [e] + vecs[k:]))
-                total += w
-        if best is None or total < best[0]:
-            best = (total, terms)
-    return best[1]
+    @functools.cache
+    def terms_at(fixed: tuple) -> list:
+        sub = t[tuple(slice(None) if i is None else i for i in fixed)]
+        if sub.ndim == 1:
+            nrm = frobenius(sub)
+            return [(nrm, [sub / nrm])]
+        if sub.ndim == 2:
+            return _matrix_terms(sub)
+        best = None
+        free = [k for k, i in enumerate(fixed) if i is None]
+        for j, k in enumerate(free):
+            total = 0.0
+            terms = []
+            for i in range(t.shape[k]):
+                for w, vecs in terms_at(fixed[:k] + (i,) + fixed[k + 1:]):
+                    e = np.zeros(t.shape[k], dtype=np.complex128)
+                    e[i] = 1.0
+                    terms.append((w, vecs[:j] + [e] + vecs[j:]))
+                    total += w
+            if best is None or total < best[0]:
+                best = (total, terms)
+        return best[1]
+
+    return terms_at((None,) * t.ndim)
 
 
 @functools.lru_cache(maxsize=1)
@@ -183,15 +191,14 @@ def _exact_fit(t: np.ndarray, r: int, rng) -> tuple | None:
     factors = [random_unit_columns(n, r, rng) for n in dims]
     if _rank_floor(t, r) > 2.0 * FIT_TOL * max(1.0, tnorm):
         return None
-    unfolds = [np.moveaxis(t, k, 0).reshape(dims[k], -1) for k in range(d)]
+    # each mode's transposed unfolding, and lstsq's own default rcond for it
+    rhs = [np.moveaxis(t, k, 0).reshape(n, -1).T for k, n in enumerate(dims)]
+    rconds = [np.finfo(np.float64).eps * max(t.size // n, r) for n in dims]
     for _ in range(FIT_SWEEPS):
         for k in range(d):
             z = khatri_rao_but(factors, k)
-            c = np.linalg.lstsq(z, unfolds[k].T, rcond=None)[0].T
-            nrm = np.linalg.norm(c, axis=0)
-            keep = nrm > 1e-300
-            factors[k] = np.where(keep[None, :], c / np.where(keep, nrm, 1.0),
-                                  factors[k])
+            c = np.linalg.lstsq(z, rhs[k], rcond=rconds[k])[0].T
+            factors[k] = unit_columns(c, factors[k], 1e-300)[0]
     gram = term_gram(factors)
     b = term_correlations(t, factors)
     lam = np.linalg.lstsq(gram, b, rcond=None)[0]
@@ -232,6 +239,10 @@ def nuclear_norm_bounds(tensor, cfg: NormConfig | None = None) -> NormCertificat
     tnorm = frobenius(t)
     if tnorm == 0.0:
         raise ValueError("nuclear norm bounds undefined for the zero tensor")
+    for i, cand in enumerate(cfg.candidates):
+        if cand.dims != t.shape:
+            raise ValueError(f"nuclear_norm_bounds: candidate {i} has dims {cand.dims}, "
+                             f"tensor has {t.shape}")
     rng = np.random.default_rng(cfg.seed)
     sigma, witness = alternating_rank1(t, cfg.restarts, SWEEP_TOL, MAX_SWEEPS, rng)
 

@@ -529,3 +529,54 @@ class TestMultilinearAction:
     def test_one_matrix_per_mode(self):
         with pytest.raises(ValueError, match="need exactly one matrix per mode"):
             multilinear_action([np.eye(2)], np.zeros((2, 2)))
+
+
+class TestUnitColumns:
+    """``unit_columns`` against ``np.linalg.norm(c, axis=0)`` and the
+    ``np.where`` keep it replaced, bit for bit."""
+
+    @staticmethod
+    def reference(c, keep, floor):
+        nrm = np.linalg.norm(c, axis=0)
+        live = nrm > floor
+        return np.where(live, c / np.where(live, nrm, 1.0), keep), nrm
+
+    @settings(deadline=None, max_examples=200)
+    @given(n=st.integers(1, 5), r=st.integers(0, 6),
+           kinds=st.lists(st.sampled_from(["gauss", "zero", "nan", "tiny", "huge", "floor"]),
+                          min_size=6, max_size=6),
+           floor=st.sampled_from([0.0, 1e-300, 0.5]), seed=st.integers(0, 2**32 - 1))
+    def test_matches_linalg_norm_and_where(self, n, r, kinds, floor, seed):
+        rng = np.random.default_rng(seed)
+        c = rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r))
+        keep = random_unit_columns(n, r, rng)
+        for p in range(r):
+            if kinds[p] == "zero":
+                c[:, p] = 0.0
+            elif kinds[p] == "nan":
+                c[rng.integers(n), p] = np.nan
+            elif kinds[p] in ("tiny", "huge"):
+                c[:, p] *= 1e-160 if kinds[p] == "tiny" else 1e150
+        at_floor = [p for p in range(r) if kinds[p] == "floor"]
+        if at_floor:
+            # a column whose norm is exactly the floor keeps its old column
+            floor = float(np.linalg.norm(c[:, at_floor[0]]))
+        u, nrm = core.unit_columns(c, keep, floor)
+        want_u, want_nrm = self.reference(c, keep, floor)
+        assert u.shape == want_u.shape == (n, r) and u.dtype == want_u.dtype
+        assert nrm.tobytes() == want_nrm.tobytes()
+        assert u.tobytes() == want_u.tobytes()
+        for p in at_floor:
+            if nrm[p] == floor:
+                assert u[:, p].tobytes() == keep[:, p].tobytes()
+
+    def test_all_live_is_one_division(self):
+        c = np.array([[3.0, 0.0], [4.0, 2.0]], dtype=complex)
+        u, nrm = core.unit_columns(c, np.zeros((2, 2)))
+        assert nrm.tolist() == [5.0, 2.0]
+        assert u.tobytes() == (c / np.array([5.0, 2.0])).tobytes()
+
+    def test_no_columns(self):
+        u, nrm = core.unit_columns(np.zeros((3, 0), dtype=complex),
+                                   np.zeros((3, 0), dtype=complex), 1e-300)
+        assert u.shape == (3, 0) and nrm.shape == (0,)

@@ -51,6 +51,63 @@ def alternating_rank1_reference(t, restarts, tol, max_sweeps, rng):
     return float(abs(term_correlations(t, [w[:, None] for w in witness])[0])), witness
 
 
+def exact_fit_reference(t, r, rng):
+    """``norms._exact_fit`` as it was before ``core.unit_columns``: lstsq
+    with its default rcond on a fresh transposed unfolding, norms by
+    linalg.norm and a hand-written keep of vanishing columns."""
+    dims = t.shape
+    d = t.ndim
+    tnorm = frobenius(t)
+    factors = [norms.random_unit_columns(n, r, rng) for n in dims]
+    if norms._rank_floor(t, r) > 2.0 * norms.FIT_TOL * max(1.0, tnorm):
+        return None
+    unfolds = [np.moveaxis(t, k, 0).reshape(dims[k], -1) for k in range(d)]
+    for _ in range(norms.FIT_SWEEPS):
+        for k in range(d):
+            z = norms.khatri_rao_but(factors, k)
+            c = np.linalg.lstsq(z, unfolds[k].T, rcond=None)[0].T
+            nrm = np.linalg.norm(c, axis=0)
+            keep = nrm > 1e-300
+            factors[k] = np.where(keep[None, :], c / np.where(keep, nrm, 1.0),
+                                  factors[k])
+    gram = norms.term_gram(factors)
+    b = term_correlations(t, factors)
+    lam = np.linalg.lstsq(gram, b, rcond=None)[0]
+    resid = frobenius(t - evaluate_terms(lam, factors))
+    if resid <= norms.FIT_TOL * max(1.0, tnorm):
+        live = np.abs(lam) > 0
+        if not np.any(live):
+            return None
+        model = canonicalize(lam[live], [f[:, live] for f in factors])
+        value = float(np.sum(model.weights)) + resid * np.sqrt(t.size)
+        return value, model, resid
+    return None
+
+
+def slice_terms_reference(t):
+    """``norms._slice_terms`` as it was before memoization: every slice of
+    every mode is decomposed afresh."""
+    if t.ndim == 1:
+        nrm = frobenius(t)
+        return [(nrm, [t / nrm])]
+    if t.ndim == 2:
+        return norms._matrix_terms(t)
+    best = None
+    for k in range(t.ndim):
+        total = 0.0
+        terms = []
+        for i in range(t.shape[k]):
+            sl = np.take(t, i, axis=k)
+            for w, vecs in slice_terms_reference(sl):
+                e = np.zeros(t.shape[k], dtype=np.complex128)
+                e[i] = 1.0
+                terms.append((w, vecs[:k] + [e] + vecs[k:]))
+                total += w
+        if best is None or total < best[0]:
+            best = (total, terms)
+    return best[1]
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("r", [1, 4, 6])
 def test_term_correlations_agree_with_einsum(d, r):
@@ -489,6 +546,141 @@ class TestRankFloor:
         monkeypatch.setattr(norms, "khatri_rao_but", kr_spy)
         nuclear_norm_bounds(_random_tensor(np.random.default_rng(17), (3, 3, 3)))
         assert sweeps == {r: 0 if r <= 4 else 3 * norms.FIT_SWEEPS for r in range(1, 9)}
+
+
+def _fit_bytes(fit):
+    if fit is None:
+        return None
+    value, model, resid = fit
+    return (value.hex(), resid.hex(), model.weights.tobytes(),
+            [f.tobytes() for f in model.factors])
+
+
+class TestExactFitMatchesReference:
+    """``_exact_fit`` gives the bytes of its previous loop: the post-sweep
+    factors (read where ``term_gram`` receives them) and the result."""
+
+    def _run(self, monkeypatch, fit, t, r):
+        swept = []
+        gram = norms.term_gram
+
+        def gram_spy(factors):
+            swept.extend(f.tobytes() for f in factors)
+            return gram(factors)
+
+        monkeypatch.setattr(norms, "term_gram", gram_spy)
+        got = fit(t, r, np.random.default_rng(100 + r))
+        monkeypatch.setattr(norms, "term_gram", gram)
+        return _fit_bytes(got), swept
+
+    @pytest.mark.parametrize("r", range(1, 9))
+    @pytest.mark.parametrize("dims", [(3, 3, 3), (2, 3, 4)])
+    def test_bytewise(self, monkeypatch, dims, r):
+        rng = np.random.default_rng(sum(dims) + r)
+        for t in (_random_tensor(rng, dims), _planted(rng, dims, min(r, 4))):
+            got = self._run(monkeypatch, norms._exact_fit, t, r)
+            want = self._run(monkeypatch, exact_fit_reference, t, r)
+            assert got == want
+
+    @pytest.mark.parametrize("dims", [(3, 3, 3), (2, 3, 4)])
+    def test_sweeps_pass_lstsq_its_default_rcond(self, monkeypatch, dims):
+        # lstsq(rcond=None) takes eps * max(rows, cols) of its matrix
+        lstsq, seen = np.linalg.lstsq, []
+
+        def spy(a, b, rcond=None):
+            seen.append(rcond == np.finfo(a.dtype).eps * max(a.shape))
+            return lstsq(a, b, rcond=rcond)
+
+        monkeypatch.setattr(np.linalg, "lstsq", spy)
+        norms._exact_fit(_random_tensor(np.random.default_rng(42), dims), 6,
+                         np.random.default_rng(6))
+        assert seen[:-1] == [True] * 3 * norms.FIT_SWEEPS
+
+    @pytest.mark.parametrize("dims", [(3, 3, 3), (2, 3, 4)])
+    def test_zero_start_column_keeps_bytes(self, monkeypatch, dims):
+        # a zero start column in the last mode zeroes that column of the
+        # Khatri-Rao product of modes 0 and 1, whose first updates then keep
+        # their previous column
+        draw = norms.random_unit_columns
+        unit = norms.unit_columns
+        calls, kept = [], []
+
+        def zero_last(n, r, rng):
+            m = draw(n, r, rng)
+            calls.append(n)
+            if len(calls) % len(dims) == 0:
+                m[:, 0] = 0.0
+            return m
+
+        def unit_spy(c, keep, floor=0.0):
+            u, nrm = unit(c, keep, floor)
+            kept.append(int(np.sum(nrm <= floor)))
+            return u, nrm
+
+        monkeypatch.setattr(norms, "random_unit_columns", zero_last)
+        monkeypatch.setattr(norms, "unit_columns", unit_spy)
+        t = _random_tensor(np.random.default_rng(40), dims)
+        for r in (5, 6):
+            got = self._run(monkeypatch, norms._exact_fit, t, r)
+            want = self._run(monkeypatch, exact_fit_reference, t, r)
+            assert got == want
+            assert got[1]  # the sweeps ran
+        assert kept.count(1) >= 4
+
+
+class TestSliceTerms:
+    @pytest.mark.parametrize("dims", [(3, 3, 3), (2, 3, 4), (2, 2, 2, 2), (2, 3, 2, 2),
+                                      (2, 2, 2, 2, 2), (4,), (3, 2)])
+    def test_matches_reference_bytewise(self, dims):
+        rng = np.random.default_rng(len(dims) * 10 + sum(dims))
+        for t in (_random_tensor(rng, dims), _planted(rng, dims, 1),
+                  rng.standard_normal(dims) + 0j):
+            got = norms._slice_terms(t)
+            want = slice_terms_reference(t)
+            assert [w.hex() for w, _ in got] == [w.hex() for w, _ in want]
+            assert ([[v.tobytes() for v in vecs] for _, vecs in got]
+                    == [[v.tobytes() for v in vecs] for _, vecs in want])
+
+    def test_each_sub_tensor_decomposed_once(self, monkeypatch):
+        # 3^8 = 6,561 tuples of fixed indices; without the memo a 2^8 tensor
+        # made 8!/2 * 2^6 = 1,290,240 matrix decompositions
+        calls = []
+        matrix_terms = norms._matrix_terms
+
+        def spy(m):
+            calls.append(m.shape)
+            return matrix_terms(m)
+
+        monkeypatch.setattr(norms, "_matrix_terms", spy)
+        t = _random_tensor(np.random.default_rng(41), (2,) * 8)
+        cert = nuclear_norm_bounds(t, NormConfig(search=False))
+        assert len(calls) <= 3 ** 8
+        assert cert.nuclear_lower <= cert.nuclear_upper
+
+
+class TestCandidates:
+    def test_candidate_dims_must_match(self):
+        # u (x) e1 (x) e2 has nuclear norm 1; a 1x3x3 candidate of weight
+        # 1/sqrt(3) broadcasts to a zero residual against it
+        u = np.ones(3) / np.sqrt(3)
+        e = np.eye(3)
+        t = rank1_outer([u, e[0], e[1]])
+        cand = canonicalize(np.ones(1) / np.sqrt(3),
+                            [np.ones((1, 1)), e[:, :1], e[:, 1:2]])
+        with pytest.raises(ValueError, match=r"candidate 0 has dims \(1, 3, 3\), "
+                                             r"tensor has \(3, 3, 3\)"):
+            nuclear_norm_bounds(t, NormConfig(candidates=(cand,)))
+
+    def test_refused_before_any_fit(self, monkeypatch):
+        def no_fit(*args):
+            raise AssertionError("fit ran")
+
+        monkeypatch.setattr(norms, "alternating_rank1", no_fit)
+        monkeypatch.setattr(norms, "_exact_fit", no_fit)
+        good = canonicalize(np.ones(1), [np.eye(3)[:, :1]] * 3)
+        bad = canonicalize(np.ones(1), [np.eye(2)[:, :1]] * 3)
+        with pytest.raises(ValueError, match=r"candidate 1 has dims \(2, 2, 2\)"):
+            nuclear_norm_bounds(np.ones((3, 3, 3)), NormConfig(candidates=(good, bad)))
 
 
 class TestDuality:
