@@ -34,7 +34,7 @@ from cohcp.decompose import (
     constrained_als,
 )
 from cohcp.htns import dump_htns, parse_htns, write_htns
-from cohcp.norms import NormConfig, _exact_fit, nuclear_norm_bounds
+from cohcp.norms import NormConfig, _exact_fit, _flattening_spectra, nuclear_norm_bounds
 from cohcp.simulate import (
     PathSet,
     _refine_direction,
@@ -183,9 +183,10 @@ def test_nuclear_norm_bounds_3(benchmark):
 
 def test_exact_fit_3_r5(benchmark):
     t = _tensor_3cubed()
+    spectra = _flattening_spectra(t)
 
     def fit():
-        return _exact_fit(t, 5, np.random.default_rng(5))
+        return _exact_fit(t, 5, np.random.default_rng(5), spectra)
 
     benchmark(fit)
 

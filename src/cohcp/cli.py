@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .coherence import coherence, krank_lower_bound, kruskal_rank_bruteforce
 from .conditions import condition_report, temlyakov_condition
-from .core import check_tol, evaluate_terms, frobenius, gram_mu
+from .core import check_tol, evaluate_terms, frobenius, gram_mu, stack_terms
 from .decompose import (
     Dictionary,
     SolverConfig,
@@ -269,7 +269,6 @@ def _cmd_decompose(args) -> int:
         if getattr(args, dest) is None:
             setattr(args, dest, default)
     f = read_htns(args.input)
-    exit_code = EXIT_OK
     out: dict = {"command": "decompose", "method": args.method,
                  "dims": list(f.shape), "seed": args.seed}
     if args.method == "als":
@@ -292,8 +291,6 @@ def _cmd_decompose(args) -> int:
         out["n_iter"] = diag.n_iter
         out["flags"] = diag.flags
         out["conditions"] = condition_report(diag.achieved_mus, model.rank or 1)
-        if not diag.converged:
-            exit_code = EXIT_NOT_CONVERGED
     elif args.method == "oga":
         model, res = oga_continuous(f, args.rank, seed=args.seed, tol=args.tol)
         out.update(_model_payload(model))
@@ -304,8 +301,6 @@ def _cmd_decompose(args) -> int:
         mus = [gram_mu(fk.conj().T @ fk) for fk in model.factors]
         out["achieved_coherences"] = mus
         out["conditions"] = condition_report(mus, model.rank or 1)
-        if not res.converged:
-            exit_code = EXIT_NOT_CONVERGED
     else:  # woga
         if not args.dictionary:
             raise ValueError("woga needs --dict with a dictionary JSON file")
@@ -319,10 +314,8 @@ def _cmd_decompose(args) -> int:
         out["dictionary_mu"] = dictionary.mu
         out["temlyakov_condition_r"] = temlyakov_condition(
             max(args.rank, 1), dictionary.mu, args.t) if dictionary.mu < 1 else False
-        if not res.converged:
-            exit_code = EXIT_NOT_CONVERGED
     _emit(out, args.out)
-    return exit_code
+    return EXIT_OK if out["converged"] else EXIT_NOT_CONVERGED
 
 
 def _signals_from_spec(doc, n3_default: int, r: int, seed: int) -> np.ndarray:
@@ -450,7 +443,7 @@ def _cmd_demo_recovery(args) -> int:
     rng = np.random.default_rng(args.seed + 1)
     idx = rng.choice(len(dictionary), 5, replace=False)
     coef = (0.5 + rng.random(5)) * np.exp(2j * math.pi * rng.random(5))
-    f = evaluate_terms(coef, [s[:, idx] for s in dictionary._stacks])
+    f = evaluate_terms(coef, stack_terms([dictionary.atoms[i] for i in idx], dictionary.dims))
     res = woga(f, dictionary, t=1.0, max_iter=5)
     out = {
         "command": "demo-recovery",

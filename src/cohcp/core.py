@@ -74,6 +74,29 @@ def finite_tensor(tensor, caller: str) -> np.ndarray:
     return t
 
 
+# the Frobenius norms a nonzero tensor may have in the solvers and norms
+NORM_MAX = 2.0 ** 509   # squares stay 64 times below the largest double, room for r-term sums
+NORM_MIN = 2.0 ** -509  # squares stay 16 times above the smallest normal double, 2^-1022
+
+
+def bounded_tensor(tensor, caller: str) -> tuple:
+    """(t, ||t||_F): the tensor as complex128 and its Frobenius norm,
+    refusing NaN or infinite entries (see ``finite_tensor``) and a nonzero
+    tensor whose norm lies outside [NORM_MIN, NORM_MAX], where the squared
+    sums of the solvers would overflow or underflow.  The norm is the scan
+    for non-finite entries: only a norm out of range looks at the entries."""
+    t = np.asarray(tensor, dtype=np.complex128)
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        nrm = frobenius(t)
+    if not NORM_MIN <= nrm <= NORM_MAX:
+        finite_tensor(t, caller)
+        if nrm > 0.0 or t.any():
+            top = float(np.max(np.abs(t)))
+            raise ValueError(f"{caller}: Frobenius norm {top * frobenius(t / top):.3g} lies "
+                             f"outside [{NORM_MIN:.3g}, {NORM_MAX:.3g}]; rescale the tensor")
+    return t, nrm
+
+
 def check_tol(tol) -> None:
     """Refuse a negative or non-finite tolerance (a NaN one never stops)."""
     if not 0.0 <= tol < np.inf:

@@ -16,7 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
+    NORM_MIN,
     alternating_rank1,
+    bounded_tensor,
     canonicalize,
     check_tol,
     coherent_pair,
@@ -104,20 +106,20 @@ class GreedyResult:
 CERTIFIED_MARGIN = 0.25  # certifies a condition number of at most 7
 
 
-def _certified(grams: list, reg: float, mus: list | None = None) -> bool:
-    """Whether (G + reg I) x = b, G the Hadamard product of the unit-diagonal
-    ``grams``, has a ridge or a Gershgorin margin of at least
-    CERTIFIED_MARGIN, a lower bound on the least eigenvalue of G.
+def _certified(gram: np.ndarray, mus, reg: float = 0.0) -> bool:
+    """Whether (G + reg I) x = b, for the Hadamard product ``gram`` of
+    unit-diagonal Grams with coherences ``mus``, has a ridge or a Gershgorin
+    margin of at least CERTIFIED_MARGIN, a lower bound on the least
+    eigenvalue of G.
 
-    The paper's coercivity margin 1-(r-1) prod_k mu_k is tried first, free
-    from the coherences ``mus`` of ``grams`` when the caller holds them.
-    Only if it fails is G formed for its row margin (``_row_margin``), which
-    is never below the paper's, since |G_pq| <= prod_k mu_k, and certifies
+    The paper's coercivity margin 1-(r-1) prod_k mu_k is tried first; only
+    if it fails is the row margin of G read (``_row_margin``), which is
+    never below the paper's, since |G_pq| <= prod_k mu_k, and certifies
     correlated sources whose worst pair alone fails it.  Either margin of
     1/4 bounds the largest eigenvalue by 7/4, so the condition number by 7."""
-    return reg > 0 or (1.0 - (len(grams[0]) - 1) * math.prod(
-        map(gram_mu, grams) if mus is None else mus) >= CERTIFIED_MARGIN) or (
-        _row_margin(functools.reduce(np.multiply, grams)) >= CERTIFIED_MARGIN)
+    return reg > 0 or (
+        1.0 - (len(gram) - 1) * math.prod(mus) >= CERTIFIED_MARGIN) or (
+        _row_margin(gram) >= CERTIFIED_MARGIN)
 
 
 def _row_margin(gram: np.ndarray) -> float:
@@ -128,13 +130,13 @@ def _row_margin(gram: np.ndarray) -> float:
     return float(np.min(gram.diagonal().real + a.diagonal() - a.sum(axis=1)))
 
 
-def _solve_gram(grams: list, rhs: np.ndarray, flags: list, reg: float = 0.0,
-                mus: list | None = None):
-    """Solve (G + reg I) x = rhs for G the Hadamard product of ``grams``: a
-    certified system directly, any other when its condition number is at
-    most 1e12, else by the pseudoinverse (``singular_gram_pseudoinverse``)."""
-    gram = functools.reduce(np.multiply, grams)
-    if not _certified(grams, reg, mus):
+def _solve_gram(gram: np.ndarray, rhs: np.ndarray, flags: list, reg: float = 0.0,
+                mus=None):
+    """Solve (G + reg I) x = rhs for the built Gram G, the Hadamard product
+    of Grams with coherences ``mus`` (default: G's own): a certified system
+    directly, any other when its condition number is at most 1e12, else by
+    the pseudoinverse (``singular_gram_pseudoinverse``)."""
+    if not _certified(gram, (gram_mu(gram),) if mus is None else mus, reg):
         try:
             cond = np.linalg.cond(gram)
         except np.linalg.LinAlgError:
@@ -164,7 +166,7 @@ def woga(tensor, dictionary: Dictionary, t: float = 1.0,
     if not (0.0 < t <= 1.0):
         raise ValueError("weakness parameter t must lie in (0, 1]")
     check_tol(tol)
-    f = finite_tensor(tensor, "woga")
+    f, fnorm = bounded_tensor(tensor, "woga")
     if f.shape != dictionary.dims:
         raise ValueError(f"tensor dims {f.shape} do not match dictionary {dictionary.dims}")
     if max_iter is None:
@@ -172,7 +174,7 @@ def woga(tensor, dictionary: Dictionary, t: float = 1.0,
     elif max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
 
-    fnorm2 = frobenius(f) ** 2
+    fnorm2 = fnorm ** 2
     b_all = dictionary.correlations(f)
     selected: list = []
     flags: list = []
@@ -190,7 +192,7 @@ def woga(tensor, dictionary: Dictionary, t: float = 1.0,
             break
         pick = int(np.argmax(scores >= threshold))
         trial = selected + [pick]
-        projection = _solve_gram([dictionary.gram[np.ix_(trial, trial)]],
+        projection = _solve_gram(dictionary.gram[np.ix_(trial, trial)],
                                  b_all[trial], flags)
         # materialized residual: the Gram identity ||f||^2 - <h_m, f>
         # cancels catastrophically once the fit is nearly exact
@@ -215,8 +217,8 @@ def best_rank1(tensor, restarts: int = 32, seed: int = 0):
     |<T, phi_1 (x) ... (x) phi_d>| and weight equal to that value.
     Non-finite entries raise ``ValueError``.
     """
-    f = finite_tensor(tensor, "best_rank1")
-    if frobenius(f) == 0.0:
+    f, fnorm = bounded_tensor(tensor, "best_rank1")
+    if fnorm == 0.0:
         raise ValueError("best rank-1 term undefined for the zero tensor")
     rng = np.random.default_rng(seed)
     # a stop tolerance of 1e-13, tighter than spectral_norm's 1e-12: the
@@ -231,16 +233,17 @@ def oga_continuous(tensor, r: int, restarts: int = 32, tol: float = 1e-12,
     Baseline only: atom selection over the continuous separable manifold,
     orthogonal projection of f onto the span of all selected rank-1 terms,
     deflation.  Deflation alone carries no optimality guarantee for d >= 3;
-    early stop (flagged) on three consecutive stagnating iterations.
+    early stop (flagged) on three consecutive stagnating iterations, and an
+    unflagged stop once the residual falls below ``core.NORM_MIN``.
 
     Returns (CPModel, GreedyResult); ``selected`` holds the factor tuples.
     Non-finite entries raise ``ValueError``.
     """
-    f = finite_tensor(tensor, "oga_continuous")
+    f, fnorm = bounded_tensor(tensor, "oga_continuous")
     if r < 1:
         raise ValueError("r must be >= 1")
     check_tol(tol)
-    fnorm2 = frobenius(f) ** 2
+    fnorm2 = fnorm ** 2
     atoms: list = []
     flags: list = []
     residuals = [math.sqrt(fnorm2)]
@@ -248,12 +251,14 @@ def oga_continuous(tensor, r: int, restarts: int = 32, tol: float = 1e-12,
     residual = f
     stagnant = 0
     for m in range(r):
-        if residuals[-1] <= tol:
+        # a residual below NORM_MIN (reachable only for tol < NORM_MIN) is
+        # rounding that best_rank1 would refuse: the run stops unconverged
+        if residuals[-1] <= tol or residuals[-1] < NORM_MIN:
             break
         _, factors = best_rank1(residual, restarts=restarts, seed=seed + m)
         atoms.append(factors)
         stacks = stack_terms(atoms, f.shape)
-        coeffs = _solve_gram([term_gram(stacks)], term_correlations(f, stacks), flags)
+        coeffs = _solve_gram(term_gram(stacks), term_correlations(f, stacks), flags)
         residual = f - evaluate_terms(coeffs, stacks)
         residuals.append(frobenius(residual))
         if residuals[-2] - residuals[-1] < tol * max(1.0, residuals[0]):
@@ -399,7 +404,7 @@ def _project_coherence(v: np.ndarray, cap: float, flags: list) -> np.ndarray:
         w_al = w * phase.conjugate()  # now the pair inner product is real positive
         # the pair spans a real plane; rotate both away from the bisector
         # until the angle matches the cap
-        half_target = math.acos(max(min(cap, 1.0), -1.0)) / 2.0
+        half_target = math.acos(cap) / 2.0
         bis = u + w_al
         bis = bis / np.linalg.norm(bis)
         perp = w_al - np.vdot(bis, w_al) * bis
@@ -520,7 +525,7 @@ def constrained_als(tensor, cfg: SolverConfig):
 
     Returns (CPModel, AlsDiagnostics).
     """
-    f = finite_tensor(tensor, "constrained_als")
+    f, fnorm = bounded_tensor(tensor, "constrained_als")
     d = f.ndim
     if d < 2:
         raise ValueError(f"constrained_als needs at least 2 modes, got {d}")
@@ -548,7 +553,6 @@ def constrained_als(tensor, cfg: SolverConfig):
     mus = [gram_mu(g) for g in grams]
     caps = cfg.coherence_caps or (1.0,) * d
     lam_reg = cfg.tychonoff_lambda
-    fnorm = frobenius(f)
     # rounding bound of the Gram-identity loss: its three terms are at most
     # (||f|| + ||lam||_1)^2 in size (|b_p| <= ||f||, |G_pq| <= 1), and each
     # sums over the tensor, losing log2(size) ulps of that as a pairwise sum
@@ -597,14 +601,14 @@ def constrained_als(tensor, cfg: SolverConfig):
         # mode's MTTKRP: it depends only on the other modes, so it holds
         # however the last factor was set
         b = np.sum(mttkrp * factors[-1].conj(), axis=0)
-        lam = _solve_gram(grams, b, flags, lam_reg, mus)
+        gram = functools.reduce(np.multiply, grams)
+        lam = _solve_gram(gram, b, flags, lam_reg, mus)
         prev = loss_trace[-1]
         scale = fnorm + float(np.sum(np.abs(lam)))
         resolution = cfg.tol * max(1.0, prev)
         if 16.0 * ulps * scale ** 2 < resolution:
             # ||f - sum_p lam_p g_p||^2 = ||f||^2 - 2 Re lam^H b + lam^H G lam,
             # its rounding well below the stop test's resolution
-            gram = functools.reduce(np.multiply, grams)
             cur = float(fnorm ** 2 - 2.0 * np.vdot(lam, b).real
                         + np.vdot(lam, gram @ lam).real) + ridge()
         else:
@@ -637,17 +641,17 @@ def _mode_solve(unfold: np.ndarray, z: np.ndarray, other_grams: list,
     """Mode update C minimizing ||X_k - C Z^T||^2 + reg ||C||^2.
 
     Z is the Khatri-Rao product of the other (unit-column) factors, so Z^H Z
-    is the Hadamard product of their Grams.  A certified system (see
-    ``_certified``, which reads ``mus``, their coherences, when given)
-    solves (Z^H Z + reg I) C^T = (X_k Z-bar)^T, taking the MTTKRP
+    is the Hadamard product of their Grams, formed once here.  A certified
+    system (see ``_certified``, which reads ``mus``, their coherences, when
+    given) solves (Z^H Z + reg I) C^T = (X_k Z-bar)^T, taking the MTTKRP
     X_k Z-bar as ``mttkrp`` when the caller holds it; any other runs
     ``lstsq`` on Z, which does not square the conditioning.
     """
-    if not _certified(other_grams, reg, mus):
+    gram = functools.reduce(np.multiply, other_grams)
+    if not _certified(gram, map(gram_mu, other_grams) if mus is None else mus, reg):
         return np.linalg.lstsq(z, unfold.T, rcond=None)[0].T
     if mttkrp is None:
         mttkrp = unfold @ z.conj()
-    gram = functools.reduce(np.multiply, other_grams)
     return np.linalg.solve(gram + reg * np.eye(len(gram)), mttkrp.T).T
 
 

@@ -21,11 +21,11 @@ import numpy as np
 from .core import (
     CPModel,
     alternating_rank1,
+    bounded_tensor,
     canonicalize,
     check_tol,
     cp_evaluate,
     evaluate_terms,
-    finite_tensor,
     frobenius,
     inner_product,
     khatri_rao_but,
@@ -82,8 +82,8 @@ def spectral_norm(tensor, restarts: int = 64, seed: int = 0) -> NormCertificate:
     matrices it matches the largest singular value.  The zero tensor
     returns 0 with no witness; non-finite entries raise ``ValueError``.
     """
-    t = finite_tensor(tensor, "spectral_norm")
-    if frobenius(t) == 0.0:
+    t, tnorm = bounded_tensor(tensor, "spectral_norm")
+    if tnorm == 0.0:
         return NormCertificate(spectral=0.0, spectral_witness=None)
     rng = np.random.default_rng(seed)
     value, witness = alternating_rank1(t, restarts, SWEEP_TOL, MAX_SWEEPS, rng)
@@ -138,15 +138,12 @@ def _slice_terms(t: np.ndarray) -> list:
     return terms_at((None,) * t.ndim)
 
 
-@functools.lru_cache(maxsize=1)
-def _flattening_spectra(dtype: str, shape: tuple, data: bytes) -> tuple:
-    """(sigma, m, c) for each flattening M of the tensor with these bytes:
-    its singular values, the rank m r that M(T') has at most for T' of rank
-    <= r, and ||M(E)||_F / ||E||_F.  Cached for the last tensor, so the
-    rank search of one tensor computes them once."""
-    t = np.frombuffer(data, dtype).reshape(shape)
+def _flattening_spectra(t: np.ndarray) -> list:
+    """(sigma, m, c) for each flattening M of the tensor: its singular values,
+    the rank m r that M(T') has at most for T' of rank <= r, and
+    ||M(E)||_F / ||E||_F."""
     spectra = []
-    for k, n in enumerate(shape):
+    for k, n in enumerate(t.shape):
         unfold = np.moveaxis(t, k, 0)
         spectra.append((np.linalg.svd(unfold.reshape(n, -1), compute_uv=False), 1, 1.0))
         if n == 3:
@@ -154,11 +151,12 @@ def _flattening_spectra(dtype: str, shape: tuple, data: bytes) -> tuple:
             z = np.zeros_like(a)
             koszul = np.block([[z, a, -b], [-a, z, c], [b, -c, z]])
             spectra.append((np.linalg.svd(koszul, compute_uv=False), 2, math.sqrt(2.0)))
-    return tuple(spectra)
+    return spectra
 
 
-def _rank_floor(t: np.ndarray, r: int) -> float:
-    """rho_r <= ||T - T'||_F for every tensor T' of rank <= r.
+def _rank_floor(spectra: list, r: int) -> float:
+    """rho_r <= ||T - T'||_F for every tensor T' of rank <= r, from the
+    ``_flattening_spectra`` of T.
 
     The larger of two flattening bounds, each linear in T:
     - Eckart-Young on each unfolding: rank T'_(k) <= r, so
@@ -170,26 +168,26 @@ def _rank_floor(t: np.ndarray, r: int) -> float:
       ||M(E)||_F = sqrt(2) ||E||_F, so
       ||T - T'||_F >= (sum_{i>2r} sigma_i(M(T))^2)^{1/2} / sqrt(2).
     """
-    spectra = _flattening_spectra(t.dtype.str, t.shape, t.tobytes())
     return max(float(np.linalg.norm(s[m * r:])) / c for s, m, c in spectra)
 
 
-def _exact_fit(t: np.ndarray, r: int, rng) -> tuple | None:
+def _exact_fit(t: np.ndarray, r: int, rng, spectra: list) -> tuple | None:
     """Search an exact rank-r fit for a nuclear-norm upper bound.
 
     Alternating least squares on unit factors from a random start, then an
     exact weight solve.  Only decompositions meeting the residual tolerance
     produce upper bounds.  Returns (weight_sum, model, residual) or None.
     The start is drawn first, so the rng stream does not depend on the gate:
-    when the rank floor exceeds twice the residual tolerance (the factor 2
-    absorbs the rounding of the floor and of the fit's residual), no rank-r
-    fit could certify and the sweeps are skipped.
+    when the rank floor of the flattening ``spectra`` of t exceeds twice the
+    residual tolerance (the factor 2 absorbs the rounding of the floor and
+    of the fit's residual), no rank-r fit could certify and the sweeps are
+    skipped.
     """
     dims = t.shape
     d = t.ndim
     tnorm = frobenius(t)
     factors = [random_unit_columns(n, r, rng) for n in dims]
-    if _rank_floor(t, r) > 2.0 * FIT_TOL * max(1.0, tnorm):
+    if _rank_floor(spectra, r) > 2.0 * FIT_TOL * max(1.0, tnorm):
         return None
     # each mode's transposed unfolding, and lstsq's own default rcond for it
     rhs = [np.moveaxis(t, k, 0).reshape(n, -1).T for k, n in enumerate(dims)]
@@ -230,13 +228,12 @@ def nuclear_norm_bounds(tensor, cfg: NormConfig | None = None) -> NormCertificat
     entries raise ``ValueError``.
     """
     cfg = cfg or NormConfig()
-    t = finite_tensor(tensor, "nuclear_norm_bounds")
+    t, tnorm = bounded_tensor(tensor, "nuclear_norm_bounds")
     if t.size > cfg.size_cap:
         raise ValueError(
             f"nuclear_norm_bounds refused: {t.size} entries exceeds cap "
             f"{cfg.size_cap} (raise NormConfig.size_cap explicitly)"
         )
-    tnorm = frobenius(t)
     if tnorm == 0.0:
         raise ValueError("nuclear norm bounds undefined for the zero tensor")
     for i, cand in enumerate(cfg.candidates):
@@ -265,10 +262,12 @@ def nuclear_norm_bounds(tensor, cfg: NormConfig | None = None) -> NormCertificat
             if val < upper:
                 upper, upper_witness = val, cand
     if cfg.search and t.ndim >= 3:
+        spectra = None
         for r in range(1, min(t.size // max(t.shape), 8) + 1):
             if upper - lower <= TIE_RTOL * max(1.0, upper):
                 break
-            got = _exact_fit(t, r, rng)
+            spectra = spectra or _flattening_spectra(t)
+            got = _exact_fit(t, r, rng, spectra)
             if got is not None and got[0] < upper:
                 upper, upper_witness = got[0], got[1]
 

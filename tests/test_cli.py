@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cohcp import cli
+from cohcp import cli, core
 from cohcp.cli import main, render_report
 from cohcp.core import cp_evaluate, frobenius, rank1_outer, random_unit_columns
 from cohcp.decompose import random_incoherent_dictionary
@@ -183,6 +184,58 @@ class TestNormsCommand:
         err = capsys.readouterr().err
         assert "HTNS1: entry 5: non-finite value" in err
         assert not out.exists()
+
+
+def _scaled_tensor(dims, scale):
+    """A 4^3 complex or a 3^3 real Gaussian tensor, times ``scale``."""
+    rng = np.random.default_rng(0 if dims == (4, 4, 4) else 1)
+    if dims == (4, 4, 4):
+        return (rng.standard_normal(dims) + 1j * rng.standard_normal(dims)) * scale
+    return rng.standard_normal(dims) * scale
+
+
+def _range_command(tmp_path, dims, scale, command):
+    path = tmp_path / "t.htns"
+    write_htns(path, _scaled_tensor(dims, scale))
+    if command == "norms":
+        return ["norms", "--input", str(path)]
+    argv = ["decompose", "--input", str(path), "--rank", "2", "--method", command]
+    if command == "woga":
+        e = np.eye(dims[0]).tolist()
+        (tmp_path / "atoms.json").write_text(json.dumps(
+            {"atoms": [[e[0], e[0], e[0]], [e[1], e[1], e[1]], [e[0], e[1], e[2]]]}))
+        argv += ["--dict", str(tmp_path / "atoms.json")]
+    return argv
+
+
+class TestInputRange:
+    # ||T|| = 1.08e154 and 1.08e155 overflowed the squared sums (a traceback,
+    # or a misleading "Singular matrix"); 4.5e-200 underflowed them to zero
+    @pytest.mark.parametrize("command", ["als", "oga", "woga", "norms"])
+    @pytest.mark.parametrize("dims, scale", [((4, 4, 4), 1e153), ((4, 4, 4), 1e154),
+                                             ((3, 3, 3), 1e-200)])
+    def test_norm_out_of_range_exits_2(self, tmp_path, capsys, dims, scale, command):
+        argv = _range_command(tmp_path, dims, scale, command)
+        assert run_cli([*argv, "--out", str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert "Frobenius norm" in err and "lies outside" in err
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("command", ["als", "oga", "woga", "norms"])
+    @pytest.mark.parametrize("dims, scale", [((4, 4, 4), 1e152), ((3, 3, 3), 1e-150)])
+    def test_norm_in_range_reports_unchanged(self, tmp_path, monkeypatch, dims, scale,
+                                             command):
+        # the range check only refuses: with the band opened to every
+        # double, the report has the same bytes
+        argv = _range_command(tmp_path, dims, scale, command)
+        texts, codes = [], []
+        for name in ("checked.json", "open.json"):
+            codes.append(run_cli([*argv, "--out", str(tmp_path / name)]))
+            texts.append(re.sub(r'"timestamp": "[^"]*", ', "", (tmp_path / name).read_text()))
+            monkeypatch.setattr(core, "NORM_MIN", 0.0)
+            monkeypatch.setattr(core, "NORM_MAX", math.inf)
+        assert codes[0] == codes[1] in (0, 3)
+        assert texts[0] == texts[1]
 
 
 class TestDecomposeCommand:

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -580,3 +581,54 @@ class TestUnitColumns:
         u, nrm = core.unit_columns(np.zeros((3, 0), dtype=complex),
                                    np.zeros((3, 0), dtype=complex), 1e-300)
         assert u.shape == (3, 0) and nrm.shape == (0,)
+
+
+class TestBoundedTensor:
+    def test_in_range_is_one_pass(self, monkeypatch):
+        # the norm is the scan: no isfinite pass over an in-range tensor
+        t = np.arange(24.0).reshape(2, 3, 4) * 1e100
+        monkeypatch.setattr(np, "isfinite", lambda *a: pytest.fail("isfinite scan"))
+        got, nrm = core.bounded_tensor(t, "caller")
+        assert got.dtype == np.complex128 and nrm == frobenius(t)
+
+    def test_zero_tensor_passes_with_norm_zero(self):
+        got, nrm = core.bounded_tensor(np.zeros((2, 2)), "caller")
+        assert nrm == 0.0 and not got.any()
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_entry_named(self, bad):
+        t = np.ones((2, 3))
+        t[1, 2] = bad
+        with pytest.raises(ValueError, match=r"caller: non-finite entry at index \(1, 2\)"):
+            core.bounded_tensor(t, "caller")
+
+    @pytest.mark.parametrize("scale, norm", [(1e160, "5e+160"), (1e155, "5e+155"),
+                                             (1e-160, "5e-160"), (1e-300, "5e-300")])
+    def test_norm_out_of_range_named(self, scale, norm):
+        # 1e155 overflows the squared sum and 1e-300 underflows it to zero
+        t = np.array([3.0, 4.0j]) * scale
+        with pytest.raises(ValueError, match=re.escape(f"caller: Frobenius norm {norm} lies")):
+            core.bounded_tensor(t, "caller")
+
+    def test_band_edges_pass(self):
+        for edge in (core.NORM_MIN, core.NORM_MAX):
+            assert core.bounded_tensor(np.array([edge]), "caller")[1] == edge
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e-200])
+@pytest.mark.parametrize("entry", ["constrained_als", "woga", "oga_continuous", "best_rank1",
+                                   "spectral_norm", "nuclear_norm_bounds"])
+def test_entry_points_refuse_norm_out_of_range(entry, scale):
+    from cohcp import decompose, norms
+
+    t = np.ones((2, 2, 2)) * scale
+    calls = {
+        "constrained_als": lambda: decompose.constrained_als(t, decompose.SolverConfig(r=1)),
+        "woga": lambda: decompose.woga(t, decompose.Dictionary([[np.ones(2)] * 3])),
+        "oga_continuous": lambda: decompose.oga_continuous(t, 1),
+        "best_rank1": lambda: decompose.best_rank1(t),
+        "spectral_norm": lambda: norms.spectral_norm(t),
+        "nuclear_norm_bounds": lambda: norms.nuclear_norm_bounds(t),
+    }
+    with pytest.raises(ValueError, match=f"{entry}: Frobenius norm .* lies outside"):
+        calls[entry]()

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from cohcp.coherence import coherence
 from cohcp.conditions import coercivity_lower_bound, condition_report, temlyakov_condition
 from cohcp.core import (
+    NORM_MIN,
     canonicalize,
     cp_evaluate,
     essentially_equal,
@@ -323,6 +324,15 @@ class TestOgaContinuous:
         assert res.flags == ["stagnation_early_stop"]
         assert len(res.selected) == model.rank == 3
         assert res.residuals[-1] > 1.0 and not res.converged
+
+    def test_residual_below_norm_range_stops(self):
+        # with tol = 0 the residual of an exact rank-1 fit at norm 1e-140 is
+        # rounding below NORM_MIN, which best_rank1 refuses to decompose
+        rng = np.random.default_rng(17)
+        f = rank1_outer([random_unit_columns(3, 1, rng)[:, 0] for _ in range(3)]) * 1e-140
+        model, res = oga_continuous(f, 3, tol=0.0)
+        assert model.rank == 1 and len(res.residuals) == 2
+        assert 0.0 < res.residuals[-1] < NORM_MIN and not res.converged
 
     def test_zero_tensor_gives_rank0_model(self):
         model, res = oga_continuous(np.zeros((3, 4, 2)), 2)
@@ -971,11 +981,12 @@ class TestSolveGram:
         rng = np.random.default_rng(33)
         factors = [random_unit_columns(n, 4, rng) for n in (20, 24, 30)]
         grams = [fk.conj().T @ fk for fk in factors]
+        gram, mus = grams[0] * grams[1] * grams[2], [gram_mu(g) for g in grams]
         rhs = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        assert decompose._certified(grams, 0.0)
+        assert decompose._certified(gram, mus)
         calls, _ = linalg_spy(monkeypatch, "cond")
         flags = []
-        got = decompose._solve_gram(grams, rhs, flags)
+        got = decompose._solve_gram(gram, rhs, flags, mus=mus)
         assert calls == [] and flags == []
         ref = np.linalg.solve(grams[0] * grams[1] * grams[2], rhs)
         assert got.tobytes() == ref.tobytes()
@@ -984,12 +995,13 @@ class TestSolveGram:
         e1 = np.array([1.0, 0.0], dtype=complex)
         pair = np.stack([e1, e1], axis=1)  # mu = 1: margin 1-(r-1) = 0
         grams = [pair.conj().T @ pair] * 3
-        assert not decompose._certified(grams, 0.0)
+        gram, mus = grams[0] * grams[1] * grams[2], [gram_mu(g) for g in grams]
+        assert not decompose._certified(gram, mus)
         calls, _ = linalg_spy(monkeypatch, "pinv")
         flags = []
         rhs = np.array([2.0, 2.0], dtype=complex)
         for _ in range(2):
-            got = decompose._solve_gram(grams, rhs, flags)
+            got = decompose._solve_gram(gram, rhs, flags, mus=mus)
         assert len(calls) == 2
         assert flags == ["singular_gram_pseudoinverse"]
         np.testing.assert_allclose(got, [1.0, 1.0], rtol=0.0, atol=1e-12)
@@ -1000,12 +1012,12 @@ class TestSolveGram:
         # coherent pairs: the ridge alone certifies the system
         pair = np.stack([(e1 + e2 / 8) / np.linalg.norm(e1 + e2 / 8), e1], axis=1)
         grams = [pair.conj().T @ pair] * 3
-        assert not decompose._certified(grams, 0.0)
+        gram, mus = grams[0] * grams[1] * grams[2], [gram_mu(g) for g in grams]
+        assert not decompose._certified(gram, mus)
         calls, _ = linalg_spy(monkeypatch, "cond")
         rhs = np.array([1.0 + 2.0j, -0.5j])
-        got = decompose._solve_gram(grams, rhs, [], 0.05)
+        got = decompose._solve_gram(gram, rhs, [], 0.05, mus)
         assert calls == []
-        gram = grams[0] * grams[1] * grams[2]
         ref = np.linalg.solve(gram + 0.05 * np.eye(2), rhs)
         assert got.tobytes() == ref.tobytes()
 
@@ -1018,11 +1030,12 @@ class TestSolveGram:
         e2 = np.array([0.0, 1.0], dtype=complex)
         pair = np.stack([(e1 + e2 / 8) / np.linalg.norm(e1 + e2 / 8), e1], axis=1)
         grams = [pair.conj().T @ pair] * 3
-        assert not decompose._certified(grams, 0.0)
+        gram, mus = grams[0] * grams[1] * grams[2], [gram_mu(g) for g in grams]
+        assert not decompose._certified(gram, mus)
         monkeypatch.setattr(np.linalg, "cond", failing_cond)
         flags = []
         rhs = np.array([1.0 + 2.0j, -0.5j])
-        got = decompose._solve_gram(grams, rhs, flags)
+        got = decompose._solve_gram(gram, rhs, flags, mus=mus)
         assert flags == ["singular_gram_pseudoinverse"]
         ref = np.linalg.pinv(grams[0] * grams[1] * grams[2], rcond=1e-12) @ rhs
         assert got.tobytes() == ref.tobytes()
@@ -1067,6 +1080,57 @@ class TestRowCertificate:
         # the eigensolver rounds at about r ulps
         assert row >= 1.0 - (r - 1) * math.prod(map(gram_mu, grams)) - 8 * eps
         assert row <= np.linalg.eigvalsh(gram)[0] + 8 * r * eps
+
+
+def hadamard_spy(monkeypatch):
+    """Count the Hadamard products of Grams: decompose forms each one as
+    functools.reduce(np.multiply, grams)."""
+    calls = []
+    reduce = functools.reduce
+
+    def spy(fn, *args):
+        if fn is np.multiply:
+            calls.append(1)
+        return reduce(fn, *args)
+
+    monkeypatch.setattr(functools, "reduce", spy)
+    return calls
+
+
+class TestOneGramPerSystem:
+    @pytest.mark.parametrize("regime", [{}, {"coherence_caps": (0.3, 0.5, 0.9, 0.9)},
+                                        {"tychonoff_lambda": 0.05}])
+    @pytest.mark.parametrize("init", ["greedy", "random"])
+    def test_d_plus_one_products_per_sweep(self, monkeypatch, regime, init):
+        # d mode solves and the weight re-solve, whose Gram the loss reads
+        rng = np.random.default_rng(57)
+        f = rng.standard_normal((5, 4, 6, 3)) + 1j * rng.standard_normal((5, 4, 6, 3))
+        calls = hadamard_spy(monkeypatch)
+        _, diag = constrained_als(f, SolverConfig(r=3, seed=4, init=init, max_iter=20,
+                                                  **regime))
+        assert len(calls) == 5 * diag.n_iter
+
+    def test_120_per_blind_id_op(self, monkeypatch):
+        # the seed-611 items of the benchmark converge in 30 sweeps of 3 modes
+        from test_simulate import _blind_id_workload
+
+        workload = _blind_id_workload()
+        calls = hadamard_spy(monkeypatch)
+        counts = []
+        for item in workload.setup(611, None):
+            calls.clear()
+            workload.op(item)
+            counts.append(len(calls))
+        assert counts == [120] * workload.pool
+
+    def test_greedy_solves_read_their_gram(self, monkeypatch):
+        rng = np.random.default_rng(58)
+        dictionary = random_incoherent_dictionary((4, 4, 4), 12, seed=3)
+        f = planted_combination(dictionary, [1, 5, 9], np.array([1.0, 0.8, 0.6]))
+        calls = hadamard_spy(monkeypatch)
+        woga(f, dictionary)
+        oga_continuous(rng.standard_normal((3, 3, 3)) + 0j, 3, restarts=4)
+        assert calls == []
 
 
 class TestDivergenceWitness:

@@ -51,7 +51,7 @@ def alternating_rank1_reference(t, restarts, tol, max_sweeps, rng):
     return float(abs(term_correlations(t, [w[:, None] for w in witness])[0])), witness
 
 
-def exact_fit_reference(t, r, rng):
+def exact_fit_reference(t, r, rng, spectra):
     """``norms._exact_fit`` as it was before ``core.unit_columns``: lstsq
     with its default rcond on a fresh transposed unfolding, norms by
     linalg.norm and a hand-written keep of vanishing columns."""
@@ -59,7 +59,7 @@ def exact_fit_reference(t, r, rng):
     d = t.ndim
     tnorm = frobenius(t)
     factors = [norms.random_unit_columns(n, r, rng) for n in dims]
-    if norms._rank_floor(t, r) > 2.0 * norms.FIT_TOL * max(1.0, tnorm):
+    if norms._rank_floor(spectra, r) > 2.0 * norms.FIT_TOL * max(1.0, tnorm):
         return None
     unfolds = [np.moveaxis(t, k, 0).reshape(dims[k], -1) for k in range(d)]
     for _ in range(norms.FIT_SWEEPS):
@@ -406,13 +406,22 @@ class TestNuclearBounds:
         assert abs(cert.nuclear_lower - 8.0) <= 1e-12
         assert cert.certified
 
+    def test_closed_bracket_computes_no_spectra(self, monkeypatch):
+        # the slice bound of T_2 meets its lower bound 8 before any rank
+        def fail(t):
+            raise AssertionError("spectra computed for a closed bracket")
+
+        monkeypatch.setattr(norms, "_flattening_spectra", fail)
+        cert = nuclear_norm_bounds(mat_mult_tensor(2))
+        assert cert.nuclear_upper == 8.0 and cert.certified
+
     def test_open_bracket_searches_every_rank(self, monkeypatch):
         ranks = []
         fit = norms._exact_fit
 
-        def counting(t, r, rng):
+        def counting(t, r, rng, spectra):
             ranks.append(r)
-            return fit(t, r, rng)
+            return fit(t, r, rng, spectra)
 
         monkeypatch.setattr(norms, "_exact_fit", counting)
         rng = np.random.default_rng(14)
@@ -493,7 +502,8 @@ class TestRankFloor:
         rng = np.random.default_rng(seed)
         near = _planted(rng, dims, r)
         t = near + scale * _random_tensor(rng, dims)
-        assert norms._rank_floor(t, r) <= frobenius(t - near) + 1e-14 * frobenius(t)
+        assert (norms._rank_floor(norms._flattening_spectra(t), r)
+                <= frobenius(t - near) + 1e-14 * frobenius(t))
 
     @pytest.mark.parametrize("d", [3, 4])
     def test_planted_rank_not_gated(self, d):
@@ -503,13 +513,14 @@ class TestRankFloor:
             dims = tuple(int(n) for n in rng.integers(2, 5, size=d))
             r = int(rng.integers(1, 5))
             t = _planted(rng, dims, r)
-            assert norms._rank_floor(t, r) <= 16 * np.finfo(float).eps * frobenius(t)
+            assert (norms._rank_floor(norms._flattening_spectra(t), r)
+                    <= 16 * np.finfo(float).eps * frobenius(t))
 
     @pytest.mark.parametrize("case", sorted(GATE_CASES))
     def test_gate_leaves_results_unchanged(self, monkeypatch, case):
         t = GATE_CASES[case]()
         gated = nuclear_norm_bounds(t)
-        monkeypatch.setattr(norms, "_rank_floor", lambda t, r: 0.0)
+        monkeypatch.setattr(norms, "_rank_floor", lambda spectra, r: 0.0)
         ungated = nuclear_norm_bounds(t)
         for name in ("spectral", "nuclear_lower", "nuclear_upper", "certified"):
             assert getattr(gated, name) == getattr(ungated, name), name
@@ -520,12 +531,19 @@ class TestRankFloor:
                         strict=True):
             assert np.array_equal(a, b)
 
-    def test_spectra_computed_once_per_tensor(self):
+    def test_spectra_computed_once_per_tensor(self, monkeypatch):
         # the search asks for the floor at each of its 8 ranks
-        norms._flattening_spectra.cache_clear()
+        calls, floors = [], []
+        spectra, floor = norms._flattening_spectra, norms._rank_floor
+        monkeypatch.setattr(norms, "_flattening_spectra",
+                            lambda t: calls.append(1) or spectra(t))
+        monkeypatch.setattr(norms, "_rank_floor",
+                            lambda s, r: floors.append(r) or floor(s, r))
         nuclear_norm_bounds(_random_tensor(np.random.default_rng(18), (3, 3, 3)))
-        info = norms._flattening_spectra.cache_info()
-        assert (info.misses, info.hits) == (1, 7)
+        assert (len(calls), floors) == (1, list(range(1, 9)))
+
+    def test_no_module_level_cache(self):
+        assert not [name for name, obj in vars(norms).items() if hasattr(obj, "cache_info")]
 
     def test_gate_skips_ranks_below_border_rank_5(self, monkeypatch):
         # Eckart-Young gates r = 1, 2 and the Koszul flattening r = 3, 4 on a
@@ -534,9 +552,9 @@ class TestRankFloor:
         sweeps = {}
         fit, kr = norms._exact_fit, norms.khatri_rao_but
 
-        def fit_spy(t, r, rng):
+        def fit_spy(t, r, rng, spectra):
             sweeps[r] = 0
-            return fit(t, r, rng)
+            return fit(t, r, rng, spectra)
 
         def kr_spy(factors, k):
             sweeps[max(sweeps)] += 1
@@ -569,7 +587,7 @@ class TestExactFitMatchesReference:
             return gram(factors)
 
         monkeypatch.setattr(norms, "term_gram", gram_spy)
-        got = fit(t, r, np.random.default_rng(100 + r))
+        got = fit(t, r, np.random.default_rng(100 + r), norms._flattening_spectra(t))
         monkeypatch.setattr(norms, "term_gram", gram)
         return _fit_bytes(got), swept
 
@@ -592,8 +610,8 @@ class TestExactFitMatchesReference:
             return lstsq(a, b, rcond=rcond)
 
         monkeypatch.setattr(np.linalg, "lstsq", spy)
-        norms._exact_fit(_random_tensor(np.random.default_rng(42), dims), 6,
-                         np.random.default_rng(6))
+        t = _random_tensor(np.random.default_rng(42), dims)
+        norms._exact_fit(t, 6, np.random.default_rng(6), norms._flattening_spectra(t))
         assert seen[:-1] == [True] * 3 * norms.FIT_SWEEPS
 
     @pytest.mark.parametrize("dims", [(3, 3, 3), (2, 3, 4)])
