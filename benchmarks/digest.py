@@ -23,7 +23,12 @@ also carries the exit code, and its report is hashed without its
 - ``cohcp decompose`` (als, oga, woga) and ``cohcp norms`` on tensors
   near the edges of the accepted norm range: a 4^3 tensor of norm 1.1e153
   and a 3^3 tensor of norm 4.5e-150;
-- both demos, and ``cohcp simulate`` of a CDMA and a fluorescence scene.
+- both demos, and ``cohcp simulate`` of a CDMA, a fluorescence and an
+  array scene, each with the bytes of its ``--out-tensor`` file;
+- ``cohcp coherence`` (within and over the brute-force budget) and
+  ``cohcp check`` (from ``--mus`` and from ``--factors``);
+- ``cohcp norms --input`` on a d = 1 vector and a d = 2 matrix whose
+  imaginary parts include -0.0 (the one-mode witness keeps the signs).
 
 It takes a few seconds.
 """
@@ -200,6 +205,12 @@ def demos_and_simulate(work: Path) -> None:
         "fluorescence": {"concentrations": [[1.0, 0.2], [0.3, 1.0]],
                          "excitation": [[1.0, 0.9], [0.2, 0.3], [0.1, 0.2]],
                          "emission": [[0.5, 0.4], [0.5, 0.6]]},
+        "array": {"positions": [[i * 0.12, j * 0.12, 0.0] for i in range(3) for j in range(3)]
+                  + [[0.12, 0.12, 0.12]],
+                  "translations": [[0.0, 0.0, 0.0], [0.12, 0.0, 0.0], [0.0, 0.12, 0.0]],
+                  "pulsation": 2e9 * np.pi, "celerity": 3e8,
+                  "directions": [[0.5, 0.5, 0.707], [-0.5, 0.5, 0.707]],
+                  "signals": {"kind": "qpsk", "n_samples": 24}},
     }
     for kind, doc in scenes.items():
         (work / "scene.json").write_text(json.dumps(doc))
@@ -211,11 +222,33 @@ def demos_and_simulate(work: Path) -> None:
         show(f"simulate.{kind}.tensor", (work / "s.htns").read_bytes())
 
 
+def factor_commands(work: Path) -> None:
+    rng = np.random.default_rng(SEED)
+    paths = []
+    for k, (n, r) in enumerate(((3, 4), (4, 4), (5, 4))):
+        paths.append(str(work / f"f{k}.htns"))
+        write_htns(paths[-1], random_unit_columns(n, r, rng))
+    for budget in ("14", "2"):
+        show_cli(f"coherence.budget{budget}",
+                 ["coherence", "--input", paths[0], "--budget", budget], work / "r.json")
+    show_cli("check.mus", ["check", "--mus", "0.2,0.3,0.4", "--r", "2", "--kranks", "2,2,2"],
+             work / "r.json")
+    show_cli("check.factors", ["check", "--factors", *paths, "--r", "3"], work / "r.json")
+    # imaginary parts of -0.0 beside +0.0, in the one-mode witness of a vector
+    vector = np.array([complex(3.0, -0.0), complex(1.0, -0.0), complex(-2.0, 0.0),
+                       complex(0.5, -0.0)])
+    matrix = np.array([[complex(1.0, -0.0), complex(0.5, 0.25)],
+                       [complex(-0.3, -0.0), complex(2.0, 0.0)]])
+    for name, t in (("vector", vector), ("matrix", matrix)):
+        write_htns(work / "n.htns", t)
+        show_cli(f"norms.{name}", ["norms", "--input", str(work / "n.htns")], work / "r.json")
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         for section in (blind_id, norm_certify, dense_als, decompose_cli,
-                        norm_range_edges, demos_and_simulate):
+                        norm_range_edges, demos_and_simulate, factor_commands):
             section(work)
     return 0
 

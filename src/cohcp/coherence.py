@@ -65,6 +65,14 @@ def _independent(subset: np.ndarray) -> bool:
     return bool(s[-1] > RANK_RTOL * s[0])
 
 
+def _bruteforce_columns(vectors, budget: int, what: str) -> np.ndarray:
+    """The unit columns of an enumeration, refusing more than ``budget``."""
+    v = _check_unit_columns(vectors)
+    if v.shape[1] > budget:
+        raise ValueError(f"brute-force {what} refused: r={v.shape[1]} exceeds budget {budget}")
+    return v
+
+
 def kruskal_rank_bruteforce(vectors, budget: int = KRANK_BUDGET) -> int:
     """Largest k such that every k-subset of columns is linearly independent.
 
@@ -75,12 +83,8 @@ def kruskal_rank_bruteforce(vectors, budget: int = KRANK_BUDGET) -> int:
     runs from k = min(r, n) downward and stops at the first k where all
     subsets pass; a single unit column is independent, so k = 1 always does.
     """
-    v = _check_unit_columns(vectors)
+    v = _bruteforce_columns(vectors, budget, "Kruskal rank")
     n, r = v.shape
-    if r > budget:
-        raise ValueError(
-            f"brute-force Kruskal rank refused: r={r} exceeds budget {budget}"
-        )
     for k in range(min(n, r), 1, -1):
         if all(_independent(v[:, list(c)]) for c in combinations(range(r), k)):
             return k
@@ -93,12 +97,8 @@ def spark_bruteforce(vectors, budget: int = KRANK_BUDGET) -> int:
     Independent enumeration path (increasing k); returns r + 1 when every
     subset is independent.  Satisfies spark = krank + 1.
     """
-    v = _check_unit_columns(vectors)
+    v = _bruteforce_columns(vectors, budget, "spark")
     n, r = v.shape
-    if r > budget:
-        raise ValueError(
-            f"brute-force spark refused: r={r} exceeds budget {budget}"
-        )
     for k in range(1, r + 1):
         if k > n:
             return k  # any k > n columns are dependent

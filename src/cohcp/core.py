@@ -113,14 +113,15 @@ def stack_terms(terms, dims) -> list:
 
 def khatri_rao_but(factors, k: int) -> np.ndarray:
     """Khatri-Rao product of all factor matrices except mode k, ordered to
-    match the C-order unfolding of the remaining modes."""
+    match the C-order unfolding of the remaining modes; for a single mode,
+    the empty product: a 1 x r row of ones."""
     kr = None
     r = factors[0].shape[1]
     for j, fj in enumerate(factors):
         if j == k:
             continue
         kr = fj if kr is None else (kr[:, None, :] * fj[None, :, :]).reshape(-1, r)
-    return kr
+    return np.ones((1, r)) if kr is None else kr
 
 
 def term_gram(factors) -> np.ndarray:
@@ -166,8 +167,7 @@ def term_correlations(t: np.ndarray, factors) -> np.ndarray:
                          f"match the factor dims {dims}")
     if cols[0] == 0:
         return np.zeros(0, dtype=np.complex128)
-    kr = khatri_rao_but(factors, 0)
-    kr = np.ones((1, cols[0])) if kr is None else kr.conj()  # None: one mode
+    kr = khatri_rao_but(factors, 0).conj()
     return np.sum((t.reshape(dims[0], -1) @ kr) * factors[0].conj(), axis=0)
 
 
@@ -185,9 +185,7 @@ def evaluate_terms(weights, factors) -> np.ndarray:
     dims = tuple(f.shape[0] for f in factors)
     if r == 0:
         return np.zeros(dims, dtype=np.complex128)
-    kr = khatri_rao_but(factors, 0)
-    kr = np.ones((1, r)) if kr is None else kr  # None: one mode
-    return ((factors[0] * w) @ kr.T).reshape(dims)
+    return ((factors[0] * w) @ khatri_rao_but(factors, 0).T).reshape(dims)
 
 
 def unit_columns(c: np.ndarray, keep: np.ndarray, floor: float = 0.0) -> tuple:
@@ -222,8 +220,8 @@ def alternating_rank1(t: np.ndarray, restarts: int, tol: float,
     for _ in range(max_sweeps):
         prev = vals
         for k, x in enumerate(unfolds):
-            kr = khatri_rao_but(conjs, k)
-            c = x if kr is None else x @ kr
+            # one mode: x itself, as x @ ones would turn -0.0 imaginary parts to +0.0
+            c = x if t.ndim == 1 else x @ khatri_rao_but(conjs, k)
             vecs[k], vals = unit_columns(c, vecs[k])
             conjs[k] = vecs[k].conj()
         if (vals - prev).max() <= tol * max(1.0, float(vals.max())):

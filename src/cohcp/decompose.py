@@ -174,12 +174,11 @@ def woga(tensor, dictionary: Dictionary, t: float = 1.0,
     elif max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
 
-    fnorm2 = fnorm ** 2
     b_all = dictionary.correlations(f)
     selected: list = []
     flags: list = []
     coeffs = np.zeros(0, dtype=np.complex128)
-    residuals = [math.sqrt(fnorm2)]
+    residuals = [fnorm]
     converged = residuals[0] <= tol
     m = 0
     while not converged and m < max_iter:
@@ -243,10 +242,9 @@ def oga_continuous(tensor, r: int, restarts: int = 32, tol: float = 1e-12,
     if r < 1:
         raise ValueError("r must be >= 1")
     check_tol(tol)
-    fnorm2 = fnorm ** 2
     atoms: list = []
     flags: list = []
-    residuals = [math.sqrt(fnorm2)]
+    residuals = [fnorm]
     coeffs = np.zeros(0, dtype=np.complex128)
     residual = f
     stagnant = 0

@@ -25,7 +25,7 @@ _CHUNK_LINES = 1 << 14
 
 def dump_htns(tensor) -> str:
     buf = io.StringIO()
-    _write(buf, tensor)
+    _write(buf, _writable(tensor))
     return buf.getvalue()
 
 
@@ -45,10 +45,10 @@ def _writable(tensor) -> np.ndarray:
     return np.ascontiguousarray(t)
 
 
-def _write(fh, tensor) -> None:
-    """Write the header, then the entries ``_CHUNK_LINES`` lines per write,
-    each chunk formatted by one ``%`` call on its Python floats."""
-    t = _writable(tensor)
+def _write(fh, t: np.ndarray) -> None:
+    """Write the ``_writable`` tensor t: the header, then the entries
+    ``_CHUNK_LINES`` lines per write, each chunk formatted by one ``%`` call
+    on its Python floats."""
     fh.write(f"{t.ndim}\n{' '.join(str(n) for n in t.shape)}\n")
     flat = t.reshape(-1).view(np.float64)
     for start in range(0, flat.size, 2 * _CHUNK_LINES):

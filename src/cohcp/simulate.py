@@ -101,9 +101,12 @@ def steering_vectors(scene: ArrayScene, directions) -> tuple:
     """
     d = _unit_directions(directions)
     k = scene.wavenumber
-    u = np.exp(1j * k * (scene.b @ d.T)) / math.sqrt(scene.b.shape[0])
-    v = np.exp(1j * k * (scene.delta @ d.T)) / math.sqrt(scene.delta.shape[0])
-    return u, v
+    return _steering(scene.b, k, d), _steering(scene.delta, k, d)
+
+
+def _steering(points: np.ndarray, k: float, d: np.ndarray) -> np.ndarray:
+    """exp(j k points_i . d_p) / sqrt(n): one unit column per row of d."""
+    return np.exp(1j * k * (points @ d.T)) / math.sqrt(points.shape[0])
 
 
 def _observe(truth, noise_std: float, seed: int) -> np.ndarray:
@@ -278,19 +281,25 @@ def effective_codes(spreading, impulse) -> np.ndarray:
     return out
 
 
+def _planted(mats: list, refusal: str) -> tuple:
+    """(cols, truth): the unit complex128 columns of the factor matrices and
+    the canonical model whose weights are the products of the column norms;
+    a zero column raises ``ValueError(refusal)``."""
+    norms = [np.linalg.norm(m, axis=0) for m in mats]
+    lam = math.prod(norms)
+    if np.any(lam == 0):
+        raise ValueError(refusal)
+    cols = [(m / n).astype(np.complex128) for m, n in zip(mats, norms)]
+    return cols, canonicalize(lam.astype(np.complex128), cols)
+
+
 def simulate_cdma(scene: CdmaScene, noise_std: float = 0.0, seed: int = 0):
     """Received CDMA tensor T_{ijk} = sum_p A_ip S_jp B_kp + noise.
 
     Returns (tensor, truth) with the canonical ground-truth model.
     """
-    a, s, b = scene.gains, scene.symbols, scene.codes
-    na = np.linalg.norm(a, axis=0)
-    ns = np.linalg.norm(s, axis=0)
-    nb = np.linalg.norm(b, axis=0)
-    if np.any(na * ns * nb == 0):
-        raise ValueError("every user needs nonzero gains, symbols, and codes")
-    lam = (na * ns * nb).astype(np.complex128)
-    truth = canonicalize(lam, [a / na, s / ns, b / nb])
+    _, truth = _planted([scene.gains, scene.symbols, scene.codes],
+                        "every user needs nonzero gains, symbols, and codes")
     return _observe(truth, noise_std, seed), truth
 
 
@@ -315,12 +324,7 @@ def simulate_fluorescence(concentrations, excitation, emission,
             raise ValueError(f"{name} must be nonnegative")
     if not (x.shape[1] == y.shape[1] == z.shape[1]):
         raise ValueError("need one column per substance in every mode")
-    nx, ny, nz = (np.linalg.norm(m, axis=0) for m in (x, y, z))
-    if np.any(nx * ny * nz == 0):
-        raise ValueError("every substance needs nonzero columns in all modes")
-    lam = (nx * ny * nz).astype(np.complex128)
-    cols = [(m / n).astype(np.complex128) for m, n in ((x, nx), (y, ny), (z, nz))]
-    truth = canonicalize(lam, cols)
+    cols, truth = _planted([x, y, z], "every substance needs nonzero columns in all modes")
     likeness = {name: gram_mu(c.conj().T @ c) for name, c in zip(
         ("concentration_likeness", "absorbance_likeness", "fluorescence_likeness"), cols)}
     return _observe(truth, noise_std, seed), truth, likeness
@@ -386,13 +390,9 @@ AMBIGUITY_TOL = 1e-6   # grid score gap within which a rival maximum is reported
 def _refine_direction(scene: ArrayScene, u_col: np.ndarray, d0: np.ndarray,
                       step0: float) -> tuple:
     k = scene.wavenumber
-    scale = math.sqrt(scene.b.shape[0])
 
     def score(d):
-        # the reference-subarray column of steering_vectors, without its
-        # translation columns or unit check: every d is normalized first
-        u = np.exp(1j * k * (scene.b @ d[None, :].T)) / scale
-        return float(abs(np.vdot(u[:, 0], u_col)))
+        return float(abs(np.vdot(_steering(scene.b, k, d[None, :])[:, 0], u_col)))
 
     d = d0 / np.linalg.norm(d0)
     best = score(d)

@@ -16,6 +16,7 @@ from cohcp.core import (
     evaluate_terms,
     frobenius,
     inner_product,
+    khatri_rao_but,
     multilinear_action,
     rank1_outer,
     random_unit_columns,
@@ -301,6 +302,12 @@ def test_evaluate_terms_rejects_column_count_mismatch():
 def test_term_correlations_of_no_terms():
     out = term_correlations(np.ones((2, 3)), [np.zeros((2, 0)), np.zeros((3, 0))])
     assert out.shape == (0,) and out.dtype == np.complex128
+
+
+def test_khatri_rao_but_of_one_mode_is_the_empty_product():
+    kr = khatri_rao_but([np.full((3, 4), 2.0 + 1.0j)], 0)
+    assert kr.dtype == np.float64
+    assert np.array_equal(kr, np.ones((1, 4)))
 
 
 def test_evaluate_terms_rejects_empty_factor_list():

@@ -3,18 +3,20 @@
 A per-mode unitary action (U_1, .., U_d) . T (``core.multilinear_action``)
 maps rank-1 terms to rank-1 terms and keeps every inner product.  So it
 keeps the weights, every coherence and every condition verdict, the
-spectral norm, and whether two models are essentially equal.  None of
+spectral norm, the nuclear norm, and whether two models are essentially
+equal.  A permutation of the modes keeps every condition verdict.  None of
 these properties needs a reference value.
 """
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cohcp.coherence import coherence
 from cohcp.conditions import condition_report
 from cohcp.core import canonicalize, essentially_equal, multilinear_action, random_unit_columns
-from cohcp.norms import spectral_norm
+from cohcp.norms import TIE_RTOL, mat_mult_tensor, nuclear_norm_bounds, spectral_norm
 
 SEEDS = st.integers(0, 2 ** 32 - 1)
 
@@ -24,8 +26,9 @@ def random_unitary(rng, n: int) -> np.ndarray:
     return np.linalg.qr(g)[0]
 
 
-def verdicts(mus, r: int) -> dict:
-    return {name: entry["holds"] for name, entry in condition_report(mus, r).items()
+def verdicts(mus, r: int, kranks=None) -> dict:
+    return {name: entry["holds"]
+            for name, entry in condition_report(mus, r, kranks=kranks).items()
             if isinstance(entry, dict)}
 
 
@@ -79,3 +82,42 @@ def test_essentially_equal_invariant(dims, r, noise, seed):
     assume(verdict == essentially_equal(m1, m2, tol * (1 + 1e-6)))
     unitaries = [random_unitary(rng, n) for n in dims]
     assert essentially_equal(moved(m1, unitaries), moved(m2, unitaries), tol) == verdict
+
+
+@settings(deadline=None, max_examples=100)
+@given(mus=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5), r=st.integers(1, 6),
+       kranks=st.lists(st.integers(0, 8), min_size=5, max_size=5), seed=SEEDS)
+def test_verdicts_invariant_under_mode_permutation(mus, r, kranks, seed):
+    kranks = kranks[:len(mus)]
+    perm = np.random.default_rng(seed).permutation(len(mus))
+    # a permuted product or sum rounds differently: skip mus whose verdicts
+    # move within 1e-9 relative, as in test_coherences_and_verdicts_invariant
+    low = verdicts([mu * (1 - 1e-9) for mu in mus], r, kranks)
+    assume(low == verdicts([min(mu * (1 + 1e-9), 1.0) for mu in mus], r, kranks))
+    permuted = verdicts([mus[i] for i in perm], r, [kranks[i] for i in perm])
+    assert permuted == verdicts(mus, r, kranks) == low
+
+
+def w_state() -> np.ndarray:
+    t = np.zeros((2, 2, 2))
+    t[1, 0, 0] = t[0, 1, 0] = t[0, 0, 1] = 1.0
+    return t
+
+
+def random_cube() -> np.ndarray:
+    rng = np.random.default_rng(2)
+    return rng.standard_normal((3, 3, 3)) + 1j * rng.standard_normal((3, 3, 3))
+
+
+@pytest.mark.parametrize("make", [lambda: mat_mult_tensor(2), w_state, random_cube],
+                         ids=["matmul:2", "w_state", "random_3^3"])
+def test_nuclear_brackets_overlap_under_unitary_action(make):
+    # the nuclear norm of T and of U . T is one number, inside both brackets;
+    # an underestimated spectral norm lifts a lower bound over it (matmul:2:
+    # the lower bound of U . T meets the certified 8 of T)
+    t = make()
+    rng = np.random.default_rng(0)
+    moved_t = multilinear_action([random_unitary(rng, n) for n in t.shape], t)
+    a, b = nuclear_norm_bounds(t), nuclear_norm_bounds(moved_t)
+    assert a.nuclear_lower <= b.nuclear_upper + TIE_RTOL * max(1.0, b.nuclear_upper)
+    assert b.nuclear_lower <= a.nuclear_upper + TIE_RTOL * max(1.0, a.nuclear_upper)

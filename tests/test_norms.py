@@ -168,6 +168,15 @@ class TestSpectralNorm:
         for v in cert.spectral_witness:
             assert abs(np.linalg.norm(v) - 1.0) < 1e-12
 
+    def test_vector_witness_keeps_signed_zeros(self):
+        # one mode takes the unfolding itself, not x @ ones((1, r)), which
+        # would turn -0.0 imaginary parts beside positive real parts to +0.0
+        v = np.array([complex(3.0, -0.0), complex(1.0, -0.0), complex(-2.0, 0.0),
+                      complex(0.5, -0.0)])
+        (w,) = spectral_norm(v).spectral_witness
+        assert np.array_equal(np.signbit(w.imag), np.signbit(v.imag))
+        assert np.array_equal(w, v / np.linalg.norm(v))
+
     def test_matches_svd_on_matrices(self):
         rng = np.random.default_rng(2)
         for _ in range(30):
