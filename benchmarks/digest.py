@@ -25,6 +25,8 @@ also carries the exit code, and its report is hashed without its
   and a 3^3 tensor of norm 4.5e-150;
 - both demos, and ``cohcp simulate`` of a CDMA, a fluorescence and an
   array scene, each with the bytes of its ``--out-tensor`` file;
+- ``doa_estimate`` on a mirror-symmetric 5-sensor line, whose near ties
+  hold a rival maximum, so the rival's refinement is covered too;
 - ``cohcp coherence`` (within and over the brute-force budget) and
   ``cohcp check`` (from ``--mus`` and from ``--factors``);
 - ``cohcp norms --input`` on a d = 1 vector and a d = 2 matrix whose
@@ -51,6 +53,7 @@ sys.path.append(str(ROOT))  # perfbench; cohcp comes from PYTHONPATH
 from cohcp import cli, decompose  # noqa: E402
 from cohcp.core import evaluate_terms, random_unit_columns, stack_terms  # noqa: E402
 from cohcp.htns import write_htns  # noqa: E402
+from cohcp.simulate import ArrayScene, doa_estimate, steering_vectors  # noqa: E402
 from perfbench import workloads  # noqa: E402
 
 SEED = 611
@@ -222,6 +225,16 @@ def demos_and_simulate(work: Path) -> None:
         show(f"simulate.{kind}.tensor", (work / "s.htns").read_bytes())
 
 
+def doa_rival(work: Path) -> None:
+    wavelength, celerity = 0.3, 3.0e8
+    line = ArrayScene(b=[[0.12 * i, 0.0, 0.0] for i in range(5)], delta=np.zeros((1, 3)),
+                      pulsation=2.0 * np.pi * celerity / wavelength, celerity=celerity)
+    dirs = [np.array(d) / np.linalg.norm(d) for d in ([0.5, 0.8, 0.0], [0.2, 0.4, 0.9])]
+    u, _ = steering_vectors(line, np.stack(dirs))
+    u = u + 0.01 * np.random.default_rng(9).standard_normal(u.shape)
+    show("doa_estimate.line_rival", doa_estimate(u, line, grid_resolution_deg=3.0))
+
+
 def factor_commands(work: Path) -> None:
     rng = np.random.default_rng(SEED)
     paths = []
@@ -248,7 +261,8 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         for section in (blind_id, norm_certify, dense_als, decompose_cli,
-                        norm_range_edges, demos_and_simulate, factor_commands):
+                        norm_range_edges, demos_and_simulate, doa_rival,
+                        factor_commands):
             section(work)
     return 0
 

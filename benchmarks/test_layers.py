@@ -38,6 +38,7 @@ from cohcp.norms import NormConfig, _exact_fit, _flattening_spectra, nuclear_nor
 from cohcp.simulate import (
     PathSet,
     _refine_direction,
+    _refine_directions,
     doa_estimate,
     simulate_array,
     steering_vectors,
@@ -218,6 +219,15 @@ def test_refine_direction_one_column(benchmark):
     start = dirs[0] + np.array([0.01, -0.01, 0.0])
     d, _ = benchmark(_refine_direction, scene, col, start, math.radians(1.0))
     assert d @ dirs[0] > 0.99
+
+
+def test_refine_directions_four_columns(benchmark):
+    # the four columns of one blind_id op, each from a start off its direction
+    scene, u, dirs = _noisy_steering()
+    cols = u / np.linalg.norm(u, axis=0)
+    starts = dirs + np.array([0.01, -0.01, 0.0])
+    out = benchmark(_refine_directions, scene, cols, starts, math.radians(1.0))
+    assert all(d @ true > 0.99 for (d, _), true in zip(out, dirs))
 
 
 def test_evaluate_terms_17x4x48_r4(benchmark):

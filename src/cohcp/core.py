@@ -115,13 +115,14 @@ def khatri_rao_but(factors, k: int) -> np.ndarray:
     """Khatri-Rao product of all factor matrices except mode k, ordered to
     match the C-order unfolding of the remaining modes; for a single mode,
     the empty product: a 1 x r row of ones."""
-    kr = None
     r = factors[0].shape[1]
-    for j, fj in enumerate(factors):
-        if j == k:
-            continue
-        kr = fj if kr is None else (kr[:, None, :] * fj[None, :, :]).reshape(-1, r)
-    return np.ones((1, r)) if kr is None else kr
+    others = [*factors[:k], *factors[k + 1:]]
+    if not others:
+        return np.ones((1, r))
+    kr = others[0]
+    for fj in others[1:]:
+        kr = (kr[:, None, :] * fj[None, :, :]).reshape(-1, r)
+    return kr
 
 
 def term_gram(factors) -> np.ndarray:
@@ -194,9 +195,9 @@ def unit_columns(c: np.ndarray, keep: np.ndarray, floor: float = 0.0) -> tuple:
     ``np.linalg.norm(c, axis=0)`` without its call overhead, so the bits
     are the same; when every norm is above the floor, u is one division."""
     nrm = np.sqrt(np.add.reduce((c.conj() * c).real, axis=0))
-    live = nrm > floor
-    if live.all():
+    if np.minimum.reduce(nrm, initial=np.inf) > floor:  # False for a NaN norm
         return c / nrm, nrm
+    live = nrm > floor
     return np.where(live, c / np.where(live, nrm, 1.0), keep), nrm
 
 

@@ -145,7 +145,7 @@ def _solve_gram(gram: np.ndarray, rhs: np.ndarray, flags: list, reg: float = 0.0
             if "singular_gram_pseudoinverse" not in flags:
                 flags.append("singular_gram_pseudoinverse")
             return np.linalg.pinv(gram, rcond=1e-12) @ rhs
-    return np.linalg.solve(gram + reg * np.eye(len(gram)), rhs)
+    return np.linalg.solve(gram + reg * np.eye(len(gram)) if reg else gram, rhs)
 
 
 def woga(tensor, dictionary: Dictionary, t: float = 1.0,
@@ -650,7 +650,7 @@ def _mode_solve(unfold: np.ndarray, z: np.ndarray, other_grams: list,
         return np.linalg.lstsq(z, unfold.T, rcond=None)[0].T
     if mttkrp is None:
         mttkrp = unfold @ z.conj()
-    return np.linalg.solve(gram + reg * np.eye(len(gram)), mttkrp.T).T
+    return np.linalg.solve(gram + reg * np.eye(len(gram)) if reg else gram, mttkrp.T).T
 
 
 def divergence_witness(phis, psis, ns):

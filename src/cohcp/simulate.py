@@ -101,12 +101,13 @@ def steering_vectors(scene: ArrayScene, directions) -> tuple:
     """
     d = _unit_directions(directions)
     k = scene.wavenumber
-    return _steering(scene.b, k, d), _steering(scene.delta, k, d)
+    return _steering(scene.b @ d.T, k), _steering(scene.delta @ d.T, k)
 
 
-def _steering(points: np.ndarray, k: float, d: np.ndarray) -> np.ndarray:
-    """exp(j k points_i . d_p) / sqrt(n): one unit column per row of d."""
-    return np.exp(1j * k * (points @ d.T)) / math.sqrt(points.shape[0])
+def _steering(phases: np.ndarray, k: float) -> np.ndarray:
+    """exp(j k x) / sqrt(n) of the (..., n, r) products x = points_i . d_p:
+    one unit column per direction."""
+    return np.exp(1j * k * phases) / math.sqrt(phases.shape[-2])
 
 
 def _observe(truth, noise_std: float, seed: int) -> np.ndarray:
@@ -368,49 +369,76 @@ class DoaEstimate:
     separation_guaranteed: bool = True
 
 
-def _cross(a, b) -> np.ndarray:
-    # the products and differences of np.cross, without its per-call overhead
-    return np.array([a[1] * b[2] - a[2] * b[1],
-                     a[2] * b[0] - a[0] * b[2],
-                     a[0] * b[1] - a[1] * b[0]])
-
-
 def _tangent_basis(d: np.ndarray) -> tuple:
-    a = np.zeros(3)
-    a[int(np.argmin(np.abs(d)))] = 1.0
-    t1 = _cross(d, a)
+    """Unit t1 = d x e_i, e_i on the smallest |d_i|, and t2 = d x t1: the
+    products and differences of ``np.cross``, in Python floats."""
+    x, y, z = d.tolist()
+    mags = [abs(x), abs(y), abs(z)]
+    i = mags.index(min(mags))  # the first smallest, as np.argmin
+    a0, a1, a2 = (float(j == i) for j in range(3))
+    t1 = np.array([y * a2 - z * a1, z * a0 - x * a2, x * a1 - y * a0])
     t1 /= np.linalg.norm(t1)
-    return t1, _cross(d, t1)
+    p, q, s = t1.tolist()
+    return t1, np.array([y * s - z * q, z * p - x * s, x * q - y * p])
 
 
 REFINE_STEPS = 20      # local-ascent steps of each direction estimate
 AMBIGUITY_TOL = 1e-6   # grid score gap within which a rival maximum is reported
 
 
+def _refine_directions(scene: ArrayScene, cols: np.ndarray, starts: np.ndarray,
+                       step0: float) -> list:
+    """Local ascent of |<u(d), cols[:, p]>| from starts[p], as [(d, score)].
+
+    Each of ``REFINE_STEPS`` steps tries d + step (t1, -t1, t2, -t2) in
+    order, moving d to every candidate that scores higher; a step that
+    moves nothing halves the step.  Every column keeps that sequential
+    order; a round scores the candidates of all columns from their current
+    d at once, and a column that moved re-scores its untried candidates in
+    the next round.  The batched forms give the bits of one
+    ``abs(np.vdot(u(cand), u_col))``: stacked gemv phases, ``u`` as a view
+    with the strides of ``cols[:, p]`` (zdotc has one kernel for unit and
+    one for other strides) and ``np.hypot`` magnitudes.
+    """
+    k, u, m = scene.wavenumber, cols.T[:, None, :], cols.shape[1]
+
+    def score(c):  # (m, j, 3) unit candidates -> (m, j) scores
+        v = np.vecdot(_steering(scene.b @ c[..., None], k)[..., 0], u)
+        return np.hypot(v.real, v.imag).tolist()
+
+    d = starts / np.sqrt(np.vecdot(starts, starts))[:, None]
+    best = [row[0] for row in score(d[:, None, :])]
+    tangents = np.empty((m, 4, 3))
+    step, left = [step0] * m, [REFINE_STEPS] * m
+    nxt, improved, stale = [0] * m, [False] * m, [True] * m
+    while any(left):
+        for p in range(m):
+            if stale[p] and left[p] and not nxt[p]:  # a step starts at a new d
+                t1, t2 = _tangent_basis(d[p])
+                tangents[p] = t1, -t1, t2, -t2
+                stale[p] = False
+        c = d[:, None, :] + np.array(step)[:, None, None] * tangents
+        c /= np.sqrt(np.vecdot(c, c))[..., None]
+        scores = score(c)
+        for p in range(m):
+            if not left[p]:
+                continue
+            i = next((i for i in range(nxt[p], 4) if scores[p][i] > best[p]), 4)
+            if i < 4:
+                best[p], d[p] = scores[p][i], c[p, i]
+                improved[p] = stale[p] = True
+            nxt[p] = i + 1
+            if nxt[p] >= 4:  # the step is over
+                if not improved[p]:
+                    step[p] *= 0.5
+                left[p], nxt[p], improved[p] = left[p] - 1, 0, False
+    return [(d[p].copy(), best[p]) for p in range(m)]
+
+
 def _refine_direction(scene: ArrayScene, u_col: np.ndarray, d0: np.ndarray,
                       step0: float) -> tuple:
-    k = scene.wavenumber
-
-    def score(d):
-        return float(abs(np.vdot(_steering(scene.b, k, d[None, :])[:, 0], u_col)))
-
-    d = d0 / np.linalg.norm(d0)
-    best = score(d)
-    step = step0
-    for _ in range(REFINE_STEPS):
-        t1, t2 = _tangent_basis(d)
-        improved = False
-        # sequential: an accepted candidate moves d for the next one
-        for dd in (t1, -t1, t2, -t2):
-            cand = d + step * dd
-            cand /= np.linalg.norm(cand)
-            sc = score(cand)
-            if sc > best:
-                best, d = sc, cand
-                improved = True
-        if not improved:
-            step *= 0.5
-    return d, best
+    """``_refine_directions`` of one column."""
+    return _refine_directions(scene, u_col[:, None], d0[None, :], step0)[0]
 
 
 def _doa_grid(scene: ArrayScene, grid_resolution_deg: float) -> tuple:
@@ -461,11 +489,11 @@ def doa_estimate(u_est: np.ndarray, scene: ArrayScene,
     scores = np.abs(ug_conj.T @ cols)  # (grid, r)
     sep = 3.0 * math.radians(grid_resolution_deg)
     step0 = math.radians(grid_resolution_deg)
+    best_idx = np.argmax(scores, axis=0)
+    refined = _refine_directions(scene, cols, grid[best_idx], step0)
     out = []
-    for p in range(cols.shape[1]):
+    for p, (best_i, (d_best, s_best)) in enumerate(zip(best_idx.tolist(), refined)):
         sc = scores[:, p]
-        best_i = int(np.argmax(sc))
-        d_best, s_best = _refine_direction(scene, cols[:, p], grid[best_i], step0)
         # rivals among the near ties only, which are few
         near = np.flatnonzero(sc >= sc[best_i] - AMBIGUITY_TOL)
         angles = np.arccos(np.clip(grid[near] @ grid[best_i], -1.0, 1.0))

@@ -244,6 +244,41 @@ class TestGreedyBounds:
             greedy_bound_check("bogus", 2, 0.1)
 
 
+class TestBoundaries:
+    """Each inequality at a point where both sides are exact in binary, and
+    one representable step to the side where the verdict flips."""
+
+    def test_temlyakov_strict_at_equality(self):
+        # (1/2)(1 + 1/0.2) is exactly 3.0, so r = 3 fails the strict bound
+        assert not temlyakov_condition(3, 0.2, 1.0)
+        assert temlyakov_condition(2, 0.2, 1.0)
+
+    def test_temlyakov_weakness_range_closed_at_one(self):
+        assert not temlyakov_condition(3, 0.2, 1.0)
+        with pytest.raises(ValueError, match="weakness parameter"):
+            temlyakov_condition(3, 0.2, math.nextafter(1.0, 2.0))
+
+    @pytest.mark.parametrize("kind, r, mu", [("gms", 2, 1 / 64), ("tropp", 4, 1 / 12)])
+    def test_greedy_strict_at_equality(self, kind, r, mu):
+        # 1/(32 mu) = 2.0 and 1/(3 mu) = 4.0 exactly; one ulp less
+        # coherence lifts the threshold above r
+        assert greedy_bound_check(kind, r, mu) is None
+        assert greedy_bound_check(kind, r, math.nextafter(mu, 0.0)) is not None
+
+    def test_liv_threshold_numerator(self):
+        # 1/(20 mu) = 2.0 at mu = 1/40: r = 2 holds, r = 3 does not
+        assert greedy_bound_check("liv", 2, 1 / 40) == (3.0, 4)
+        assert greedy_bound_check("liv", 3, 1 / 40) is None
+
+    def test_expected_rank_denominator(self):
+        # ceil(64 / 10); a denominator of 2 - d + sum(n_k) gives ceil(64 / 11) = 6
+        assert expected_rank((4, 4, 4)) == 7
+
+    def test_kruskal_simple_bound_smallest_sizes(self):
+        assert kruskal_simple_bound(1, 1) == 0
+        assert kruskal_simple_bound(1, 2) == kruskal_simple_bound(2, 1) == 1
+
+
 class TestConditionReport:
     def test_report_fields(self):
         rep = condition_report([0.4, 0.4, 0.4], 2, kranks=[2, 2, 2])

@@ -680,6 +680,66 @@ def test_refine_direction_matches_reference_bytewise():
         assert best == best_ref
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_refine_directions_matches_reference_per_column(m):
+    # the columns of one C-order (n, m) array, whose column stride changes
+    # with m.  Start p sits 3.5 steps off its direction along t1, -t1, t2,
+    # -t2 or t1 - t2 of its own tangent basis, so the first step accepts a
+    # candidate at every index, and a column that accepted re-scores its
+    # remaining candidates in a further round.  17 sensors: on shorter
+    # columns zdotc's unit-stride and strided kernels can agree
+    scene = ArrayScene(b=[[0.12 * i, 0.12 * j, 0.0] for i in range(4) for j in range(4)]
+                       + [[0.0, 0.0, 0.12]], delta=np.zeros((1, 3)),
+                       pulsation=PULSATION, celerity=CELERITY)
+    step0 = math.radians(1.0)
+    starts = fibonacci_sphere(9)[1:m + 1]
+    truths = []
+    for p, d in enumerate(starts):
+        t1, t2 = _tangent_basis_reference(unit(d))
+        truths.append(unit(d + 3.5 * step0 * (t1, -t1, t2, -t2, t1 - t2)[p]))
+    u, _ = steering_vectors(scene, np.stack(truths))
+    u = u + 0.002 * np.random.default_rng(m).standard_normal(u.shape)
+    u /= np.linalg.norm(u, axis=0)
+    assert u.flags.c_contiguous and u.shape == (17, m)
+    got = simulate._refine_directions(scene, u, starts, step0)
+    assert len(got) == m
+    first = []
+    for p in range(m):
+        d, best = _refine_direction_reference(scene, u[:, p], starts[p], step0)
+        assert got[p][0].tobytes() == d.tobytes()
+        assert got[p][1] == best
+
+        def score(c):
+            return abs(np.vdot(steering_vectors(scene, c[None, :])[0][:, 0], u[:, p]))
+
+        d0 = unit(starts[p])
+        t1, t2 = _tangent_basis_reference(d0)
+        first.append(next(i for i, dd in enumerate((t1, -t1, t2, -t2))
+                          if score(unit(d0 + step0 * dd)) > score(d0)))
+    assert first == [0, 1, 2, 3, 0][:m]
+
+
+def test_doa_estimate_of_one_dimensional_column_matches_reference():
+    # a 1-D estimate is refined as a contiguous column, which takes the
+    # unit-stride zdotc kernel
+    scene = cross_scene()
+    u, _ = steering_vectors(scene, unit([0.3, -0.5, 0.8])[None, :])
+    u_est = u[:, 0] + 0.01 * np.random.default_rng(4).standard_normal(6)
+    (est,) = doa_estimate(u_est, scene, grid_resolution_deg=2.0)
+    col = u_est[:, None] / np.linalg.norm(u_est[:, None], axis=0)
+    grid, ug_conj = simulate._doa_grid(scene, 2.0)
+    d0 = grid[int(np.argmax(np.abs(ug_conj.T @ col)))]
+    d, best = _refine_direction_reference(scene, col[:, 0], d0, math.radians(2.0))
+    assert not est.ambiguous
+    assert est.direction.tobytes() == d.tobytes()
+    assert est.score == best
+
+
+def test_doa_estimate_of_no_columns_is_empty():
+    scene = cross_scene()
+    assert doa_estimate(np.zeros((scene.b.shape[0], 0), complex), scene) == []
+
+
 def test_fibonacci_sphere_uniform_unit():
     pts = fibonacci_sphere(500)
     assert np.allclose(np.linalg.norm(pts, axis=1), 1.0, atol=1e-12)
