@@ -13,7 +13,11 @@ checkout.  Then, from the repository root::
 For every workload run on both sides, the output holds the seeds, the
 median and quartiles of each end-to-end metric of ``BENCHMARK.json`` on
 each side, the number of seeds on which the change is better, and one
-block of machine conditions.
+block of machine conditions.  Under ``details`` it also holds, per side,
+the median over the runs of the raw median op time (``op_p50_s``) and of
+the throughput and tail as measured, before the scaling to the nominal
+host speed (``as_measured``): a shift of the whole host moves these with
+the metrics, while a change of the code moves the metrics alone.
 
 With ``--layers P1.json C1.json P2.json C2.json ...`` it also holds the
 layer rows, from several runs of the same ``benchmarks/test_layers.py``
@@ -46,6 +50,17 @@ def load_records(directory: Path) -> dict:
         rec = json.loads(path.read_text())
         records[rec["workload"], rec["conditions"]["seed"]] = rec
     return records
+
+
+# run-record details, as paths into a record's "details"
+DETAILS = ("op_p50_s", "as_measured.ops_per_s", "as_measured.op_tail_s")
+
+
+def detail(record: dict, path: str) -> float:
+    value = record["details"]
+    for key in path.split("."):
+        value = value[key]
+    return value
 
 
 def summary(values: list) -> dict:
@@ -83,6 +98,10 @@ def build(parent: dict, change: dict, pr: int) -> dict:
             entry["metrics"][m] = {"unit": metric["unit"], "better": metric["better"],
                                    "parent": summary(before), "change": summary(after),
                                    "change_better_on": f"{wins}/{len(seeds)}"}
+        entry["details"] = {path: {side: statistics.median(detail(recs[name, s], path)
+                                                           for s in seeds)
+                                   for side, recs in (("parent", parent), ("change", change))}
+                            for path in DETAILS}
         workloads[name] = entry
     return {"pr": pr, "conditions": conditions, "workloads": workloads}
 

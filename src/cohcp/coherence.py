@@ -13,7 +13,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import coherent_pair, finite_tensor
+from .core import coherent_pair, column_norms, finite_tensor
 
 NORM_TOL = 1e-9
 KRANK_BUDGET = 14
@@ -37,9 +37,8 @@ def _check_unit_columns(vectors) -> np.ndarray:
     v = finite_tensor(vectors, "factor set")
     if v.ndim != 2 or v.shape[0] < 1 or v.shape[1] < 1:
         raise ValueError("factor set must be a nonempty n x r matrix")
-    norms = np.linalg.norm(v, axis=0)
-    bad = np.abs(norms - 1.0) > NORM_TOL
-    if np.any(bad):
+    bad = np.abs(column_norms(v) - 1.0) > NORM_TOL
+    if bad.any():
         raise ValueError(
             f"non-unit vector(s) at columns {np.flatnonzero(bad).tolist()}"
         )

@@ -31,9 +31,9 @@ def _check_mus(mus) -> np.ndarray:
     m = np.asarray(mus, dtype=np.float64)
     if m.ndim != 1 or m.size < 1:
         raise ValueError("need a nonempty list of per-mode coherences")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError(f"coherences must be finite, got {m.tolist()}")
-    if np.any(m < 0.0) or np.any(m > 1.0):
+    if (m < 0.0).any() or (m > 1.0).any():
         raise ValueError("coherences must lie in [0, 1]")
     return m
 
@@ -54,7 +54,7 @@ def _existence(m: np.ndarray, r: int) -> dict:
 def _uniqueness(m: np.ndarray, r: int) -> dict:
     # a zero (or subnormal) coherence counts as 1/mu = inf
     with np.errstate(divide="ignore", over="ignore"):
-        invsum = float(np.sum(1.0 / m))
+        invsum = float((1.0 / m).sum())
     rhs = float(2 * r + m.size - 1)
     return {"holds": _ge(invsum, rhs), "lhs_inverse_sum": invsum, "rhs": rhs,
             "strict": False}
@@ -66,8 +66,8 @@ def _d3_bounds(m: np.ndarray, r: int) -> dict:
     thresh = d / (2 * r + d - 1)
     sides = {
         "existence_uniqueness": ("lhs_geometric_mean", float(np.prod(m)) ** (1.0 / d), thresh),
-        "sufficient_sum": ("lhs_sum", float(np.sum(m)), d * d / (2 * r + d - 1)),
-        "sufficient_sumsq": ("lhs_sum_squares", float(np.sum(m * m)), d * thresh * thresh),
+        "sufficient_sum": ("lhs_sum", float(m.sum()), d * d / (2 * r + d - 1)),
+        "sufficient_sumsq": ("lhs_sum_squares", float((m * m).sum()), d * thresh * thresh),
     }
     return {name: {"holds": _le(lhs, rhs), key: lhs, "rhs": rhs, "strict": False}
             for name, (key, lhs, rhs) in sides.items()}

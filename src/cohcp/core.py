@@ -32,9 +32,26 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def vector_norm(x: np.ndarray):
+    """``np.linalg.norm(x)`` of a float or complex array by its own formula,
+    without its checks: the same dots of the entries in memory order, so the
+    same bits."""
+    x = x.ravel(order="K")
+    if x.dtype.kind == "c":
+        re, im = x.real, x.imag
+        return np.sqrt(re.dot(re) + im.dot(im))
+    return np.sqrt(x.dot(x))
+
+
+def column_norms(c: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(c, axis=0)`` by its own formula, without its checks."""
+    return np.sqrt(np.add.reduce((c.conj() * c).real, axis=0))
+
+
 def frobenius(t) -> float:
     """Frobenius (L2) norm of a hypermatrix."""
-    return float(np.linalg.norm(np.asarray(t).ravel()))
+    t = np.asarray(t).ravel()
+    return float(vector_norm(t if t.dtype.kind in "fc" else t.astype(float)))
 
 
 def inner_product(f, g) -> complex:
@@ -121,7 +138,7 @@ def khatri_rao_but(factors, k: int) -> np.ndarray:
         return np.ones((1, r))
     kr = others[0]
     for fj in others[1:]:
-        kr = (kr[:, None, :] * fj[None, :, :]).reshape(-1, r)
+        kr = (kr[:, None] * fj).reshape(-1, r)
     return kr
 
 
@@ -169,7 +186,7 @@ def term_correlations(t: np.ndarray, factors) -> np.ndarray:
     if cols[0] == 0:
         return np.zeros(0, dtype=np.complex128)
     kr = khatri_rao_but(factors, 0).conj()
-    return np.sum((t.reshape(dims[0], -1) @ kr) * factors[0].conj(), axis=0)
+    return np.add.reduce((t.reshape(dims[0], -1) @ kr) * factors[0].conj(), axis=0)
 
 
 def evaluate_terms(weights, factors) -> np.ndarray:
@@ -191,10 +208,9 @@ def evaluate_terms(weights, factors) -> np.ndarray:
 
 def unit_columns(c: np.ndarray, keep: np.ndarray, floor: float = 0.0) -> tuple:
     """(u, nrm): the columns of c over their norms, with column p of keep
-    wherever nrm[p] <= floor or is NaN.  The norms are the code of
-    ``np.linalg.norm(c, axis=0)`` without its call overhead, so the bits
-    are the same; when every norm is above the floor, u is one division."""
-    nrm = np.sqrt(np.add.reduce((c.conj() * c).real, axis=0))
+    wherever nrm[p] <= floor or is NaN, and nrm = ``column_norms(c)``; when
+    every norm is above the floor, u is one division."""
+    nrm = column_norms(c)
     if np.minimum.reduce(nrm, initial=np.inf) > floor:  # False for a NaN norm
         return c / nrm, nrm
     live = nrm > floor
@@ -227,7 +243,7 @@ def alternating_rank1(t: np.ndarray, restarts: int, tol: float,
             conjs[k] = vecs[k].conj()
         if (vals - prev).max() <= tol * max(1.0, float(vals.max())):
             break
-    best = int(np.argmax(vals))
+    best = int(vals.argmax())
     witness = tuple(v[:, best].copy() for v in vecs)
     return float(abs(term_correlations(t, [w[:, None] for w in witness])[0])), witness
 
@@ -250,7 +266,7 @@ class CPModel:
         facs = tuple(_as_complex(f) for f in self.factors)
         if w.ndim != 1:
             raise ValueError("weights must be a vector")
-        if not np.all(np.isfinite(w)):
+        if not np.isfinite(w).all():
             raise ValueError("weights must be finite")
         r = w.shape[0]
         if len(facs) < 1:
@@ -260,16 +276,15 @@ class CPModel:
                 raise ValueError("factor matrices must be n_k x r")
             if f.shape[0] < 1:
                 raise ValueError("empty mode")
-            if not np.all(np.isfinite(f)):
+            if not np.isfinite(f).all():
                 raise ValueError(f"factors[{k}] must be finite")
         if r > 0:
-            if np.any(w <= 0):
+            if (w <= 0).any():
                 raise ValueError("weights must be strictly positive")
-            if np.any(np.diff(w) > 0):
+            if (w[1:] > w[:-1]).any():
                 raise ValueError("weights must be sorted in descending order")
             for f in facs:
-                norms = np.linalg.norm(f, axis=0)
-                if np.max(np.abs(norms - 1.0)) > UNIT_TOL:
+                if np.abs(column_norms(f) - 1.0).max() > UNIT_TOL:
                     raise ValueError("factor columns must have unit norm")
         object.__setattr__(self, "weights", _readonly(w))
         object.__setattr__(self, "factors", tuple(_readonly(f) for f in facs))
@@ -325,14 +340,14 @@ def canonicalize(weights, factors) -> CPModel:
         phase = w[p] / mag if mag > 0 else 0.0
         for k in range(d):
             c = facs[k][:, p]
-            nrm = np.linalg.norm(c)
+            nrm = vector_norm(c)
             if nrm == 0.0:
                 mag = 0.0
                 break
             mag *= nrm
             u = c / nrm
             if k < d - 1:
-                top = u[np.argmax(np.abs(u))]
+                top = u[np.abs(u).argmax()]
                 ph = top / abs(top)
                 u = u / ph
                 phase = phase * ph
@@ -453,4 +468,4 @@ def multilinear_action(matrices, tensor) -> np.ndarray:
 def random_unit_columns(n: int, r: int, rng) -> np.ndarray:
     """n x r complex matrix with i.i.d. Gaussian unit-normalized columns."""
     m = rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r))
-    return m / np.linalg.norm(m, axis=0)
+    return m / column_norms(m)

@@ -127,7 +127,7 @@ def _row_margin(gram: np.ndarray) -> float:
     eigenvalue of the Hermitian ``gram``: one minus the cumulative coherence
     of Tropp, "Greed is good" (IEEE Trans. Inf. Theory 50(10), 2004)."""
     a = np.abs(gram)
-    return float(np.min(gram.diagonal().real + a.diagonal() - a.sum(axis=1)))
+    return float((gram.diagonal().real + a.diagonal() - a.sum(axis=1)).min())
 
 
 def _solve_gram(gram: np.ndarray, rhs: np.ndarray, flags: list, reg: float = 0.0,
@@ -539,7 +539,7 @@ def constrained_als(tensor, cfg: SolverConfig):
             flags.append("existence_condition_violated_by_caps")
     # the modes updated by Procrustes: none, every mode, or the largest mode
     procrustes = {ORTHO_NONE: (), ORTHO_PER_MODE: tuple(range(d)),
-                  ORTHO_SEPARABLE: (int(np.argmax(dims)),)}[cfg.orthogonality]
+                  ORTHO_SEPARABLE: (dims.index(max(dims)),)}[cfg.orthogonality]
     if any(r > dims[k] for k in procrustes):
         raise ValueError(f"{cfg.orthogonality} orthogonality needs r <= n_k on "
                          f"modes {list(procrustes)}, got r = {r} for dims {dims}")
@@ -557,7 +557,7 @@ def constrained_als(tensor, cfg: SolverConfig):
     ulps = np.finfo(np.float64).eps * max(1.0, math.log2(f.size))
 
     def ridge() -> float:
-        return lam_reg * float(np.sum(np.abs(lam) ** 2)) if lam_reg > 0 else 0.0
+        return lam_reg * float((np.abs(lam) ** 2).sum()) if lam_reg > 0 else 0.0
 
     def objective() -> float:
         return frobenius(f - evaluate_terms(lam, factors)) ** 2 + ridge()
@@ -581,12 +581,12 @@ def constrained_als(tensor, cfg: SolverConfig):
                                 mus[:k] + mus[k + 1:], mttkrp)
                 factors[k], nrm = unit_columns(c, factors[k], 1e-300)
                 dead = nrm <= 1e-300
-                if np.any(dead):
+                if dead.any():
                     if "dead_component_reseeded" not in flags:
                         flags.append("dead_component_reseeded")
                     rng = np.random.default_rng(cfg.seed + 977 + it)
                     c[:, dead] = random_unit_columns(dims[k], int(dead.sum()), rng) \
-                        * (1e-6 * max(np.max(nrm), 1e-6))
+                        * (1e-6 * max(nrm.max(), 1e-6))
                     factors[k], nrm = unit_columns(c, factors[k], 1e-300)
                 lam = nrm.astype(np.complex128)
             grams[k] = factors[k].conj().T @ factors[k]
@@ -598,11 +598,11 @@ def constrained_als(tensor, cfg: SolverConfig):
         # global weight re-solve on b_p = <f, term p>, read from the last
         # mode's MTTKRP: it depends only on the other modes, so it holds
         # however the last factor was set
-        b = np.sum(mttkrp * factors[-1].conj(), axis=0)
+        b = np.add.reduce(mttkrp * factors[-1].conj(), axis=0)
         gram = functools.reduce(np.multiply, grams)
         lam = _solve_gram(gram, b, flags, lam_reg, mus)
         prev = loss_trace[-1]
-        scale = fnorm + float(np.sum(np.abs(lam)))
+        scale = fnorm + float(np.abs(lam).sum())
         resolution = cfg.tol * max(1.0, prev)
         if 16.0 * ulps * scale ** 2 < resolution:
             # ||f - sum_p lam_p g_p||^2 = ||f||^2 - 2 Re lam^H b + lam^H G lam,

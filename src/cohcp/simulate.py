@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import canonicalize, cp_evaluate, finite_tensor, gram_mu
+from .core import (canonicalize, column_norms, cp_evaluate, finite_tensor, gram_mu,
+                   vector_norm)
 
 POSITION_TOL = 1e-9
 
@@ -65,7 +66,7 @@ def _unit_directions(directions) -> np.ndarray:
     d = np.atleast_2d(np.asarray(directions, dtype=np.float64))
     if d.shape[1] != 3:
         raise ValueError("directions must be (r, 3)")
-    if not np.all(np.abs(np.linalg.norm(d, axis=1) - 1.0) <= 1e-9):  # NaN fails too
+    if not (np.abs(column_norms(d.T) - 1.0) <= 1e-9).all():  # NaN fails too
         raise ValueError("directions must be unit vectors")
     return d
 
@@ -138,8 +139,8 @@ def simulate_array(scene: ArrayScene, paths: PathSet, noise_std: float = 0.0,
     sqrt(n1 n2) ||sigma_p||.
     """
     u, v = steering_vectors(scene, paths.directions)
-    signorms = np.linalg.norm(paths.signals, axis=0)
-    if np.any(signorms == 0):
+    signorms = column_norms(paths.signals)
+    if (signorms == 0).any():
         raise ValueError("every path needs a nonzero signal")
     w = paths.signals / signorms
     n1, n2 = scene.b.shape[0], scene.delta.shape[0]
@@ -166,7 +167,7 @@ def resolvent_directions(points, wavelength: float) -> np.ndarray:
     """All pairwise differences qualifying as resolvent directions."""
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     diffs = (pts[:, None, :] - pts[None, :, :]).reshape(-1, 3)
-    lens = np.linalg.norm(diffs, axis=1)
+    lens = column_norms(diffs.T)
     mask = (lens > POSITION_TOL) & (lens < wavelength / 2.0)
     return diffs[mask]
 
@@ -377,7 +378,7 @@ def _tangent_basis(d: np.ndarray) -> tuple:
     i = mags.index(min(mags))  # the first smallest, as np.argmin
     a0, a1, a2 = (float(j == i) for j in range(3))
     t1 = np.array([y * a2 - z * a1, z * a0 - x * a2, x * a1 - y * a0])
-    t1 /= np.linalg.norm(t1)
+    t1 /= vector_norm(t1)
     p, q, s = t1.tolist()
     return t1, np.array([y * s - z * q, z * p - x * s, x * q - y * p])
 
@@ -477,9 +478,9 @@ def doa_estimate(u_est: np.ndarray, scene: ArrayScene,
         u_est = u_est[:, None]
     if u_est.shape[0] != scene.b.shape[0]:
         raise ValueError("steering estimates do not match the sensor count")
-    nrm = np.linalg.norm(u_est, axis=0)
+    nrm, finite = column_norms(u_est), np.isfinite(u_est).all(axis=0)
     for p in range(u_est.shape[1]):
-        if not np.all(np.isfinite(u_est[:, p])):
+        if not finite[p]:
             raise ValueError(f"steering column {p} has a non-finite entry")
         if not nrm[p] > 0.0:
             raise ValueError(f"steering column {p} has zero norm")
@@ -489,7 +490,7 @@ def doa_estimate(u_est: np.ndarray, scene: ArrayScene,
     scores = np.abs(ug_conj.T @ cols)  # (grid, r)
     sep = 3.0 * math.radians(grid_resolution_deg)
     step0 = math.radians(grid_resolution_deg)
-    best_idx = np.argmax(scores, axis=0)
+    best_idx = scores.argmax(axis=0)
     refined = _refine_directions(scene, cols, grid[best_idx], step0)
     out = []
     for p, (best_i, (d_best, s_best)) in enumerate(zip(best_idx.tolist(), refined)):
@@ -500,7 +501,7 @@ def doa_estimate(u_est: np.ndarray, scene: ArrayScene,
         rivals = near[angles > sep]
         alternates = []
         if rivals.size:
-            j = rivals[int(np.argmax(sc[rivals]))]
+            j = rivals[int(sc[rivals].argmax())]
             d_alt, s_alt = _refine_direction(scene, cols[:, p], grid[j], step0)
             alternates.append(DoaEstimate(direction=d_alt, score=s_alt,
                                           separation_guaranteed=guaranteed))

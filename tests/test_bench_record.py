@@ -1,5 +1,6 @@
-"""``benchmarks/bench_record.py --layers`` summarizes several alternating
-runs per side: the median of the run medians and their range."""
+"""``benchmarks/bench_record.py`` summarizes alternating runs per side: the
+end-to-end metrics with the raw op-time details of each run, and with
+``--layers`` the median of the layer rows' run medians and their range."""
 
 import importlib.util
 import json
@@ -33,3 +34,25 @@ def test_layer_rows_split_alternating_runs(tmp_path):
 def test_layer_rows_need_pairs(tmp_path):
     with pytest.raises(SystemExit):
         bench_record.layer_rows([_run(tmp_path, "p1", {"a": 1.0})])
+
+
+def _record(workload, seed, value, p50, ops, tail):
+    spec = json.loads((bench_record.ROOT / "BENCHMARK.json").read_text())
+    metrics = {m["name"]: {"value": value} for m in spec["end_to_end"]}
+    return {"workload": workload, "seconds": 30,
+            "conditions": {"seed": seed, "loadavg_start": [0.5], "loadavg_end": [0.5]},
+            "result": {"failed": 0, "metrics": metrics},
+            "details": {"op_p50_s": p50, "as_measured": {"ops_per_s": ops, "op_tail_s": tail}}}
+
+
+def test_build_records_the_raw_details_per_side():
+    parent = {("w", s): _record("w", s, 1.0, p50, 10.0 + s, 0.1 * s)
+              for s, p50 in [(1, 0.03), (2, 0.05), (3, 0.04)]}
+    change = {("w", s): _record("w", s, 2.0, 0.02, 20.0 + s, 0.2) for s in (1, 2, 3)}
+    entry = bench_record.build(parent, change, 7)["workloads"]["w"]
+    assert entry["metrics"]["ops_per_s"]["change_better_on"] == "3/3"
+    assert entry["details"] == {
+        "op_p50_s": {"parent": 0.04, "change": 0.02},
+        "as_measured.ops_per_s": {"parent": 12.0, "change": 22.0},
+        "as_measured.op_tail_s": {"parent": 0.2, "change": 0.2},
+    }

@@ -590,6 +590,48 @@ class TestUnitColumns:
         assert u.shape == (3, 0) and nrm.shape == (0,)
 
 
+class TestNormHelpers:
+    """``vector_norm`` and ``column_norms`` run ``np.linalg.norm``'s own
+    formulas, so they give its bytes on every layout."""
+
+    @staticmethod
+    def views(a):
+        # contiguous, a transpose, strided column and row views, one entry
+        return [a, a.T, a[:, 0], a[:, -1], a[::2], a[0], a[:1, :1], a[0, :1]]
+
+    @settings(deadline=None, max_examples=100)
+    @given(n=st.integers(1, 9), m=st.integers(1, 9), exp=st.integers(-150, 150),
+           seed=st.integers(0, 2**32 - 1))
+    def test_vector_norm_is_linalg_norm(self, n, m, exp, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((n, m)) * 10.0 ** exp
+        for x in self.views(a) + self.views(a + 1j * rng.standard_normal((n, m))):
+            assert core.vector_norm(x).tobytes() == np.linalg.norm(x).tobytes()
+
+    @settings(deadline=None, max_examples=100)
+    @given(n=st.integers(1, 9), m=st.integers(0, 9), seed=st.integers(0, 2**32 - 1))
+    def test_column_norms_are_linalg_norm(self, n, m, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((n, m))
+        for x in (a, a + 1j * rng.standard_normal((n, m))):
+            for v in (x, x.T, x[::2], x[:, ::-1]):
+                assert core.column_norms(v).tobytes() == np.linalg.norm(v, axis=0).tobytes()
+
+    def test_frobenius_of_integers_and_transposes(self):
+        i = np.arange(-12, 12).reshape(2, 3, 4)
+        t = np.random.default_rng(0).standard_normal((3, 4, 5)) + 1j
+        for x in (i, i.transpose(2, 0, 1), t.transpose(1, 2, 0), [3, 4]):
+            assert frobenius(x) == float(np.linalg.norm(np.asarray(x).ravel()))
+
+    @pytest.mark.parametrize("seed", [0, 1, 611])
+    @pytest.mark.parametrize("n, r", [(1, 1), (4, 4), (17, 4), (48, 3)])
+    def test_random_unit_columns_keep_their_bytes(self, seed, n, r):
+        rng = np.random.default_rng(seed)
+        m = rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r))
+        want = m / np.linalg.norm(m, axis=0)
+        assert random_unit_columns(n, r, np.random.default_rng(seed)).tobytes() == want.tobytes()
+
+
 class TestBoundedTensor:
     def test_in_range_is_one_pass(self, monkeypatch):
         # the norm is the scan: no isfinite pass over an in-range tensor

@@ -1123,6 +1123,28 @@ class TestOneGramPerSystem:
             counts.append(len(calls))
         assert counts == [120] * workload.pool
 
+    def test_no_numpy_wrapper_per_blind_id_op(self, monkeypatch):
+        # the op's reductions are ndarray methods or ufunc.reduce and its norms
+        # core.vector_norm and core.column_norms: the same loops, without the
+        # Python-level dispatch of these functions (389 calls per op before)
+        from test_simulate import _blind_id_workload
+
+        calls = []
+        for owner, name in [(np, "sum"), (np, "any"), (np, "all"), (np, "min"), (np, "max"),
+                            (np, "argmax"), (np.linalg, "norm")]:
+            def spy(*args, _fn=getattr(owner, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, spy)
+        workload = _blind_id_workload()
+        counts = []
+        for item in workload.setup(611, None):
+            calls.clear()
+            workload.op(item)
+            counts.append(len(calls))
+        assert counts == [0] * workload.pool
+
     def test_greedy_solves_read_their_gram(self, monkeypatch):
         rng = np.random.default_rng(58)
         dictionary = random_incoherent_dictionary((4, 4, 4), 12, seed=3)
