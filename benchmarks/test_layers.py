@@ -233,16 +233,6 @@ def test_doa_estimate_17_sensors_1deg(benchmark, warm):
     assert len(ests) == 4
 
 
-def test_refine_direction_one_column(benchmark):
-    with from_sources():
-        from cohcp.simulate import _refine_direction
-    scene, u, dirs = _noisy_steering()
-    col = u[:, 0] / np.linalg.norm(u[:, 0])
-    start = dirs[0] + np.array([0.01, -0.01, 0.0])
-    d, _ = benchmark(_refine_direction, scene, col, start, math.radians(1.0))
-    assert d @ dirs[0] > 0.99
-
-
 def test_refine_directions_four_columns(benchmark):
     with from_sources():
         from cohcp.simulate import _refine_directions

@@ -96,15 +96,6 @@ def render_report(payload: dict) -> str:
     return _serialize(body) + "\n"
 
 
-def _emit(report: dict, out: str | None) -> None:
-    text = render_report(report)
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _numbers(value, what: str) -> np.ndarray:
     """A JSON value as a float array; anything but (nested lists of)
     numbers is a validation error that names ``what``."""
@@ -130,9 +121,9 @@ def _complex(value, what: str, ndim: int) -> np.ndarray:
 def _model_payload(model) -> dict:
     return {
         "r": model.rank,
-        "dims": list(model.dims),
-        "weights": [float(w) for w in model.weights],
-        "factors": [f for f in model.factors],
+        "dims": model.dims,
+        "weights": model.weights,
+        "factors": model.factors,
         "dropped_terms": model.dropped_terms,
     }
 
@@ -145,9 +136,10 @@ def _parse_float_list(text: str) -> list:
 
 
 # ---------------------------------------------------------------- commands
+# Each command returns (report, exit code); main writes the report.
 
 
-def _cmd_coherence(args) -> int:
+def _cmd_coherence(args) -> tuple:
     mat = read_htns(args.input)
     if mat.ndim != 2:
         raise ValueError("coherence expects an HTNS1 factor matrix (d = 2)")
@@ -159,7 +151,7 @@ def _cmd_coherence(args) -> int:
         "r": r,
         "mu": rep.mu,
         "omega": rep.omega,
-        "argpair": list(rep.argpair) if rep.argpair else None,
+        "argpair": rep.argpair,
     }
     if rep.mu > 0:
         out["krank_lower_bound"] = krank_lower_bound(rep)
@@ -172,11 +164,10 @@ def _cmd_coherence(args) -> int:
     else:
         out["krank_bruteforce"] = None
         out["note_krank"] = f"r={r} exceeds brute-force budget {args.budget}"
-    _emit(out, args.out)
-    return EXIT_OK
+    return out, EXIT_OK
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args) -> tuple:
     if args.mus:
         mus = _parse_float_list(args.mus)
     elif args.factors:
@@ -190,8 +181,7 @@ def _cmd_check(args) -> int:
         raise ValueError(f"--kranks must be integers, got {args.kranks!r}")
     report = condition_report(mus, args.r, kranks=kranks)
     report["command"] = "check"
-    _emit(report, args.out)
-    return EXIT_OK
+    return report, EXIT_OK
 
 
 def _parse_fixture(text: str):
@@ -205,7 +195,7 @@ def _parse_fixture(text: str):
     return mat_mult_tensor(n)
 
 
-def _cmd_norms(args) -> int:
+def _cmd_norms(args) -> tuple:
     if args.fixture:
         tensor = _parse_fixture(args.fixture)
     elif args.input:
@@ -222,16 +212,15 @@ def _cmd_norms(args) -> int:
     cert = nuclear_norm_bounds(tensor, cfg)
     out = {
         "command": "norms",
-        "dims": list(tensor.shape),
+        "dims": tensor.shape,
         "spectral": cert.spectral,
-        "spectral_witness": list(cert.spectral_witness) if cert.spectral_witness else None,
+        "spectral_witness": cert.spectral_witness,
         "nuclear_lower": cert.nuclear_lower,
         "nuclear_upper": cert.nuclear_upper,
         "certified": cert.certified,
         "upper_witness": _model_payload(cert.upper_witness) if cert.upper_witness else None,
     }
-    _emit(out, args.out)
-    return EXIT_OK if cert.certified else EXIT_NOT_CONVERGED
+    return out, EXIT_OK if cert.certified else EXIT_NOT_CONVERGED
 
 
 def _load_dictionary(path: str) -> Dictionary:
@@ -259,7 +248,7 @@ _METHOD_FLAGS = {
 }
 
 
-def _cmd_decompose(args) -> int:
+def _cmd_decompose(args) -> tuple:
     check_tol(args.tol)  # read by every method, so checked before the method's flags
     stray = [flag for flag, (dest, _, methods) in _METHOD_FLAGS.items()
              if getattr(args, dest) is not None and args.method not in methods]
@@ -270,7 +259,7 @@ def _cmd_decompose(args) -> int:
             setattr(args, dest, default)
     f = read_htns(args.input)
     out: dict = {"command": "decompose", "method": args.method,
-                 "dims": list(f.shape), "seed": args.seed}
+                 "dims": f.shape, "seed": args.seed}
     if args.method == "als":
         caps = tuple(_parse_float_list(args.caps)) if args.caps else None
         cfg = SolverConfig(
@@ -314,8 +303,7 @@ def _cmd_decompose(args) -> int:
         out["dictionary_mu"] = dictionary.mu
         out["temlyakov_condition_r"] = temlyakov_condition(
             max(args.rank, 1), dictionary.mu, args.t) if dictionary.mu < 1 else False
-    _emit(out, args.out)
-    return EXIT_OK if out["converged"] else EXIT_NOT_CONVERGED
+    return out, EXIT_OK if out["converged"] else EXIT_NOT_CONVERGED
 
 
 def _signals_from_spec(doc, n3_default: int, r: int, seed: int) -> np.ndarray:
@@ -364,7 +352,7 @@ def _scene_number(doc, key: str) -> float:
     return float(value)
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> tuple:
     with open(args.scene) as fh:
         doc = json.load(fh)
     out: dict = {"command": "simulate", "kind": args.kind, "seed": args.seed,
@@ -404,18 +392,17 @@ def _cmd_simulate(args) -> int:
             args.noise_std, args.seed)
         out["likeness"] = likeness
     mus = [gram_mu(fk.conj().T @ fk) for fk in truth.factors]
-    out["dims"] = list(tensor.shape)
+    out["dims"] = tensor.shape
     out["truth_coherences"] = mus
     out["conditions"] = condition_report(mus, truth.rank or 1)
     out["truth"] = _model_payload(truth)
     if args.out_tensor:
         write_htns(args.out_tensor, tensor)
         out["tensor_file"] = args.out_tensor
-    _emit(out, args.out)
-    return EXIT_OK
+    return out, EXIT_OK
 
 
-def _cmd_demo_nonexistence(args) -> int:
+def _cmd_demo_nonexistence(args) -> tuple:
     e1 = np.array([1.0, 0.0], dtype=complex)
     e2 = np.array([0.0, 1.0], dtype=complex)
     if args.nmax < 1:
@@ -433,11 +420,10 @@ def _cmd_demo_nonexistence(args) -> int:
         "loss_times_n": [r["loss"] * r["n"] for r in records],
         "weight_over_n": [r["max_weight"] / r["n"] for r in records],
     }
-    _emit(out, args.out)
-    return EXIT_OK
+    return out, EXIT_OK
 
 
-def _cmd_demo_recovery(args) -> int:
+def _cmd_demo_recovery(args) -> tuple:
     dictionary = random_incoherent_dictionary((4, 4, 4), 40, mu_max=0.09,
                                               seed=args.seed)
     rng = np.random.default_rng(args.seed + 1)
@@ -455,8 +441,7 @@ def _cmd_demo_recovery(args) -> int:
         "relative_residual": res.residuals[-1] / frobenius(f),
         "exact_recovery": bool(res.residuals[-1] <= 1e-10 * frobenius(f)),
     }
-    _emit(out, args.out)
-    return EXIT_OK if out["exact_recovery"] else EXIT_NOT_CONVERGED
+    return out, EXIT_OK if out["exact_recovery"] else EXIT_NOT_CONVERGED
 
 
 # ---------------------------------------------------------------- parser
@@ -552,7 +537,14 @@ def main(argv=None) -> int:
         # argparse exits with 2 on bad flags, matching the validation code
         return int(exc.code) if exc.code else EXIT_OK
     try:
-        return args.func(args)
+        report, code = args.func(args)
+        text = render_report(report)
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+        return code
     except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

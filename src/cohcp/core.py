@@ -358,8 +358,7 @@ def canonicalize(weights, factors) -> CPModel:
             keep[p] = False
         mags[p] = mag
 
-    idx = [p for p in np.argsort(-mags[keep], kind="stable")]
-    kept = np.flatnonzero(keep)[idx]
+    kept = np.flatnonzero(keep)[np.argsort(-mags[keep], kind="stable")]
     return CPModel(
         weights=mags[kept],
         factors=tuple(c[:, kept] for c in cols),

@@ -107,17 +107,20 @@ CERTIFIED_MARGIN = 0.25  # certifies a condition number of at most 7
 
 
 def _certified(gram: np.ndarray, mus, reg: float = 0.0) -> bool:
-    """Whether (G + reg I) x = b, for the Hadamard product ``gram`` of
-    unit-diagonal Grams with coherences ``mus``, has a ridge or a Gershgorin
-    margin of at least CERTIFIED_MARGIN, a lower bound on the least
-    eigenvalue of G.
+    """Whether (G + reg I) x = b, for the r x r Hadamard product ``gram`` of
+    unit-diagonal Grams with coherences ``mus``, has a ridge of at least
+    r * 1e-12 or a Gershgorin margin of at least CERTIFIED_MARGIN, a lower
+    bound on the least eigenvalue of G.
 
-    The paper's coercivity margin 1-(r-1) prod_k mu_k is tried first; only
+    G is positive semidefinite with trace r, so such a ridge bounds the
+    condition number by (r + reg) / reg <= 1e12 + 1, the limit of
+    ``_solve_gram``'s fallback; below about 1e-17 a ridge rounds away.
+    The paper's coercivity margin 1-(r-1) prod_k mu_k is tried next; only
     if it fails is the row margin of G read (``_row_margin``), which is
     never below the paper's, since |G_pq| <= prod_k mu_k, and certifies
     correlated sources whose worst pair alone fails it.  Either margin of
     1/4 bounds the largest eigenvalue by 7/4, so the condition number by 7."""
-    return reg > 0 or (
+    return reg * 1e12 >= len(gram) or (
         1.0 - (len(gram) - 1) * math.prod(mus) >= CERTIFIED_MARGIN) or (
         _row_margin(gram) >= CERTIFIED_MARGIN)
 

@@ -436,12 +436,6 @@ def _refine_directions(scene: ArrayScene, cols: np.ndarray, starts: np.ndarray,
     return [(d[p].copy(), best[p]) for p in range(m)]
 
 
-def _refine_direction(scene: ArrayScene, u_col: np.ndarray, d0: np.ndarray,
-                      step0: float) -> tuple:
-    """``_refine_directions`` of one column."""
-    return _refine_directions(scene, u_col[:, None], d0[None, :], step0)[0]
-
-
 def _doa_grid(scene: ArrayScene, grid_resolution_deg: float) -> tuple:
     """Direction grid and its conjugated steering matrix, built once per
     scene and grid size."""
@@ -502,7 +496,9 @@ def doa_estimate(u_est: np.ndarray, scene: ArrayScene,
         alternates = []
         if rivals.size:
             j = rivals[int(sc[rivals].argmax())]
-            d_alt, s_alt = _refine_direction(scene, cols[:, p], grid[j], step0)
+            # the view keeps column p's stride, and with it the zdotc kernel
+            [(d_alt, s_alt)] = _refine_directions(scene, cols[:, p:p + 1], grid[j:j + 1],
+                                                  step0)
             alternates.append(DoaEstimate(direction=d_alt, score=s_alt,
                                           separation_guaranteed=guaranteed))
         out.append(DoaEstimate(direction=d_best, score=s_best,

@@ -51,7 +51,7 @@ def layer_imports() -> list:
 def test_layer_rows_import_private_kernels():
     names = layer_imports()
     assert {"decompose._init_factors", "decompose._mode_solve",
-            "norms._exact_fit", "simulate._refine_direction"} <= set(names)
+            "norms._exact_fit", "simulate._refine_directions"} <= set(names)
 
 
 @pytest.mark.parametrize("name", layer_imports())

@@ -446,6 +446,18 @@ class TestDecomposeCommand:
         assert run_cli(["decompose", "--input", str(p), "--rank", "1", *flags]) == 2
         assert "needs at least 2 modes, got 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("ridge", ["1e-30", "1e-300"])
+    def test_negligible_ridge_exits_0(self, tmp_path, capsys, ridge):
+        # such a ridge once certified a singular Gram, and solve raised
+        # "Singular matrix" (exit 2)
+        p = tmp_path / "t.htns"
+        write_htns(p, np.random.default_rng(2).standard_normal((1, 2, 3)))
+        out = tmp_path / "r.json"
+        assert run_cli(["decompose", "--input", str(p), "--rank", "3",
+                        "--tychonoff", ridge, "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert load_report(out)["converged"] is True
+
     def test_woga_report_echoes_default_seed(self, tmp_path):
         dict_path = tmp_path / "atoms.json"
         dict_path.write_text('{"atoms": [[[1.0, 0.0], [1.0, 0.0]], [[0.0, 1.0], [0.0, 1.0]]]}')
@@ -669,6 +681,36 @@ class TestDeterminism:
         # the raw text, key order and float formatting included, differs
         # only in the timestamp field
         assert strip_timestamp(outs[0]) == strip_timestamp(outs[1])
+
+
+class TestReportPath:
+    """``main`` writes every command's report; an --out it cannot open is a
+    validation error that leaves stdout empty."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("inputs")
+        write_htns(path / "v.htns", np.eye(3, dtype=complex))
+        write_htns(path / "t.htns", np.ones((2, 2, 2), dtype=complex))
+        (path / "scene.json").write_text(json.dumps(CDMA_SCENE))
+        return path
+
+    @pytest.mark.parametrize("args", [
+        ["coherence", "--input", "{}/v.htns"],
+        ["check", "--mus", "0.4,0.4,0.4", "--r", "2"],
+        ["norms", "--input", "{}/t.htns", "--no-search"],
+        ["decompose", "--input", "{}/t.htns", "--rank", "1"],
+        ["simulate", "--kind", "cdma", "--scene", "{}/scene.json"],
+        ["demo-nonexistence", "--nmax", "4"],
+        ["demo-recovery"],
+    ], ids=lambda args: args[0])
+    def test_unwritable_out_exits_2(self, inputs, tmp_path, capsys, args):
+        out = tmp_path / "missing" / "r.json"
+        code = run_cli([a.format(inputs) for a in args] + ["--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: [Errno 2] No such file or directory: {str(out)!r}\n"
+        assert not out.parent.exists()
 
 
 def _array_scene():

@@ -1040,6 +1040,31 @@ class TestSolveGram:
         ref = np.linalg.pinv(grams[0] * grams[1] * grams[2], rcond=1e-12) @ rhs
         assert got.tobytes() == ref.tobytes()
 
+    def test_negligible_ridge_takes_pinv(self, monkeypatch):
+        # G + 1e-300 I rounds to the singular G: solve would raise
+        calls, _ = linalg_spy(monkeypatch, "pinv")
+        flags = []
+        got = decompose._solve_gram(np.ones((2, 2)), np.array([2.0, 2.0]), flags, 1e-300)
+        assert len(calls) == 1 and flags == ["singular_gram_pseudoinverse"]
+        np.testing.assert_allclose(got, [1.0, 1.0], rtol=0.0, atol=1e-12)
+
+    def test_ridge_certifies_from_r_times_1e_minus_12(self):
+        # a ridge of r * 1e-12 bounds cond(G + reg I) by 1e12 + 1; the
+        # all-ones Gram has no margin, so only the ridge can certify it.
+        # 2e-12 * 1e12 is exactly 2.0
+        singular, reg = np.ones((2, 2)), 2e-12
+        assert decompose._certified(singular, (1.0,), reg)
+        assert decompose._certified(singular, (1.0,), math.nextafter(reg, 1.0))
+        assert not decompose._certified(singular, (1.0,), math.nextafter(reg, 0.0))
+
+    @pytest.mark.parametrize("ridge", [1e-300, 1e-30, 1e-17])
+    def test_als_with_negligible_ridge_converges(self, ridge):
+        # 38 or 39 of seeds 0-199 raised "Singular matrix" at each such
+        # ridge while any ridge certified the system
+        t = np.random.default_rng(2).standard_normal((1, 2, 3))
+        model, diag = constrained_als(t, SolverConfig(r=3, tychonoff_lambda=ridge))
+        assert diag.converged and model.rank == 3
+
     def test_certified_als_runs_no_condition_number(self, monkeypatch):
         rng = np.random.default_rng(32)
         f = evaluate_terms(np.array([4.0, 3.0, 2.0, 1.0]),
@@ -1080,6 +1105,43 @@ class TestRowCertificate:
         # the eigensolver rounds at about r ulps
         assert row >= 1.0 - (r - 1) * math.prod(map(gram_mu, grams)) - 8 * eps
         assert row <= np.linalg.eigvalsh(gram)[0] + 8 * r * eps
+
+
+class TestCertificateBoundaries:
+    """Each test of the certificate and of the condition-number fallback at
+    its boundary and one representable step of the input either side."""
+
+    @staticmethod
+    def pair_gram(off: float) -> np.ndarray:
+        return np.array([[1.0, off], [off, 1.0]], dtype=complex)
+
+    def test_paper_margin_is_not_strict(self):
+        # 1 - (2 - 1) * 0.75 is exactly 1/4; the row margin 0.2 fails
+        gram = self.pair_gram(0.8)
+        assert decompose._row_margin(gram) < CERTIFIED_MARGIN
+        assert decompose._certified(gram, (0.75,))
+        assert decompose._certified(gram, (math.nextafter(0.75, 0.0),))
+        assert not decompose._certified(gram, (math.nextafter(0.75, 1.0),))
+
+    def test_row_margin_is_not_strict(self):
+        # 2 - (1 + 0.75) is exactly 1/4; 2^-52 is one step of the row sum
+        # 1.75; the paper margin 1 - 0.8 fails
+        step = 2.0 ** -52
+        assert decompose._row_margin(self.pair_gram(0.75)) == CERTIFIED_MARGIN
+        assert decompose._certified(self.pair_gram(0.75), (0.8,))
+        assert decompose._certified(self.pair_gram(0.75 - step), (0.8,))
+        assert not decompose._certified(self.pair_gram(0.75 + step), (0.8,))
+
+    @pytest.mark.parametrize("cond, pinv", [(1e12, False),
+                                            (math.nextafter(1e12, 0.0), False),
+                                            (math.nextafter(1e12, math.inf), True)])
+    def test_pseudoinverse_above_1e12(self, monkeypatch, cond, pinv):
+        gram = self.pair_gram(0.8)
+        assert not decompose._certified(gram, (0.8,))
+        monkeypatch.setattr(np.linalg, "cond", lambda *args, **kwargs: cond)
+        flags = []
+        decompose._solve_gram(gram, np.array([1.0, 2.0j]), flags, mus=(0.8,))
+        assert flags == (["singular_gram_pseudoinverse"] if pinv else [])
 
 
 def hadamard_spy(monkeypatch):

@@ -565,7 +565,9 @@ class TestGridResolution:
 
 def _doa_estimate_reference(u_est, scene, grid_resolution_deg):
     """``doa_estimate`` as it was before the rival search was restricted to
-    the near ties: the angle to the best point is taken over the whole grid."""
+    the near ties: the angle to the best point is taken over the whole grid,
+    and each direction is refined by ``_refine_direction_reference``, so it
+    shares no code with the ascent under test."""
     guaranteed = has_resolvent_triad(scene.b, scene.wavelength)
     grid, ug_conj = simulate._doa_grid(scene, grid_resolution_deg)
     cols = u_est / np.linalg.norm(u_est, axis=0)
@@ -576,14 +578,14 @@ def _doa_estimate_reference(u_est, scene, grid_resolution_deg):
     for p in range(cols.shape[1]):
         sc = scores[:, p]
         best_i = int(np.argmax(sc))
-        d_best, s_best = simulate._refine_direction(scene, cols[:, p], grid[best_i], step0)
+        d_best, s_best = _refine_direction_reference(scene, cols[:, p], grid[best_i], step0)
         near = sc >= sc[best_i] - simulate.AMBIGUITY_TOL
         angles = np.arccos(np.clip(grid @ grid[best_i], -1.0, 1.0))
         rivals = np.flatnonzero(near & (angles > sep))
         alternates = []
         if rivals.size:
             j = rivals[int(np.argmax(sc[rivals]))]
-            d_alt, s_alt = simulate._refine_direction(scene, cols[:, p], grid[j], step0)
+            d_alt, s_alt = _refine_direction_reference(scene, cols[:, p], grid[j], step0)
             alternates.append(simulate.DoaEstimate(direction=d_alt, score=s_alt,
                                                    separation_guaranteed=guaranteed))
         out.append(simulate.DoaEstimate(direction=d_best, score=s_best,
@@ -673,7 +675,8 @@ def test_refine_direction_matches_reference_bytewise():
     start_scores = np.abs(steering_vectors(scene, starts)[0].conj().T @ u)
     for p in range(u.shape[1]):
         d0 = starts[int(np.argmax(start_scores[:, p]))]
-        d, best = simulate._refine_direction(scene, u[:, p], d0, math.radians(3.0))
+        [(d, best)] = simulate._refine_directions(scene, u[:, p:p + 1], d0[None, :],
+                                                  math.radians(3.0))
         d_ref, best_ref = _refine_direction_reference(scene, u[:, p], d0,
                                                       math.radians(3.0))
         assert d.tobytes() == d_ref.tobytes()
