@@ -36,6 +36,7 @@ SWAPS = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
          ast.Eq: ast.NotEq, ast.NotEq: ast.Eq}
 SYMBOLS = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=", ast.Eq: "==",
            ast.NotEq: "!="}
+TIMEOUT = 300.0  # seconds; a mutant that hangs the selection counts as caught
 
 
 def sites(tree: ast.Module, functions: set) -> list:
@@ -64,16 +65,19 @@ def mutate(node: ast.AST, index: int | None) -> str:
     return f"{SYMBOLS[old]} -> {SYMBOLS[SWAPS[old]]}"
 
 
-def passes(source: str, module: str, tests: list, scratch: Path, timeout: float) -> bool:
+def passes(source: str, module: str, tests: list, scratch: Path) -> bool:
     (scratch / "src" / "cohcp" / f"{module}.py").write_text(source)
-    env = dict(os.environ, PYTHONPATH=str(scratch / "src"))
+    # no bytecode cache: two mutants of one size written within a second
+    # would otherwise share the first one's cached .pyc
+    env = dict(os.environ, PYTHONPATH=str(scratch / "src"),
+               PYTHONDONTWRITEBYTECODE="1")
     try:
         run = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p",
                               "no:cacheprovider", *tests], cwd=ROOT, env=env,
                              stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-                             timeout=timeout)
+                             timeout=TIMEOUT)
     except subprocess.TimeoutExpired:
-        return False  # a mutant that hangs the selection counts as caught
+        return False
     return run.returncode == 0
 
 
@@ -82,8 +86,6 @@ def main(argv=None) -> int:
     parser.add_argument("module", help="module of src/cohcp, without .py")
     parser.add_argument("functions", nargs="+", help="functions to mutate")
     parser.add_argument("--tests", nargs="+", required=True, help="pytest selection")
-    parser.add_argument("--timeout", type=float, default=300.0,
-                        help="seconds before a mutant's run counts as caught")
     args = parser.parse_args(argv)
     path = ROOT / "src" / "cohcp" / f"{args.module}.py"
     tree = ast.parse(path.read_text())
@@ -93,15 +95,14 @@ def main(argv=None) -> int:
         scratch = Path(tmp)
         shutil.copytree(ROOT / "src", scratch / "src",
                         ignore=shutil.ignore_patterns("__pycache__"))
-        if not passes(ast.unparse(tree), args.module, args.tests, scratch, args.timeout):
+        if not passes(ast.unparse(tree), args.module, args.tests, scratch):
             print("the unmutated module fails the selection", file=sys.stderr)
             return 2
         for i in range(count):
             mutant = copy.deepcopy(tree)
             fn, node, index = sites(mutant, set(args.functions))[i]
             label = f"{args.module}.py:{node.lineno} {fn}: {mutate(node, index)}"
-            alive = passes(ast.unparse(mutant), args.module, args.tests, scratch,
-                           args.timeout)
+            alive = passes(ast.unparse(mutant), args.module, args.tests, scratch)
             print(f"{'SURVIVED' if alive else 'killed  '} {label}", flush=True)
             if alive:
                 survivors.append(label)

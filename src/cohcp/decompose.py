@@ -137,18 +137,19 @@ def _solve_gram(gram: np.ndarray, rhs: np.ndarray, flags: list, reg: float = 0.0
                 mus=None):
     """Solve (G + reg I) x = rhs for the built Gram G, the Hadamard product
     of Grams with coherences ``mus`` (default: G's own): a certified system
-    directly, any other when its condition number is at most 1e12, else by
-    the pseudoinverse (``singular_gram_pseudoinverse``)."""
+    directly, any other when the condition number of G + reg I is at most
+    1e12, else by its pseudoinverse (``singular_gram_pseudoinverse``)."""
+    system = gram + reg * np.eye(len(gram)) if reg else gram
     if not _certified(gram, (gram_mu(gram),) if mus is None else mus, reg):
         try:
-            cond = np.linalg.cond(gram)
+            cond = np.linalg.cond(system)
         except np.linalg.LinAlgError:
             cond = np.inf
         if not np.isfinite(cond) or cond > 1e12:
             if "singular_gram_pseudoinverse" not in flags:
                 flags.append("singular_gram_pseudoinverse")
-            return np.linalg.pinv(gram, rcond=1e-12) @ rhs
-    return np.linalg.solve(gram + reg * np.eye(len(gram)) if reg else gram, rhs)
+            return np.linalg.pinv(system, rcond=1e-12) @ rhs
+    return np.linalg.solve(system, rhs)
 
 
 def woga(tensor, dictionary: Dictionary, t: float = 1.0,
@@ -646,10 +647,15 @@ def _mode_solve(unfold: np.ndarray, z: np.ndarray, other_grams: list,
     system (see ``_certified``, which reads ``mus``, their coherences, when
     given) solves (Z^H Z + reg I) C^T = (X_k Z-bar)^T, taking the MTTKRP
     X_k Z-bar as ``mttkrp`` when the caller holds it; any other runs
-    ``lstsq`` on Z, which does not square the conditioning.
+    ``lstsq`` on Z, stacked over sqrt(reg) I when there is a ridge, which
+    does not square the conditioning.
     """
     gram = functools.reduce(np.multiply, other_grams)
     if not _certified(gram, map(gram_mu, other_grams) if mus is None else mus, reg):
+        if reg:
+            r = len(gram)
+            z = np.vstack([z, math.sqrt(reg) * np.eye(r)])
+            unfold = np.hstack([unfold, np.zeros((len(unfold), r))])
         return np.linalg.lstsq(z, unfold.T, rcond=None)[0].T
     if mttkrp is None:
         mttkrp = unfold @ z.conj()

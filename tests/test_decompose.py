@@ -875,6 +875,24 @@ class TestCertifiedModeSolve:
         ref = lstsq(z, unfold.T, rcond=None)[0].T
         assert np.array_equal(got, ref)
 
+    def test_lstsq_fallback_keeps_a_small_ridge(self, monkeypatch):
+        # below r * 1e-12 a ridge does not certify, yet lstsq on Z stacked
+        # over sqrt(reg) I still solves (G + reg I) C^T = (X_k Z-bar)^T;
+        # dropping the ridge moves C by about 8e-9 relative here
+        rng = np.random.default_rng(31)
+        e1 = np.array([1.0, 0.0], dtype=complex)
+        e2 = np.array([0.0, 1.0], dtype=complex)
+        pair = np.stack([(e1 + e2 / 64) / np.linalg.norm(e1 + e2 / 64), e1], axis=1)
+        unfold, z, grams = mode_problem([pair.copy() for _ in range(3)], 0, rng)
+        gram, reg = grams[0] * grams[1], 1.9e-12
+        calls, lstsq = lstsq_spy(monkeypatch)
+        got = decompose._mode_solve(unfold, z, grams, reg)
+        assert len(calls) == 1
+        ref = np.linalg.solve(gram + reg * np.eye(2), (unfold @ z.conj()).T).T
+        plain = lstsq(z, unfold.T, rcond=None)[0].T
+        assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
+        assert np.linalg.norm(plain - ref) > 1e-9 * np.linalg.norm(ref)
+
     def test_als_trace_matches_lstsq_path(self, monkeypatch):
         rng = np.random.default_rng(32)
         truth = canonicalize(np.array([4.0, 3.0, 2.0, 1.0]),
@@ -1047,6 +1065,17 @@ class TestSolveGram:
         got = decompose._solve_gram(np.ones((2, 2)), np.array([2.0, 2.0]), flags, 1e-300)
         assert len(calls) == 1 and flags == ["singular_gram_pseudoinverse"]
         np.testing.assert_allclose(got, [1.0, 1.0], rtol=0.0, atol=1e-12)
+
+    def test_fallback_reads_the_ridged_system(self):
+        # cond(G) = 2e12 would take pinv; a ridge of 1.9e-12 < r * 1e-12
+        # does not certify, but brings cond(G + reg I) to about 7e11
+        gram, reg = np.array([[1.0, 1.0 - 1e-12], [1.0 - 1e-12, 1.0]]), 1.9e-12
+        assert np.linalg.cond(gram) > 1e12
+        assert not decompose._certified(gram, (1.0 - 1e-12,), reg)
+        flags, rhs = [], np.array([1.0, -1.0])
+        got = decompose._solve_gram(gram, rhs, flags, reg)
+        assert flags == []
+        assert got.tobytes() == np.linalg.solve(gram + reg * np.eye(2), rhs).tobytes()
 
     def test_ridge_certifies_from_r_times_1e_minus_12(self):
         # a ridge of r * 1e-12 bounds cond(G + reg I) by 1e12 + 1; the
