@@ -30,7 +30,13 @@ also carries the exit code, and its report is hashed without its
 - ``cohcp coherence`` (within and over the brute-force budget) and
   ``cohcp check`` (from ``--mus`` and from ``--factors``);
 - ``cohcp norms --input`` on a d = 1 vector and a d = 2 matrix whose
-  imaginary parts include -0.0 (the one-mode witness keeps the signs).
+  imaginary parts include -0.0 (the one-mode witness keeps the signs);
+- ``greedy_bound_check`` of each kind for r = 1..199 on a grid of
+  coherences that holds 1/64, 1/96, 1/60 and 1/3 and one ulp either side
+  of each, and the message with which it refuses malformed inputs;
+- ``nuclear_norm_bounds`` of ``mat_mult_tensor(2)`` with its standard
+  decomposition as a candidate and no search, at the default ``tol`` and
+  at ``tol = 0``.
 
 It takes a few seconds.
 """
@@ -40,6 +46,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import re
 import sys
 import tempfile
@@ -51,8 +58,11 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.append(str(ROOT))  # perfbench; cohcp comes from PYTHONPATH
 
 from cohcp import cli, decompose  # noqa: E402
+from cohcp.conditions import GREEDY_BOUND_KINDS, greedy_bound_check  # noqa: E402
 from cohcp.core import evaluate_terms, random_unit_columns, stack_terms  # noqa: E402
 from cohcp.htns import write_htns  # noqa: E402
+from cohcp.norms import (NormConfig, mat_mult_decomposition,  # noqa: E402
+                         mat_mult_tensor, nuclear_norm_bounds)
 from cohcp.simulate import ArrayScene, doa_estimate, steering_vectors  # noqa: E402
 from perfbench import workloads  # noqa: E402
 
@@ -257,12 +267,39 @@ def factor_commands(work: Path) -> None:
         show_cli(f"norms.{name}", ["norms", "--input", str(work / "n.htns")], work / "r.json")
 
 
+def _refusal(fn, *args) -> str:
+    """The message of the ``ValueError`` that fn(*args) raises."""
+    try:
+        fn(*args)
+    except ValueError as exc:
+        return str(exc)
+    raise AssertionError(f"{fn.__name__}{args} was not refused")
+
+
+def certificates(work: Path) -> None:
+    mus = {k / 19.0 for k in range(1, 19)} | {10.0 ** -k for k in range(1, 17)}
+    for edge in (1 / 64, 1 / 96, 1 / 60, 1 / 3):
+        mus |= {edge, math.nextafter(edge, 0.0), math.nextafter(edge, 1.0)}
+    for kind in GREEDY_BOUND_KINDS:
+        show(f"greedy_bound_check.{kind}", [greedy_bound_check(kind, r, mu)
+                                            for r in range(1, 200) for mu in sorted(mus)])
+    malformed = [("nope", 2, 0.1), ("gms", 0, 0.1), ("gms", 2, 0.0), ("gms", 2, 2.0),
+                 ("gms", 2, math.nan), (["gms"], 2, 0.1)]
+    show("greedy_bound_check.malformed",
+         [_refusal(greedy_bound_check, *args) for args in malformed])
+    matmul2 = mat_mult_tensor(2)
+    cfg = NormConfig(search=False, candidates=(mat_mult_decomposition(2),))
+    show("nuclear_norm_bounds.matmul2_candidate", nuclear_norm_bounds(matmul2, cfg))
+    show("nuclear_norm_bounds.matmul2_candidate_tol0",
+         nuclear_norm_bounds(matmul2, dataclasses.replace(cfg, tol=0.0)))
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         for section in (blind_id, norm_certify, dense_als, decompose_cli,
                         norm_range_edges, demos_and_simulate, doa_rival,
-                        factor_commands):
+                        factor_commands, certificates):
             section(work)
     return 0
 

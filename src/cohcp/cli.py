@@ -218,7 +218,7 @@ def _cmd_norms(args) -> tuple:
         "nuclear_lower": cert.nuclear_lower,
         "nuclear_upper": cert.nuclear_upper,
         "certified": cert.certified,
-        "upper_witness": _model_payload(cert.upper_witness) if cert.upper_witness else None,
+        "upper_witness": _model_payload(cert.upper_witness),
     }
     return out, EXIT_OK if cert.certified else EXIT_NOT_CONVERGED
 

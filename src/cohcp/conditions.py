@@ -206,23 +206,15 @@ def greedy_bound_check(kind: str, r: int, mu: float):
     r = _check_r(r)
     if not (0.0 < mu < 1.0):
         raise ValueError("coherence must lie in (0, 1)")
-    if kind == "gms":
-        if r < 1.0 / (32.0 * mu):
-            return (8.0 * math.sqrt(r), r)
-        return None
-    if kind == "tropp":
-        if r < 1.0 / (3.0 * mu):
-            return (math.sqrt(1.0 + 6.0 * r), r)
-        return None
-    if kind == "det":
-        if _le(r, mu ** (-2.0 / 3.0) / 20.0):
-            return (24.0, int(math.ceil(r * math.log(r))))
-        return None
-    if kind == "liv":
-        if _le(r, 1.0 / (20.0 * mu)):
-            return (3.0, 2 * r)
-        return None
-    raise ValueError(f"unknown bound kind {kind!r}; expected {GREEDY_BOUND_KINDS}")
+    if kind not in GREEDY_BOUND_KINDS:
+        raise ValueError(f"unknown bound kind {kind!r}; expected {GREEDY_BOUND_KINDS}")
+    holds, factor, iterate = {
+        "gms": (r < 1.0 / (32.0 * mu), 8.0 * math.sqrt(r), r),
+        "tropp": (r < 1.0 / (3.0 * mu), math.sqrt(1.0 + 6.0 * r), r),
+        "det": (_le(r, mu ** (-2.0 / 3.0) / 20.0), 24.0, math.ceil(r * math.log(r))),
+        "liv": (_le(r, 1.0 / (20.0 * mu)), 3.0, 2 * r),
+    }[kind]
+    return (factor, iterate) if holds else None
 
 
 def condition_report(mus, r: int, kranks=None) -> dict:

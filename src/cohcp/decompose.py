@@ -184,8 +184,7 @@ def woga(tensor, dictionary: Dictionary, t: float = 1.0,
     coeffs = np.zeros(0, dtype=np.complex128)
     residuals = [fnorm]
     converged = residuals[0] <= tol
-    m = 0
-    while not converged and m < max_iter:
+    while not converged and len(selected) < max_iter:
         # residual correlations without materializing the residual
         scores = np.abs(b_all - dictionary.gram[:, selected] @ coeffs)
         scores[selected] = 0.0
@@ -208,7 +207,6 @@ def woga(tensor, dictionary: Dictionary, t: float = 1.0,
         selected, coeffs = trial, projection
         residuals.append(residual)
         converged = residual <= tol
-        m += 1
     return GreedyResult(selected=selected, coefficients=coeffs,
                         residuals=residuals, converged=converged, flags=flags)
 

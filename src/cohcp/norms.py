@@ -201,15 +201,13 @@ def _exact_fit(t: np.ndarray, r: int, rng, spectra: list) -> tuple | None:
     b = term_correlations(t, factors)
     lam = np.linalg.lstsq(gram, b, rcond=None)[0]
     resid = frobenius(t - evaluate_terms(lam, factors))
-    if resid <= FIT_TOL * max(1.0, tnorm):
-        live = np.abs(lam) > 0
-        if not np.any(live):  # seen only for the zero tensor, which the caller refuses
-            return None
-        model = canonicalize(lam[live], [f[:, live] for f in factors])
-        # rigorous slack for the accepted residual
-        value = float(np.sum(model.weights)) + resid * math.sqrt(t.size)
-        return value, model, resid
-    return None
+    live = np.abs(lam) > 0  # none live: seen only for the zero tensor, which the caller refuses
+    if not resid <= FIT_TOL * max(1.0, tnorm) or not live.any():
+        return None
+    model = canonicalize(lam[live], [f[:, live] for f in factors])
+    # rigorous slack for the accepted residual
+    value = float(np.sum(model.weights)) + resid * math.sqrt(t.size)
+    return value, model, resid
 
 
 def nuclear_norm_bounds(tensor, cfg: NormConfig | None = None) -> NormCertificate:
@@ -271,20 +269,15 @@ def nuclear_norm_bounds(tensor, cfg: NormConfig | None = None) -> NormCertificat
             if got is not None and got[0] < upper:
                 upper, upper_witness = got[0], got[1]
 
-    certified = True
-    if lower > upper:
-        if lower - upper <= TIE_RTOL * max(1.0, upper):
-            lower = upper  # numerical ties collapse to the upper bound
-        else:
-            certified = False
-    certified = certified and (upper - lower) <= cfg.tol * max(upper, 1e-300)
+    if 0.0 < lower - upper <= TIE_RTOL * max(1.0, upper):
+        lower = upper  # numerical ties collapse to the upper bound
     return NormCertificate(
         spectral=sigma,
         spectral_witness=witness,
         nuclear_lower=lower,
         nuclear_upper=upper,
         upper_witness=upper_witness,
-        certified=bool(certified),
+        certified=bool(0.0 <= upper - lower <= cfg.tol * max(upper, 1e-300)),
     )
 
 

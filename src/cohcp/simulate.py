@@ -45,8 +45,8 @@ class ArrayScene:
             raise ValueError("positions must be finite")
         if np.linalg.norm(delta[0]) > POSITION_TOL:
             raise ValueError("the first translation must be zero (reference subarray)")
-        if not (self.pulsation > 0 and self.celerity > 0):
-            raise ValueError("pulsation and celerity must be positive")
+        if not (0.0 < self.pulsation < math.inf and 0.0 < self.celerity < math.inf):
+            raise ValueError("pulsation and celerity must be positive and finite")
         b.setflags(write=False)
         delta.setflags(write=False)
         object.__setattr__(self, "b", b)
@@ -149,24 +149,37 @@ def simulate_array(scene: ArrayScene, paths: PathSet, noise_std: float = 0.0,
     return _observe(truth, noise_std, seed), truth
 
 
+def _differences(points, wavelength: float) -> np.ndarray:
+    """(n, n, 3) pairwise differences b_k - b_l of finite (n, 3) points,
+    refusing malformed points and a wavelength that is not finite and
+    positive."""
+    if not 0.0 < wavelength < math.inf:
+        raise ValueError(f"wavelength must be positive and finite, got {wavelength}")
+    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    if pts.ndim != 2 or pts.shape[1] != 3:
+        raise ValueError("points must be an (n, 3) array of positions")
+    if not np.isfinite(pts).all():
+        raise ValueError("points must be finite")
+    return pts[:, None, :] - pts[None, :, :]
+
+
 def is_resolvent(points, v, wavelength: float) -> bool:
     """True iff some pairwise difference b_k - b_l equals v and
-    0 < ||v|| < wavelength / 2 (both inequalities strict)."""
-    if wavelength <= 0:
-        raise ValueError("wavelength must be positive")
-    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    0 < ||v|| < wavelength / 2 (both inequalities strict).  Malformed or
+    non-finite points, v or wavelength raise ``ValueError``."""
+    diffs = _differences(points, wavelength)
     v = np.asarray(v, dtype=np.float64)
+    if v.shape != (3,) or not np.isfinite(v).all():
+        raise ValueError("v must be a finite 3-vector")
     nv = np.linalg.norm(v)
     if not (0.0 < nv < wavelength / 2.0):
         return False
-    diffs = pts[:, None, :] - pts[None, :, :]
     return bool(np.any(np.linalg.norm(diffs - v, axis=2) <= POSITION_TOL))
 
 
 def resolvent_directions(points, wavelength: float) -> np.ndarray:
     """All pairwise differences qualifying as resolvent directions."""
-    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    diffs = (pts[:, None, :] - pts[None, :, :]).reshape(-1, 3)
+    diffs = _differences(points, wavelength).reshape(-1, 3)
     lens = column_norms(diffs.T)
     mask = (lens > POSITION_TOL) & (lens < wavelength / 2.0)
     return diffs[mask]

@@ -43,6 +43,12 @@ class TestCoherence:
         with pytest.raises(ValueError):
             coherence(np.array([[2.0, 0.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
+    def test_rejects_empty_factor_set(self, shape):
+        # a 0 x 3 set has three zero columns, which are not unit either
+        with pytest.raises(ValueError, match="factor set must be a nonempty n x r matrix"):
+            coherence(np.zeros(shape))
+
     @pytest.mark.parametrize("check", [coherence, kruskal_rank_bruteforce, spark_bruteforce])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_entry_named(self, check, bad):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -708,6 +710,125 @@ class TestCandidates:
         bad = canonicalize(np.ones(1), [np.eye(2)[:, :1]] * 3)
         with pytest.raises(ValueError, match=r"candidate 1 has dims \(2, 2, 2\)"):
             nuclear_norm_bounds(np.ones((3, 3, 3)), NormConfig(candidates=(good, bad)))
+
+
+E0 = np.array([1.0, 0.0], dtype=np.complex128)
+
+
+def _step(x: float, step: int) -> float:
+    """x, or its representable neighbour below (step -1) or above (step 1)."""
+    return x if step == 0 else math.nextafter(x, step * math.inf)
+
+
+def _unit_entry_term(weight: float):
+    return canonicalize(np.array([weight]), [E0[:, None]] * 3)
+
+
+class TestBracketBoundaries:
+    """Each comparison of the nuclear bracket at its boundary and one
+    representable step either side.  Patched spectral estimates and slice
+    bounds put lower and upper on chosen doubles; below 1 the tie width and
+    the residual allowance are TIE_RTOL and FIT_TOL themselves, and
+    2^-31 + 1e-9 is exact, so each boundary is met with equality."""
+
+    TINY = 2.0 ** -31
+
+    def _bounds(self, monkeypatch, sigma, upper, **cfg):
+        """Bounds of 2^-32 e0 (x) e0 (x) e0 (norm below sigma, so sigma is the
+        lower bound) with the slice bound ``upper``."""
+        monkeypatch.setattr(norms, "alternating_rank1", lambda *args: (sigma, (E0,) * 3))
+        monkeypatch.setattr(norms, "_slice_terms", lambda t: [(upper, [E0] * 3)])
+        t = np.zeros((2, 2, 2))
+        t[0, 0, 0] = 2.0 ** -32
+        return nuclear_norm_bounds(t, NormConfig(**cfg))
+
+    @pytest.mark.parametrize("step, tie", [(-1, True), (0, True), (1, False)])
+    def test_tie_collapse(self, monkeypatch, step, tie):
+        at = self.TINY + norms.TIE_RTOL
+        assert at - self.TINY == norms.TIE_RTOL * max(1.0, self.TINY)
+        cert = self._bounds(monkeypatch, _step(at, step), self.TINY, search=False)
+        assert (cert.nuclear_lower == self.TINY) is tie
+        assert cert.certified is tie
+
+    @pytest.mark.parametrize("step, searched", [(-1, False), (0, False), (1, True)])
+    def test_search_stops_on_a_closed_bracket(self, monkeypatch, step, searched):
+        ranks = []
+
+        def fit_spy(t, r, rng, spectra):
+            ranks.append(r)
+
+        monkeypatch.setattr(norms, "_exact_fit", fit_spy)
+        upper = _step(self.TINY + norms.TIE_RTOL, step)
+        self._bounds(monkeypatch, self.TINY, upper)
+        assert ranks == ([1, 2, 3, 4] if searched else [])
+
+    @pytest.mark.parametrize("step, replaced", [(-1, True), (0, False), (1, False)])
+    def test_fit_must_lower_the_upper_bound(self, monkeypatch, step, replaced):
+        model = _unit_entry_term(1.0)
+        value = _step(2.0, step)
+        monkeypatch.setattr(norms, "_exact_fit",
+                            lambda t, r, rng, spectra: (value, model, 0.0) if r == 1 else None)
+        cert = self._bounds(monkeypatch, 1.0, 2.0)
+        assert (cert.upper_witness is model) is replaced
+        assert cert.nuclear_upper == (value if replaced else 2.0)
+
+    @pytest.mark.parametrize("tol, certified", [(0.25, True), (math.nextafter(0.25, 0.0), False)])
+    def test_certificate_tolerance(self, monkeypatch, tol, certified):
+        cert = self._bounds(monkeypatch, 0.75, 1.0, search=False, tol=tol)
+        assert cert.certified is certified
+
+    def test_zero_gap_certified_at_zero_tol(self, monkeypatch):
+        cert = self._bounds(monkeypatch, 1.0, 1.0, search=False, tol=0.0)
+        assert cert.nuclear_lower == cert.nuclear_upper == 1.0
+        assert cert.certified is True
+
+    def test_candidate_tying_the_slice_bound_is_not_the_witness(self):
+        cand = mat_mult_decomposition(2)
+        cert = nuclear_norm_bounds(mat_mult_tensor(2),
+                                   NormConfig(search=False, candidates=(cand,)))
+        assert cert.nuclear_upper == 8.0
+        assert cert.upper_witness is not cand
+
+    @pytest.mark.parametrize("step, replaced", [(-1, False), (1, True)])
+    def test_candidate_beside_the_slice_bound(self, monkeypatch, step, replaced):
+        e = np.eye(4, dtype=np.complex128)[0]
+        monkeypatch.setattr(norms, "_slice_terms", lambda t: [(_step(8.0, step), [e] * 3)])
+        cand = mat_mult_decomposition(2)
+        cert = nuclear_norm_bounds(mat_mult_tensor(2),
+                                   NormConfig(search=False, candidates=(cand,)))
+        assert (cert.upper_witness is cand) is replaced
+
+    @pytest.mark.parametrize("step, accepted", [(-1, True), (0, True), (1, False)])
+    def test_candidate_residual(self, monkeypatch, step, accepted):
+        # a residual of one entry eps has norm eps exactly, and ||T|| < 1
+        cand = _unit_entry_term(0.5)
+        t = cp_evaluate(cand)
+        t[1, 1, 1] = _step(norms.FIT_TOL, step)
+        monkeypatch.setattr(norms, "_slice_terms", lambda t: [(1.0, [E0] * 3)])
+        cert = nuclear_norm_bounds(t, NormConfig(search=False, candidates=(cand,)))
+        assert (cert.upper_witness is cand) is accepted
+
+    @pytest.mark.parametrize("step, accepted", [(-1, True), (0, True), (1, False)])
+    def test_exact_fit_residual(self, monkeypatch, step, accepted):
+        t = cp_evaluate(_unit_entry_term(0.5))
+        off = np.zeros_like(t)
+        off[1, 1, 1] = _step(norms.FIT_TOL, step)
+        monkeypatch.setattr(norms, "evaluate_terms", lambda lam, factors: t - off)
+        got = norms._exact_fit(t, 1, np.random.default_rng(0), norms._flattening_spectra(t))
+        assert (got is not None) is accepted
+        if accepted:
+            assert got[2] == off[1, 1, 1]
+
+    def test_exact_fit_drops_zero_weights_before_canonicalizing(self, monkeypatch):
+        # basis starts fit 0.5 e0 (x) e0 (x) e0 at rank 2 with weights exactly
+        # (0.5, 0): the zero term is left out, not counted as dropped
+        monkeypatch.setattr(norms, "random_unit_columns",
+                            lambda n, r, rng: np.eye(n, r, dtype=np.complex128))
+        t = cp_evaluate(_unit_entry_term(0.5))
+        value, model, resid = norms._exact_fit(t, 2, None, norms._flattening_spectra(t))
+        assert (value, resid) == (0.5, 0.0)
+        assert model.weights.tolist() == [0.5]
+        assert model.dropped_terms == 0
 
 
 class TestDuality:

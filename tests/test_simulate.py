@@ -22,6 +22,7 @@ from cohcp.simulate import (
     is_resolvent,
     polarization_gain,
     polarization_vector,
+    resolvent_directions,
     simulate_array,
     simulate_cdma,
     simulate_fluorescence,
@@ -764,6 +765,15 @@ class TestMalformedInputRejected:
         with pytest.raises(ValueError, match=message):
             ArrayScene(b=b, delta=delta, pulsation=pulsation, celerity=CELERITY)
 
+    @pytest.mark.parametrize("pulsation, celerity", [(math.inf, CELERITY), (PULSATION, math.inf),
+                                                     (math.nan, CELERITY)])
+    def test_array_scene_wave_must_be_finite(self, pulsation, celerity):
+        # an infinite pulsation made NaN steering vectors, and an infinite
+        # celerity a zero wavenumber, which steers every direction alike
+        with pytest.raises(ValueError, match="pulsation and celerity must be positive and finite"):
+            ArrayScene(b=np.zeros((2, 3)), delta=np.zeros((1, 3)), pulsation=pulsation,
+                       celerity=celerity)
+
     @pytest.mark.parametrize("directions, signals, message", [
         (np.ones((1, 2)), np.ones((4, 1)), r"directions must be \(r, 3\)"),
         (np.zeros((0, 3)), np.ones((4, 0)), r"directions must be \(r, 3\)"),
@@ -784,6 +794,33 @@ class TestMalformedInputRejected:
     def test_resolvent_wavelength(self):
         with pytest.raises(ValueError, match="wavelength must be positive"):
             is_resolvent(np.zeros((2, 3)), [0.1, 0.0, 0.0], 0.0)
+
+    LINE = np.array([[0.1 * i, 0.0, 0.0] for i in range(4)])
+
+    @pytest.mark.parametrize("wavelength", [math.nan, math.inf, -1.0])
+    @pytest.mark.parametrize("check", [
+        lambda pts, w: is_resolvent(pts, [0.1, 0.0, 0.0], w),
+        resolvent_directions,
+        has_resolvent_triad,
+    ], ids=["is_resolvent", "resolvent_directions", "has_resolvent_triad"])
+    def test_resolvent_wavelength_must_be_finite(self, check, wavelength):
+        # NaN read as not resolvent, inf as resolvent, -1 as no directions
+        with pytest.raises(ValueError, match="wavelength must be positive and finite"):
+            check(self.LINE, wavelength)
+
+    @pytest.mark.parametrize("points, message", [
+        (np.full((4, 3), np.nan), "points must be finite"),
+        (np.zeros((3, 2)), r"points must be an \(n, 3\) array of positions"),
+    ])
+    @pytest.mark.parametrize("check", [resolvent_directions, has_resolvent_triad])
+    def test_resolvent_points_must_be_finite_3d(self, check, points, message):
+        with pytest.raises(ValueError, match=message):
+            check(points, 1.0)
+
+    @pytest.mark.parametrize("v", [[0.1, 0.0], [0.1, math.nan, 0.0], [[0.1, 0.0, 0.0]]])
+    def test_resolvent_v_must_be_a_finite_3_vector(self, v):
+        with pytest.raises(ValueError, match="v must be a finite 3-vector"):
+            is_resolvent(self.LINE, v, 1.0)
 
     def test_fewer_than_three_resolvent_directions(self):
         # one pair gives the directions v and -v only
