@@ -36,7 +36,11 @@ also carries the exit code, and its report is hashed without its
   of each, and the message with which it refuses malformed inputs;
 - ``nuclear_norm_bounds`` of ``mat_mult_tensor(2)`` with its standard
   decomposition as a candidate and no search, at the default ``tol`` and
-  at ``tol = 0``.
+  at ``tol = 0``;
+- the messages with which ``read_htns`` refuses a 40,000-entry file with a
+  non-number at entry 20,000 (past the writer's first 16,384-line chunk),
+  a 3-wide row, a non-finite entry, one entry too many, and a file whose
+  entry block is empty.
 
 It takes a few seconds.
 """
@@ -60,7 +64,7 @@ sys.path.append(str(ROOT))  # perfbench; cohcp comes from PYTHONPATH
 from cohcp import cli, decompose  # noqa: E402
 from cohcp.conditions import GREEDY_BOUND_KINDS, greedy_bound_check  # noqa: E402
 from cohcp.core import evaluate_terms, random_unit_columns, stack_terms  # noqa: E402
-from cohcp.htns import write_htns  # noqa: E402
+from cohcp.htns import read_htns, write_htns  # noqa: E402
 from cohcp.norms import (NormConfig, mat_mult_decomposition,  # noqa: E402
                          mat_mult_tensor, nuclear_norm_bounds)
 from cohcp.simulate import ArrayScene, doa_estimate, steering_vectors  # noqa: E402
@@ -294,12 +298,27 @@ def certificates(work: Path) -> None:
          nuclear_norm_bounds(matmul2, dataclasses.replace(cfg, tol=0.0)))
 
 
+def htns_refusals(work: Path) -> None:
+    entries = [f"{i} 0.5\n" for i in range(40_000)]
+    files = {
+        "non_number_at_20000": entries[:20_000] + ["1 x\n"] + entries[20_001:],
+        "three_wide": entries[:3] + ["1 2 3\n"] + entries[4:],
+        "non_finite": entries[:5] + ["0 inf\n"] + entries[6:],
+        "too_many": entries + ["1 0\n"],
+        "empty_block": ["\n", "  \n"],
+    }
+    for name, lines in files.items():
+        path = work / f"{name}.htns"
+        path.write_text("1\n40000\n" + "".join(lines))
+        show(f"read_htns.{name}", _refusal(read_htns, path))
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         for section in (blind_id, norm_certify, dense_als, decompose_cli,
                         norm_range_edges, demos_and_simulate, doa_rival,
-                        factor_commands, certificates):
+                        factor_commands, certificates, htns_refusals):
             section(work)
     return 0
 

@@ -13,13 +13,12 @@ Blank lines are skipped on reading.
 from __future__ import annotations
 
 import io
-import itertools
 import math
+import warnings
 
 import numpy as np
 
-# entry lines converted per bulk call; bounds the reader's and the
-# writer's working memory
+# entry lines formatted per write; bounds the writer's working memory
 _CHUNK_LINES = 1 << 14
 
 
@@ -73,7 +72,10 @@ def read_htns(path_or_file) -> np.ndarray:
 
 
 def _read(fh) -> np.ndarray:
-    header = list(itertools.islice((ln.strip() for ln in fh if ln.strip()), 2))
+    header = []
+    while len(header) < 2 and (ln := fh.readline()):
+        if ln.strip():
+            header.append(ln.strip())
     if len(header) < 2:
         raise ValueError("HTNS1: truncated header")
     try:
@@ -90,41 +92,33 @@ def _read(fh) -> np.ndarray:
     if d < 1 or any(n < 1 for n in shape):
         raise ValueError("HTNS1: dims must be positive")
     count = math.prod(shape)
-    chunks = []
-    got = 0
-    while lines := list(itertools.islice(fh, _CHUNK_LINES)):
-        chunk = _parse_chunk(lines, got)
-        chunks.append(chunk)
-        got += chunk.shape[0]
-    if got != count:
-        raise ValueError(f"HTNS1: expected {count} entries, got {got}")
-    data = np.concatenate(chunks)
+    try:  # a pipe cannot tell its place, nor a file that next() is reading,
+        start, body = fh.tell(), fh
+    except OSError:  # so their lines are kept for naming a bad entry
+        body = fh.readlines()
+    try:
+        with warnings.catch_warnings():  # no entries: the count check refuses them
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            data = np.loadtxt(body, dtype=np.float64, comments=None, ndmin=2)
+    except ValueError:
+        data = None
+    if data is None or data.size and data.shape[1] != 2:
+        # name the first offending entry with a per-line scan
+        if body is fh:
+            fh.seek(start)
+        for i, ln in enumerate(ln for ln in body if ln.strip()):
+            if len(ln.split()) != 2:
+                raise ValueError(f"HTNS1: entry {i}: expected 're im'")
+            try:
+                np.loadtxt([ln], dtype=np.float64, comments=None)
+            except ValueError:
+                raise ValueError(f"HTNS1: entry {i}: values must be numbers, "
+                                 f"got {ln.strip()!r}")
+        # no input is known to reach this: lines that each parse also parse as one block
+        raise ValueError("HTNS1: unreadable entries from entry 0")
+    if len(data) != count:
+        raise ValueError(f"HTNS1: expected {count} entries, got {len(data)}")
     bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
     if bad.size:
         raise ValueError(f"HTNS1: entry {bad[0]}: non-finite value")
     return data.view(np.complex128).reshape(shape)
-
-
-def _parse_chunk(lines: list, first: int) -> np.ndarray:
-    """Rows ``(re, im)`` of the non-blank lines; ``first`` is the index of
-    the chunk's first entry, used to name a bad one."""
-    if not any(ln.strip() for ln in lines):
-        return np.empty((0, 2))
-    try:
-        rows = np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
-    except ValueError:
-        rows = None
-    if rows is not None and rows.shape[1] == 2:
-        return rows
-    # name the first offending entry with a per-line scan
-    entries = (ln for ln in lines if ln.strip())
-    for i, ln in enumerate(entries, start=first):
-        if len(ln.split()) != 2:
-            raise ValueError(f"HTNS1: entry {i}: expected 're im'")
-        try:
-            np.loadtxt([ln], dtype=np.float64, comments=None)
-        except ValueError:
-            raise ValueError(f"HTNS1: entry {i}: values must be numbers, "
-                             f"got {ln.strip()!r}")
-    # no input is known to reach this: lines that each parse also parse as one chunk
-    raise ValueError(f"HTNS1: unreadable entries from entry {first}")

@@ -47,6 +47,9 @@ class ArrayScene:
             raise ValueError("the first translation must be zero (reference subarray)")
         if not (0.0 < self.pulsation < math.inf and 0.0 < self.celerity < math.inf):
             raise ValueError("pulsation and celerity must be positive and finite")
+        if not (0.0 < self.wavelength < math.inf and 0.0 < self.wavenumber < math.inf):
+            raise ValueError("pulsation and celerity must give a positive, finite wavelength"
+                             f" and wavenumber, got {self.wavelength} and {self.wavenumber}")
         b.setflags(write=False)
         delta.setflags(write=False)
         object.__setattr__(self, "b", b)

@@ -630,6 +630,19 @@ class TestArraySignals:
         assert code == 2
         assert "PathSet signals: non-finite entry" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("pulsation, celerity", [(1e-300, 1e300), (1e300, 1e-300)])
+    def test_wave_outside_the_doubles_named(self, tmp_path, capsys, pulsation, celerity):
+        doc = TestSimulateCommand().scene_doc()
+        doc["pulsation"], doc["celerity"] = pulsation, celerity
+        scene = tmp_path / "scene.json"
+        scene.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning on the way
+            code = run_cli(["simulate", "--kind", "array", "--scene", str(scene)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "pulsation and celerity must give a positive, finite wavelength" in err
+
     def test_n_samples_capped_before_drawing(self, tmp_path, capsys, monkeypatch):
         class NoDraws:  # any draw of 10^12 samples would ask for terabytes
             def __getattr__(self, name):

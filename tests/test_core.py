@@ -681,3 +681,32 @@ def test_entry_points_refuse_norm_out_of_range(entry, scale):
     }
     with pytest.raises(ValueError, match=f"{entry}: Frobenius norm .* lies outside"):
         calls[entry]()
+
+
+class TestKernelBoundaries:
+    """The predicates of the small core helpers, at their boundaries."""
+
+    @pytest.mark.parametrize("tol", [0.0, -0.0, 5e-324, 1.7976931348623157e308])
+    def test_check_tol_accepts_zero_and_every_finite_positive(self, tol):
+        core.check_tol(tol)
+
+    @pytest.mark.parametrize("tol", [-5e-324, np.inf, np.nan])
+    def test_check_tol_refuses(self, tol):
+        with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+            core.check_tol(tol)
+
+    @pytest.mark.parametrize("r", [0, 1])
+    def test_coherent_pair_of_fewer_than_two_columns(self, r):
+        assert coherent_pair(np.ones((r, r), dtype=complex)) == (0.0, None)
+
+    def test_coherent_pair_clips_an_overshoot_to_one(self):
+        over = 1.0 + 2.0 ** -52  # Cauchy-Schwarz broken by one ulp of rounding
+        gram = np.array([[1.0, over], [over, 1.0]], dtype=complex)
+        assert coherent_pair(gram) == (1.0, (0, 1))
+
+    def test_unit_columns_default_floor_is_zero(self):
+        c = np.array([[0.5, 0.0], [0.0, 0.0]], dtype=complex)
+        keep = np.full((2, 2), 7.0 + 0j)
+        u, nrm = core.unit_columns(c, keep)
+        assert np.array_equal(nrm, [0.5, 0.0])
+        assert np.array_equal(u, [[1.0, 7.0], [0.0, 7.0]])

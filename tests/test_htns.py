@@ -1,4 +1,8 @@
+import contextlib
 import io
+import os
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -229,3 +233,77 @@ def test_writes_bounded_by_chunk():
     assert "".join(fh.writes) == dump_htns(t)
     assert max(w.count("\n") for w in fh.writes[1:]) <= _CHUNK_LINES
     assert len(fh.writes) == 1 + 3  # the header, then 5/2 chunks rounded up
+
+
+BIG = 40_000  # entries; more than two of the writer's chunks
+
+
+def big_text(bad_line=None):
+    """An HTNS1 vector of BIG entries, entry 20000 replaced by bad_line."""
+    lines = [f"{i} {-i / 3!r}\n" for i in range(BIG)]
+    if bad_line is not None:
+        lines[20_000] = bad_line
+    return f"1\n{BIG}\n" + "".join(lines)
+
+
+@contextlib.contextmanager
+def pipe_reader(text: str):
+    """A text stream on an os.pipe that a writer thread feeds with text."""
+    read_fd, write_fd = os.pipe()
+
+    def feed():
+        try:
+            with os.fdopen(write_fd, "wb") as w:
+                w.write(text.encode())
+        except BrokenPipeError:  # the reader stopped early
+            pass
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    try:
+        with os.fdopen(read_fd, "r") as fh:
+            assert not fh.seekable()
+            yield fh
+    finally:
+        writer.join()
+
+
+def read_each_way(text, tmp_path):
+    """read_htns's outcome on text through a path, an open file, a file that
+    next() has read from, and a pipe."""
+    path = tmp_path / "big.htns"
+    path.write_text(text)
+    yield lambda: read_htns(path)
+    with open(path) as fh:
+        yield lambda: read_htns(fh)
+    path.write_text("# a line the caller skips\n" + text)
+    with open(path) as fh:
+        next(fh)
+        yield lambda: read_htns(fh)
+    with pipe_reader(text) as fh:
+        yield lambda: read_htns(fh)
+
+
+@pytest.mark.parametrize("bad_line, message", [
+    ("1 x\n", "entry 20000: values must be numbers, got '1 x'"),
+    ("1 2 3\n", "entry 20000: expected 're im'"),
+    ("0 nan\n", "entry 20000: non-finite value"),
+])
+def test_bad_entry_past_the_first_chunk_named(tmp_path, bad_line, message):
+    for read in read_each_way(big_text(bad_line), tmp_path):
+        with pytest.raises(ValueError, match=f"^HTNS1: {message}$"):
+            read()
+
+
+def test_large_file_round_trips_each_way(tmp_path):
+    i = np.arange(BIG, dtype=np.float64)
+    for read in read_each_way(big_text(), tmp_path):
+        assert read().tobytes() == (i - 1j * (i / 3)).tobytes()
+
+
+@pytest.mark.parametrize("block", ["", "\n", "\n  \n\t\n"])
+def test_empty_entry_block_refused_without_warning(block):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^HTNS1: expected 3 entries, got 0$"):
+            parse_htns("1\n3\n" + block)

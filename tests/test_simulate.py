@@ -774,6 +774,16 @@ class TestMalformedInputRejected:
             ArrayScene(b=np.zeros((2, 3)), delta=np.zeros((1, 3)), pulsation=pulsation,
                        celerity=celerity)
 
+    @pytest.mark.parametrize("pulsation, celerity, wave", [
+        (1e-300, 1e300, "inf and 0.0"),  # one steering column for every direction
+        (1e300, 1e-300, "0.0 and inf"),  # NaN steering entries
+    ])
+    def test_array_scene_wave_must_stay_in_the_doubles(self, pulsation, celerity, wave):
+        with pytest.raises(ValueError, match="pulsation and celerity must give a positive, "
+                                             f"finite wavelength and wavenumber, got {wave}$"):
+            ArrayScene(b=np.zeros((2, 3)), delta=np.zeros((1, 3)), pulsation=pulsation,
+                       celerity=celerity)
+
     @pytest.mark.parametrize("directions, signals, message", [
         (np.ones((1, 2)), np.ones((4, 1)), r"directions must be \(r, 3\)"),
         (np.zeros((0, 3)), np.ones((4, 0)), r"directions must be \(r, 3\)"),
