@@ -18,10 +18,13 @@ import sys
 import numpy as np
 
 from . import __version__
-from .coherence import coherence, krank_lower_bound, kruskal_rank_bruteforce
+from .coherence import KRANK_BUDGET, coherence, krank_lower_bound, kruskal_rank_bruteforce
 from .conditions import condition_report, temlyakov_condition
-from .core import check_tol, evaluate_terms, frobenius, gram_mu, stack_terms
+from .core import check_count, check_tol, evaluate_terms, frobenius, gram_mu, stack_terms
 from .decompose import (
+    ORTHO_NONE,
+    ORTHO_PER_MODE,
+    ORTHO_SEPARABLE,
     Dictionary,
     SolverConfig,
     constrained_als,
@@ -239,12 +242,12 @@ def _load_dictionary(path: str) -> Dictionary:
 # method would ignore can be refused by name.
 _METHOD_FLAGS = {
     "--caps": ("caps", None, ("als",)),
-    "--tychonoff": ("tychonoff", 0.0, ("als",)),
-    "--ortho": ("ortho", "none", ("als",)),
-    "--max-iter": ("max_iter", 2000, ("als", "woga")),
+    "--tychonoff": ("tychonoff", SolverConfig.tychonoff_lambda, ("als",)),
+    "--ortho": ("ortho", SolverConfig.orthogonality, ("als",)),
+    "--max-iter": ("max_iter", SolverConfig.max_iter, ("als", "woga")),
     "--dict": ("dictionary", None, ("woga",)),
     "--t": ("t", 1.0, ("woga",)),
-    "--seed": ("seed", 0, ("als", "oga")),
+    "--seed": ("seed", SolverConfig.seed, ("als", "oga")),
 }
 
 
@@ -311,13 +314,11 @@ def _signals_from_spec(doc, n3_default: int, r: int, seed: int) -> np.ndarray:
     spec = doc.get("signals", {})
     if isinstance(spec, dict):
         kind = spec.get("kind", "gaussian")
-        n3 = _numbers(spec.get("n_samples", n3_default), "signals field 'n_samples'")
-        if n3.ndim != 0 or not float(n3).is_integer() or n3 < 1:
-            raise ValueError("signals field 'n_samples' must be a positive integer")
+        n3 = check_count(spec.get("n_samples", n3_default), 1,
+                         "signals field 'n_samples' must be a positive integer")
         if n3 > MAX_SIGNAL_SAMPLES:
             raise ValueError(f"signals field 'n_samples' must be at most "
-                             f"{MAX_SIGNAL_SAMPLES}, got {int(n3)}")
-        n3 = int(n3)
+                             f"{MAX_SIGNAL_SAMPLES}, got {n3}")
         if kind == "qpsk":
             sym = rng.integers(0, 4, size=(n3, r))
             sig = np.exp(1j * (math.pi / 4 + math.pi / 2 * sym))
@@ -405,8 +406,7 @@ def _cmd_simulate(args) -> tuple:
 def _cmd_demo_nonexistence(args) -> tuple:
     e1 = np.array([1.0, 0.0], dtype=complex)
     e2 = np.array([0.0, 1.0], dtype=complex)
-    if args.nmax < 1:
-        raise ValueError(f"--nmax must be >= 1, got {args.nmax}")
+    check_count(args.nmax, 1, f"--nmax must be >= 1, got {args.nmax}")
     ns = sorted({2 ** k for k in range(args.nmax.bit_length())} | {args.nmax})
     records = divergence_witness([e1] * 3, [e2] * 3, ns)
     out = {
@@ -424,13 +424,12 @@ def _cmd_demo_nonexistence(args) -> tuple:
 
 
 def _cmd_demo_recovery(args) -> tuple:
-    dictionary = random_incoherent_dictionary((4, 4, 4), 40, mu_max=0.09,
-                                              seed=args.seed)
+    dictionary = random_incoherent_dictionary((4, 4, 4), 40, seed=args.seed)
     rng = np.random.default_rng(args.seed + 1)
     idx = rng.choice(len(dictionary), 5, replace=False)
     coef = (0.5 + rng.random(5)) * np.exp(2j * math.pi * rng.random(5))
     f = evaluate_terms(coef, stack_terms([dictionary.atoms[i] for i in idx], dictionary.dims))
-    res = woga(f, dictionary, t=1.0, max_iter=5)
+    res = woga(f, dictionary, max_iter=5)
     out = {
         "command": "demo-recovery",
         "dictionary_mu": dictionary.mu,
@@ -466,66 +465,60 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=f"cohcp {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    c = sub.add_parser("coherence", help="coherence / Kruskal-rank report of a factor matrix")
-    c.add_argument("--input", required=True, help="HTNS1 factor matrix (d = 2)")
-    c.add_argument("--budget", type=int, default=14)
-    c.add_argument("--out")
-    c.set_defaults(func=_cmd_coherence)
+    def command(name: str, func, help: str) -> argparse.ArgumentParser:
+        c = sub.add_parser(name, help=help)
+        c.set_defaults(func=func)
+        return c
 
-    c = sub.add_parser("check", help="evaluate all condition checkers")
+    c = command("coherence", _cmd_coherence, "coherence / Kruskal-rank report of a factor matrix")
+    c.add_argument("--input", required=True, help="HTNS1 factor matrix (d = 2)")
+    c.add_argument("--budget", type=int, default=KRANK_BUDGET)
+
+    c = command("check", _cmd_check, "evaluate all condition checkers")
     c.add_argument("--mus", help="comma-separated per-mode coherences")
     c.add_argument("--factors", nargs="*", help="HTNS1 factor matrices to measure")
     c.add_argument("--r", type=int, required=True)
     c.add_argument("--d", type=int)
     c.add_argument("--kranks", help="comma-separated per-mode Kruskal ranks")
-    c.add_argument("--out")
-    c.set_defaults(func=_cmd_check)
 
-    c = sub.add_parser("norms", help="spectral norm and nuclear norm sandwich")
+    c = command("norms", _cmd_norms, "spectral norm and nuclear norm sandwich")
     c.add_argument("--input", help="HTNS1 tensor")
     c.add_argument("--fixture", help="matmul:n generates the matrix multiplication tensor")
-    c.add_argument("--restarts", type=int, default=64)
-    c.add_argument("--tol", type=float, default=1e-3)
-    c.add_argument("--size-cap", type=int, default=256)
+    c.add_argument("--restarts", type=int, default=NormConfig.restarts)
+    c.add_argument("--tol", type=float, default=NormConfig.tol)
+    c.add_argument("--size-cap", type=int, default=NormConfig.size_cap)
     c.add_argument("--no-search", action="store_true")
-    c.add_argument("--seed", type=_seed, default=0)
-    c.add_argument("--out")
-    c.set_defaults(func=_cmd_norms)
+    c.add_argument("--seed", type=_seed, default=NormConfig.seed)
 
-    c = sub.add_parser("decompose", help="greedy or alternating decomposition")
+    c = command("decompose", _cmd_decompose, "greedy or alternating decomposition")
     c.add_argument("--input", required=True, help="HTNS1 tensor")
     c.add_argument("--rank", type=int, required=True)
     c.add_argument("--method", choices=["als", "oga", "woga"], default="als")
     c.add_argument("--caps", help="comma-separated per-mode coherence caps (als)")
     c.add_argument("--tychonoff", type=float, help="ridge weight (als)")
-    c.add_argument("--ortho", choices=["none", "per-mode", "separable"],
+    c.add_argument("--ortho", choices=[ORTHO_NONE, ORTHO_PER_MODE, ORTHO_SEPARABLE],
                    help="orthogonality constraint (als)")
     c.add_argument("--dict", dest="dictionary", help="atoms JSON file (woga)")
     c.add_argument("--t", type=float, help="weakness parameter (woga)")
     c.add_argument("--max-iter", type=int, help="iteration cap (als, woga)")
-    c.add_argument("--tol", type=float, default=1e-10)
+    c.add_argument("--tol", type=float, default=SolverConfig.tol)
     c.add_argument("--seed", type=_seed, help="random seed (als, oga)")
-    c.add_argument("--out")
-    c.set_defaults(func=_cmd_decompose)
 
-    c = sub.add_parser("simulate", help="physical forward models")
+    c = command("simulate", _cmd_simulate, "physical forward models")
     c.add_argument("--kind", choices=["array", "cdma", "fluorescence"], required=True)
     c.add_argument("--scene", required=True, help="scene description JSON")
     c.add_argument("--noise-std", type=float, default=0.0)
     c.add_argument("--seed", type=_seed, default=0)
     c.add_argument("--out-tensor", help="write the observation tensor (HTNS1)")
-    c.add_argument("--out")
-    c.set_defaults(func=_cmd_simulate)
 
-    c = sub.add_parser("demo-nonexistence", help="divergence witness table")
+    c = command("demo-nonexistence", _cmd_demo_nonexistence, "divergence witness table")
     c.add_argument("--nmax", type=int, default=64)
-    c.add_argument("--out")
-    c.set_defaults(func=_cmd_demo_nonexistence)
 
-    c = sub.add_parser("demo-recovery", help="exact greedy recovery demo")
+    c = command("demo-recovery", _cmd_demo_recovery, "exact greedy recovery demo")
     c.add_argument("--seed", type=_seed, default=0)
-    c.add_argument("--out")
-    c.set_defaults(func=_cmd_demo_recovery)
+
+    for c in sub.choices.values():
+        c.add_argument("--out")
     return p
 
 

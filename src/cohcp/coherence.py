@@ -13,7 +13,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import coherent_pair, column_norms, finite_tensor
+from .core import check_count, coherent_pair, column_norms, finite_tensor
 
 NORM_TOL = 1e-9
 KRANK_BUDGET = 14
@@ -67,7 +67,7 @@ def _independent(subset: np.ndarray) -> bool:
 def _bruteforce_columns(vectors, budget: int, what: str) -> np.ndarray:
     """The unit columns of an enumeration, refusing more than ``budget``."""
     v = _check_unit_columns(vectors)
-    if v.shape[1] > budget:
+    if v.shape[1] > check_count(budget, 0, f"budget must be >= 0, got {budget}"):
         raise ValueError(f"brute-force {what} refused: r={v.shape[1]} exceeds budget {budget}")
     return v
 

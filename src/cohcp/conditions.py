@@ -16,6 +16,8 @@ import math
 
 import numpy as np
 
+from .core import check_count
+
 _BOUNDARY_RTOL = 1e-12
 
 
@@ -39,10 +41,7 @@ def _check_mus(mus) -> np.ndarray:
 
 
 def _check_r(r: int) -> int:
-    r = int(r)
-    if r < 1:
-        raise ValueError("rank r must be >= 1")
-    return r
+    return check_count(r, 1, "rank r must be >= 1")
 
 
 def _existence(m: np.ndarray, r: int) -> dict:
@@ -82,9 +81,9 @@ def _d3_holds(mus, r: int, name: str, low_order: str) -> bool:
 
 
 def _kruskal(kranks, r: int) -> dict:
-    ks = [int(k) for k in kranks]
-    if len(ks) < 1 or any(k < 0 for k in ks):
-        raise ValueError("kranks must be nonnegative integers, one per mode")
+    message = "kranks must be nonnegative integers, one per mode"
+    ks = [check_count(k, 0, message) for k in kranks]
+    check_count(len(ks), 1, message)
     lhs = 2 * _check_r(r) + len(ks) - 1
     return {"holds": lhs <= sum(ks), "lhs": float(lhs),
             "rhs_krank_sum": float(sum(ks)), "kranks": ks}
@@ -137,19 +136,17 @@ def kruskal_condition(kranks, r: int) -> bool:
 
 def expected_rank(dims) -> int:
     """ceil(prod n_k / (1 - d + sum n_k)), the generic rank heuristic."""
-    ns = [int(n) for n in dims]
-    if len(ns) < 1 or any(n < 1 for n in ns):
-        raise ValueError("dims must be positive integers")
+    message = "dims must be positive integers"
+    ns = [check_count(n, 1, message) for n in dims]
+    check_count(len(ns), 1, message)
     # every n_k >= 1, so the denominator 1 + sum(n_k - 1) is at least 1
     return -(-math.prod(ns) // (1 - len(ns) + sum(ns)))
 
 
 def kruskal_simple_bound(n1: int, n2: int) -> int:
     """r_max = n1 + n2 - 2 for full-rank loadings with n1, n2 <= r <= n3."""
-    n1, n2 = int(n1), int(n2)
-    if n1 < 1 or n2 < 1:
-        raise ValueError("subarray sizes must be positive")
-    return n1 + n2 - 2
+    message = "subarray sizes must be positive"
+    return check_count(n1, 1, message) + check_count(n2, 1, message) - 2
 
 
 def temlyakov_condition(r: int, mu: float, t: float) -> bool:
@@ -177,9 +174,7 @@ def coercivity_lower_bound(weights, mus) -> float:
     """
     w = np.asarray(weights, dtype=np.complex128).ravel()
     m = _check_mus(mus)
-    r = w.size
-    if r < 1:
-        raise ValueError("need at least one weight")
+    r = check_count(w.size, 1, "need at least one weight")
     if not np.all(np.isfinite(w)):
         raise ValueError("coercivity_lower_bound: weights must be finite")
     lam2 = float(np.sum(np.abs(w) ** 2))

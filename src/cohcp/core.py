@@ -120,6 +120,19 @@ def check_tol(tol) -> None:
         raise ValueError(f"tol must be finite and >= 0, got {tol}")
 
 
+def check_count(value, least: int, message: str) -> int:
+    """``value`` (an int, numpy integer or integral float) as an int.  A whole
+    number below ``least`` raises ``ValueError(message)``; any other value
+    raises it naming the value, unless the message already ends in it."""
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        value = int(value)
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(message if message.endswith(repr(value)) else f"{message}, got {value!r}")
+    if value < least:
+        raise ValueError(message)
+    return int(value)
+
+
 def stack_terms(terms, dims) -> list:
     """Factor matrices of rank-1 terms given as one vector per mode: the
     n_k x m matrix of mode k holds term p in column p (n_k x 0 for none)."""
@@ -228,8 +241,7 @@ def alternating_rank1(t: np.ndarray, restarts: int, tol: float,
     changes; ``unit_columns`` normalizes the MTTKRP and keeps the previous
     vector of a restart whose MTTKRP vanishes.
     """
-    if restarts < 1:
-        raise ValueError(f"restarts must be >= 1, got {restarts}")
+    restarts = check_count(restarts, 1, f"restarts must be >= 1, got {restarts}")
     vecs = [random_unit_columns(n, restarts, rng) for n in t.shape]
     conjs = [v.conj() for v in vecs]
     unfolds = [np.moveaxis(t, k, 0).reshape(n, -1) for k, n in enumerate(t.shape)]

@@ -20,6 +20,7 @@ from .core import (
     alternating_rank1,
     bounded_tensor,
     canonicalize,
+    check_count,
     check_tol,
     coherent_pair,
     cp_evaluate,
@@ -173,10 +174,8 @@ def woga(tensor, dictionary: Dictionary, t: float = 1.0,
     f, fnorm = bounded_tensor(tensor, "woga")
     if f.shape != dictionary.dims:
         raise ValueError(f"tensor dims {f.shape} do not match dictionary {dictionary.dims}")
-    if max_iter is None:
-        max_iter = len(dictionary)
-    elif max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    max_iter = len(dictionary) if max_iter is None else check_count(
+        max_iter, 1, f"max_iter must be >= 1, got {max_iter}")
 
     b_all = dictionary.correlations(f)
     selected: list = []
@@ -241,8 +240,7 @@ def oga_continuous(tensor, r: int, restarts: int = 32, tol: float = 1e-12,
     Non-finite entries raise ``ValueError``.
     """
     f, fnorm = bounded_tensor(tensor, "oga_continuous")
-    if r < 1:
-        raise ValueError("r must be >= 1")
+    r = check_count(r, 1, "r must be >= 1")
     check_tol(tol)
     atoms: list = []
     flags: list = []
@@ -344,10 +342,9 @@ class SolverConfig:
     init: str = "greedy"
 
     def __post_init__(self):
-        if self.r < 1:
-            raise ValueError("target rank must be >= 1")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+        object.__setattr__(self, "r", check_count(self.r, 1, "target rank must be >= 1"))
+        object.__setattr__(self, "max_iter", check_count(
+            self.max_iter, 1, f"max_iter must be >= 1, got {self.max_iter}"))
         if self.init not in ("greedy", "random"):
             raise ValueError(f"unknown init {self.init!r}")
         if not np.isfinite(self.tychonoff_lambda):
@@ -696,9 +693,7 @@ def divergence_witness(phis, psis, ns):
     )
     records = []
     for n in ns:
-        n = int(n)
-        if n < 1:
-            raise ValueError("n values must be positive")
+        n = check_count(n, 1, "n values must be positive")
         mixed = [phis[k] + psis[k] / n for k in range(3)]
         f_n = n * rank1_outer(mixed) - n * rank1_outer(phis)
         loss = frobenius(target - f_n)

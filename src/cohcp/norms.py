@@ -1,13 +1,13 @@
 """Tensor spectral norm, nuclear norm sandwich bounds, and fixtures.
 
 The spectral norm sup |<T, phi_1 (x) ... (x) phi_d>| over unit vectors is
-estimated from below by multi-start alternating maximization; the witness
-certifies the reported value.  The nuclear norm is bracketed: any exact
-finite decomposition sum lambda_p certifies an upper bound, and duality
-|<T, g>| <= ||T||_sigma ||g||_* turns candidate tensors g into lower
-bounds.  The lower bound inherits the accuracy of the spectral estimate in
-its denominator; on the fixtures used here the maximization converges to
-machine precision.
+estimated by multi-start alternating maximization as |<T, witness>|, whose
+vectors are unit only to rounding, so it can exceed the norm by a few ulps.
+The nuclear norm is bracketed: any exact finite decomposition sum lambda_p
+certifies an upper bound, and duality |<T, g>| <= ||T||_sigma ||g||_* turns
+candidate tensors g into lower bounds, which inherit the rounding and the
+accuracy of the spectral estimate in their denominator; on the fixtures
+used here the maximization converges to machine precision.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .core import (
     alternating_rank1,
     bounded_tensor,
     canonicalize,
+    check_count,
     check_tol,
     cp_evaluate,
     evaluate_terms,
@@ -47,10 +48,10 @@ FIT_TOL = 1e-9     # relative residual at which a fit certifies an upper bound
 class NormCertificate:
     """Spectral value with witness, nuclear sandwich, certification flag.
 
-    ``spectral`` is a certified lower bound on the spectral norm,
-    reproducible as |<T, witness>|.  ``nuclear_lower <= nuclear_upper``
-    bracket the nuclear norm; ``certified`` means the bracket is tighter
-    than the configured tolerance.
+    ``spectral`` is |<T, witness>| for witness vectors unit only to rounding,
+    so it can exceed the spectral norm by a few ulps (1 + 2 eps on
+    ``mat_mult_tensor(2)``).  ``nuclear_lower <= nuclear_upper`` bracket the
+    nuclear norm; ``certified`` means the bracket is tighter than the tolerance.
     """
 
     spectral: float
@@ -72,14 +73,16 @@ class NormConfig:
 
     def __post_init__(self):
         check_tol(self.tol)
+        object.__setattr__(self, "size_cap", check_count(
+            self.size_cap, 0, f"size_cap must be >= 0, got {self.size_cap}"))
 
 
 def spectral_norm(tensor, restarts: int = 64, seed: int = 0) -> NormCertificate:
     """Best |<T, phi_1 (x) ... (x) phi_d>| over unit vectors found by
     multi-start alternating maximization.
 
-    The value is a certified lower bound on the spectral norm; for
-    matrices it matches the largest singular value.  The zero tensor
+    The value is |<T, witness>|, which can exceed the spectral norm by a few
+    ulps; for matrices it matches the largest singular value.  The zero tensor
     returns 0 with no witness; non-finite entries raise ``ValueError``.
     """
     t, tnorm = bounded_tensor(tensor, "spectral_norm")
@@ -295,9 +298,10 @@ MATMUL_SIZE_CAP = 4
 def _matmul_support(n: int) -> tuple:
     """Side n^2 of T_n and the 3 x n^3 index array of its ones
     ((i,j), (j,k), (k,i)), one column per (i, j, k) in lexicographic order."""
-    n = int(n)
-    if n < 1 or n > MATMUL_SIZE_CAP:
-        raise ValueError(f"matrix multiplication fixture capped at n <= {MATMUL_SIZE_CAP}")
+    message = f"matrix multiplication fixture capped at n <= {MATMUL_SIZE_CAP}"
+    n = check_count(n, 1, message)
+    if n > MATMUL_SIZE_CAP:
+        raise ValueError(message)
     i, j, k = np.unravel_index(np.arange(n ** 3), (n, n, n))
     return n * n, np.stack([i * n + j, j * n + k, k * n + i])
 

@@ -26,8 +26,6 @@ from cohcp.conditions import (
     uniqueness_condition,
 )
 from cohcp.core import (
-    canonicalize,
-    cp_evaluate,
     essentially_equal,
     evaluate_terms,
     frobenius,
@@ -290,7 +288,7 @@ def test_criterion_09_blind_identification_round_trip():
         clean, truth = simulate_array(scene, paths, 0.0)
         noise_std = frobenius(clean) / math.sqrt(clean.size) * 10 ** (-30 / 20)
         noisy, _ = simulate_array(scene, paths, noise_std, seed=seed)
-        model, diag = constrained_als(
+        model, _ = constrained_als(
             noisy, SolverConfig(r=4, coherence_caps=(0.2, 0.7, 0.9),
                                 seed=seed, max_iter=1500))
         if not essentially_equal(model, truth, 0.05):
@@ -347,7 +345,6 @@ def test_criterion_10_krank_oracle_check():
         k = kruskal_rank_bruteforce(v)
         span = int(np.linalg.matrix_rank(v))
         assert k < span
-        mu = coherence(v).mu
         if k < krank_lower_bound(coherence(v)):
             bound_violations += 1
         if spark_bruteforce(v) != k + 1:

@@ -10,10 +10,9 @@ from hypothesis import strategies as st
 
 from cohcp import cli, core
 from cohcp.cli import main, render_report
-from cohcp.core import cp_evaluate, frobenius, rank1_outer, random_unit_columns
+from cohcp.core import cp_evaluate, rank1_outer, random_unit_columns
 from cohcp.decompose import random_incoherent_dictionary
 from cohcp.htns import dump_htns, read_htns, write_htns
-from cohcp.norms import mat_mult_tensor
 
 
 def run_cli(args, capsys=None):
@@ -385,6 +384,7 @@ class TestDecomposeCommand:
         out = tmp_path / "r.json"
         code = run_cli(["decompose", "--input", str(p), "--rank", "2",
                         "--method", "oga", "--out", str(out)])
+        assert code == cli.EXIT_NOT_CONVERGED
         doc = load_report(out)
         assert doc["residuals"][-1] <= doc["residuals"][0]
 
@@ -656,6 +656,22 @@ class TestArraySignals:
         assert run_cli(["simulate", "--kind", "array", "--scene", str(scene)]) == 2
         err = capsys.readouterr().err
         assert f"signals field 'n_samples' must be at most {cli.MAX_SIGNAL_SAMPLES}" in err
+
+    @pytest.mark.parametrize("n_samples, shown", [
+        (2.5, "2.5"), (math.nan, "nan"), (-math.inf, "-inf"), ("8", "'8'"), ([8], "[8]")])
+    def test_n_samples_refused_by_value(self, fuzz_dir, capsys, n_samples, shown):
+        doc = _with(_array_scene(), "signals", {"kind": "qpsk", "n_samples": n_samples})
+        assert _simulate(fuzz_dir, "array", doc) == 2
+        assert capsys.readouterr().err == (
+            f"error: signals field 'n_samples' must be a positive integer, got {shown}\n")
+
+    def test_integral_float_n_samples_reads_as_its_int(self, fuzz_dir):
+        reports = []
+        for n_samples in (8, 8.0):
+            doc = _with(_array_scene(), "signals", {"kind": "qpsk", "n_samples": n_samples})
+            assert _simulate(fuzz_dir, "array", doc) == 0
+            reports.append(strip_timestamp((fuzz_dir / "r.json").read_text()))
+        assert reports[0] == reports[1]
 
 
 class TestDemos:

@@ -710,3 +710,70 @@ class TestKernelBoundaries:
         u, nrm = core.unit_columns(c, keep)
         assert np.array_equal(nrm, [0.5, 0.0])
         assert np.array_equal(u, [[1.0, 7.0], [0.0, 7.0]])
+
+
+def _count_sites() -> dict:
+    """Every count the package checks, as a call of the one value."""
+    from cohcp import conditions, decompose, norms
+    from cohcp.coherence import kruskal_rank_bruteforce, spark_bruteforce
+
+    e = np.eye(2, dtype=complex)
+    t = rank1_outer([e[0], e[0], e[0]]) + 0.5 * rank1_outer([e[1], e[1], e[1]])
+    atoms = [(e[i], e[j], e[k]) for i, j, k in [(0, 0, 0), (1, 1, 1), (0, 1, 0), (1, 0, 1)]]
+    mus = [0.25, 0.25, 0.25]
+    return {
+        "check_r": lambda x: conditions.existence_condition(mus, x),
+        "greedy_bound_check_r": lambda x: conditions.greedy_bound_check("gms", x, 1e-3),
+        "kruskal_krank": lambda x: conditions.kruskal_condition([x, 2, 2], 2),
+        "expected_rank_dim": lambda x: conditions.expected_rank((x, 3, 3)),
+        "kruskal_simple_bound_n1": lambda x: conditions.kruskal_simple_bound(x, 4),
+        "kruskal_simple_bound_n2": lambda x: conditions.kruskal_simple_bound(4, x),
+        "solver_config_r": lambda x: decompose.SolverConfig(r=x),
+        "solver_config_max_iter": lambda x: decompose.SolverConfig(r=2, max_iter=x),
+        "oga_continuous_r": lambda x: decompose.oga_continuous(t, x, restarts=2),
+        "woga_max_iter": lambda x: decompose.woga(t, decompose.Dictionary(atoms), max_iter=x),
+        "divergence_witness_n": lambda x: decompose.divergence_witness(
+            [e[0]] * 3, [e[1]] * 3, [x]),
+        "alternating_rank1_restarts": lambda x: core.alternating_rank1(
+            t, x, 1e-12, 20, np.random.default_rng(0)),
+        "matmul_n": norms.mat_mult_tensor,
+        "krank_budget": lambda x: kruskal_rank_bruteforce(e, budget=x),
+        "spark_budget": lambda x: spark_bruteforce(e, budget=x),
+        "norm_size_cap": lambda x: norms.NormConfig(size_cap=x),
+    }
+
+
+# woga's max_iter=None is its default, the dictionary size
+@pytest.mark.parametrize("site, bad", [
+    (site, bad) for site in sorted(_count_sites())
+    for bad in [2.5, np.nan, np.inf, -np.inf, "3", None]
+    if (site, bad) != ("woga_max_iter", None)])
+def test_count_sites_refuse_a_non_count_by_value(site, bad):
+    with pytest.raises(ValueError) as info:
+        _count_sites()[site](bad)
+    assert str(info.value).count(repr(bad)) == 1
+
+
+@pytest.mark.parametrize("site", sorted(_count_sites()))
+@pytest.mark.parametrize("same", [3.0, np.int64(3), np.float32(3.0)])
+def test_count_sites_take_a_whole_number_of_any_type_as_its_int(site, same):
+    call = _count_sites()[site]
+    assert repr(call(same)) == repr(call(3))
+
+
+class TestCheckCount:
+    @pytest.mark.parametrize("value", [0, 7, True, np.uint8(7), 7.0, -0.0, np.float16(7)])
+    def test_returns_the_int(self, value):
+        count = core.check_count(value, 0, "n must be >= 0")
+        assert type(count) is int and count == value
+
+    def test_a_whole_number_below_least_raises_the_message_unchanged(self):
+        for value in (0, 0.0, np.int64(0), -1e300):
+            with pytest.raises(ValueError, match=r"^n must be >= 1$"):
+                core.check_count(value, 1, "n must be >= 1")
+
+    def test_a_message_that_ends_in_the_value_names_it_once(self):
+        with pytest.raises(ValueError, match=r"^n must be >= 1, got nan$"):
+            core.check_count(np.nan, 1, f"n must be >= 1, got {np.nan}")
+        with pytest.raises(ValueError, match=r"^n must be >= 1, got 2.5$"):
+            core.check_count(2.5, 1, "n must be >= 1")

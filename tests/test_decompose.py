@@ -448,7 +448,7 @@ class TestConstrainedAls:
         f = cp_evaluate(truth)
         noise = rng.standard_normal(f.shape) + 1j * rng.standard_normal(f.shape)
         noise *= 0.01 * frobenius(f) / frobenius(noise)
-        model, diag = constrained_als(f + noise, SolverConfig(r=2, seed=0))
+        model, _ = constrained_als(f + noise, SolverConfig(r=2, seed=0))
         assert essentially_equal(model, truth, 0.05)
 
     def test_tychonoff_trace_monotone(self):
@@ -795,8 +795,8 @@ class TestCompressedWarmStart:
         rng = np.random.default_rng(44)
         f = rng.standard_normal((400, 2, 2)) + 1j * rng.standard_normal((400, 2, 2))
         flags = []
-        factors, lam = decompose._init_factors(f, unfoldings(f), SolverConfig(r=2, seed=7),
-                                               flags)
+        factors, _ = decompose._init_factors(f, unfoldings(f), SolverConfig(r=2, seed=7),
+                                             flags)
         assert shapes and all(min(s[-2:]) <= 4 for s in shapes)
         assert flags == []
         assert [fac.shape for fac in factors] == [(400, 2), (2, 2), (2, 2)]

@@ -1,4 +1,5 @@
-"""Static checks on the package source with the standard library's ``ast``.
+"""Static checks with the standard library's ``ast`` on the package source,
+the benchmark scripts and the tests.
 
 Two kinds of dead code fail the suite: a function local that is assigned
 but never read (a target named ``_`` is exempt), and an unused import
@@ -12,8 +13,14 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "cohcp"
-MODULES = sorted(SRC.glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "cohcp"
+MODULES = [p for d in (SRC, ROOT / "benchmarks", ROOT / "tests") for p in sorted(d.glob("*.py"))]
+
+
+def _label(path: Path) -> str:
+    """A package module by its name, any other file by its folder and name."""
+    return path.name if path.parent == SRC else f"{path.parent.name}/{path.name}"
 
 
 def _names(node, ctx) -> set:
@@ -40,13 +47,13 @@ def unused_imports(tree: ast.Module) -> list:
     return sorted(imported - _names(tree, ast.Load))
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES, ids=_label)
 def test_no_unread_locals(path):
     assert unread_locals(ast.parse(path.read_text())) == []
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"],
-                         ids=lambda p: p.name)
+                         ids=_label)
 def test_no_unused_imports(path):
     assert unused_imports(ast.parse(path.read_text())) == []
 

@@ -154,6 +154,16 @@ class TestSpectralNorm:
         cert = spectral_norm(mat_mult_tensor(2), restarts=32)
         assert abs(cert.spectral - 1.0) < 1e-6
 
+    def test_matmul_value_and_witness_are_one_to_rounding(self):
+        # |<T, w>| for a witness that is unit only to rounding: it reads
+        # 1 + 2 eps here, above the spectral norm 1, and one witness vector
+        # has norm 1 + eps
+        eps = np.finfo(float).eps
+        cert = spectral_norm(mat_mult_tensor(2))
+        assert abs(cert.spectral - 1.0) <= 4 * eps
+        for v in cert.spectral_witness:
+            assert abs(np.linalg.norm(v) - 1.0) <= 4 * eps
+
     def test_weighted_rank1(self):
         rng = np.random.default_rng(0)
         vecs = [random_unit_columns(n, 1, rng)[:, 0] for n in (3, 4, 2)]

@@ -873,3 +873,130 @@ class TestMalformedInputRejected:
     def test_fluorescence(self, x, y, z, message):
         with pytest.raises(ValueError, match=message):
             simulate_fluorescence(x, y, z)
+
+
+def _tied_estimates(monkeypatch, grid, magnitudes, columns=1, resolution=1.0):
+    """doa_estimate with the direction grid and its scores given, on one
+    sensor at the origin: every steering entry is 1, so a grid steering
+    entry of magnitude a scores exactly a, and the local ascent never moves."""
+    scene = ArrayScene(b=np.zeros((1, 3)), delta=np.zeros((1, 3)), pulsation=PULSATION,
+                       celerity=CELERITY)
+    ug_conj = np.asarray(magnitudes, dtype=complex)[None, :]
+    monkeypatch.setattr(simulate, "_doa_grid",
+                        lambda *_: (np.asarray(grid, dtype=float), ug_conj))
+    return doa_estimate(np.ones((1, columns)), scene, grid_resolution_deg=resolution)
+
+
+class TestBoundaries:
+    """The predicates and defaults of the simulators, at their boundaries."""
+
+    def test_is_resolvent_norm_bounds(self):
+        pts = np.array([[0.0, 0, 0], [0.4, 0, 0]])
+        assert not is_resolvent(pts, [0.0, 0, 0], 1.0)  # every b_k - b_k is 0
+        assert is_resolvent(pts, [0.4, 0, 0], 1.0)  # above wavelength / 3
+
+    def test_is_resolvent_matches_a_difference_at_position_tol(self):
+        # b_2 - b_1 - v is (0, -POSITION_TOL, 0) exactly
+        pts = np.array([[0.0, 0, 0], [0.25, 0, 0]])
+        assert is_resolvent(pts, [0.25, simulate.POSITION_TOL, 0], 1.0)
+
+    def test_resolvent_directions_bounds_are_strict(self):
+        # the differences of length POSITION_TOL and wavelength / 2 are out
+        tol = simulate.POSITION_TOL
+        pts = np.array([[0.0, 0, 0], [tol, 0, 0], [0.5, 0, 0]])
+        dirs = resolvent_directions(pts, 1.0)
+        assert np.array_equal(dirs[np.argsort(dirs[:, 0])],
+                              [[-(0.5 - tol), 0, 0], [0.5 - tol, 0, 0]])
+
+    def test_three_independent_resolvent_directions_are_a_triad(self, monkeypatch):
+        # points give their differences in +- pairs, so exactly three come
+        # only from a stand-in
+        monkeypatch.setattr(simulate, "resolvent_directions", lambda *_: 0.1 * np.eye(3))
+        assert has_resolvent_triad(np.zeros((1, 3)), 1.0)
+
+    @pytest.mark.parametrize("beta", [-math.pi / 4, math.pi / 4])
+    def test_ellipticity_bounds_are_strict(self, beta):
+        with pytest.raises(ValueError, match="ellipticity beta must lie in"):
+            polarization_gain(0.3, beta)
+
+    def test_noise_std_one_adds_noise(self):
+        tensor, truth = simulate_cdma(CdmaScene(gains=np.eye(2), symbols=np.eye(2),
+                                                codes=np.eye(2)), 1.0)
+        assert not np.array_equal(tensor, cp_evaluate(truth))
+
+    def test_defaults_are_no_noise_and_seed_zero(self):
+        scene = cross_scene()
+        paths = PathSet(directions=np.eye(3)[:2], signals=np.ones((4, 2)))
+        tensor, truth = simulate_array(scene, paths)
+        assert np.array_equal(tensor, cp_evaluate(truth))
+        assert np.array_equal(simulate_array(scene, paths, 0.5)[0],
+                              simulate_array(scene, paths, 0.5, seed=0)[0])
+        x = np.array([[1.0, 0.2], [0.3, 1.0]])
+        assert np.array_equal(simulate_fluorescence(x, x, x, 0.5)[0],
+                              simulate_fluorescence(x, x, x, 0.5, seed=0)[0])
+
+    def test_doa_default_resolution_is_one_degree(self):
+        scene = cross_scene()
+        u, _ = steering_vectors(scene, unit([0.3, 0.5, 0.9])[None, :])
+        assert estimate_bytes(doa_estimate(u, scene)[0]) \
+            == estimate_bytes(doa_estimate(u, scene, grid_resolution_deg=1.0)[0])
+
+    def test_grid_of_exactly_the_cap_is_allowed(self, monkeypatch):
+        s = math.radians(1.0)
+        points = 4.0 * math.pi / (s * s)
+        monkeypatch.setattr(simulate, "DOA_GRID_CAP", points)
+        assert simulate._grid_size_for_resolution(1.0) == math.ceil(points)
+
+    @pytest.mark.parametrize("b, delta, message", [
+        (np.zeros((0, 3)), np.zeros((1, 3)), r"b must be an \(n1, 3\) array"),
+        (np.zeros((1, 3)), np.zeros((0, 3)), r"delta must be an \(n2, 3\) array")])
+    def test_array_scene_needs_a_sensor_and_a_translation(self, b, delta, message):
+        with pytest.raises(ValueError, match=message):
+            ArrayScene(b=b, delta=delta, pulsation=PULSATION, celerity=CELERITY)
+
+    def test_first_translation_at_position_tol_is_zero(self):
+        delta = [[simulate.POSITION_TOL, 0.0, 0.0]]
+        scene = ArrayScene(b=np.zeros((1, 3)), delta=delta, pulsation=PULSATION,
+                           celerity=CELERITY)
+        assert scene.delta[0, 0] == simulate.POSITION_TOL
+
+    def test_zero_celerity_named(self):
+        with pytest.raises(ValueError, match="pulsation and celerity must be positive and finite"):
+            ArrayScene(b=np.zeros((1, 3)), delta=np.zeros((1, 3)), pulsation=PULSATION,
+                       celerity=0.0)
+
+    # one of wavelength and wavenumber leaves the doubles, the other stays in
+    @pytest.mark.parametrize("pulsation, celerity, wave", [
+        (1e-8, 1e300, "inf and 1e-308"), (1e300, 1e-10, "6.28318530717956e-310 and inf")])
+    def test_either_wave_quantity_out_of_the_doubles(self, pulsation, celerity, wave):
+        with pytest.raises(ValueError, match=f"wavelength and wavenumber, got {wave}$"):
+            ArrayScene(b=np.zeros((1, 3)), delta=np.zeros((1, 3)), pulsation=pulsation,
+                       celerity=celerity)
+
+    def test_wavenumber_below_one(self):
+        scene = ArrayScene(b=np.zeros((1, 3)), delta=np.zeros((1, 3)),
+                           pulsation=0.5 * CELERITY, celerity=CELERITY)
+        assert scene.wavenumber == 0.5
+
+    def test_near_tie_at_exactly_the_tolerance_is_a_rival(self, monkeypatch):
+        grid = [[1.0, 0, 0], [-1.0, 0, 0]]
+        tie = 1.0 - simulate.AMBIGUITY_TOL
+        assert _tied_estimates(monkeypatch, grid, [1.0, tie])[0].ambiguous
+        below = math.nextafter(tie, 0.0)
+        assert not _tied_estimates(monkeypatch, grid, [1.0, below])[0].ambiguous
+
+    @pytest.mark.parametrize("c, ambiguous", [(0.5, False), (0.5 - 1e-9, True)])
+    def test_rival_lies_beyond_the_separation(self, monkeypatch, c, ambiguous):
+        # at 20 degrees the separation 3 * radians(20) is arccos(0.5) exactly
+        grid = [[1.0, 0, 0], [c, math.sqrt(1.0 - c * c), 0]]
+        assert _tied_estimates(monkeypatch, grid, [1.0, 1.0], resolution=20.0)[0].ambiguous \
+            is ambiguous
+
+    def test_antipodal_rival_past_minus_one_by_rounding(self, monkeypatch):
+        # the dot product -1 - 2^-52 is clipped to -1, an angle of pi
+        grid = [[1.0, 0, 0], [math.nextafter(-1.0, -2.0), 0, 0]]
+        assert _tied_estimates(monkeypatch, grid, [1.0, 1.0])[0].ambiguous
+
+    def test_rival_of_a_column_before_the_last(self, monkeypatch):
+        ests = _tied_estimates(monkeypatch, [[1.0, 0, 0], [-1.0, 0, 0]], [1.0, 1.0], columns=2)
+        assert [len(est.alternates) for est in ests] == [1, 1]
