@@ -27,6 +27,8 @@ also carries the exit code, and its report is hashed without its
   array scene, each with the bytes of its ``--out-tensor`` file;
 - ``doa_estimate`` on a mirror-symmetric 5-sensor line, whose near ties
   hold a rival maximum, so the rival's refinement is covered too;
+- ``doa_estimate`` at 0.5 degrees on the 17-sensor ``blind_id`` scene,
+  whose 165,012 grid points are 40 full ``DOA_BLOCK`` blocks and a part;
 - ``cohcp coherence`` (within and over the brute-force budget) and
   ``cohcp check`` (from ``--mus`` and from ``--factors``);
 - ``cohcp norms --input`` on a d = 1 vector and a d = 2 matrix whose
@@ -249,6 +251,13 @@ def doa_rival(work: Path) -> None:
     show("doa_estimate.line_rival", doa_estimate(u, line, grid_resolution_deg=3.0))
 
 
+def doa_fine(work: Path) -> None:
+    scene, dirs = workloads.array_scene()
+    u, _ = steering_vectors(scene, dirs)
+    u = u + 0.01 * np.random.default_rng(5).standard_normal(u.shape)
+    show("doa_estimate.blind_id_half_degree", doa_estimate(u, scene, grid_resolution_deg=0.5))
+
+
 def factor_commands(work: Path) -> None:
     rng = np.random.default_rng(SEED)
     paths = []
@@ -317,7 +326,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         for section in (blind_id, norm_certify, dense_als, decompose_cli,
-                        norm_range_edges, demos_and_simulate, doa_rival,
+                        norm_range_edges, demos_and_simulate, doa_rival, doa_fine,
                         factor_commands, certificates, htns_refusals):
             section(work)
     return 0

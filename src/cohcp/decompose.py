@@ -288,7 +288,8 @@ def random_incoherent_dictionary(dims, n_atoms: int, mu_max: float = 0.09,
     ``DICTIONARY_DRAWS`` draws are made, deterministically, until the
     measured coherence clears ``mu_max``.
     """
-    dims = tuple(int(n) for n in dims)
+    dims = tuple(check_count(n, 1, f"dims must be >= 1, got {n!r}") for n in dims)
+    n_atoms = check_count(n_atoms, 1, f"n_atoms must be >= 1, got {n_atoms!r}")
     total = math.prod(dims)
     if n_atoms > total:
         raise ValueError(f"cannot place {n_atoms} distinct atoms in {dims}")
@@ -558,8 +559,12 @@ def constrained_als(tensor, cfg: SolverConfig):
     def ridge() -> float:
         return lam_reg * float((np.abs(lam) ** 2).sum()) if lam_reg > 0 else 0.0
 
+    def residual_norm(fit: np.ndarray) -> float:
+        # f - fit into fit's own memory: one tensor-sized array, not two
+        return frobenius(np.subtract(f, fit, out=fit))
+
     def objective() -> float:
-        return frobenius(f - evaluate_terms(lam, factors)) ** 2 + ridge()
+        return residual_norm(evaluate_terms(lam, factors)) ** 2 + ridge()
 
     # tol = 0 where the loss never rises: stop at its rounding level
     to_rounding = cfg.tol == 0.0 and cfg.coherence_caps is None and not procrustes
@@ -623,7 +628,7 @@ def constrained_als(tensor, cfg: SolverConfig):
     model = canonicalize(lam, factors)
     diag = AlsDiagnostics(
         loss_trace=loss_trace,
-        final_residual=frobenius(f - cp_evaluate(model)),
+        final_residual=residual_norm(cp_evaluate(model)),
         achieved_mus=[gram_mu(fk.conj().T @ fk) for fk in model.factors],
         converged=converged,
         n_iter=it,

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (canonicalize, column_norms, cp_evaluate, finite_tensor, gram_mu,
-                   vector_norm)
+from .core import (canonicalize, check_count, column_norms, cp_evaluate, finite_tensor,
+                   gram_mu, vector_norm)
 
 POSITION_TOL = 1e-9
 
@@ -350,6 +350,7 @@ def simulate_fluorescence(concentrations, excitation, emission,
 
 def fibonacci_sphere(count: int) -> np.ndarray:
     """Deterministic near-uniform unit direction grid (count, 3)."""
+    count = check_count(count, 1, f"count must be >= 1, got {count!r}")
     i = np.arange(count)
     z = 1.0 - (2.0 * i + 1.0) / count
     rho = np.sqrt(np.maximum(1.0 - z * z, 0.0))
@@ -359,6 +360,7 @@ def fibonacci_sphere(count: int) -> np.ndarray:
 
 
 DOA_GRID_CAP = 1_000_000  # direction-grid points, about 0.2 degrees
+DOA_BLOCK = 4096  # grid points per block of the grid build and scoring
 
 
 def _grid_size_for_resolution(resolution_deg: float) -> int:
@@ -453,14 +455,24 @@ def _refine_directions(scene: ArrayScene, cols: np.ndarray, starts: np.ndarray,
 
 
 def _doa_grid(scene: ArrayScene, grid_resolution_deg: float) -> tuple:
-    """Direction grid and its conjugated steering matrix, built once per
-    scene and grid size."""
+    """Direction grid (N, 3) and its conjugated steering matrix (n1, N),
+    built once per scene and grid size.
+
+    The matrix takes 16 n1 N bytes (272 MB for 17 sensors at
+    ``DOA_GRID_CAP``).  It is filled ``DOA_BLOCK`` grid points at a time,
+    each block's phases being rows of ``grid @ b.T`` (row blocks of that
+    product keep its bits; column blocks of ``b @ grid.T`` do not), so the
+    build holds one block beyond the cache."""
     count = _grid_size_for_resolution(grid_resolution_deg)
     cached = scene._doa_grids.get(count)
     if cached is None:
         grid = fibonacci_sphere(count)
-        ug, _ = steering_vectors(scene, grid)
-        cached = (grid, ug.conj())
+        k, bt = scene.wavenumber, scene.b.T
+        ug_conj = np.empty((bt.shape[1], count), dtype=np.complex128)
+        for s in range(0, count, DOA_BLOCK):
+            np.conjugate(_steering((grid[s:s + DOA_BLOCK] @ bt).T, k),
+                         out=ug_conj[:, s:s + DOA_BLOCK])
+        cached = (grid, ug_conj)
         for a in cached:
             a.setflags(write=False)
         scene._doa_grids[count] = cached
@@ -478,7 +490,9 @@ def doa_estimate(u_est: np.ndarray, scene: ArrayScene,
     the ``ambiguous`` flag set (mirror-symmetric arrays do this).
     Estimates carry no separation guarantee (flagged) when the scene lacks
     a resolvent triad.  The grid and its steering matrix are kept on the
-    scene, so repeated calls on one scene build them once per resolution.
+    scene, so repeated calls on one scene build them once per resolution
+    (see ``_doa_grid`` for their size); a call adds 8 r N bytes of scores
+    for N grid points, scored ``DOA_BLOCK`` points at a time.
     A zero or non-finite steering column raises ``ValueError``, and so does
     a ``grid_resolution_deg`` that is not finite and positive or that needs
     more than ``DOA_GRID_CAP`` grid points.
@@ -497,14 +511,18 @@ def doa_estimate(u_est: np.ndarray, scene: ArrayScene,
     guaranteed = has_resolvent_triad(scene.b, scene.wavelength)
     grid, ug_conj = _doa_grid(scene, grid_resolution_deg)
     cols = u_est / nrm
-    scores = np.abs(ug_conj.T @ cols)  # (grid, r)
+    scores = np.empty((cols.shape[1], grid.shape[0]))  # (r, grid)
+    for s in range(0, grid.shape[0], DOA_BLOCK):
+        # row blocks of ug_conj.T @ cols keep its bits, and np.abs sees the
+        # contiguous layout it saw on the whole product
+        scores[:, s:s + DOA_BLOCK] = np.abs(ug_conj.T[s:s + DOA_BLOCK] @ cols).T
     sep = 3.0 * math.radians(grid_resolution_deg)
     step0 = math.radians(grid_resolution_deg)
-    best_idx = scores.argmax(axis=0)
+    best_idx = scores.argmax(axis=1)
     refined = _refine_directions(scene, cols, grid[best_idx], step0)
     out = []
     for p, (best_i, (d_best, s_best)) in enumerate(zip(best_idx.tolist(), refined)):
-        sc = scores[:, p]
+        sc = scores[p]
         # rivals among the near ties only, which are few
         near = np.flatnonzero(sc >= sc[best_i] - AMBIGUITY_TOL)
         angles = np.arccos(np.clip(grid[near] @ grid[best_i], -1.0, 1.0))

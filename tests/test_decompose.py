@@ -115,6 +115,26 @@ class TestDictionary:
         with pytest.raises(ValueError, match=r"cannot place 9 distinct atoms in \(2, 2, 2\)"):
             random_incoherent_dictionary((2, 2, 2), 9)
 
+    @pytest.mark.parametrize("dims, n_atoms, message", [
+        # the parent built dims (4, 4, 4) from 4.5, and numpy refused 2.5
+        # atoms with a TypeError
+        ((4.5, 4, 4), 5, r"^dims must be >= 1, got 4\.5$"),
+        ((4, 0, 4), 5, r"^dims must be >= 1, got 0$"),
+        ((4, 4, np.nan), 5, r"^dims must be >= 1, got nan$"),
+        ((4, 4, 4), 2.5, r"^n_atoms must be >= 1, got 2\.5$"),
+        ((4, 4, 4), 0, r"^n_atoms must be >= 1, got 0$"),
+        ((4, 4, 4), "5", r"^n_atoms must be >= 1, got '5'$")])
+    def test_generator_refuses_a_non_count_by_value(self, dims, n_atoms, message):
+        with pytest.raises(ValueError, match=message):
+            random_incoherent_dictionary(dims, n_atoms, mu_max=0.5, seed=1)
+
+    def test_generator_takes_whole_floats_as_their_ints(self):
+        whole = random_incoherent_dictionary((4.0, 4, 4), 5.0, mu_max=0.5, seed=1)
+        ints = random_incoherent_dictionary((4, 4, 4), 5, mu_max=0.5, seed=1)
+        assert whole.dims == ints.dims == (4, 4, 4)
+        assert [v.tobytes() for a in whole.atoms for v in a] == \
+            [v.tobytes() for a in ints.atoms for v in a]
+
     def test_generator_gives_up_after_its_draws(self):
         with pytest.raises(ValueError, match="could not reach dictionary coherence < 1e-09 "
                                              f"in {decompose.DICTIONARY_DRAWS} draws"):

@@ -1,6 +1,7 @@
 import importlib.util
 import math
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -502,22 +503,23 @@ class TestDoaGridCache:
 
     def test_grid_steering_built_once_per_scene_and_resolution(self, monkeypatch):
         calls = []
-        original = simulate.steering_vectors
+        original = simulate.fibonacci_sphere
 
-        def counting(scene, directions):
-            calls.append((id(scene), np.shape(directions)[0]))
-            return original(scene, directions)
+        def counting(count):
+            calls.append(count)
+            return original(count)
 
         one, two = cross_scene(), cross_scene()
         u, _ = steering_vectors(one, unit([0.3, 0.5, 0.9])[None, :])
-        monkeypatch.setattr(simulate, "steering_vectors", counting)
+        monkeypatch.setattr(simulate, "fibonacci_sphere", counting)
         for _ in range(3):
             doa_estimate(u, one, grid_resolution_deg=2.0)
         doa_estimate(u, one, grid_resolution_deg=3.0)
         doa_estimate(u, two, grid_resolution_deg=2.0)
         n2 = simulate._grid_size_for_resolution(2.0)
         n3 = simulate._grid_size_for_resolution(3.0)
-        assert sorted(calls) == sorted([(id(one), n2), (id(one), n3), (id(two), n2)])
+        # one build for one at 2 degrees, one at 3 degrees, one for two at 2
+        assert calls == [n2, n3, n2]
 
     def test_rejects_zero_column(self):
         scene = cross_scene()
@@ -622,6 +624,62 @@ def test_doa_estimate_matches_reference_bytewise():
         assert [estimate_bytes(e) for e in got] == [estimate_bytes(e) for e in want]
         rivals += sum(e.ambiguous for e in got)
     assert rivals
+
+
+class TestDoaBlocks:
+    """The grid is built and scored ``DOA_BLOCK`` points at a time, with
+    the bits of the whole products and a bounded share of their memory."""
+
+    def test_cached_steering_equals_the_whole_product_bytewise(self):
+        scene = _blind_id_workload().scene
+        grid, ug_conj = simulate._doa_grid(scene, 1.0)
+        assert divmod(grid.shape[0], simulate.DOA_BLOCK) == (10, 293)
+        whole = np.conj(simulate._steering(scene.b @ grid.T, scene.wavenumber))
+        assert ug_conj.shape == whole.shape == (17, 41_253)
+        assert ug_conj.flags.c_contiguous and not ug_conj.flags.writeable
+        assert ug_conj.tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("block", [1, 7, "N", "N + 1"])
+    def test_block_size_changes_no_bit(self, monkeypatch, block):
+        # the mirror-symmetric line at 3 degrees, whose near ties hold a rival
+        u, _ = steering_vectors(line_scene(), np.stack([unit([0.5, 0.8, 0.0]),
+                                                        unit([0.2, 0.4, 0.9])]))
+        u = u + 0.01 * np.random.default_rng(9).standard_normal(u.shape)
+        grid, ug_conj = simulate._doa_grid(line_scene(), 3.0)
+        want = doa_estimate(u, line_scene(), grid_resolution_deg=3.0)
+        assert any(e.ambiguous for e in want)
+        n = grid.shape[0]
+        monkeypatch.setattr(simulate, "DOA_BLOCK", {"N": n, "N + 1": n + 1}.get(block, block))
+        got_grid, got_ug_conj = simulate._doa_grid(line_scene(), 3.0)
+        assert got_grid.tobytes() == grid.tobytes()
+        assert got_ug_conj.tobytes() == ug_conj.tobytes()
+        got = doa_estimate(u, line_scene(), grid_resolution_deg=3.0)
+        assert [estimate_bytes(e) for e in got] == [estimate_bytes(e) for e in want]
+
+    @staticmethod
+    def _traced_peak(call):
+        tracemalloc.start()
+        try:
+            result = call()
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_cold_build_holds_little_beyond_the_cache(self):
+        # a whole-grid build peaked at 2.38 times the bytes it keeps
+        scene = _blind_id_workload().scene
+        (grid, ug_conj), peak = self._traced_peak(lambda: simulate._doa_grid(scene, 1.0))
+        assert peak <= 1.3 * (grid.nbytes + ug_conj.nbytes)
+
+    def test_warm_call_holds_little_beyond_its_scores(self):
+        # whole-grid scoring took 3.96 MB for 4 columns at 1 degree
+        workload = _blind_id_workload()
+        u, _ = steering_vectors(workload.scene, workload.dirs)
+        doa_estimate(u, workload.scene, grid_resolution_deg=1.0)
+        estimates, peak = self._traced_peak(
+            lambda: doa_estimate(u, workload.scene, grid_resolution_deg=1.0))
+        assert len(estimates) == 4
+        assert peak <= 1.5 * 8 * 4 * simulate._grid_size_for_resolution(1.0)
 
 
 def _tangent_basis_reference(d):
@@ -751,6 +809,21 @@ def test_fibonacci_sphere_uniform_unit():
     signs = (pts > 0).astype(int)
     counts = np.bincount(signs @ np.array([1, 2, 4]), minlength=8)
     assert counts.min() > 30
+
+
+@pytest.mark.parametrize("count, message", [
+    # the parent returned 3 points spaced for 2.5 and empty grids for 0 and -3
+    (2.5, r"^count must be >= 1, got 2\.5$"),
+    (0, r"^count must be >= 1, got 0$"),
+    (-3, r"^count must be >= 1, got -3$"),
+    (np.nan, r"^count must be >= 1, got nan$")])
+def test_fibonacci_sphere_refuses_a_non_count_by_value(count, message):
+    with pytest.raises(ValueError, match=message):
+        fibonacci_sphere(count)
+
+
+def test_fibonacci_sphere_takes_a_whole_float_as_its_int():
+    assert fibonacci_sphere(16.0).tobytes() == fibonacci_sphere(16).tobytes()
 
 
 class TestMalformedInputRejected:
