@@ -28,7 +28,9 @@ also carries the exit code, and its report is hashed without its
 - ``doa_estimate`` on a mirror-symmetric 5-sensor line, whose near ties
   hold a rival maximum, so the rival's refinement is covered too;
 - ``doa_estimate`` at 0.5 degrees on the 17-sensor ``blind_id`` scene,
-  whose 165,012 grid points are 40 full ``DOA_BLOCK`` blocks and a part;
+  whose 165,012 grid points are 161 full ``DOA_BLOCK`` blocks of 1,024 and
+  one of 148, and at 0.5 degrees again after a call at 1 degree (41,253 =
+  40 x 1,024 + 293 points), so the scene's grid cache is reused or rebuilt;
 - ``cohcp coherence`` (within and over the brute-force budget) and
   ``cohcp check`` (from ``--mus`` and from ``--factors``);
 - ``cohcp norms --input`` on a d = 1 vector and a d = 2 matrix whose
@@ -256,6 +258,9 @@ def doa_fine(work: Path) -> None:
     u, _ = steering_vectors(scene, dirs)
     u = u + 0.01 * np.random.default_rng(5).standard_normal(u.shape)
     show("doa_estimate.blind_id_half_degree", doa_estimate(u, scene, grid_resolution_deg=0.5))
+    doa_estimate(u, scene, grid_resolution_deg=1.0)
+    show("doa_estimate.blind_id_half_degree_after_one_degree",
+         doa_estimate(u, scene, grid_resolution_deg=0.5))
 
 
 def factor_commands(work: Path) -> None:

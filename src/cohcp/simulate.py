@@ -29,8 +29,8 @@ class ArrayScene:
     delta: np.ndarray       # (n2, 3) subarray translations, meters
     pulsation: float        # omega_wave
     celerity: float
-    # grid size -> (direction grid, conjugated grid steering matrix) of
-    # doa_estimate; valid because b is a read-only copy
+    # grid size -> conjugated grid steering matrix of doa_estimate, for the
+    # latest grid size only; valid because b is a read-only copy
     _doa_grids: dict = field(default_factory=dict, init=False, repr=False,
                              compare=False)
 
@@ -351,7 +351,11 @@ def simulate_fluorescence(concentrations, excitation, emission,
 def fibonacci_sphere(count: int) -> np.ndarray:
     """Deterministic near-uniform unit direction grid (count, 3)."""
     count = check_count(count, 1, f"count must be >= 1, got {count!r}")
-    i = np.arange(count)
+    return _sphere_points(count, np.arange(count))
+
+
+def _sphere_points(count: int, i: np.ndarray) -> np.ndarray:
+    """Rows ``i`` of ``fibonacci_sphere(count)``, from their indices alone."""
     z = 1.0 - (2.0 * i + 1.0) / count
     rho = np.sqrt(np.maximum(1.0 - z * z, 0.0))
     golden = math.pi * (3.0 - math.sqrt(5.0))
@@ -360,7 +364,15 @@ def fibonacci_sphere(count: int) -> np.ndarray:
 
 
 DOA_GRID_CAP = 1_000_000  # direction-grid points, about 0.2 degrees
-DOA_BLOCK = 4096  # grid points per block of the grid build and scoring
+DOA_BLOCK = 1024  # grid points per block of the grid build and scoring
+
+
+def _blocks(count: int):
+    """(start, stop) of the ``DOA_BLOCK``-point blocks of a grid of
+    ``count`` points.  A one-point remainder joins the block before it: a
+    one-row matrix product runs through gemv, whose bits differ from gemm's."""
+    starts = list(range(0, count - 1, DOA_BLOCK))
+    return zip(starts, starts[1:] + [count])
 
 
 def _grid_size_for_resolution(resolution_deg: float) -> int:
@@ -454,29 +466,28 @@ def _refine_directions(scene: ArrayScene, cols: np.ndarray, starts: np.ndarray,
     return [(d[p].copy(), best[p]) for p in range(m)]
 
 
-def _doa_grid(scene: ArrayScene, grid_resolution_deg: float) -> tuple:
-    """Direction grid (N, 3) and its conjugated steering matrix (n1, N),
-    built once per scene and grid size.
+def _doa_grid(scene: ArrayScene, grid_resolution_deg: float) -> np.ndarray:
+    """Conjugated steering matrix (n1, N) of the N-point direction grid,
+    kept on the scene for the latest grid size only.
 
     The matrix takes 16 n1 N bytes (272 MB for 17 sensors at
-    ``DOA_GRID_CAP``).  It is filled ``DOA_BLOCK`` grid points at a time,
-    each block's phases being rows of ``grid @ b.T`` (row blocks of that
-    product keep its bits; column blocks of ``b @ grid.T`` do not), so the
-    build holds one block beyond the cache."""
+    ``DOA_GRID_CAP``), and no grid is kept beside it.  It is filled one
+    block of ``_blocks`` at a time, each block's phases being rows of
+    ``points @ b.T`` (row blocks of that product keep its bits; column
+    blocks of ``b @ grid.T`` do not), so the build holds one block beyond
+    the matrix."""
     count = _grid_size_for_resolution(grid_resolution_deg)
-    cached = scene._doa_grids.get(count)
-    if cached is None:
-        grid = fibonacci_sphere(count)
+    ug_conj = scene._doa_grids.get(count)
+    if ug_conj is None:
+        scene._doa_grids.clear()  # before the build, so the two never coexist
         k, bt = scene.wavenumber, scene.b.T
         ug_conj = np.empty((bt.shape[1], count), dtype=np.complex128)
-        for s in range(0, count, DOA_BLOCK):
-            np.conjugate(_steering((grid[s:s + DOA_BLOCK] @ bt).T, k),
-                         out=ug_conj[:, s:s + DOA_BLOCK])
-        cached = (grid, ug_conj)
-        for a in cached:
-            a.setflags(write=False)
-        scene._doa_grids[count] = cached
-    return cached
+        for s, e in _blocks(count):
+            np.conjugate(_steering((_sphere_points(count, np.arange(s, e)) @ bt).T, k),
+                         out=ug_conj[:, s:e])
+        ug_conj.setflags(write=False)
+        scene._doa_grids[count] = ug_conj
+    return ug_conj
 
 
 def doa_estimate(u_est: np.ndarray, scene: ArrayScene,
@@ -489,15 +500,21 @@ def doa_estimate(u_est: np.ndarray, scene: ArrayScene,
     ``AMBIGUITY_TOL`` of the best one, both are refined and reported with
     the ``ambiguous`` flag set (mirror-symmetric arrays do this).
     Estimates carry no separation guarantee (flagged) when the scene lacks
-    a resolvent triad.  The grid and its steering matrix are kept on the
-    scene, so repeated calls on one scene build them once per resolution
-    (see ``_doa_grid`` for their size); a call adds 8 r N bytes of scores
-    for N grid points, scored ``DOA_BLOCK`` points at a time.
-    A zero or non-finite steering column raises ``ValueError``, and so does
-    a ``grid_resolution_deg`` that is not finite and positive or that needs
+    a resolvent triad.  The grid's steering matrix is kept on the scene,
+    for the latest resolution asked (see ``_doa_grid`` for its size).  A
+    call scores the grid one block of ``_blocks`` at a time and holds one
+    block of scores, keeping each column's running maximum and the scores
+    within ``AMBIGUITY_TOL`` of it; grid points are computed only for the
+    maxima and their near ties.
+    A steering estimate that is not a vector or a matrix, or that has a
+    zero or non-finite column, raises ``ValueError``, and so does a
+    ``grid_resolution_deg`` that is not finite and positive or that needs
     more than ``DOA_GRID_CAP`` grid points.
     """
     u_est = np.asarray(u_est, dtype=np.complex128)
+    if u_est.ndim not in (1, 2):
+        raise ValueError(f"steering estimates must be a vector or a matrix, "
+                         f"got shape {u_est.shape}")
     if u_est.ndim == 1:
         u_est = u_est[:, None]
     if u_est.shape[0] != scene.b.shape[0]:
@@ -509,29 +526,47 @@ def doa_estimate(u_est: np.ndarray, scene: ArrayScene,
         if not nrm[p] > 0.0:
             raise ValueError(f"steering column {p} has zero norm")
     guaranteed = has_resolvent_triad(scene.b, scene.wavelength)
-    grid, ug_conj = _doa_grid(scene, grid_resolution_deg)
-    cols = u_est / nrm
-    scores = np.empty((cols.shape[1], grid.shape[0]))  # (r, grid)
-    for s in range(0, grid.shape[0], DOA_BLOCK):
+    ug_conj = _doa_grid(scene, grid_resolution_deg)
+    count, cols = ug_conj.shape[1], u_est / nrm
+    r, lanes = cols.shape[1], np.arange(cols.shape[1])
+    best, best_i = [-math.inf] * r, [0] * r
+    ties = [[] for _ in range(r)]  # (indices, scores) within the tolerance
+    for s, e in _blocks(count):
         # row blocks of ug_conj.T @ cols keep its bits, and np.abs sees the
         # contiguous layout it saw on the whole product
-        scores[:, s:s + DOA_BLOCK] = np.abs(ug_conj.T[s:s + DOA_BLOCK] @ cols).T
+        sc = np.abs(ug_conj.T[s:e] @ cols)
+        tops = sc.argmax(axis=0)  # faster than max(axis=0) on r narrow lanes
+        for p, (i, top) in enumerate(zip(tops.tolist(), sc[tops, lanes].tolist())):
+            if top > best[p]:  # strict, so a tie keeps the first index
+                best[p], best_i[p] = top, s + i
+            floor = best[p] - AMBIGUITY_TOL
+            if top >= floor:
+                hit = np.flatnonzero(sc[:, p] >= floor)
+                ties[p].append((hit + s, sc[hit, p]))
+    # the running maximum never exceeds the final one, so every final near
+    # tie was kept
+    near, near_sc = [], []
+    for p in range(r):
+        idx, val = (np.concatenate(a) for a in zip(*ties[p]))
+        keep = val >= best[p] - AMBIGUITY_TOL
+        near.append(idx[keep])
+        near_sc.append(val[keep])
+    # one lookup: the best point of each column, then each column's near ties
+    starts, *near_pts = np.split(_sphere_points(count, np.concatenate([best_i, *near])),
+                                 np.cumsum([r, *(n.size for n in near[:-1])]))
     sep = 3.0 * math.radians(grid_resolution_deg)
     step0 = math.radians(grid_resolution_deg)
-    best_idx = scores.argmax(axis=1)
-    refined = _refine_directions(scene, cols, grid[best_idx], step0)
+    refined = _refine_directions(scene, cols, starts, step0)
     out = []
-    for p, (best_i, (d_best, s_best)) in enumerate(zip(best_idx.tolist(), refined)):
-        sc = scores[p]
+    for p, ((d_best, s_best), pts, sc) in enumerate(zip(refined, near_pts, near_sc)):
         # rivals among the near ties only, which are few
-        near = np.flatnonzero(sc >= sc[best_i] - AMBIGUITY_TOL)
-        angles = np.arccos(np.clip(grid[near] @ grid[best_i], -1.0, 1.0))
-        rivals = near[angles > sep]
+        angles = np.arccos(np.clip(pts @ starts[p], -1.0, 1.0))
+        rivals = np.flatnonzero(angles > sep)
         alternates = []
         if rivals.size:
             j = rivals[int(sc[rivals].argmax())]
             # the view keeps column p's stride, and with it the zdotc kernel
-            [(d_alt, s_alt)] = _refine_directions(scene, cols[:, p:p + 1], grid[j:j + 1],
+            [(d_alt, s_alt)] = _refine_directions(scene, cols[:, p:p + 1], pts[j:j + 1],
                                                   step0)
             alternates.append(DoaEstimate(direction=d_alt, score=s_alt,
                                           separation_guaranteed=guaranteed))

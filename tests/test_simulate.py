@@ -1,5 +1,6 @@
 import importlib.util
 import math
+import re
 import sys
 import tracemalloc
 from pathlib import Path
@@ -502,24 +503,38 @@ class TestDoaGridCache:
             assert estimate_bytes(a) == estimate_bytes(b) == estimate_bytes(c)
 
     def test_grid_steering_built_once_per_scene_and_resolution(self, monkeypatch):
-        calls = []
-        original = simulate.fibonacci_sphere
+        matrices = []
+        original = simulate._doa_grid
 
-        def counting(count):
-            calls.append(count)
-            return original(count)
+        def keeping(*args):
+            matrices.append(original(*args))
+            return matrices[-1]
 
         one, two = cross_scene(), cross_scene()
         u, _ = steering_vectors(one, unit([0.3, 0.5, 0.9])[None, :])
-        monkeypatch.setattr(simulate, "fibonacci_sphere", counting)
+        monkeypatch.setattr(simulate, "_doa_grid", keeping)
         for _ in range(3):
             doa_estimate(u, one, grid_resolution_deg=2.0)
         doa_estimate(u, one, grid_resolution_deg=3.0)
         doa_estimate(u, two, grid_resolution_deg=2.0)
         n2 = simulate._grid_size_for_resolution(2.0)
         n3 = simulate._grid_size_for_resolution(3.0)
+        # a build returns a new matrix, a cache hit the one it returned before
+        built = [m.shape[1] for i, m in enumerate(matrices)
+                 if not any(m is seen for seen in matrices[:i])]
         # one build for one at 2 degrees, one at 3 degrees, one for two at 2
-        assert calls == [n2, n3, n2]
+        assert len(matrices) == 5 and built == [n2, n3, n2]
+
+    def test_scene_keeps_the_latest_grid_size_only(self):
+        # each grid size used to stay cached: 4 entries, 71.3 MB in all
+        workload = _blind_id_workload()
+        u, _ = steering_vectors(workload.scene, workload.dirs)
+        for resolution in (1.0, 0.9, 0.8, 0.7):
+            doa_estimate(u, workload.scene, grid_resolution_deg=resolution)
+        count = simulate._grid_size_for_resolution(0.7)
+        [(key, ug_conj)] = workload.scene._doa_grids.items()
+        assert key == ug_conj.shape[1] == count
+        assert ug_conj.nbytes == 16 * 17 * count
 
     def test_rejects_zero_column(self):
         scene = cross_scene()
@@ -551,11 +566,22 @@ class TestGridResolution:
         def no_grid(*args):
             raise AssertionError("a direction grid was built")
 
-        monkeypatch.setattr(simulate, "fibonacci_sphere", no_grid)
+        monkeypatch.setattr(simulate, "_sphere_points", no_grid)
         scene = cross_scene()
         u, _ = steering_vectors(scene, unit([0.3, 0.5, 0.9])[None, :])
         with pytest.raises(ValueError, match=f"grid_resolution_deg .*{message}"):
             doa_estimate(u, scene, grid_resolution_deg=bad)
+
+    @pytest.mark.parametrize("shape", [(), (6, 2, 2)])
+    def test_estimate_of_other_ndim_rejected_by_shape(self, monkeypatch, shape):
+        # a 0-d estimate raised IndexError, a 3-d one numpy's "truth value of
+        # an array ... is ambiguous"
+        def no_grid(*args):
+            raise AssertionError("a direction grid was built")
+
+        monkeypatch.setattr(simulate, "_sphere_points", no_grid)
+        with pytest.raises(ValueError, match=re.escape(f"a vector or a matrix, got shape {shape}")):
+            doa_estimate(np.ones(shape, complex), cross_scene())
 
     def test_cap_is_on_points(self):
         # the finest resolution the cap admits, and one just below it
@@ -572,7 +598,8 @@ def _doa_estimate_reference(u_est, scene, grid_resolution_deg):
     and each direction is refined by ``_refine_direction_reference``, so it
     shares no code with the ascent under test."""
     guaranteed = has_resolvent_triad(scene.b, scene.wavelength)
-    grid, ug_conj = simulate._doa_grid(scene, grid_resolution_deg)
+    ug_conj = simulate._doa_grid(scene, grid_resolution_deg)
+    grid = fibonacci_sphere(ug_conj.shape[1])
     cols = u_est / np.linalg.norm(u_est, axis=0)
     scores = np.abs(ug_conj.T @ cols)
     sep = 3.0 * math.radians(grid_resolution_deg)
@@ -626,35 +653,88 @@ def test_doa_estimate_matches_reference_bytewise():
     assert rivals
 
 
+def _blind_id_scene():
+    return _blind_id_workload().scene
+
+
+def _noisy_columns(scene, dirs, seed):
+    u, _ = steering_vectors(scene, dirs)
+    return u + 0.01 * np.random.default_rng(seed).standard_normal(u.shape)
+
+
 class TestDoaBlocks:
-    """The grid is built and scored ``DOA_BLOCK`` points at a time, with
+    """The grid is built and scored one block of ``_blocks`` at a time, with
     the bits of the whole products and a bounded share of their memory."""
 
-    def test_cached_steering_equals_the_whole_product_bytewise(self):
-        scene = _blind_id_workload().scene
-        grid, ug_conj = simulate._doa_grid(scene, 1.0)
-        assert divmod(grid.shape[0], simulate.DOA_BLOCK) == (10, 293)
+    @staticmethod
+    def _whole_product_cache(scene, resolution):
+        ug_conj = simulate._doa_grid(scene, resolution)
+        grid = fibonacci_sphere(ug_conj.shape[1])
         whole = np.conj(simulate._steering(scene.b @ grid.T, scene.wavenumber))
-        assert ug_conj.shape == whole.shape == (17, 41_253)
+        assert ug_conj.shape == whole.shape == (17, grid.shape[0])
         assert ug_conj.flags.c_contiguous and not ug_conj.flags.writeable
         assert ug_conj.tobytes() == whole.tobytes()
+        return grid
 
-    @pytest.mark.parametrize("block", [1, 7, "N", "N + 1"])
-    def test_block_size_changes_no_bit(self, monkeypatch, block):
-        # the mirror-symmetric line at 3 degrees, whose near ties hold a rival
-        u, _ = steering_vectors(line_scene(), np.stack([unit([0.5, 0.8, 0.0]),
-                                                        unit([0.2, 0.4, 0.9])]))
-        u = u + 0.01 * np.random.default_rng(9).standard_normal(u.shape)
-        grid, ug_conj = simulate._doa_grid(line_scene(), 3.0)
-        want = doa_estimate(u, line_scene(), grid_resolution_deg=3.0)
-        assert any(e.ambiguous for e in want)
-        n = grid.shape[0]
-        monkeypatch.setattr(simulate, "DOA_BLOCK", {"N": n, "N + 1": n + 1}.get(block, block))
-        got_grid, got_ug_conj = simulate._doa_grid(line_scene(), 3.0)
-        assert got_grid.tobytes() == grid.tobytes()
-        assert got_ug_conj.tobytes() == ug_conj.tobytes()
-        got = doa_estimate(u, line_scene(), grid_resolution_deg=3.0)
+    def test_cached_steering_equals_the_whole_product_bytewise(self):
+        grid = self._whole_product_cache(_blind_id_scene(), 1.0)
+        assert divmod(grid.shape[0], simulate.DOA_BLOCK) == (40, 293)
+
+    def test_one_point_remainder_keeps_the_bits_of_the_whole_product(self):
+        # 40,961 = 40 * 1,024 + 1 points: the last point was a block of its
+        # own, and its one-row product, through gemv, changed 4 of its 17
+        # steering entries.  That point, the south pole, is one column's
+        # maximum here
+        workload, resolution = _blind_id_workload(), 1.0035585685
+        grid = self._whole_product_cache(workload.scene, resolution)
+        assert grid.shape[0] % simulate.DOA_BLOCK == 1
+        u = _noisy_columns(workload.scene, np.vstack([workload.dirs, grid[-1]]), 3)
+        got = doa_estimate(u, workload.scene, grid_resolution_deg=resolution)
+        want = _doa_estimate_reference(u, workload.scene, resolution)
         assert [estimate_bytes(e) for e in got] == [estimate_bytes(e) for e in want]
+        assert got[4].direction @ grid[-1] > math.cos(math.radians(resolution))
+
+    @pytest.mark.parametrize("make_scene, block", [
+        *(pytest.param(line_scene, block, id=str(block))
+          for block in (1, 7, "N - 1", "N", "N + 1")),
+        # sensors with 3-D positions, on which gemv and gemm phases differ
+        *(pytest.param(_blind_id_scene, block, id=f"3-D {block}")
+          for block in (2, 7, "N - 1", "N", "N + 1"))])
+    def test_block_size_changes_no_bit(self, monkeypatch, make_scene, block):
+        # at 3 degrees; the mirror-symmetric line's near ties hold a rival
+        if make_scene is line_scene:
+            dirs = np.stack([unit([0.5, 0.8, 0.0]), unit([0.2, 0.4, 0.9])])
+        else:
+            dirs = _blind_id_workload().dirs
+        u = _noisy_columns(make_scene(), dirs, 9)
+        ug_conj = simulate._doa_grid(make_scene(), 3.0)
+        want = doa_estimate(u, make_scene(), grid_resolution_deg=3.0)
+        assert any(e.ambiguous for e in want) == (make_scene is line_scene)
+        n = ug_conj.shape[1]
+        monkeypatch.setattr(simulate, "DOA_BLOCK",
+                            {"N - 1": n - 1, "N": n, "N + 1": n + 1}.get(block, block))
+        assert simulate._doa_grid(make_scene(), 3.0).tobytes() == ug_conj.tobytes()
+        got = doa_estimate(u, make_scene(), grid_resolution_deg=3.0)
+        assert [estimate_bytes(e) for e in got] == [estimate_bytes(e) for e in want]
+
+    def test_points_by_index_equal_the_grid_bytewise(self):
+        rng = np.random.default_rng(2)
+        for count in (41_253, 165_012):
+            grid = fibonacci_sphere(count)
+            for s, e in simulate._blocks(count):
+                assert simulate._sphere_points(count, np.arange(s, e)).tobytes() \
+                    == grid[s:e].tobytes()
+            for size in (1, 2, 3, 17, 1_000, 4_096):
+                i = rng.choice(count, size, replace=False)
+                assert simulate._sphere_points(count, i).tobytes() == grid[i].tobytes()
+
+    @pytest.mark.parametrize("count, block, bounds", [
+        (16, 1024, [(0, 16)]), (2049, 1024, [(0, 1024), (1024, 2049)]),
+        (2050, 1024, [(0, 1024), (1024, 2048), (2048, 2050)]),
+        (4, 1, [(0, 1), (1, 2), (2, 4)])])
+    def test_no_block_of_one_point(self, monkeypatch, count, block, bounds):
+        monkeypatch.setattr(simulate, "DOA_BLOCK", block)
+        assert list(simulate._blocks(count)) == bounds
 
     @staticmethod
     def _traced_peak(call):
@@ -666,20 +746,22 @@ class TestDoaBlocks:
             tracemalloc.stop()
 
     def test_cold_build_holds_little_beyond_the_cache(self):
-        # a whole-grid build peaked at 2.38 times the bytes it keeps
+        # a whole-grid build peaked at 2.38 times the bytes it keeps, the
+        # 4,096-point blocks and the kept grid at 1.34 times
         scene = _blind_id_workload().scene
-        (grid, ug_conj), peak = self._traced_peak(lambda: simulate._doa_grid(scene, 1.0))
-        assert peak <= 1.3 * (grid.nbytes + ug_conj.nbytes)
+        ug_conj, peak = self._traced_peak(lambda: simulate._doa_grid(scene, 1.0))
+        assert peak <= 1.1 * ug_conj.nbytes
 
     def test_warm_call_holds_little_beyond_its_scores(self):
-        # whole-grid scoring took 3.96 MB for 4 columns at 1 degree
+        # whole-grid scoring took 3.96 MB for 4 columns at 1 degree, an
+        # (r, N) score array 1.72 MB; a call now holds one block of scores
         workload = _blind_id_workload()
         u, _ = steering_vectors(workload.scene, workload.dirs)
         doa_estimate(u, workload.scene, grid_resolution_deg=1.0)
         estimates, peak = self._traced_peak(
             lambda: doa_estimate(u, workload.scene, grid_resolution_deg=1.0))
         assert len(estimates) == 4
-        assert peak <= 1.5 * 8 * 4 * simulate._grid_size_for_resolution(1.0)
+        assert peak <= 0.25 * 8 * 4 * simulate._grid_size_for_resolution(1.0)
 
 
 def _tangent_basis_reference(d):
@@ -789,8 +871,8 @@ def test_doa_estimate_of_one_dimensional_column_matches_reference():
     u_est = u[:, 0] + 0.01 * np.random.default_rng(4).standard_normal(6)
     (est,) = doa_estimate(u_est, scene, grid_resolution_deg=2.0)
     col = u_est[:, None] / np.linalg.norm(u_est[:, None], axis=0)
-    grid, ug_conj = simulate._doa_grid(scene, 2.0)
-    d0 = grid[int(np.argmax(np.abs(ug_conj.T @ col)))]
+    ug_conj = simulate._doa_grid(scene, 2.0)
+    d0 = fibonacci_sphere(ug_conj.shape[1])[int(np.argmax(np.abs(ug_conj.T @ col)))]
     d, best = _refine_direction_reference(scene, col[:, 0], d0, math.radians(2.0))
     assert not est.ambiguous
     assert est.direction.tobytes() == d.tobytes()
@@ -809,6 +891,13 @@ def test_fibonacci_sphere_uniform_unit():
     signs = (pts > 0).astype(int)
     counts = np.bincount(signs @ np.array([1, 2, 4]), minlength=8)
     assert counts.min() > 30
+
+
+def test_fibonacci_sphere_heights_are_band_midpoints():
+    # point i sits at height 1 - (2 i + 1) / N, the first at angle 0
+    pts = fibonacci_sphere(4)
+    assert pts[:, 2].tolist() == [0.75, 0.25, -0.25, -0.75]
+    assert pts[0].tolist() == [math.sqrt(0.4375), 0.0, 0.75]
 
 
 @pytest.mark.parametrize("count, message", [
@@ -955,8 +1044,9 @@ def _tied_estimates(monkeypatch, grid, magnitudes, columns=1, resolution=1.0):
     scene = ArrayScene(b=np.zeros((1, 3)), delta=np.zeros((1, 3)), pulsation=PULSATION,
                        celerity=CELERITY)
     ug_conj = np.asarray(magnitudes, dtype=complex)[None, :]
-    monkeypatch.setattr(simulate, "_doa_grid",
-                        lambda *_: (np.asarray(grid, dtype=float), ug_conj))
+    monkeypatch.setattr(simulate, "_doa_grid", lambda *_: ug_conj)
+    monkeypatch.setattr(simulate, "_sphere_points",
+                        lambda count, i: np.asarray(grid, dtype=float)[i])
     return doa_estimate(np.ones((1, columns)), scene, grid_resolution_deg=resolution)
 
 
@@ -1057,6 +1147,10 @@ class TestBoundaries:
         assert _tied_estimates(monkeypatch, grid, [1.0, tie])[0].ambiguous
         below = math.nextafter(tie, 0.0)
         assert not _tied_estimates(monkeypatch, grid, [1.0, below])[0].ambiguous
+        # in a later block of scores, whose maximum is that tie
+        monkeypatch.setattr(simulate, "DOA_BLOCK", 2)
+        grid = [[0, 0, 1.0], [1.0, 0, 0], [-1.0, 0, 0], [0, 0, -1.0]]
+        assert _tied_estimates(monkeypatch, grid, [0.5, 1.0, tie, 0.5])[0].ambiguous
 
     @pytest.mark.parametrize("c, ambiguous", [(0.5, False), (0.5 - 1e-9, True)])
     def test_rival_lies_beyond_the_separation(self, monkeypatch, c, ambiguous):
@@ -1069,6 +1163,14 @@ class TestBoundaries:
         # the dot product -1 - 2^-52 is clipped to -1, an angle of pi
         grid = [[1.0, 0, 0], [math.nextafter(-1.0, -2.0), 0, 0]]
         assert _tied_estimates(monkeypatch, grid, [1.0, 1.0])[0].ambiguous
+
+    def test_exact_tie_in_a_later_block_keeps_the_lower_index(self, monkeypatch):
+        # blocks (0, 2) and (2, 4): the maximum 1.0 at index 1, then again at 3
+        monkeypatch.setattr(simulate, "DOA_BLOCK", 2)
+        grid = [[0, 0, 1.0], [1.0, 0, 0], [0, 0, -1.0], [-1.0, 0, 0]]
+        [est] = _tied_estimates(monkeypatch, grid, [0.5, 1.0, 0.5, 1.0])
+        assert est.direction.tolist() == grid[1]
+        assert [alt.direction.tolist() for alt in est.alternates] == [grid[3]]
 
     def test_rival_of_a_column_before_the_last(self, monkeypatch):
         ests = _tied_estimates(monkeypatch, [[1.0, 0, 0], [-1.0, 0, 0]], [1.0, 1.0], columns=2)
