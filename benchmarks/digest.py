@@ -27,10 +27,14 @@ also carries the exit code, and its report is hashed without its
   array scene, each with the bytes of its ``--out-tensor`` file;
 - ``doa_estimate`` on a mirror-symmetric 5-sensor line, whose near ties
   hold a rival maximum, so the rival's refinement is covered too;
-- ``doa_estimate`` at 0.5 degrees on the 17-sensor ``blind_id`` scene,
-  whose 165,012 grid points are 161 full ``DOA_BLOCK`` blocks of 1,024 and
-  one of 148, and at 0.5 degrees again after a call at 1 degree (41,253 =
-  40 x 1,024 + 293 points), so the scene's grid cache is reused or rebuilt;
+- ``doa_estimate`` on the 17-sensor ``blind_id`` scene: at 0.5 degrees,
+  whose 165,012 grid points fall in 5,496 cells, whose centres are scored
+  in 5 full ``DOA_BLOCK`` blocks of 1,024 and one of 376; at 0.5 degrees
+  again after a call at 1 degree (41,253 points, the same 5,496 cells),
+  so the scene's grid cells are rebuilt; at 10 degrees (413 points in 377
+  cells) and 30 degrees (46 points, a cell each), where the cells clamp
+  to the grid spacing; and on random columns at 2 degrees (10,314 points
+  in 5,496 cells), four at once and one alone, which is scored as a pair;
 - ``cohcp coherence`` (within and over the brute-force budget) and
   ``cohcp check`` (from ``--mus`` and from ``--factors``);
 - ``cohcp norms --input`` on a d = 1 vector and a d = 2 matrix whose
@@ -261,6 +265,15 @@ def doa_fine(work: Path) -> None:
     doa_estimate(u, scene, grid_resolution_deg=1.0)
     show("doa_estimate.blind_id_half_degree_after_one_degree",
          doa_estimate(u, scene, grid_resolution_deg=0.5))
+    for resolution in (10.0, 30.0):
+        show(f"doa_estimate.blind_id_{resolution:g}_degrees",
+             doa_estimate(u, scene, grid_resolution_deg=resolution))
+    rng = np.random.default_rng(SEED)
+    random = rng.standard_normal(u.shape) + 1j * rng.standard_normal(u.shape)
+    show("doa_estimate.random_columns_2_degrees",
+         doa_estimate(random, scene, grid_resolution_deg=2.0))
+    show("doa_estimate.random_column_2_degrees",
+         doa_estimate(random[:, 0], scene, grid_resolution_deg=2.0))
 
 
 def factor_commands(work: Path) -> None:

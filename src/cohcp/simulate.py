@@ -29,7 +29,7 @@ class ArrayScene:
     delta: np.ndarray       # (n2, 3) subarray translations, meters
     pulsation: float        # omega_wave
     celerity: float
-    # grid size -> conjugated grid steering matrix of doa_estimate, for the
+    # grid size -> direction-grid cells of doa_estimate (_doa_cells), for the
     # latest grid size only; valid because b is a read-only copy
     _doa_grids: dict = field(default_factory=dict, init=False, repr=False,
                              compare=False)
@@ -365,6 +365,7 @@ def _sphere_points(count: int, i: np.ndarray) -> np.ndarray:
 
 DOA_GRID_CAP = 1_000_000  # direction-grid points, about 0.2 degrees
 DOA_BLOCK = 1024  # grid points per block of the grid build and scoring
+DOA_CELL_BOUND = 0.15  # score bound (lip times side) of a direction-grid cell
 
 
 def _blocks(count: int):
@@ -466,28 +467,132 @@ def _refine_directions(scene: ArrayScene, cols: np.ndarray, starts: np.ndarray,
     return [(d[p].copy(), best[p]) for p in range(m)]
 
 
-def _doa_grid(scene: ArrayScene, grid_resolution_deg: float) -> np.ndarray:
-    """Conjugated steering matrix (n1, N) of the N-point direction grid,
-    kept on the scene for the latest grid size only.
+def _grid_blocks(count: int):
+    """(start, stop, points) of each block of ``_blocks(count)``, the points
+    being those rows of ``fibonacci_sphere(count)``."""
+    for s, e in _blocks(count):
+        yield s, e, _sphere_points(count, np.arange(s, e))
 
-    The matrix takes 16 n1 N bytes (272 MB for 17 sensors at
-    ``DOA_GRID_CAP``), and no grid is kept beside it.  It is filled one
-    block of ``_blocks`` at a time, each block's phases being rows of
-    ``points @ b.T`` (row blocks of that product keep its bits; column
-    blocks of ``b @ grid.T`` do not), so the build holds one block beyond
-    the matrix."""
+
+def _doa_cells(scene: ArrayScene, count: int) -> tuple:
+    """(cell_of, steer, slack): the cells of the ``count``-point grid.
+
+    |u(d)^H c| of a unit column c moves by at most lip |d - d'|, lip =
+    k sqrt(lambda_max) of the covariance of the sensor positions (a common
+    phase cancels in the magnitude).  Each grid point gets the int32 id of
+    its theta-band x phi-bin box, of angular side ``DOA_CELL_BOUND / lip``
+    but never below the grid spacing; empty boxes are dropped.  ``steer``
+    (n1, M) holds the conjugated steering of each cell's centroid (the
+    bound holds anywhere in space), and ``slack`` bounds how far a member
+    can score above its centre: lip times the largest member-to-centre
+    distance, with room for rounding."""
+    k, b, bt = scene.wavenumber, scene.b, scene.b.T
+    centred = b - b.mean(axis=0)
+    lip = k * math.sqrt(max(np.linalg.eigvalsh(centred.T @ centred / b.shape[0])[-1], 0.0))
+    side = max(DOA_CELL_BOUND / lip if lip > 0.0 else math.inf,
+               math.sqrt(4.0 * math.pi / count))
+    bands = max(2, math.ceil(math.pi / side))  # two at least, so two cells or more
+    bins = np.maximum(np.ceil(2.0 * math.pi / side
+                              * np.sin((np.arange(bands) + 0.5) * math.pi / bands)),
+                      1.0).astype(np.int64)
+    first = np.cumsum(bins) - bins
+    box = np.empty(count, np.int32)
+    for s, e, pts in _grid_blocks(count):
+        band = np.minimum((np.arccos(pts[:, 2]) * (bands / math.pi)).astype(np.int64),
+                          bands - 1)
+        phi = np.arctan2(pts[:, 1], pts[:, 0]) % (2.0 * math.pi)
+        box[s:e] = first[band] + np.minimum((phi * (bins[band] / (2.0 * math.pi)))
+                                            .astype(np.int64), bins[band] - 1)
+    used = np.zeros(int(bins.sum()), bool)
+    used[box] = True
+    cell_of = (np.cumsum(used, dtype=np.int32) - 1)[box]
+    del box
+    cells = int(used.sum())
+    centres = np.zeros((cells, 3))
+    for s, e, pts in _grid_blocks(count):
+        np.add.at(centres, cell_of[s:e], pts)
+    centres /= np.bincount(cell_of, minlength=cells)[:, None]
+    radius = np.zeros(cells)
+    for s, e, pts in _grid_blocks(count):
+        gap = pts - centres[cell_of[s:e]]
+        np.maximum.at(radius, cell_of[s:e], np.sqrt(np.vecdot(gap, gap)))
+    slack = lip * radius * (1.0 + 1e-9) + 1e-9  # and room for rounding
+    steer = np.empty((b.shape[0], cells), dtype=np.complex128)
+    for s, e in _blocks(cells):
+        np.conjugate(_steering((centres[s:e] @ bt).T, k), out=steer[:, s:e])
+    for a in (cell_of, steer, slack):
+        a.setflags(write=False)
+    return cell_of, steer, slack
+
+
+def _doa_grid(scene: ArrayScene, grid_resolution_deg: float) -> tuple:
+    """The ``_doa_cells`` of the grid at ``grid_resolution_deg``, kept on
+    the scene for the latest grid size only.
+
+    They take 4 N + (16 n1 + 8) M bytes for N grid points in M cells: 1.7 MB
+    for 17 sensors at 1 degree (N = 41,253, M = 5,496), where the
+    conjugated steering of every grid point took 16 n1 N = 11.2 MB.  The
+    build computes the grid points one block of ``_blocks`` at a time,
+    three times over, and holds no grid."""
     count = _grid_size_for_resolution(grid_resolution_deg)
-    ug_conj = scene._doa_grids.get(count)
-    if ug_conj is None:
+    cells = scene._doa_grids.get(count)
+    if cells is None:
         scene._doa_grids.clear()  # before the build, so the two never coexist
-        k, bt = scene.wavenumber, scene.b.T
-        ug_conj = np.empty((bt.shape[1], count), dtype=np.complex128)
-        for s, e in _blocks(count):
-            np.conjugate(_steering((_sphere_points(count, np.arange(s, e)) @ bt).T, k),
-                         out=ug_conj[:, s:e])
-        ug_conj.setflags(write=False)
-        scene._doa_grids[count] = ug_conj
-    return ug_conj
+        cells = scene._doa_grids[count] = _doa_cells(scene, count)
+    return cells
+
+
+def _grid_scores(scene: ArrayScene, count: int, idx: np.ndarray,
+                 cols: np.ndarray) -> np.ndarray:
+    """(idx.size, r) scores |u(d_i)^H cols[:, p]| of the points ``idx``
+    (sorted) of the ``count``-point grid, with the bits of the whole-grid product
+    ``abs(conj(U).T @ cols)``.  Each ``_blocks`` row block of ``idx`` takes
+    its phases as rows of ``points @ b.T`` and its scores as rows of
+    ``conj(u).T @ cols``: gathered row sets of two or more keep the bits of
+    those products.  A single point, or a single column, is scored as a
+    pair: a product of one row or one column runs through gemv, whose bits
+    differ from gemm's and, for one column, depend on the row's place in
+    the product."""
+    pair = np.repeat(idx, 2) if idx.size == 1 else idx
+    wide = np.repeat(cols, 2, axis=1) if cols.shape[1] == 1 else cols
+    out = np.empty((pair.size, wide.shape[1]))
+    for s, e in _blocks(pair.size):
+        steer = _steering((_sphere_points(count, pair[s:e]) @ scene.b.T).T, scene.wavenumber)
+        out[s:e] = np.abs(np.conjugate(steer, out=steer).T @ wide)
+    return out[:idx.size, :cols.shape[1]]
+
+
+def _grid_search(scene: ArrayScene, cols: np.ndarray, grid_resolution_deg: float) -> tuple:
+    """(count, best, near, near_sc) of unit columns ``cols``: the grid size,
+    each column's first best grid index, and the indices (ascending) and
+    scores of its grid points within ``AMBIGUITY_TOL`` of its best score,
+    all as an exhaustive scan of the grid would give them, bit for bit.
+
+    The cell centres are scored first, then the members of each column's
+    top cell: the best of those scores less ``AMBIGUITY_TOL``, a floor, is
+    at most the column's best grid score less the tolerance.  A member of
+    a cell whose centre score plus slack is below the floor for every
+    column scores below it too, so it is neither a maximum nor a near tie
+    and is not scored; the members of the other cells are.  Every product
+    is one ``_blocks`` row block, of two rows or more."""
+    cell_of, steer, slack = _doa_grid(scene, grid_resolution_deg)
+    count = cell_of.size
+    if not cols.shape[1]:
+        return count, [], [], []
+    bound = np.empty((steer.shape[1], cols.shape[1]))
+    for s, e in _blocks(steer.shape[1]):
+        bound[s:e] = np.abs(steer.T[s:e] @ cols)
+    top = np.zeros(steer.shape[1], bool)
+    top[bound.argmax(axis=0)] = True
+    # scores of grid points, so no column's floor exceeds its best - tol
+    floor = _grid_scores(scene, count, np.flatnonzero(top[cell_of]), cols).max(axis=0) \
+        - AMBIGUITY_TOL
+    bound += slack[:, None]
+    idx = np.flatnonzero((bound >= floor).any(axis=1)[cell_of])
+    sc = _grid_scores(scene, count, idx, cols)
+    best = sc.argmax(axis=0)  # the first on ties, as idx ascends
+    near = [sc[:, p] >= sc[i, p] - AMBIGUITY_TOL for p, i in enumerate(best.tolist())]
+    return count, idx[best], [idx[m] for m in near], [sc[m, p] for p, m in enumerate(near)]
 
 
 def doa_estimate(u_est: np.ndarray, scene: ArrayScene,
@@ -500,16 +605,17 @@ def doa_estimate(u_est: np.ndarray, scene: ArrayScene,
     ``AMBIGUITY_TOL`` of the best one, both are refined and reported with
     the ``ambiguous`` flag set (mirror-symmetric arrays do this).
     Estimates carry no separation guarantee (flagged) when the scene lacks
-    a resolvent triad.  The grid's steering matrix is kept on the scene,
-    for the latest resolution asked (see ``_doa_grid`` for its size).  A
-    call scores the grid one block of ``_blocks`` at a time and holds one
-    block of scores, keeping each column's running maximum and the scores
-    within ``AMBIGUITY_TOL`` of it; grid points are computed only for the
-    maxima and their near ties.
+    a resolvent triad.  The grid search (``_grid_search``) scores only the
+    grid points that can reach a column's near ties, with the bits of an
+    exhaustive scan; the grid's cells are kept on the scene for the latest
+    resolution asked (see ``_doa_grid`` for their size), and grid points
+    are computed from their indices for the scored cells, the maxima and
+    their near ties.
     A steering estimate that is not a vector or a matrix, or that has a
-    zero or non-finite column, raises ``ValueError``, and so does a
-    ``grid_resolution_deg`` that is not finite and positive or that needs
-    more than ``DOA_GRID_CAP`` grid points.
+    zero or non-finite column, or one whose squared norm overflows or
+    underflows (the search needs unit columns), raises ``ValueError``, and
+    so does a ``grid_resolution_deg`` that is not finite and positive or
+    that needs more than ``DOA_GRID_CAP`` grid points.
     """
     u_est = np.asarray(u_est, dtype=np.complex128)
     if u_est.ndim not in (1, 2):
@@ -519,38 +625,22 @@ def doa_estimate(u_est: np.ndarray, scene: ArrayScene,
         u_est = u_est[:, None]
     if u_est.shape[0] != scene.b.shape[0]:
         raise ValueError("steering estimates do not match the sensor count")
-    nrm, finite = column_norms(u_est), np.isfinite(u_est).all(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by name below
+        nrm = column_norms(u_est)
+    finite = np.isfinite(u_est).all(axis=0)
     for p in range(u_est.shape[1]):
         if not finite[p]:
             raise ValueError(f"steering column {p} has a non-finite entry")
-        if not nrm[p] > 0.0:
+        if not u_est[:, p].any():
             raise ValueError(f"steering column {p} has zero norm")
+        if not 2.0 ** -511 <= nrm[p] < math.inf:  # the square is a normal double
+            how = "overflows" if nrm[p] == math.inf else "underflows"
+            raise ValueError(f"steering column {p} has a squared norm that {how}; "
+                             "rescale it")
     guaranteed = has_resolvent_triad(scene.b, scene.wavelength)
-    ug_conj = _doa_grid(scene, grid_resolution_deg)
-    count, cols = ug_conj.shape[1], u_est / nrm
-    r, lanes = cols.shape[1], np.arange(cols.shape[1])
-    best, best_i = [-math.inf] * r, [0] * r
-    ties = [[] for _ in range(r)]  # (indices, scores) within the tolerance
-    for s, e in _blocks(count):
-        # row blocks of ug_conj.T @ cols keep its bits, and np.abs sees the
-        # contiguous layout it saw on the whole product
-        sc = np.abs(ug_conj.T[s:e] @ cols)
-        tops = sc.argmax(axis=0)  # faster than max(axis=0) on r narrow lanes
-        for p, (i, top) in enumerate(zip(tops.tolist(), sc[tops, lanes].tolist())):
-            if top > best[p]:  # strict, so a tie keeps the first index
-                best[p], best_i[p] = top, s + i
-            floor = best[p] - AMBIGUITY_TOL
-            if top >= floor:
-                hit = np.flatnonzero(sc[:, p] >= floor)
-                ties[p].append((hit + s, sc[hit, p]))
-    # the running maximum never exceeds the final one, so every final near
-    # tie was kept
-    near, near_sc = [], []
-    for p in range(r):
-        idx, val = (np.concatenate(a) for a in zip(*ties[p]))
-        keep = val >= best[p] - AMBIGUITY_TOL
-        near.append(idx[keep])
-        near_sc.append(val[keep])
+    cols = u_est / nrm
+    count, best_i, near, near_sc = _grid_search(scene, cols, grid_resolution_deg)
+    r = cols.shape[1]
     # one lookup: the best point of each column, then each column's near ties
     starts, *near_pts = np.split(_sphere_points(count, np.concatenate([best_i, *near])),
                                  np.cumsum([r, *(n.size for n in near[:-1])]))

@@ -1,3 +1,4 @@
+import functools
 import importlib.util
 import math
 import re
@@ -7,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cohcp import simulate
 from cohcp.coherence import coherence
@@ -503,12 +506,12 @@ class TestDoaGridCache:
             assert estimate_bytes(a) == estimate_bytes(b) == estimate_bytes(c)
 
     def test_grid_steering_built_once_per_scene_and_resolution(self, monkeypatch):
-        matrices = []
+        kept = []
         original = simulate._doa_grid
 
         def keeping(*args):
-            matrices.append(original(*args))
-            return matrices[-1]
+            kept.append(original(*args))
+            return kept[-1]
 
         one, two = cross_scene(), cross_scene()
         u, _ = steering_vectors(one, unit([0.3, 0.5, 0.9])[None, :])
@@ -519,11 +522,11 @@ class TestDoaGridCache:
         doa_estimate(u, two, grid_resolution_deg=2.0)
         n2 = simulate._grid_size_for_resolution(2.0)
         n3 = simulate._grid_size_for_resolution(3.0)
-        # a build returns a new matrix, a cache hit the one it returned before
-        built = [m.shape[1] for i, m in enumerate(matrices)
-                 if not any(m is seen for seen in matrices[:i])]
+        # a build returns new cells, a cache hit the ones it returned before
+        built = [cells[0].size for i, cells in enumerate(kept)
+                 if not any(cells is seen for seen in kept[:i])]
         # one build for one at 2 degrees, one at 3 degrees, one for two at 2
-        assert len(matrices) == 5 and built == [n2, n3, n2]
+        assert len(kept) == 5 and built == [n2, n3, n2]
 
     def test_scene_keeps_the_latest_grid_size_only(self):
         # each grid size used to stay cached: 4 entries, 71.3 MB in all
@@ -532,9 +535,12 @@ class TestDoaGridCache:
         for resolution in (1.0, 0.9, 0.8, 0.7):
             doa_estimate(u, workload.scene, grid_resolution_deg=resolution)
         count = simulate._grid_size_for_resolution(0.7)
-        [(key, ug_conj)] = workload.scene._doa_grids.items()
-        assert key == ug_conj.shape[1] == count
-        assert ug_conj.nbytes == 16 * 17 * count
+        [(key, (cell_of, steer, slack))] = workload.scene._doa_grids.items()
+        assert key == cell_of.size == count and cell_of.dtype == np.int32
+        assert steer.shape[0] == 17 and steer.shape[1] == slack.size <= count
+        assert cell_of.nbytes + steer.nbytes + slack.nbytes \
+            == 4 * count + (16 * 17 + 8) * slack.size
+        assert not any(a.flags.writeable for a in (cell_of, steer, slack))
 
     def test_rejects_zero_column(self):
         scene = cross_scene()
@@ -549,6 +555,36 @@ class TestDoaGridCache:
         u[2, 0] = np.nan
         with pytest.raises(ValueError, match="steering column 0 has a non-finite entry"):
             doa_estimate(u, scene, grid_resolution_deg=3.0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale, how", [(1e308, "overflows"), (1e-170, "underflows")])
+    def test_rejects_a_squared_norm_out_of_the_doubles(self, scale, how):
+        # 1e308 warned of an overflow and gave grid point 0 with score 0;
+        # 1e-170 was refused as a column of zero norm
+        scene = cross_scene()
+        u, _ = steering_vectors(scene, np.stack([unit([1, 0, 1]), unit([0, 1, 1])]))
+        u[:, 1] *= scale
+        with pytest.raises(ValueError, match=f"steering column 1 has a squared norm that {how}"):
+            doa_estimate(u, scene, grid_resolution_deg=3.0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_squared_norm_at_the_edges_of_the_doubles_is_kept(self):
+        # powers of two scale a column exactly, so the estimates keep their bits
+        scene = cross_scene()
+        u, _ = steering_vectors(scene, np.stack([unit([1, 0, 1]), unit([0, 1, 1])]))
+        want = [estimate_bytes(e) for e in doa_estimate(u, scene, grid_resolution_deg=3.0)]
+        for scale in (2.0 ** 500, 2.0 ** -500):
+            got = doa_estimate(u * scale, scene, grid_resolution_deg=3.0)
+            assert [estimate_bytes(e) for e in got] == want
+        # a norm of 2**-511 squares to the smallest normal double, 2**511 to
+        # the largest power of two
+        for entry in (2.0 ** -511, 2.0 ** 511):
+            e = np.zeros((6, 1))
+            e[0] = entry
+            assert len(doa_estimate(e, scene, grid_resolution_deg=30.0)) == 1
+        e[0] = math.nextafter(2.0 ** -511, 0.0)
+        with pytest.raises(ValueError, match="column 0 has a squared norm that underflows"):
+            doa_estimate(e, scene, grid_resolution_deg=30.0)
 
 
 class TestGridResolution:
@@ -592,14 +628,21 @@ class TestGridResolution:
             simulate._grid_size_for_resolution(finest * (1 - 1e-9))
 
 
+def _whole_grid(scene, grid_resolution_deg):
+    """The direction grid and its conjugated steering, as one product of the
+    whole grid."""
+    grid = fibonacci_sphere(simulate._grid_size_for_resolution(grid_resolution_deg))
+    return grid, np.conj(simulate._steering(scene.b @ grid.T, scene.wavenumber))
+
+
 def _doa_estimate_reference(u_est, scene, grid_resolution_deg):
-    """``doa_estimate`` as it was before the rival search was restricted to
-    the near ties: the angle to the best point is taken over the whole grid,
-    and each direction is refined by ``_refine_direction_reference``, so it
-    shares no code with the ascent under test."""
+    """``doa_estimate`` as it was before the grid search was pruned and the
+    rival search restricted to the near ties: the whole grid is scored in one
+    product, the angle to the best point is taken over the whole grid, and
+    each direction is refined by ``_refine_direction_reference``, so it
+    shares no code with the search and the ascent under test."""
     guaranteed = has_resolvent_triad(scene.b, scene.wavelength)
-    ug_conj = simulate._doa_grid(scene, grid_resolution_deg)
-    grid = fibonacci_sphere(ug_conj.shape[1])
+    grid, ug_conj = _whole_grid(scene, grid_resolution_deg)
     cols = u_est / np.linalg.norm(u_est, axis=0)
     scores = np.abs(ug_conj.T @ cols)
     sep = 3.0 * math.radians(grid_resolution_deg)
@@ -662,37 +705,57 @@ def _noisy_columns(scene, dirs, seed):
     return u + 0.01 * np.random.default_rng(seed).standard_normal(u.shape)
 
 
+def _unit_columns(u):
+    return u / np.linalg.norm(u, axis=0)
+
+
+def _scores(scene, idx, cols, resolution):
+    count = simulate._grid_size_for_resolution(resolution)
+    return simulate._grid_scores(scene, count, idx, cols)
+
+
 class TestDoaBlocks:
-    """The grid is built and scored one block of ``_blocks`` at a time, with
-    the bits of the whole products and a bounded share of their memory."""
+    """The grid cells are built, and grid points scored, one block of
+    ``_blocks`` at a time, with the bits of the whole products and a bounded
+    share of their memory."""
 
     @staticmethod
-    def _whole_product_cache(scene, resolution):
-        ug_conj = simulate._doa_grid(scene, resolution)
-        grid = fibonacci_sphere(ug_conj.shape[1])
-        whole = np.conj(simulate._steering(scene.b @ grid.T, scene.wavenumber))
-        assert ug_conj.shape == whole.shape == (17, grid.shape[0])
-        assert ug_conj.flags.c_contiguous and not ug_conj.flags.writeable
-        assert ug_conj.tobytes() == whole.tobytes()
-        return grid
+    def _scores_of_the_whole_product(scene, cols, resolution):
+        grid, ug_conj = _whole_grid(scene, resolution)
+        whole = np.abs(ug_conj.T @ cols)
+        got = _scores(scene, np.arange(grid.shape[0]), cols, resolution)
+        assert got.shape == whole.shape == (grid.shape[0], cols.shape[1])
+        assert got.tobytes() == whole.tobytes()
+        return grid, whole
 
-    def test_cached_steering_equals_the_whole_product_bytewise(self):
-        grid = self._whole_product_cache(_blind_id_scene(), 1.0)
+    def test_grid_scores_equal_the_whole_product_bytewise(self):
+        workload = _blind_id_workload()
+        cols = _unit_columns(_noisy_columns(workload.scene, workload.dirs, 3))
+        grid, whole = self._scores_of_the_whole_product(workload.scene, cols, 1.0)
         assert divmod(grid.shape[0], simulate.DOA_BLOCK) == (40, 293)
+        # gathered rows keep their bits; a lone point is scored as a pair,
+        # since a one-row product runs through gemv
+        rng = np.random.default_rng(2)
+        for size in (1, 2, 3, 17, 1_000, 1_025):
+            for _ in range(3):
+                idx = np.sort(rng.choice(grid.shape[0], size, replace=False))
+                assert _scores(workload.scene, idx, cols, 1.0).tobytes() \
+                    == whole[idx].tobytes()
 
     def test_one_point_remainder_keeps_the_bits_of_the_whole_product(self):
-        # 40,961 = 40 * 1,024 + 1 points: the last point was a block of its
-        # own, and its one-row product, through gemv, changed 4 of its 17
-        # steering entries.  That point, the south pole, is one column's
-        # maximum here
+        # 40,961 = 40 * 1,024 + 1 points: as a block of its own, the last
+        # point's one-row product, through gemv, changed 4 of its 17 steering
+        # entries.  That point, the south pole, is one column's maximum here
         workload, resolution = _blind_id_workload(), 1.0035585685
-        grid = self._whole_product_cache(workload.scene, resolution)
-        assert grid.shape[0] % simulate.DOA_BLOCK == 1
-        u = _noisy_columns(workload.scene, np.vstack([workload.dirs, grid[-1]]), 3)
+        count = simulate._grid_size_for_resolution(resolution)
+        assert count % simulate.DOA_BLOCK == 1
+        south = fibonacci_sphere(count)[-1]
+        u = _noisy_columns(workload.scene, np.vstack([workload.dirs, south]), 3)
+        self._scores_of_the_whole_product(workload.scene, _unit_columns(u), resolution)
         got = doa_estimate(u, workload.scene, grid_resolution_deg=resolution)
         want = _doa_estimate_reference(u, workload.scene, resolution)
         assert [estimate_bytes(e) for e in got] == [estimate_bytes(e) for e in want]
-        assert got[4].direction @ grid[-1] > math.cos(math.radians(resolution))
+        assert got[4].direction @ south > math.cos(math.radians(resolution))
 
     @pytest.mark.parametrize("make_scene, block", [
         *(pytest.param(line_scene, block, id=str(block))
@@ -707,13 +770,16 @@ class TestDoaBlocks:
         else:
             dirs = _blind_id_workload().dirs
         u = _noisy_columns(make_scene(), dirs, 9)
-        ug_conj = simulate._doa_grid(make_scene(), 3.0)
+        n = simulate._grid_size_for_resolution(3.0)
+        scores = _scores(make_scene(), np.arange(n), _unit_columns(u), 3.0)
         want = doa_estimate(u, make_scene(), grid_resolution_deg=3.0)
         assert any(e.ambiguous for e in want) == (make_scene is line_scene)
-        n = ug_conj.shape[1]
         monkeypatch.setattr(simulate, "DOA_BLOCK",
                             {"N - 1": n - 1, "N": n, "N + 1": n + 1}.get(block, block))
-        assert simulate._doa_grid(make_scene(), 3.0).tobytes() == ug_conj.tobytes()
+        # one-row score products run through gemv, whose bits differ; on the
+        # line they move no estimate
+        assert (_scores(make_scene(), np.arange(n), _unit_columns(u), 3.0).tobytes()
+                == scores.tobytes()) is (block != 1)
         got = doa_estimate(u, make_scene(), grid_resolution_deg=3.0)
         assert [estimate_bytes(e) for e in got] == [estimate_bytes(e) for e in want]
 
@@ -737,31 +803,184 @@ class TestDoaBlocks:
         assert list(simulate._blocks(count)) == bounds
 
     @staticmethod
-    def _traced_peak(call):
+    def _traced(call):
+        """The result of call(), and the bytes it left and its peak, traced."""
         tracemalloc.start()
         try:
             result = call()
-            return result, tracemalloc.get_traced_memory()[1]
+            return result, *tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
 
-    def test_cold_build_holds_little_beyond_the_cache(self):
-        # a whole-grid build peaked at 2.38 times the bytes it keeps, the
-        # 4,096-point blocks and the kept grid at 1.34 times
+    def _cold_build_kept(self, resolution):
         scene = _blind_id_workload().scene
-        ug_conj, peak = self._traced_peak(lambda: simulate._doa_grid(scene, 1.0))
-        assert peak <= 1.1 * ug_conj.nbytes
+        cells, kept, peak = self._traced(lambda: simulate._doa_grid(scene, resolution))
+        assert sum(a.nbytes for a in cells) <= kept
+        assert peak <= kept + 2**20
+        return kept
+
+    def test_cold_build_holds_little_beyond_the_cache(self):
+        # the conjugated steering of every grid point kept 10.7 MiB at 1
+        # degree; a build peaked 0.7 MiB above what it kept
+        assert self._cold_build_kept(1.0) <= 2 * 2**20
+
+    def test_half_degree_cells_are_small(self):
+        # the conjugated steering of every grid point kept 42.8 MiB at 0.5
+        # degrees, and a build peaked at 43.5 MiB
+        assert self._cold_build_kept(0.5) <= 3 * 2**20
 
     def test_warm_call_holds_little_beyond_its_scores(self):
         # whole-grid scoring took 3.96 MB for 4 columns at 1 degree, an
-        # (r, N) score array 1.72 MB; a call now holds one block of scores
+        # (r, N) score array 1.72 MB; a call now holds the scores of the cell
+        # centres and one block of grid steering, a few times over
         workload = _blind_id_workload()
         u, _ = steering_vectors(workload.scene, workload.dirs)
         doa_estimate(u, workload.scene, grid_resolution_deg=1.0)
-        estimates, peak = self._traced_peak(
+        estimates, _, peak = self._traced(
             lambda: doa_estimate(u, workload.scene, grid_resolution_deg=1.0))
         assert len(estimates) == 4
-        assert peak <= 0.25 * 8 * 4 * simulate._grid_size_for_resolution(1.0)
+        assert peak <= 4 * 16 * 17 * simulate.DOA_BLOCK
+
+
+def _one_sensor_scene():
+    # the Lipschitz constant of the scores is 0, and every grid point ties
+    return ArrayScene(b=[[0.1, -0.2, 0.05]], delta=np.zeros((1, 3)), pulsation=PULSATION,
+                      celerity=CELERITY)
+
+
+def _wide_scene():
+    # sensors 5 wavelengths apart: the cells clamp to the grid spacing, and
+    # most hold a single point
+    s = 5.0 * WAVELENGTH
+    b = [[0, 0, 0], [s, 0, 0], [0, s, 0], [0, 0, s], [2 * s, 0, 0], [0, 2 * s, 0], [s, s, s]]
+    return ArrayScene(b=np.array(b), delta=np.zeros((1, 3)), pulsation=PULSATION,
+                      celerity=CELERITY)
+
+
+SEARCH_SCENES = {"3-D": _blind_id_scene, "line": line_scene, "one sensor": _one_sensor_scene,
+                 "wide": _wide_scene}
+
+
+@functools.lru_cache(maxsize=1)
+def _search_case(name, resolution):
+    """One scene, kept across examples so that its cells are built once, with
+    its whole grid and the grid's conjugated steering."""
+    scene = SEARCH_SCENES[name]()
+    return (scene, *_whole_grid(scene, resolution))
+
+
+def _search_columns(scene, grid, seed, r, on_grid):
+    """r unit columns: the steering vectors of random grid points, or random
+    complex columns."""
+    rng = np.random.default_rng(seed)
+    if on_grid:
+        u, _ = steering_vectors(scene, grid[rng.choice(grid.shape[0], r)])
+    else:
+        u = rng.standard_normal((scene.b.shape[0], r)) \
+            + 1j * rng.standard_normal((scene.b.shape[0], r))
+    return _unit_columns(u)
+
+
+class TestPrunedSearch:
+    """The grid search scores only the cells that can hold a maximum or a
+    near tie, and finds what an exhaustive scan finds, bit for bit."""
+
+    @pytest.mark.parametrize("resolution", [30.0, 10.0, 1.0, 1.0035585685])
+    @pytest.mark.parametrize("name", SEARCH_SCENES)
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), r=st.integers(1, 4), on_grid=st.booleans())
+    def test_pruned_search_equals_the_whole_grid_bytewise(self, name, resolution, seed, r,
+                                                          on_grid):
+        scene, grid, ug_conj = _search_case(name, resolution)
+        cols = _search_columns(scene, grid, seed, r, on_grid)
+        count, best, near, near_sc = simulate._grid_search(scene, cols, resolution)
+        # a lone column as a pair: a one-column product runs through gemv,
+        # whose bits depend on a row's place in the product
+        whole = np.abs(ug_conj.T @ np.repeat(cols, 2 if r == 1 else 1, axis=1))[:, :r]
+        want = whole.argmax(axis=0)
+        assert count == grid.shape[0]
+        assert np.asarray(best).tobytes() == want.tobytes()
+        for p, i in enumerate(want):
+            tied = np.flatnonzero(whole[:, p] >= whole[i, p] - simulate.AMBIGUITY_TOL)
+            assert near[p].tobytes() == tied.tobytes()
+            assert near_sc[p].tobytes() == whole[tied, p].tobytes()
+
+    @pytest.mark.parametrize("name", SEARCH_SCENES)
+    def test_every_pruned_point_scores_below_the_floor(self, monkeypatch, name):
+        scene, grid, ug_conj = _search_case(name, 1.0)
+        cols = _search_columns(scene, grid, 5, 4, True)
+        calls = []
+        original = simulate._grid_scores
+
+        def keeping(*args):  # (scene, count, idx, cols)
+            calls.append((args[2], original(*args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(simulate, "_grid_scores", keeping)
+        simulate._grid_search(scene, cols, 1.0)
+        # the members of the top cells, then every member of a live cell
+        [(_, top), (scored, _)] = calls
+        floor = top.max(axis=0) - simulate.AMBIGUITY_TOL
+        whole = np.abs(ug_conj.T @ cols)
+        assert (floor <= whole.max(axis=0) - simulate.AMBIGUITY_TOL).all()
+        pruned = np.ones(grid.shape[0], bool)
+        pruned[scored] = False
+        assert (whole[pruned] < floor).all()
+        # the 17-sensor scene scores under 5% of its grid, the one sensor all
+        share = {"3-D": (0.0, 0.05), "one sensor": (1.0, 1.0)}.get(name, (0.0, 1.0))
+        assert share[0] <= scored.size / grid.shape[0] <= share[1]
+
+    @pytest.mark.parametrize("name", SEARCH_SCENES)
+    def test_members_score_at_most_their_centre_plus_slack(self, name):
+        scene, grid, _ = _search_case(name, 1.0)
+        cols = _search_columns(scene, grid, 6, 4, False)
+        cell_of, steer, slack = simulate._doa_grid(scene, 1.0)
+        assert slack.size == steer.shape[1] == cell_of.max() + 1 <= grid.shape[0]
+        assert np.bincount(cell_of).min() >= 1  # no empty cell is kept
+        members = _scores(scene, np.arange(grid.shape[0]), cols, 1.0)
+        centres = np.abs(steer.T @ cols)
+        assert (members <= (centres + slack[:, None])[cell_of]).all()
+
+    def test_a_bound_below_one_still_splits_the_sphere(self):
+        # sensors 2 cm apart at 0.3 m: the Lipschitz constant is 0.24, and
+        # cells of side 0.15 / 0.24 rad cover the sphere in 42
+        scene = ArrayScene(b=[[0, 0, 0], [0.02, 0, 0], [0, 0.02, 0]], delta=np.zeros((1, 3)),
+                           pulsation=PULSATION, celerity=CELERITY)
+        _, steer, _ = simulate._doa_grid(scene, 1.0)
+        assert 20 < steer.shape[1] < 60
+
+    # 5,496 cells at 1 degree on the 17-sensor scene
+    @pytest.mark.parametrize("block, resolution", [(2, 10.0), (7, 10.0), (1024, 1.0)])
+    def test_every_grid_product_has_two_to_doa_block_rows(self, monkeypatch, block,
+                                                           resolution):
+        # a one-row product runs through gemv; scoring every cell centre in
+        # one product kept OpenBLAS's threads busy in every op
+        cases = [(scene, steering_vectors(scene, _blind_id_workload().dirs[:1])[0])
+                 for scene in (make() for make in SEARCH_SCENES.values())]
+        monkeypatch.setattr(simulate, "DOA_BLOCK", block)
+        rows = []
+        steering, cells = simulate._steering, simulate._doa_grid
+
+        class Centres(np.ndarray):
+            def __matmul__(self, other):
+                rows.append(self.shape[0])
+                return np.asarray(self) @ other
+
+        def counting(phases, k):
+            if phases.ndim == 2:  # the grid's; the ascent's are stacked
+                rows.append(phases.shape[1])
+            return steering(phases, k)
+
+        def spied(*args):
+            cell_of, steer, slack = cells(*args)
+            return cell_of, steer.view(Centres), slack
+
+        monkeypatch.setattr(simulate, "_steering", counting)
+        monkeypatch.setattr(simulate, "_doa_grid", spied)
+        for scene, u in cases:
+            doa_estimate(u, scene, grid_resolution_deg=resolution)
+        # a one-point remainder joins the block before it
+        assert rows and min(rows) >= 2 and max(rows) <= block + 1
 
 
 def _tangent_basis_reference(d):
@@ -871,8 +1090,8 @@ def test_doa_estimate_of_one_dimensional_column_matches_reference():
     u_est = u[:, 0] + 0.01 * np.random.default_rng(4).standard_normal(6)
     (est,) = doa_estimate(u_est, scene, grid_resolution_deg=2.0)
     col = u_est[:, None] / np.linalg.norm(u_est[:, None], axis=0)
-    ug_conj = simulate._doa_grid(scene, 2.0)
-    d0 = fibonacci_sphere(ug_conj.shape[1])[int(np.argmax(np.abs(ug_conj.T @ col)))]
+    grid, ug_conj = _whole_grid(scene, 2.0)
+    d0 = grid[int(np.argmax(np.abs(ug_conj.T @ col)))]
     d, best = _refine_direction_reference(scene, col[:, 0], d0, math.radians(2.0))
     assert not est.ambiguous
     assert est.direction.tobytes() == d.tobytes()
@@ -1039,12 +1258,18 @@ class TestMalformedInputRejected:
 
 def _tied_estimates(monkeypatch, grid, magnitudes, columns=1, resolution=1.0):
     """doa_estimate with the direction grid and its scores given, on one
-    sensor at the origin: every steering entry is 1, so a grid steering
-    entry of magnitude a scores exactly a, and the local ascent never moves."""
+    sensor at the origin.  Each grid point is a cell of its own, with no
+    slack, whose centre steering entry of magnitude a scores exactly a, as
+    the point itself does; every steering entry of the ascent is 1, so the
+    local ascent never moves."""
     scene = ArrayScene(b=np.zeros((1, 3)), delta=np.zeros((1, 3)), pulsation=PULSATION,
                        celerity=CELERITY)
-    ug_conj = np.asarray(magnitudes, dtype=complex)[None, :]
-    monkeypatch.setattr(simulate, "_doa_grid", lambda *_: ug_conj)
+    mags = np.asarray(magnitudes, dtype=float)
+    cells = (np.arange(mags.size, dtype=np.int32), mags.astype(complex)[None, :],
+             np.zeros(mags.size))
+    monkeypatch.setattr(simulate, "_doa_grid", lambda *_: cells)
+    monkeypatch.setattr(simulate, "_grid_scores", lambda scene, count, idx, cols:
+                        np.repeat(mags[idx, None], cols.shape[1], axis=1))
     monkeypatch.setattr(simulate, "_sphere_points",
                         lambda count, i: np.asarray(grid, dtype=float)[i])
     return doa_estimate(np.ones((1, columns)), scene, grid_resolution_deg=resolution)
@@ -1147,7 +1372,8 @@ class TestBoundaries:
         assert _tied_estimates(monkeypatch, grid, [1.0, tie])[0].ambiguous
         below = math.nextafter(tie, 0.0)
         assert not _tied_estimates(monkeypatch, grid, [1.0, below])[0].ambiguous
-        # in a later block of scores, whose maximum is that tie
+        # as a cell in a later block of centre scores, whose centre score
+        # (plus no slack) is exactly the floor
         monkeypatch.setattr(simulate, "DOA_BLOCK", 2)
         grid = [[0, 0, 1.0], [1.0, 0, 0], [-1.0, 0, 0], [0, 0, -1.0]]
         assert _tied_estimates(monkeypatch, grid, [0.5, 1.0, tie, 0.5])[0].ambiguous
