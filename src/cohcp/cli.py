@@ -157,11 +157,13 @@ def _cmd_coherence(args) -> tuple:
         "argpair": rep.argpair,
     }
     if rep.mu > 0:
-        out["krank_lower_bound"] = krank_lower_bound(rep)
+        # ceil(1/mu) bounds krank only for a dependent set; an independent
+        # set has krank = r
+        out["krank_lower_bound"] = min(krank_lower_bound(rep), r)
     else:
         out["krank_lower_bound"] = r
         out["note"] = "orthonormal set: krank = r, coherence bound not applicable"
-    if r <= args.budget:
+    if r <= check_count(args.budget, 0, f"budget must be >= 0, got {args.budget}"):
         out["krank_bruteforce"] = kruskal_rank_bruteforce(mat, budget=args.budget)
         out["spark"] = out["krank_bruteforce"] + 1
     else:

@@ -467,13 +467,6 @@ def _refine_directions(scene: ArrayScene, cols: np.ndarray, starts: np.ndarray,
     return [(d[p].copy(), best[p]) for p in range(m)]
 
 
-def _grid_blocks(count: int):
-    """(start, stop, points) of each block of ``_blocks(count)``, the points
-    being those rows of ``fibonacci_sphere(count)``."""
-    for s, e in _blocks(count):
-        yield s, e, _sphere_points(count, np.arange(s, e))
-
-
 def _doa_cells(scene: ArrayScene, count: int) -> tuple:
     """(cell_of, steer, slack): the cells of the ``count``-point grid.
 
@@ -497,24 +490,24 @@ def _doa_cells(scene: ArrayScene, count: int) -> tuple:
                       1.0).astype(np.int64)
     first = np.cumsum(bins) - bins
     box = np.empty(count, np.int32)
-    for s, e, pts in _grid_blocks(count):
+    centres = np.zeros((int(bins.sum()), 3))  # sums of each box's points
+    for s, e in _blocks(count):
+        pts = _sphere_points(count, np.arange(s, e))
         band = np.minimum((np.arccos(pts[:, 2]) * (bands / math.pi)).astype(np.int64),
                           bands - 1)
         phi = np.arctan2(pts[:, 1], pts[:, 0]) % (2.0 * math.pi)
         box[s:e] = first[band] + np.minimum((phi * (bins[band] / (2.0 * math.pi)))
                                             .astype(np.int64), bins[band] - 1)
-    used = np.zeros(int(bins.sum()), bool)
-    used[box] = True
+        np.add.at(centres, box[s:e], pts)
+    counts = np.bincount(box, minlength=centres.shape[0])
+    used = counts > 0
     cell_of = (np.cumsum(used, dtype=np.int32) - 1)[box]
     del box
-    cells = int(used.sum())
-    centres = np.zeros((cells, 3))
-    for s, e, pts in _grid_blocks(count):
-        np.add.at(centres, cell_of[s:e], pts)
-    centres /= np.bincount(cell_of, minlength=cells)[:, None]
+    centres = centres[used] / counts[used, None]
+    cells = centres.shape[0]
     radius = np.zeros(cells)
-    for s, e, pts in _grid_blocks(count):
-        gap = pts - centres[cell_of[s:e]]
+    for s, e in _blocks(count):
+        gap = _sphere_points(count, np.arange(s, e)) - centres[cell_of[s:e]]
         np.maximum.at(radius, cell_of[s:e], np.sqrt(np.vecdot(gap, gap)))
     slack = lip * radius * (1.0 + 1e-9) + 1e-9  # and room for rounding
     steer = np.empty((b.shape[0], cells), dtype=np.complex128)
@@ -530,10 +523,9 @@ def _doa_grid(scene: ArrayScene, grid_resolution_deg: float) -> tuple:
     the scene for the latest grid size only.
 
     They take 4 N + (16 n1 + 8) M bytes for N grid points in M cells: 1.7 MB
-    for 17 sensors at 1 degree (N = 41,253, M = 5,496), where the
-    conjugated steering of every grid point took 16 n1 N = 11.2 MB.  The
-    build computes the grid points one block of ``_blocks`` at a time,
-    three times over, and holds no grid."""
+    for 17 sensors at 1 degree (N = 41,253, M = 5,496).  The build computes
+    the grid points one block of ``_blocks`` at a time, twice, and holds no
+    grid."""
     count = _grid_size_for_resolution(grid_resolution_deg)
     cells = scene._doa_grids.get(count)
     if cells is None:

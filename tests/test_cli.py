@@ -136,6 +136,52 @@ class TestCoherenceCommand:
         assert doc["krank_bruteforce"] is None
         assert doc["krank_lower_bound"] >= 1
 
+    @staticmethod
+    def _report(path, v, *flags):
+        write_htns(path / "v.htns", v)
+        out = path / "r.json"
+        assert run_cli(["coherence", "--input", str(path / "v.htns"), "--out", str(out),
+                        *flags]) == 0
+        return load_report(out)
+
+    @pytest.mark.parametrize("v", [
+        # mu = 0.199: ceil(1/mu) = 6 was reported
+        random_unit_columns(6, 3, np.random.default_rng(3)),
+        # mu = 2.4e-16, all rounding: 4,097,286,979,174,656 was reported
+        np.linalg.qr(np.random.default_rng(0).standard_normal((4, 3)))[0]],
+        ids=["random", "orthonormal"])
+    def test_lower_bound_of_an_independent_set_is_r(self, tmp_path, v):
+        doc = self._report(tmp_path, v)
+        assert (doc["n"], doc["r"]) == v.shape
+        assert 0.0 < doc["mu"] < 0.2
+        assert doc["krank_lower_bound"] == doc["krank_bruteforce"] == 3
+
+    @settings(deadline=None, max_examples=60,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(n=st.integers(2, 6), r=st.integers(2, 8), dependent=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_lower_bound_never_exceeds_the_kruskal_rank(self, fuzz_dir, n, r, dependent,
+                                                         seed):
+        rng = np.random.default_rng(seed)
+        v = random_unit_columns(n, r, rng)
+        if dependent:  # the last column in the span of the first two
+            c = v[:, :2] @ (rng.standard_normal(2) + 1j * rng.standard_normal(2))
+            v[:, -1] = c / np.linalg.norm(c)
+        doc = self._report(fuzz_dir, v)
+        assert 1 <= doc["krank_lower_bound"] <= doc["krank_bruteforce"]
+
+    @pytest.mark.parametrize("budget, krank", [(3, 3), (2, None), (0, None)])
+    def test_budget_is_the_largest_r_enumerated(self, tmp_path, budget, krank):
+        doc = self._report(tmp_path, np.eye(3, dtype=complex), "--budget", str(budget))
+        assert doc["krank_bruteforce"] == krank
+
+    def test_negative_budget_exits_2(self, tmp_path, capsys):
+        write_htns(tmp_path / "v.htns", np.eye(3, dtype=complex))
+        # the report once said "r=3 exceeds brute-force budget -1"
+        assert run_cli(["coherence", "--input", str(tmp_path / "v.htns"),
+                        "--budget", "-1"]) == 2
+        assert "budget must be >= 0, got -1" in capsys.readouterr().err
+
 
 class TestNormsCommand:
     def test_matmul_fixture(self, tmp_path):

@@ -861,6 +861,47 @@ SEARCH_SCENES = {"3-D": _blind_id_scene, "line": line_scene, "one sensor": _one_
                  "wide": _wide_scene}
 
 
+def _cells_reference(scene, count):
+    """(cell_of, steer, slack) of ``_doa_cells``, built from the whole grid in
+    one piece: the cells are the sorted distinct boxes, the centres sums
+    over member counts, and the centres' steering is taken in ``_blocks``
+    row blocks, whose bits equal the whole product's."""
+    grid, k, b = fibonacci_sphere(count), scene.wavenumber, scene.b
+    centred = b - b.mean(axis=0)
+    lip = k * math.sqrt(max(np.linalg.eigvalsh(centred.T @ centred / b.shape[0])[-1], 0.0))
+    side = max(simulate.DOA_CELL_BOUND / lip if lip > 0.0 else math.inf,
+               math.sqrt(4.0 * math.pi / count))
+    bands = max(2, math.ceil(math.pi / side))
+    bins = np.maximum(np.ceil(2.0 * math.pi / side
+                              * np.sin((np.arange(bands) + 0.5) * math.pi / bands)),
+                      1.0).astype(np.int64)
+    band = np.minimum((np.arccos(grid[:, 2]) * (bands / math.pi)).astype(np.int64), bands - 1)
+    phi = np.arctan2(grid[:, 1], grid[:, 0]) % (2.0 * math.pi)
+    box = (np.cumsum(bins) - bins)[band] \
+        + np.minimum((phi * (bins[band] / (2.0 * math.pi))).astype(np.int64), bins[band] - 1)
+    boxes, cell_of = np.unique(box, return_inverse=True)
+    centres = np.zeros((boxes.size, 3))
+    np.add.at(centres, cell_of, grid)
+    centres /= np.bincount(cell_of)[:, None]
+    radius = np.zeros(boxes.size)
+    gap = grid - centres[cell_of]
+    np.maximum.at(radius, cell_of, np.sqrt(np.vecdot(gap, gap)))
+    steer = np.concatenate([np.conj(simulate._steering((centres[s:e] @ b.T).T, k))
+                            for s, e in simulate._blocks(boxes.size)], axis=1)
+    return cell_of.astype(np.int32), steer, lip * radius * (1.0 + 1e-9) + 1e-9
+
+
+@pytest.mark.parametrize("name, resolution", [
+    *((name, 1.0) for name in SEARCH_SCENES), ("3-D", 1.0035585685)])
+def test_cells_equal_a_build_from_the_whole_grid_bytewise(name, resolution):
+    scene = SEARCH_SCENES[name]()
+    got = simulate._doa_grid(scene, resolution)
+    want = _cells_reference(scene, simulate._grid_size_for_resolution(resolution))
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+
+
 @functools.lru_cache(maxsize=1)
 def _search_case(name, resolution):
     """One scene, kept across examples so that its cells are built once, with
