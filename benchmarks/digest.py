@@ -10,7 +10,11 @@ Run from the repository root, with one checkout's sources on the path::
 Each line is a label and the first 16 hex digits of the sha256 of the
 output's exact bytes (float bits, array bytes, report text); a CLI line
 also carries the exit code, and its report is hashed without its
-``timestamp`` field and with the scratch directory's path removed.  The outputs are:
+``timestamp`` field and with the scratch directory's path removed.  The
+first line gives the thread count of numpy's OpenBLAS: some products
+(``dense_als``'s among them) change bits with it, so compare two listings
+only when their first lines agree (set ``OPENBLAS_NUM_THREADS`` to fix it).
+The outputs are:
 
 - the seed-611 ``blind_id`` items of the benchmark: the model, the
   direction estimates, the condition report, and the ALS loss trace,
@@ -68,6 +72,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.append(str(ROOT))  # perfbench; cohcp comes from PYTHONPATH
+sys.path.append(str(ROOT / "perfbench"))  # perfbench/run.py imports tracer as a top-level module
 
 from cohcp import cli, decompose  # noqa: E402
 from cohcp.conditions import GREEDY_BOUND_KINDS, greedy_bound_check  # noqa: E402
@@ -77,6 +82,7 @@ from cohcp.norms import (NormConfig, mat_mult_decomposition,  # noqa: E402
                          mat_mult_tensor, nuclear_norm_bounds)
 from cohcp.simulate import ArrayScene, doa_estimate, steering_vectors  # noqa: E402
 from perfbench import workloads  # noqa: E402
+from perfbench.run import blas_runtime  # noqa: E402
 
 SEED = 611
 TIMESTAMP = re.compile(rb'"timestamp": "[^"]*", ')
@@ -341,6 +347,7 @@ def htns_refusals(work: Path) -> None:
 
 
 def main() -> int:
+    print(f"blas_threads {blas_runtime().get('threads', 'unknown')}")
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         for section in (blind_id, norm_certify, dense_als, decompose_cli,

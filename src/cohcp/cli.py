@@ -182,8 +182,6 @@ def _cmd_check(args) -> tuple:
     if args.d is not None and args.d != len(mus):
         raise ValueError(f"--d {args.d} does not match {len(mus)} coherences")
     kranks = _parse_float_list(args.kranks) if args.kranks else None
-    if kranks is not None and not all(k.is_integer() for k in kranks):
-        raise ValueError(f"--kranks must be integers, got {args.kranks!r}")
     report = condition_report(mus, args.r, kranks=kranks)
     report["command"] = "check"
     return report, EXIT_OK

@@ -33,9 +33,9 @@ def _check_mus(mus) -> np.ndarray:
     m = np.asarray(mus, dtype=np.float64)
     if m.ndim != 1 or m.size < 1:
         raise ValueError("need a nonempty list of per-mode coherences")
-    if not np.isfinite(m).all():
-        raise ValueError(f"coherences must be finite, got {m.tolist()}")
-    if (m < 0.0).any() or (m > 1.0).any():
+    if not ((m >= 0.0) & (m <= 1.0)).all():  # NaN and +-inf fail this too
+        if not np.isfinite(m).all():
+            raise ValueError(f"coherences must be finite, got {m.tolist()}")
         raise ValueError("coherences must lie in [0, 1]")
     return m
 
@@ -59,17 +59,17 @@ def _uniqueness(m: np.ndarray, r: int) -> dict:
             "strict": False}
 
 
-def _d3_bounds(m: np.ndarray, r: int) -> dict:
-    """Entries of the combined bound and the two sufficient ones, d >= 3."""
+def _d3_bound(m: np.ndarray, r: int, name: str) -> dict:
+    """The entry ``name`` of the combined bound or a sufficient one, d >= 3."""
     d = m.size
     thresh = d / (2 * r + d - 1)
-    sides = {
-        "existence_uniqueness": ("lhs_geometric_mean", float(np.prod(m)) ** (1.0 / d), thresh),
-        "sufficient_sum": ("lhs_sum", float(m.sum()), d * d / (2 * r + d - 1)),
-        "sufficient_sumsq": ("lhs_sum_squares", float((m * m).sum()), d * thresh * thresh),
-    }
-    return {name: {"holds": _le(lhs, rhs), key: lhs, "rhs": rhs, "strict": False}
-            for name, (key, lhs, rhs) in sides.items()}
+    if name == "existence_uniqueness":
+        key, lhs, rhs = "lhs_geometric_mean", float(np.prod(m)) ** (1.0 / d), thresh
+    elif name == "sufficient_sum":
+        key, lhs, rhs = "lhs_sum", float(m.sum()), d * d / (2 * r + d - 1)
+    else:
+        key, lhs, rhs = "lhs_sum_squares", float((m * m).sum()), d * thresh * thresh
+    return {"holds": _le(lhs, rhs), key: lhs, "rhs": rhs, "strict": False}
 
 
 def _d3_holds(mus, r: int, name: str, low_order: str) -> bool:
@@ -77,7 +77,7 @@ def _d3_holds(mus, r: int, name: str, low_order: str) -> bool:
     r = _check_r(r)
     if m.size < 3:
         raise ValueError(low_order)
-    return _d3_bounds(m, r)[name]["holds"]
+    return _d3_bound(m, r, name)["holds"]
 
 
 def _kruskal(kranks, r: int) -> dict:
@@ -222,12 +222,9 @@ def condition_report(mus, r: int, kranks=None) -> dict:
     d = m.size
     report = {"d": d, "r": r, "mus": [float(x) for x in m],
               "existence": _existence(m, r), "uniqueness": _uniqueness(m, r)}
-    if d >= 3:
-        report.update(_d3_bounds(m, r))
-    else:
-        note = "requires d >= 3 (unattainable for d <= 2)"
-        for name in ("existence_uniqueness", "sufficient_sum", "sufficient_sumsq"):
-            report[name] = {"holds": False, "note": note}
+    for name in ("existence_uniqueness", "sufficient_sum", "sufficient_sumsq"):
+        report[name] = (_d3_bound(m, r, name) if d >= 3 else
+                        {"holds": False, "note": "requires d >= 3 (unattainable for d <= 2)"})
     if kranks is not None:
         if len(kranks) != d:
             raise ValueError(f"need one Kruskal rank per mode: got {len(kranks)} "

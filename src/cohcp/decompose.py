@@ -684,8 +684,8 @@ def divergence_witness(phis, psis, ns):
     """
     if len(phis) != 3 or len(psis) != 3:
         raise ValueError("need exactly three (phi_k, psi_k) pairs")
-    phis = [np.asarray(v, dtype=np.complex128) for v in phis]
-    psis = [np.asarray(v, dtype=np.complex128) for v in psis]
+    phis = [finite_tensor(v, f"divergence_witness: mode {k} phi") for k, v in enumerate(phis)]
+    psis = [finite_tensor(v, f"divergence_witness: mode {k} psi") for k, v in enumerate(psis)]
     for k in range(3):
         pair = np.stack([phis[k], psis[k]], axis=1)
         s = np.linalg.svd(pair, compute_uv=False)

@@ -18,6 +18,8 @@ import warnings
 
 import numpy as np
 
+from .core import finite_tensor
+
 # entry lines formatted per write; bounds the writer's working memory
 _CHUNK_LINES = 1 << 14
 
@@ -37,8 +39,8 @@ def write_htns(path, tensor) -> None:
 
 def _writable(tensor) -> np.ndarray:
     """The tensor as C-contiguous complex128, refusing what ``read_htns``
-    refuses: a 0-d tensor or one with no entries."""
-    t = np.asarray(tensor, dtype=np.complex128)
+    refuses: a 0-d tensor, one with no entries or a non-finite entry."""
+    t = finite_tensor(tensor, "HTNS1")
     if t.ndim == 0 or t.size == 0:
         raise ValueError("HTNS1: dims must be positive")
     return np.ascontiguousarray(t)

@@ -298,10 +298,9 @@ MATMUL_SIZE_CAP = 4
 def _matmul_support(n: int) -> tuple:
     """Side n^2 of T_n and the 3 x n^3 index array of its ones
     ((i,j), (j,k), (k,i)), one column per (i, j, k) in lexicographic order."""
-    message = f"matrix multiplication fixture capped at n <= {MATMUL_SIZE_CAP}"
-    n = check_count(n, 1, message)
+    n = check_count(n, 1, "matrix multiplication fixture needs a whole n >= 1")
     if n > MATMUL_SIZE_CAP:
-        raise ValueError(message)
+        raise ValueError(f"matrix multiplication fixture capped at n <= {MATMUL_SIZE_CAP}")
     i, j, k = np.unravel_index(np.arange(n ** 3), (n, n, n))
     return n * n, np.stack([i * n + j, j * n + k, k * n + i])
 

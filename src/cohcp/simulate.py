@@ -222,6 +222,8 @@ def collinearity_check(scene: ArrayScene, d_p, d_q) -> CollinearityResult:
 
 def direction_triad(theta: float, phi: float) -> tuple:
     """Right orthonormal triad (d, e, f) for azimuth theta, elevation phi."""
+    if not (math.isfinite(theta) and math.isfinite(phi)):
+        raise ValueError(f"angles theta and phi must be finite, got {theta} and {phi}")
     d = np.array([math.cos(theta) * math.cos(phi),
                   math.sin(theta) * math.cos(phi),
                   math.sin(phi)])
@@ -442,13 +444,13 @@ def _refine_directions(scene: ArrayScene, cols: np.ndarray, starts: np.ndarray,
     best = [row[0] for row in score(d[:, None, :])]
     tangents = np.empty((m, 4, 3))
     step, left = [step0] * m, [REFINE_STEPS] * m
-    nxt, improved, stale = [0] * m, [False] * m, [True] * m
+    nxt, moved = [0] * m, [True] * m  # moved: d changed since its tangents were taken
     while any(left):
         for p in range(m):
-            if stale[p] and left[p] and not nxt[p]:  # a step starts at a new d
+            if moved[p] and left[p] and not nxt[p]:  # a step starts at a new d
                 t1, t2 = _tangent_basis(d[p])
                 tangents[p] = t1, -t1, t2, -t2
-                stale[p] = False
+                moved[p] = False
         c = d[:, None, :] + np.array(step)[:, None, None] * tangents
         c /= np.sqrt(np.vecdot(c, c))[..., None]
         scores = score(c)
@@ -457,13 +459,12 @@ def _refine_directions(scene: ArrayScene, cols: np.ndarray, starts: np.ndarray,
                 continue
             i = next((i for i in range(nxt[p], 4) if scores[p][i] > best[p]), 4)
             if i < 4:
-                best[p], d[p] = scores[p][i], c[p, i]
-                improved[p] = stale[p] = True
+                best[p], d[p], moved[p] = scores[p][i], c[p, i], True
             nxt[p] = i + 1
             if nxt[p] >= 4:  # the step is over
-                if not improved[p]:
+                if not moved[p]:
                     step[p] *= 0.5
-                left[p], nxt[p], improved[p] = left[p] - 1, 0, False
+                left[p], nxt[p] = left[p] - 1, 0
     return [(d[p].copy(), best[p]) for p in range(m)]
 
 
@@ -538,13 +539,14 @@ def _grid_scores(scene: ArrayScene, count: int, idx: np.ndarray,
                  cols: np.ndarray) -> np.ndarray:
     """(idx.size, r) scores |u(d_i)^H cols[:, p]| of the points ``idx``
     (sorted) of the ``count``-point grid, with the bits of the whole-grid product
-    ``abs(conj(U).T @ cols)``.  Each ``_blocks`` row block of ``idx`` takes
-    its phases as rows of ``points @ b.T`` and its scores as rows of
-    ``conj(u).T @ cols``: gathered row sets of two or more keep the bits of
-    those products.  A single point, or a single column, is scored as a
-    pair: a product of one row or one column runs through gemv, whose bits
-    differ from gemm's and, for one column, depend on the row's place in
-    the product."""
+    ``abs(conj(U).T @ cols)`` at 1, 2 and 4 BLAS threads if U's phases are
+    the rows of ``grid @ b.T`` (``b @ grid.T`` has other bits).  Each
+    ``_blocks`` row block of ``idx`` takes its phases as rows of ``points @
+    b.T`` and its scores as rows of ``conj(u).T @ cols``: gathered row sets
+    of two or more keep the bits of those products.  A single point, or a
+    single column, is scored as a pair: a product of one row or one column
+    runs through gemv, whose bits differ from gemm's and, for one column,
+    depend on the row's place in the product."""
     pair = np.repeat(idx, 2) if idx.size == 1 else idx
     wide = np.repeat(cols, 2, axis=1) if cols.shape[1] == 1 else cols
     out = np.empty((pair.size, wide.shape[1]))

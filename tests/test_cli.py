@@ -232,10 +232,9 @@ class TestNormsCommand:
         assert '[0.80178372573727319, -0.0]' in out.read_text()
 
     def test_nonfinite_input_rejected_at_read(self, tmp_path, capsys):
-        t = np.ones((2, 2, 2), dtype=complex)
-        t[1, 0, 1] = np.nan
+        # entry 5 is t[1, 0, 1]; the writer refuses NaN, so the file is written as text
         p = tmp_path / "nan.htns"
-        write_htns(p, t)
+        p.write_text("3\n2 2 2\n" + "1 0\n" * 5 + "nan 0\n" + "1 0\n" * 2)
         out = tmp_path / "r.json"
         code = run_cli(["norms", "--input", str(p), "--out", str(out)])
         assert code == 2
@@ -857,7 +856,7 @@ class TestNoTraceback:
         (["demo-nonexistence", "--nmax", "-3"], "--nmax must be >= 1, got -3"),
         (["check", "--mus", "nan,0.5,0.5", "--r", "2"], "coherences must be finite"),
         (["check", "--mus", "0.5,0.5,0.5", "--r", "2", "--kranks", "inf,2,2"],
-         "--kranks must be integers"),
+         "kranks must be nonnegative integers, one per mode, got inf"),
         (["norms", "--fixture", "matmul:2", "--restarts", "0"], "restarts must be >= 1, got 0"),
         (["norms", "--fixture", "matmul:2", "--restarts", "-1"], "restarts must be >= 1, got -1"),
         (["norms", "--fixture", "matmul:2", "--tol", "nan"], "tol must be finite and >= 0"),

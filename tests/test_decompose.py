@@ -517,6 +517,30 @@ class TestConstrainedAls:
             tops.append(model.weights[0])
         assert tops[0] < tops[1] < tops[2]
 
+    def test_coherence_caps_cure_the_swamp(self):
+        # seed 607 of test_als_fit_commutes_with_unitary_action: planted
+        # coherences 0.39, 0.38 and 0.51 meet the uniqueness condition, yet
+        # uncapped ALS follows the paper's degeneracy (every mode's coherence
+        # near 1, the weights diverging) and needs 2,568 sweeps to leave it
+        rng = np.random.default_rng(607)
+        dims, r = (5, 4, 3), 2
+        weights = np.sort(rng.uniform(1.0, 3.0, r))[::-1]
+        factors = [random_unit_columns(n, r, rng) for n in dims]
+        assert condition_report([coherence(f).mu for f in factors], r)["uniqueness"]["holds"]
+        t = evaluate_terms(weights, factors)
+        t = t + 0.01 * (rng.standard_normal(dims) + 1j * rng.standard_normal(dims))
+        swamp, diag = constrained_als(t, SolverConfig(r=r, seed=607, max_iter=200))
+        assert not diag.converged and min(diag.achieved_mus) >= 0.99
+        assert np.abs(swamp.weights).min() > 4.0 * frobenius(t)
+        # the paper's cure: bounded coherence, so the weights stay bounded
+        capped, diag = constrained_als(
+            t, SolverConfig(r=r, seed=607, coherence_caps=(0.9,) * 3))
+        assert diag.converged and diag.n_iter <= 100
+        assert max(diag.achieved_mus) <= 0.9
+        free, free_diag = constrained_als(t, SolverConfig(r=r, seed=607, max_iter=20_000))
+        assert free_diag.converged
+        assert essentially_equal(capped, free, 1e-6)
+
     def test_coercivity_invariant_on_outputs(self):
         rng = np.random.default_rng(20)
         f = rng.standard_normal((4, 4, 4)) + 1j * rng.standard_normal((4, 4, 4))
@@ -1325,6 +1349,17 @@ class TestDivergenceWitness:
         e = np.eye(2, dtype=complex)
         with pytest.raises(ValueError, match=r"need exactly three \(phi_k, psi_k\) pairs"):
             divergence_witness([e[0]] * 2, [e[1]] * 2, [4])
+
+    @pytest.mark.parametrize("which", ["phi", "psi"])
+    def test_rejects_a_non_finite_vector_by_name(self, which):
+        # before the independence check, whose SVD does not converge on NaN
+        e = np.eye(2, dtype=complex)
+        vectors = {"phi": [e[0]] * 3, "psi": [e[1]] * 3}
+        vectors[which] = [e[0], np.array([1.0, math.nan]), e[0]] if which == "phi" \
+            else [e[1], np.array([math.inf, 1.0]), e[1]]
+        with pytest.raises(ValueError, match=rf"divergence_witness: mode 1 {which}: "
+                                             r"non-finite entry at index \(\d,\)"):
+            divergence_witness(vectors["phi"], vectors["psi"], [4])
 
     @pytest.mark.parametrize("n", [0, -4])
     def test_rejects_nonpositive_n(self, n):

@@ -880,8 +880,13 @@ class TestFixtures:
             assert abs(frobenius(tn) ** 2 - n ** 3) < 1e-9
 
     def test_matmul_cap(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"capped at n <= 4$"):
             mat_mult_tensor(5)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_matmul_floor(self, n):
+        with pytest.raises(ValueError, match=r"fixture needs a whole n >= 1$"):
+            mat_mult_tensor(n)
 
     def test_standard_decomposition_exact(self):
         for n in (1, 2, 3):

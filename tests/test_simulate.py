@@ -333,6 +333,12 @@ class TestPolarization:
         with pytest.raises(ValueError, match="neither linear nor circular"):
             polarization_vector(0.1, 0.1, 0.1, 0.0)
 
+    @pytest.mark.parametrize("theta, phi", [(math.nan, 0.1), (0.1, math.inf),
+                                            (-math.inf, math.nan)])
+    def test_non_finite_direction_rejected(self, theta, phi):
+        with pytest.raises(ValueError, match="angles theta and phi must be finite, got "):
+            polarization_vector(theta, phi, 0.1, 0.1)
+
 
 class TestCdma:
     def test_effective_codes_match_direct_convolution(self):
@@ -630,9 +636,11 @@ class TestGridResolution:
 
 def _whole_grid(scene, grid_resolution_deg):
     """The direction grid and its conjugated steering, as one product of the
-    whole grid."""
+    whole grid.  Its phases are the rows of ``grid @ b.T``, as in the blocks
+    of ``_grid_scores``: ``b @ grid.T`` has other bits at one BLAS thread on
+    the 1 degree grid, and at every thread count on the 10 degree grid."""
     grid = fibonacci_sphere(simulate._grid_size_for_resolution(grid_resolution_deg))
-    return grid, np.conj(simulate._steering(scene.b @ grid.T, scene.wavenumber))
+    return grid, np.conj(simulate._steering((grid @ scene.b.T).T, scene.wavenumber))
 
 
 def _doa_estimate_reference(u_est, scene, grid_resolution_deg):
