@@ -24,6 +24,13 @@ The outputs are:
 - the seed-611 ``dense_als`` reports of a 40^3 and a 60^3 tensor;
 - ``cohcp decompose`` with als (default, caps, Tychonoff, both
   orthogonality regimes, ``--tol 0``, ``--max-iter 3``), oga and woga;
+- ``cohcp decompose`` with caps that the coherence projection does not
+  reach on a 1x2x4 tensor at rank 3, so its report carries
+  ``coherence_projection_incomplete``: on the mode of size 1 the
+  projection breaks off (8 of 52 sweeps) or spends all
+  ``PROJECTION_PASSES`` rotations, and on the other two it spends them;
+- ``canonicalize`` of four terms, one with a zero weight and one with a
+  zero factor column, so two are dropped;
 - ``cohcp decompose`` (als, oga, woga) and ``cohcp norms`` on tensors
   near the edges of the accepted norm range: a 4^3 tensor of norm 1.1e153
   and a 3^3 tensor of norm 4.5e-150;
@@ -76,7 +83,8 @@ sys.path.append(str(ROOT / "perfbench"))  # perfbench/run.py imports tracer as a
 
 from cohcp import cli, decompose  # noqa: E402
 from cohcp.conditions import GREEDY_BOUND_KINDS, greedy_bound_check  # noqa: E402
-from cohcp.core import evaluate_terms, random_unit_columns, stack_terms  # noqa: E402
+from cohcp.core import (canonicalize, evaluate_terms, random_unit_columns,  # noqa: E402
+                        stack_terms)
 from cohcp.htns import read_htns, write_htns  # noqa: E402
 from cohcp.norms import (NormConfig, mat_mult_decomposition,  # noqa: E402
                          mat_mult_tensor, nuclear_norm_bounds)
@@ -207,6 +215,23 @@ def decompose_cli(work: Path) -> None:
     show_cli("decompose.woga", ["decompose", "--input", str(work / "w.htns"), "--rank", "3",
                                 "--method", "woga", "--dict", str(work / "atoms.json")],
              work / "r.json")
+
+    # no cap below 1 holds on a mode of size 1, nor 0.3 on three columns in
+    # C^2: the projections break off or spend every pass, and are flagged
+    rng = np.random.default_rng(SEED)
+    write_htns(work / "p.htns", rng.standard_normal((1, 2, 4))
+               + 1j * rng.standard_normal((1, 2, 4)))
+    show_cli("decompose.als_caps_unreachable", ["decompose", "--input", str(work / "p.htns"),
+                                                "--rank", "3", "--caps", "0.5,0.3,0.5"],
+             work / "r.json")
+
+
+def canonical_form(work: Path) -> None:
+    rng = np.random.default_rng(SEED)
+    factors = [random_unit_columns(n, 4, rng) for n in (3, 2, 4)]
+    factors[1][:, 2] = 0.0
+    show("canonicalize.dropped_terms",
+         canonicalize(np.array([1.5j, 0.0, 2.0, -0.5]), factors))
 
 
 def norm_range_edges(work: Path) -> None:
@@ -350,7 +375,7 @@ def main() -> int:
     print(f"blas_threads {blas_runtime().get('threads', 'unknown')}")
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        for section in (blind_id, norm_certify, dense_als, decompose_cli,
+        for section in (blind_id, norm_certify, dense_als, decompose_cli, canonical_form,
                         norm_range_edges, demos_and_simulate, doa_rival, doa_fine,
                         factor_commands, certificates, htns_refusals):
             section(work)

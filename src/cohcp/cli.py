@@ -252,6 +252,7 @@ _METHOD_FLAGS = {
 
 
 def _cmd_decompose(args) -> tuple:
+    check_count(args.rank, 1, f"--rank must be >= 1, got {args.rank}")
     check_tol(args.tol)  # read by every method, so checked before the method's flags
     stray = [flag for flag, (dest, _, methods) in _METHOD_FLAGS.items()
              if getattr(args, dest) is not None and args.method not in methods]
@@ -305,7 +306,7 @@ def _cmd_decompose(args) -> tuple:
         out["flags"] = res.flags
         out["dictionary_mu"] = dictionary.mu
         out["temlyakov_condition_r"] = temlyakov_condition(
-            max(args.rank, 1), dictionary.mu, args.t) if dictionary.mu < 1 else False
+            args.rank, dictionary.mu, args.t) if dictionary.mu < 1 else False
     return out, EXIT_OK if out["converged"] else EXIT_NOT_CONVERGED
 
 

@@ -112,11 +112,14 @@ def krank_lower_bound(report: CoherenceReport) -> int:
 
     Valid whenever krank < dim span (the set is not linearly independent).
     For mu = 0 the bound is undefined: an orthonormal set has krank = r,
-    checkable in polynomial time, and this raises to signal that.
+    checkable in polynomial time, and this raises to signal that.  A
+    coherence outside [0, 1], NaN included, is refused by name.
     """
     if report.mu <= 0.0:
         raise ValueError(
             "orthonormal set: coherence bound not applicable, krank = r"
         )
+    if not report.mu <= 1.0:
+        raise ValueError(f"coherence must lie in [0, 1], got {report.mu}")
     # tiny slack so mathematically integral 1/mu does not round up
     return int(math.ceil(1.0 / report.mu - 1e-9))

@@ -49,7 +49,11 @@ def column_norms(c: np.ndarray) -> np.ndarray:
 
 
 def frobenius(t) -> float:
-    """Frobenius (L2) norm of a hypermatrix."""
+    """Frobenius (L2) norm of a hypermatrix.  A kernel, like
+    ``inner_product``, ``rank1_outer``, ``evaluate_terms`` and
+    ``multilinear_action``, which the solvers and norms call on inputs their
+    entry points have checked: those check shapes, and none scans for
+    non-finite entries, which propagate (NaN in, NaN out)."""
     t = np.asarray(t).ravel()
     return float(vector_norm(t if t.dtype.kind in "fc" else t.astype(float)))
 
@@ -58,7 +62,7 @@ def inner_product(f, g) -> complex:
     """Hilbert inner product <f, g> = sum f * conj(g) over matching dims.
 
     For rank-1 inputs this equals the product of the per-mode inner
-    products.
+    products.  A kernel: shapes are checked, non-finite entries propagate.
     """
     f = np.asarray(f)
     g = np.asarray(g)
@@ -68,7 +72,8 @@ def inner_product(f, g) -> complex:
 
 
 def rank1_outer(factors) -> np.ndarray:
-    """Outer product of d vectors: entry (i_1..i_d) = prod_k phi_k(i_k)."""
+    """Outer product of d vectors: entry (i_1..i_d) = prod_k phi_k(i_k).
+    A kernel: shapes are checked, non-finite entries propagate."""
     if len(factors) == 0:
         raise ValueError("need at least one factor vector")
     vecs = [_as_complex(v) for v in factors]
@@ -204,7 +209,8 @@ def term_correlations(t: np.ndarray, factors) -> np.ndarray:
 
 def evaluate_terms(weights, factors) -> np.ndarray:
     """Evaluate sum_p weights[p] * (col p of each factor matrix) outer, as
-    the weighted mode-1 factor times the transposed Khatri-Rao product."""
+    the weighted mode-1 factor times the transposed Khatri-Rao product.
+    A kernel: shapes are checked, non-finite entries propagate."""
     factors = [_as_complex(f) for f in factors]
     if len(factors) == 0:
         raise ValueError("evaluate_terms: need at least one mode")
@@ -237,22 +243,19 @@ def alternating_rank1(t: np.ndarray, restarts: int, tol: float,
     restart as (|<T, witness>|, witness).  Each mode update normalizes the
     MTTKRP X_(k) conj(KR of the other modes), which increases the objective
     monotonically; a vector's unfolding column broadcasts over the restarts.
-    Each vector's conjugate is kept and refreshed only when the vector
-    changes; ``unit_columns`` normalizes the MTTKRP and keeps the previous
-    vector of a restart whose MTTKRP vanishes.
+    ``unit_columns`` normalizes the MTTKRP and keeps the previous vector of
+    a restart whose MTTKRP vanishes.
     """
     restarts = check_count(restarts, 1, f"restarts must be >= 1, got {restarts}")
     vecs = [random_unit_columns(n, restarts, rng) for n in t.shape]
-    conjs = [v.conj() for v in vecs]
     unfolds = [np.moveaxis(t, k, 0).reshape(n, -1) for k, n in enumerate(t.shape)]
     vals = np.zeros(restarts)
     for _ in range(max_sweeps):
         prev = vals
         for k, x in enumerate(unfolds):
             # one mode: x itself, as x @ ones would turn -0.0 imaginary parts to +0.0
-            c = x if t.ndim == 1 else x @ khatri_rao_but(conjs, k)
+            c = x if t.ndim == 1 else x @ khatri_rao_but(vecs, k).conj()
             vecs[k], vals = unit_columns(c, vecs[k])
-            conjs[k] = vecs[k].conj()
         if (vals - prev).max() <= tol * max(1.0, float(vals.max())):
             break
     best = int(vals.argmax())
@@ -316,6 +319,8 @@ class CPModel:
 
 def cp_evaluate(model: CPModel) -> np.ndarray:
     """Evaluate a CP model into a dense hypermatrix."""
+    if not isinstance(model, CPModel):
+        raise ValueError(f"cp_evaluate expects a CPModel, got {type(model).__name__}")
     return evaluate_terms(model.weights, model.factors)
 
 
@@ -340,13 +345,16 @@ def canonicalize(weights, factors) -> CPModel:
     d = len(facs)
     if d < 1:
         raise ValueError("need at least one mode")
-    for f in facs:
+    if not np.isfinite(w).all():
+        raise ValueError("weights must be finite")
+    for k, f in enumerate(facs):
         if f.ndim != 2 or f.shape[1] != r:
             raise ValueError("each factor matrix needs one column per term")
+        if not np.isfinite(f).all():
+            raise ValueError(f"factors[{k}] must be finite")
 
     mags = np.empty(r)
     cols = [np.empty_like(f) for f in facs]
-    keep = np.ones(r, dtype=bool)
     for p in range(r):
         mag = abs(w[p])
         phase = w[p] / mag if mag > 0 else 0.0
@@ -366,10 +374,9 @@ def canonicalize(weights, factors) -> CPModel:
             else:
                 u = u * phase
             cols[k][:, p] = u
-        if mag == 0.0:
-            keep[p] = False
         mags[p] = mag
 
+    keep = mags != 0.0  # a NaN magnitude is kept, for CPModel to refuse
     kept = np.flatnonzero(keep)[np.argsort(-mags[keep], kind="stable")]
     return CPModel(
         weights=mags[kept],
@@ -463,6 +470,7 @@ def multilinear_action(matrices, tensor) -> np.ndarray:
 
     Entry (a, b, c, ...) = sum_{ijk..} M1[a,i] M2[b,j] M3[c,k] ... T[ijk..].
     On a rank-1 tensor u (x) v (x) w this yields (M1 u) (x) (M2 v) (x) (M3 w).
+    A kernel: shapes are checked, non-finite entries propagate.
     """
     t = _as_complex(tensor)
     if len(matrices) != t.ndim:

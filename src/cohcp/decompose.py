@@ -382,8 +382,9 @@ class AlsDiagnostics:
 PROJECTION_PASSES = 20  # pairwise rotations of one coherence projection
 
 
-def _project_coherence(v: np.ndarray, cap: float, flags: list) -> np.ndarray:
-    """Restore the per-mode coherence cap by pairwise rotations.
+def _project_coherence(v: np.ndarray, gram: np.ndarray, cap: float, flags: list) -> tuple:
+    """Restore the per-mode coherence cap by pairwise rotations; returns
+    (v, gram) with the Gram of the returned columns, given that of v.
 
     Repeatedly takes the worst offending pair and rotates both columns
     symmetrically apart within their 2-D span until |<u, w>| equals the
@@ -392,9 +393,9 @@ def _project_coherence(v: np.ndarray, cap: float, flags: list) -> np.ndarray:
     """
     v = v.copy()
     for _ in range(PROJECTION_PASSES):
-        worst, pair = coherent_pair(v.conj().T @ v)
+        worst, pair = coherent_pair(gram)
         if worst <= cap + 1e-12:
-            return v
+            return v, gram
         p, q = pair
         u, w = v[:, p], v[:, q]
         ip = np.vdot(u, w)
@@ -420,9 +421,10 @@ def _project_coherence(v: np.ndarray, cap: float, flags: list) -> np.ndarray:
         v[:, q] = (math.cos(half_target) * bis + math.sin(half_target) * perp) * phase
         v[:, p] /= np.linalg.norm(v[:, p])
         v[:, q] /= np.linalg.norm(v[:, q])
+        gram = v.conj().T @ v
     if "coherence_projection_incomplete" not in flags:
         flags.append("coherence_projection_incomplete")
-    return v
+    return v, gram
 
 
 def _compression_bases(unfolds, r):
@@ -596,8 +598,7 @@ def constrained_als(tensor, cfg: SolverConfig):
             grams[k] = factors[k].conj().T @ factors[k]
             mus[k] = gram_mu(grams[k])
             if mus[k] > caps[k]:
-                factors[k] = _project_coherence(factors[k], caps[k], flags)
-                grams[k] = factors[k].conj().T @ factors[k]
+                factors[k], grams[k] = _project_coherence(factors[k], grams[k], caps[k], flags)
                 mus[k] = gram_mu(grams[k])
         # global weight re-solve on b_p = <f, term p>, read from the last
         # mode's MTTKRP: it depends only on the other modes, so it holds

@@ -352,6 +352,21 @@ class TestDecomposeCommand:
         assert doc["converged"] is False and doc["n_iter"] == 1
         assert len(doc["weights"]) == 2
 
+    @pytest.mark.parametrize("method", ["als", "oga", "woga"])
+    @pytest.mark.parametrize("rank", ["0", "-3"])
+    def test_rank_below_one_exits_2(self, tmp_path, capsys, method, rank):
+        # woga reads the rank only for its Temlyakov report, which was
+        # computed at r = 1 and exited 0
+        p = tmp_path / "t.htns"
+        write_htns(p, np.ones((2, 2, 2), dtype=complex))
+        e = [[1.0, 0.0], [0.0, 1.0]]
+        (tmp_path / "atoms.json").write_text(json.dumps({"atoms": [[e[0]] * 3, [e[1]] * 3]}))
+        extra = ["--dict", str(tmp_path / "atoms.json")] if method == "woga" else []
+        assert run_cli(["decompose", "--input", str(p), "--rank", rank, "--method", method,
+                        *extra, "--out", str(tmp_path / "r.json")]) == 2
+        assert f"--rank must be >= 1, got {rank}" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
     def test_woga_requires_dictionary(self, tmp_path):
         t = np.ones((2, 2, 2), dtype=complex)
         p = tmp_path / "t.htns"
@@ -863,6 +878,7 @@ class TestNoTraceback:
         (["norms", "--fixture", "cube:2"], "unknown fixture 'cube:2'; expected matmul:n"),
         (["norms", "--fixture", "matmul:two"], "bad fixture size in 'matmul:two'"),
         (["demo-recovery", "--seed", "1.5"], "argument --seed: invalid int value: '1.5'"),
+        (["decompose", "--input", "missing.htns", "--rank", "0"], "--rank must be >= 1, got 0"),
     ])
     def test_flag_corpus(self, capsys, args, message):
         assert main(args) == 2

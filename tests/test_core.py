@@ -1,5 +1,6 @@
 import itertools
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -255,12 +256,27 @@ class TestCPModelValidation:
             canonicalize(np.ones(1), factors)
 
     def test_canonicalize_rejects_non_finite(self):
-        with np.errstate(invalid="ignore"):
-            with pytest.raises(ValueError, match="weights must be finite"):
-                canonicalize(np.array([np.nan]), [np.ones((2, 1)), np.ones((2, 1))])
-            f = np.array([[1.0], [np.nan]])
-            with pytest.raises(ValueError, match="must be finite"):
-                canonicalize(np.array([1.0]), [np.ones((2, 1)), f])
+        with pytest.raises(ValueError, match="weights must be finite"):
+            canonicalize(np.array([np.nan]), [np.ones((2, 1)), np.ones((2, 1))])
+        f = np.array([[1.0], [np.nan]])
+        with pytest.raises(ValueError, match=r"factors\[1\] must be finite"):
+            canonicalize(np.array([1.0]), [np.ones((2, 1)), f])
+
+    def test_canonicalize_drops_a_zero_weight_without_a_warning(self):
+        # a zero weight has no phase to divide out
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = canonicalize([0.0, 2.0], [np.ones((2, 2)), np.ones((3, 2))])
+        assert model.dropped_terms == 1
+        assert model.weights[0] == pytest.approx(2.0 * np.sqrt(6.0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_canonicalize_blames_the_factor_not_the_weight(self, bad):
+        # the entry is refused before any division, so no RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"factors\[0\] must be finite"):
+                canonicalize([1.0], [np.array([[bad], [1.0]])])
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])

@@ -645,9 +645,46 @@ def test_projection_on_mode_of_size_one_stays_finite_and_flags():
     # every column of a size-1 mode is a phase: no cap below 1 is
     # reachable, and the collinear fallback has no direction to split along
     flags = []
-    v = decompose._project_coherence(np.array([[1, 1j, -1]]), 0.5, flags)
+    v0 = np.array([[1, 1j, -1]])
+    v, gram = decompose._project_coherence(v0, v0.conj().T @ v0, 0.5, flags)
     assert np.all(np.isfinite(v))
     assert flags == ["coherence_projection_incomplete"]
+    assert gram.tobytes() == (v.conj().T @ v).tobytes()
+
+
+@pytest.mark.parametrize("n, cap, checks", [(10, 0.2, 4), (2, 0.05, 20)])
+def test_projection_returns_the_gram_of_its_columns(monkeypatch, n, cap, checks):
+    # one Gram per rotation, and the one returned is that of the returned
+    # columns, bit for bit, whether the cap is reached (three rotations) or
+    # every pass is spent (five columns in C^2 cannot all be 0.05 apart)
+    v0 = random_unit_columns(n, 4 if n > 2 else 5, np.random.default_rng(61))
+    grams = []
+    coherent = decompose.coherent_pair
+    monkeypatch.setattr(decompose, "coherent_pair",
+                        lambda g: grams.append(g) or coherent(g))
+    flags = []
+    v, gram = decompose._project_coherence(v0, v0.conj().T @ v0, cap, flags)
+    assert gram.tobytes() == (v.conj().T @ v).tobytes()
+    assert len(grams) == checks
+    if checks == decompose.PROJECTION_PASSES:
+        assert flags == ["coherence_projection_incomplete"]
+    else:
+        assert flags == [] and grams[-1] is gram and gram_mu(gram) <= cap + 1e-12
+
+
+def test_projection_keeps_a_coherence_within_its_slack():
+    # a coherence at most 1e-12 above the cap meets it: 0.5 under a cap of
+    # 0.5 - 1e-12 is kept as it is, and a cap one ulp lower is restored
+    v0 = np.array([[1.0, 0.5], [0.0, math.sqrt(0.75)]], dtype=complex)
+    gram = v0.conj().T @ v0
+    cap = 0.5 - 1e-12
+    assert gram_mu(gram) == cap + 1e-12 == 0.5
+    flags = []
+    v, g = decompose._project_coherence(v0, gram, cap, flags)
+    assert g is gram and v.tobytes() == v0.tobytes() and flags == []
+    lower = math.nextafter(cap, 0.0)
+    v, g = decompose._project_coherence(v0, gram, lower, flags)
+    assert v.tobytes() != v0.tobytes() and gram_mu(g) <= lower + 1e-12 and flags == []
 
 
 def gram_mu_spy(monkeypatch):
