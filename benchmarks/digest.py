@@ -18,7 +18,9 @@ The outputs are:
 
 - the seed-611 ``blind_id`` items of the benchmark: the model, the
   direction estimates, the condition report, and the ALS loss trace,
-  ``n_iter`` and flags;
+  ``n_iter`` and flags; and, on one line, each item's
+  ``essentially_equal`` verdict against its truth at tol 0.01, 0.05 and
+  0.2;
 - the seed-611 ``norm_certify`` pool: every ``NormCertificate`` field of
   the random tensors and the ``cohcp norms --fixture matmul:2`` reports;
 - the seed-611 ``dense_als`` reports of a 40^3 and a 60^3 tensor;
@@ -31,6 +33,11 @@ The outputs are:
   ``PROJECTION_PASSES`` rotations, and on the other two it spends them;
 - ``canonicalize`` of four terms, one with a zero weight and one with a
   zero factor column, so two are dropped;
+- ``essentially_equal`` both ways on two pairs of rank-2 and rank-3
+  models at tol 0.05 whose weights sit within tol across a gap: in the
+  first the factors align only with the terms swapped; in the second they
+  align only in pairs 0.07 apart in weight, joined by a chain of smaller
+  gaps;
 - ``cohcp decompose`` (als, oga, woga) and ``cohcp norms`` on tensors
   near the edges of the accepted norm range: a 4^3 tensor of norm 1.1e153
   and a 3^3 tensor of norm 4.5e-150;
@@ -83,8 +90,8 @@ sys.path.append(str(ROOT / "perfbench"))  # perfbench/run.py imports tracer as a
 
 from cohcp import cli, decompose  # noqa: E402
 from cohcp.conditions import GREEDY_BOUND_KINDS, greedy_bound_check  # noqa: E402
-from cohcp.core import (canonicalize, evaluate_terms, random_unit_columns,  # noqa: E402
-                        stack_terms)
+from cohcp.core import (canonicalize, essentially_equal, evaluate_terms,  # noqa: E402
+                        random_unit_columns, stack_terms)
 from cohcp.htns import read_htns, write_htns  # noqa: E402
 from cohcp.norms import (NormConfig, mat_mult_decomposition,  # noqa: E402
                          mat_mult_tensor, nuclear_norm_bounds)
@@ -151,6 +158,7 @@ def blind_id(work: Path) -> None:
         return model, diag
 
     decompose.constrained_als = capture  # the workload calls it by module attribute
+    verdicts = []
     try:
         for i, item in enumerate(workload.setup(SEED, work)):
             out = workload.op(item)
@@ -159,8 +167,11 @@ def blind_id(work: Path) -> None:
             show(f"blind_id[{i}].estimates", out.estimates)
             show(f"blind_id[{i}].report", out.report)
             show(f"blind_id[{i}].als", (diag.loss_trace, diag.n_iter, diag.flags))
+            verdicts.append([essentially_equal(out.model, out.truth, tol)
+                             for tol in (0.01, 0.05, 0.2)])
     finally:
         decompose.constrained_als = als
+    show("blind_id.essentially_equal_truth", verdicts)
 
 
 def norm_certify(work: Path) -> None:
@@ -232,6 +243,21 @@ def canonical_form(work: Path) -> None:
     factors[1][:, 2] = 0.0
     show("canonicalize.dropped_terms",
          canonicalize(np.array([1.5j, 0.0, 2.0, -0.5]), factors))
+
+
+def essential_equality(work: Path) -> None:
+    rng = np.random.default_rng(5)
+    a, b, c = ([random_unit_columns(3, 1, rng) for _ in range(3)] for _ in range(3))
+
+    def model(weights, *terms):
+        return canonicalize(np.array(weights), [np.hstack([t[k] for t in terms])
+                                                for k in range(3)])
+
+    pairs = {"swapped": (model([1.0, 0.94], a, b), model([0.97, 0.97], b, a)),
+             "chained": (model([1.0, 0.96, 0.92], a, b, c), model([0.99, 0.96, 0.93], c, b, a))}
+    for name, (m1, m2) in pairs.items():
+        show(f"essentially_equal.{name}",
+             (essentially_equal(m1, m2, 0.05), essentially_equal(m2, m1, 0.05)))
 
 
 def norm_range_edges(work: Path) -> None:
@@ -376,8 +402,8 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         for section in (blind_id, norm_certify, dense_als, decompose_cli, canonical_form,
-                        norm_range_edges, demos_and_simulate, doa_rival, doa_fine,
-                        factor_commands, certificates, htns_refusals):
+                        essential_equality, norm_range_edges, demos_and_simulate, doa_rival,
+                        doa_fine, factor_commands, certificates, htns_refusals):
             section(work)
     return 0
 

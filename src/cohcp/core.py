@@ -26,8 +26,10 @@ def _as_complex(a) -> np.ndarray:
     return np.ascontiguousarray(np.asarray(a, dtype=np.complex128))
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
+def _owned(a, dtype) -> np.ndarray:
+    """A read-only C-order copy of ``a`` as ``dtype``: a value object that
+    keeps it stays valid whatever its caller later writes to ``a``."""
+    a = np.array(a, dtype=dtype, order="C")
     a.setflags(write=False)
     return a
 
@@ -277,8 +279,8 @@ class CPModel:
     dropped_terms: int = 0
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64)
-        facs = tuple(_as_complex(f) for f in self.factors)
+        w = _owned(self.weights, np.float64)
+        facs = tuple(_owned(f, np.complex128) for f in self.factors)
         if w.ndim != 1:
             raise ValueError("weights must be a vector")
         if not np.isfinite(w).all():
@@ -301,8 +303,8 @@ class CPModel:
             for f in facs:
                 if np.abs(column_norms(f) - 1.0).max() > UNIT_TOL:
                     raise ValueError("factor columns must have unit norm")
-        object.__setattr__(self, "weights", _readonly(w))
-        object.__setattr__(self, "factors", tuple(_readonly(f) for f in facs))
+        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "factors", facs)
 
     @property
     def rank(self) -> int:
@@ -429,11 +431,11 @@ def _match_block(ok: np.ndarray) -> bool:
 def essentially_equal(m1: CPModel, m2: CPModel, tol: float) -> bool:
     """Test whether two canonical CP models are essentially the same.
 
-    True iff ranks agree, weights agree within tol, and the terms can be
-    matched (permuting only inside blocks of equal weights, block detection
-    tolerance = tol) so that all factors align via per-term unimodulus
-    scalings e^{i theta_kp} with sum_k theta_kp = 0 mod 2pi, each mode
-    within tol.
+    True iff ranks agree and the terms pair off in one matching; an edge
+    where the weights agree within tol and the factors align, that is, term
+    p of m1 meets term q of m2 up to unimodulus scalings e^{i theta_k} with
+    sum_k theta_k = 0 mod 2pi, each mode within tol.  The verdict is
+    symmetric in m1 and m2.
     """
     check_tol(tol)
     if not isinstance(m1, CPModel) or not isinstance(m2, CPModel):
@@ -445,24 +447,12 @@ def essentially_equal(m1: CPModel, m2: CPModel, tol: float) -> bool:
     r = m1.rank
     if r == 0:
         return True
-    if np.max(np.abs(m1.weights - m2.weights)) > tol:
+    w1, w2 = m1.weights, m2.weights
+    if np.max(np.abs(w1 - w2)) > tol:  # a matching within tol needs sorted weights within tol
         return False
-
-    # blocks of (near-)equal weights in the common descending order
-    splits = [0]
-    for p in range(1, r):
-        if m1.weights[p - 1] - m1.weights[p] > tol:
-            splits.append(p)
-    splits.append(r)
-
-    for b0, b1 in zip(splits[:-1], splits[1:]):
-        block = range(b0, b1)
-        ok = np.array(
-            [[_align_phases(m1, m2, p, q, tol) for q in block] for p in block]
-        )
-        if not _match_block(ok):
-            return False
-    return True
+    ok = np.array([[abs(w1[p] - w2[q]) <= tol and _align_phases(m1, m2, p, q, tol)
+                    for q in range(r)] for p in range(r)])
+    return _match_block(ok)
 
 
 def multilinear_action(matrices, tensor) -> np.ndarray:

@@ -346,6 +346,8 @@ class SolverConfig:
         object.__setattr__(self, "r", check_count(self.r, 1, "target rank must be >= 1"))
         object.__setattr__(self, "max_iter", check_count(
             self.max_iter, 1, f"max_iter must be >= 1, got {self.max_iter}"))
+        object.__setattr__(self, "seed", check_count(
+            self.seed, 0, f"seed must be >= 0, got {self.seed}"))
         if self.init not in ("greedy", "random"):
             raise ValueError(f"unknown init {self.init!r}")
         if not np.isfinite(self.tychonoff_lambda):

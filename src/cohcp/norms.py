@@ -75,6 +75,10 @@ class NormConfig:
         check_tol(self.tol)
         object.__setattr__(self, "size_cap", check_count(
             self.size_cap, 0, f"size_cap must be >= 0, got {self.size_cap}"))
+        object.__setattr__(self, "restarts", check_count(
+            self.restarts, 1, f"restarts must be >= 1, got {self.restarts}"))
+        object.__setattr__(self, "seed", check_count(
+            self.seed, 0, f"seed must be >= 0, got {self.seed}"))
 
 
 def spectral_norm(tensor, restarts: int = 64, seed: int = 0) -> NormCertificate:

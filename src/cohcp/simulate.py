@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (canonicalize, check_count, column_norms, cp_evaluate, finite_tensor,
-                   gram_mu, vector_norm)
+from .core import (_owned, canonicalize, check_count, column_norms, cp_evaluate,
+                   finite_tensor, gram_mu, vector_norm)
 
 POSITION_TOL = 1e-9
 
@@ -35,8 +35,8 @@ class ArrayScene:
                              compare=False)
 
     def __post_init__(self):
-        b = np.atleast_2d(np.array(self.b, dtype=np.float64))
-        delta = np.atleast_2d(np.array(self.delta, dtype=np.float64))
+        b = np.atleast_2d(_owned(self.b, np.float64))
+        delta = np.atleast_2d(_owned(self.delta, np.float64))
         if b.ndim != 2 or b.shape[1] != 3 or b.shape[0] < 1:
             raise ValueError("b must be an (n1, 3) array of positions")
         if delta.ndim != 2 or delta.shape[1] != 3 or delta.shape[0] < 1:
@@ -50,8 +50,6 @@ class ArrayScene:
         if not (0.0 < self.wavelength < math.inf and 0.0 < self.wavenumber < math.inf):
             raise ValueError("pulsation and celerity must give a positive, finite wavelength"
                              f" and wavenumber, got {self.wavelength} and {self.wavenumber}")
-        b.setflags(write=False)
-        delta.setflags(write=False)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "delta", delta)
 
@@ -89,8 +87,8 @@ class PathSet:
         s = finite_tensor(self.signals, "PathSet signals")
         if s.ndim != 2 or s.shape[1] != d.shape[0]:
             raise ValueError("signals must be (n3, r), one column per path")
-        object.__setattr__(self, "directions", d)
-        object.__setattr__(self, "signals", s)
+        object.__setattr__(self, "directions", _owned(d, np.float64))
+        object.__setattr__(self, "signals", _owned(s, np.complex128))
 
     @property
     def r(self) -> int:
@@ -281,9 +279,9 @@ class CdmaScene:
             raise ValueError("gains, symbols, codes must be matrices")
         if not (a.shape[1] == s.shape[1] == b.shape[1]):
             raise ValueError("gains, symbols, codes need one column per user")
-        object.__setattr__(self, "gains", a)
-        object.__setattr__(self, "symbols", s)
-        object.__setattr__(self, "codes", b)
+        object.__setattr__(self, "gains", _owned(a, np.complex128))
+        object.__setattr__(self, "symbols", _owned(s, np.complex128))
+        object.__setattr__(self, "codes", _owned(b, np.complex128))
 
 
 def effective_codes(spreading, impulse) -> np.ndarray:

@@ -226,6 +226,19 @@ class TestCPModelValidation:
         with pytest.raises(ValueError):
             m.weights[0] = 5.0
 
+    def test_keeps_read_only_copies(self):
+        # the caller's arrays used to turn read-only, being the model's own
+        rng = np.random.default_rng(15)
+        w = np.array([2.0, 1.0])
+        factors = tuple(random_unit_columns(3, 2, rng) for _ in range(3))
+        m = CPModel(weights=w, factors=factors)
+        assert w.flags.writeable and all(f.flags.writeable for f in factors)
+        w[0] = -1.0
+        factors[0][0, 0] = np.nan
+        assert m.weights[0] == 2.0 and np.isfinite(m.factors[0]).all()
+        for a in (m.weights, *m.factors):
+            assert not a.flags.writeable and a.flags.c_contiguous
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_weights(self, bad):
         with pytest.raises(ValueError, match="weights must be finite"):
@@ -444,6 +457,16 @@ class TestEssentiallyEqual:
         assert not essentially_equal(m1, m2, 0.1)
         assert essentially_equal(m1, m2, 0.6)
 
+    def test_weights_exactly_tol_apart_match(self):
+        # "within tol" is non-strict: 1.5 - 1.0 is 0.5 exactly, in the sorted
+        # weights and on the edge of the matching alike
+        rng = np.random.default_rng(22)
+        factors = tuple(random_unit_columns(4, 1, rng) for _ in range(3))
+        m1 = CPModel(weights=np.array([1.0]), factors=factors)
+        m2 = CPModel(weights=np.array([1.5]), factors=factors)
+        assert essentially_equal(m1, m2, 0.5)
+        assert not essentially_equal(m1, m2, np.nextafter(0.5, 0.0))
+
     @pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-9])
     def test_bad_tol_rejected(self, tol):
         # every "> tol" comparison is false for NaN, so two different models
@@ -476,6 +499,72 @@ class TestEssentiallyEqual:
         m = random_model(np.random.default_rng(29))
         with pytest.raises(ValueError, match="essentially_equal expects canonical CPModel"):
             essentially_equal(m, cp_evaluate(m), 1e-9)
+
+    def test_swapped_terms_within_tol_match_both_ways(self):
+        # weights 1.0 | 0.94 split into two blocks by the first model's gap,
+        # while 0.97 lies within 0.05 of both: the terms align only swapped
+        m1, m2 = example_models([1.0, 0.94], "AB", [0.97, 0.97], "BA")
+        assert essentially_equal(m1, m2, 0.05)
+        assert essentially_equal(m2, m1, 0.05)
+
+    def test_no_chain_of_small_gaps_pairs_terms_more_than_tol_apart(self):
+        # gaps of 0.04 chain 1.0, 0.96 and 0.92 together, but the only pairing
+        # whose factors align puts A at 1.0 with A at 0.93, 0.07 apart
+        m3, m4 = example_models([1.0, 0.96, 0.92], "ABC", [0.99, 0.96, 0.93], "CBA")
+        assert not essentially_equal(m3, m4, 0.05)
+        assert not essentially_equal(m4, m3, 0.05)
+        assert essentially_equal(m3, m4, 0.07 + 1e-9)
+
+
+def example_models(weights1, terms1, weights2, terms2):
+    """Two canonical rank-r models on 3x3x3 whose terms are drawn from the
+    unit terms A, B and C of ``default_rng(5)``, named by letter."""
+    rng = np.random.default_rng(5)
+    pool = dict(zip("ABC", ([random_unit_columns(3, 1, rng) for _ in range(3)]
+                            for _ in range(3))))
+
+    def model(weights, terms):
+        return canonicalize(np.array(weights), [np.hstack([pool[t][k] for t in terms])
+                                                for k in range(3)])
+
+    return model(weights1, terms1), model(weights2, terms2)
+
+
+class TestEssentiallyEqualMatching:
+    """One matching over all terms: a pair is an edge when its weights agree
+    within tol and its factors align, wherever the weight gaps fall."""
+
+    @staticmethod
+    def permutation_search(m1, m2, tol):
+        """Some permutation pairs every term within tol in weight, with its
+        factors aligned."""
+        r = m1.rank
+        return any(all(abs(m1.weights[p] - m2.weights[s[p]]) <= tol
+                       and core._align_phases(m1, m2, p, s[p], tol) for p in range(r))
+                   for s in itertools.permutations(range(r)))
+
+    @settings(deadline=None, max_examples=150)
+    @given(r=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+    def test_symmetric_and_equal_to_a_permutation_search(self, r, seed):
+        # weights on a 0.03 grid: neighbours lie within tol = 0.05, and the
+        # next but one does not, so some terms sit within tol across a gap
+        rng = np.random.default_rng(seed)
+        tol = 0.05
+        terms = [random_unit_columns(n, r, rng) for n in (2, 3, 2)]
+
+        def model(order):
+            factors = [f[:, order] for f in terms]
+            if rng.random() < 0.25:  # a fresh term, which aligns with none
+                p = int(rng.integers(r))
+                for f in factors:
+                    f[:, p] = random_unit_columns(f.shape[0], 1, rng)[:, 0]
+            weights = np.sort(1.0 + 0.03 * rng.integers(0, 5, r))[::-1]
+            return canonicalize(weights, factors)
+
+        m1, m2 = model(np.arange(r)), model(rng.permutation(r))
+        verdict = essentially_equal(m1, m2, tol)
+        assert essentially_equal(m2, m1, tol) == verdict
+        assert verdict == self.permutation_search(m1, m2, tol)
 
 
 class CountingMatrix:

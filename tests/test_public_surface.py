@@ -189,6 +189,29 @@ def test_malformed_call_is_refused_by_name(name):
     assert phrase in str(info.value)
 
 
+# configurations refuse at construction what their solver cannot use
+CONFIG_ROWS = [
+    (lambda: c.SolverConfig(r=2, seed=1.5), "seed must be >= 0, got 1.5"),
+    (lambda: c.SolverConfig(r=2, seed=-1), "seed must be >= 0, got -1"),
+    (lambda: c.NormConfig(seed=-1), "seed must be >= 0, got -1"),
+    (lambda: c.NormConfig(seed=math.nan), "seed must be >= 0, got nan"),
+    (lambda: c.NormConfig(restarts=0), "restarts must be >= 1, got 0"),
+    (lambda: c.NormConfig(restarts=2.5), "restarts must be >= 1, got 2.5"),
+]
+
+
+@pytest.mark.parametrize("call, phrase", CONFIG_ROWS)
+def test_config_refuses_what_its_solver_cannot_use(call, phrase):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert phrase in str(info.value)
+
+
+def test_config_reads_a_whole_float_seed_as_its_int():
+    assert c.SolverConfig(r=2, seed=3.0).seed == 3 == c.NormConfig(seed=3.0).seed
+    assert type(c.NormConfig(restarts=np.int64(8)).restarts) is int
+
+
 @pytest.mark.parametrize("name", sorted(KERNELS))
 def test_kernels_pass_non_finite_entries_through(name):
     # the documented contract: no scan, so a non-finite entry reaches the output

@@ -153,6 +153,38 @@ class TestArrayScene:
             scene.delta[0, 0] = 1.0
 
 
+class TestOwnedArrays:
+    """A scene keeps read-only C-order copies: its caller's arrays stay
+    writeable, and a later write to them does not reach the scene."""
+
+    @staticmethod
+    def check(obj, given: dict):
+        before = {name: np.array(getattr(obj, name)) for name in given}
+        for name, a in given.items():
+            assert a.flags.writeable
+            a[(0,) * a.ndim] = math.nan
+            kept = getattr(obj, name)
+            assert np.array_equal(kept, before[name])
+            assert not kept.flags.writeable and kept.flags.c_contiguous
+
+    def test_path_set(self):
+        # a write of 5.0 used to reach the directions, past their unit-norm check
+        d = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+        signals = np.ones((4, 2), dtype=np.complex128)
+        self.check(PathSet(directions=d, signals=signals), {"directions": d, "signals": signals})
+
+    def test_cdma_scene(self):
+        # a NaN written into the gains used to reach the scene
+        a, s, b = (np.ones((n, 2), dtype=np.complex128) for n in (3, 4, 5))
+        self.check(CdmaScene(gains=a, symbols=s, codes=b), {"gains": a, "symbols": s, "codes": b})
+
+    def test_array_scene(self):
+        b = np.array([[0.0, 0.0, 0.0], [0.1, 0.0, 0.0]])
+        delta = np.zeros((1, 3))
+        scene = ArrayScene(b=b, delta=delta, pulsation=PULSATION, celerity=CELERITY)
+        self.check(scene, {"b": b, "delta": delta})
+
+
 class TestSimulateArray:
     def paths(self, rng, r=3, n3=16):
         dirs = np.stack([unit([1, 0.1 * p, 0.5 + 0.2 * p]) for p in range(r)])
