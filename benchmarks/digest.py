@@ -33,6 +33,9 @@ The outputs are:
   ``PROJECTION_PASSES`` rotations, and on the other two it spends them;
 - ``canonicalize`` of four terms, one with a zero weight and one with a
   zero factor column, so two are dropped;
+- the atoms, Gram and coherence of a 40-atom 4x4x4
+  ``random_incoherent_dictionary``, and its correlations with a fixed
+  tensor;
 - ``essentially_equal`` both ways on two pairs of rank-2 and rank-3
   models at tol 0.05 whose weights sit within tol across a gap: in the
   first the factors align only with the terms swapped; in the second they
@@ -245,6 +248,13 @@ def canonical_form(work: Path) -> None:
          canonicalize(np.array([1.5j, 0.0, 2.0, -0.5]), factors))
 
 
+def dictionary_arrays(work: Path) -> None:
+    d = decompose.random_incoherent_dictionary((4, 4, 4), 40, seed=SEED)
+    rng = np.random.default_rng(SEED)
+    t = rng.standard_normal((4, 4, 4)) + 1j * rng.standard_normal((4, 4, 4))
+    show("dictionary.random_incoherent", (d.atoms, d.gram, d.mu, d.correlations(t)))
+
+
 def essential_equality(work: Path) -> None:
     rng = np.random.default_rng(5)
     a, b, c = ([random_unit_columns(3, 1, rng) for _ in range(3)] for _ in range(3))
@@ -402,7 +412,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         for section in (blind_id, norm_certify, dense_als, decompose_cli, canonical_form,
-                        essential_equality, norm_range_edges, demos_and_simulate, doa_rival,
+                        dictionary_arrays, essential_equality, norm_range_edges, demos_and_simulate, doa_rival,
                         doa_fine, factor_commands, certificates, htns_refusals):
             section(work)
     return 0

@@ -330,7 +330,11 @@ def _signals_from_spec(doc, n3_default: int, r: int, seed: int) -> np.ndarray:
             raise ValueError(f"unknown signal kind {kind!r}")
         norms = spec.get("norms")
         if norms is not None:
-            sig = sig / np.linalg.norm(sig, axis=0) * _numbers(norms, "signals field 'norms'")
+            norms = _numbers(norms, "signals field 'norms'")
+            if norms.shape != (r,) or (norms < 0).any():  # NaN goes on to PathSet
+                raise ValueError(f"signals field 'norms' must hold {r} numbers >= 0, "
+                                 "one per direction")
+            sig = sig / np.linalg.norm(sig, axis=0) * norms
         return sig
     return _scene_matrix(doc, "signals")
 

@@ -17,6 +17,7 @@ import numpy as np
 
 from .core import (
     NORM_MIN,
+    _owned,
     alternating_rank1,
     bounded_tensor,
     canonicalize,
@@ -40,8 +41,8 @@ from .conditions import existence_condition
 
 
 class Dictionary:
-    """Finite dictionary of unit-norm separable atoms stored as factor
-    tuples (never materialized as dense tensors).
+    """Finite dictionary of unit-norm separable atoms, kept once as read-only
+    per-mode stacks whose columns the factor tuples ``atoms`` view.
 
     Atom inner products use the per-mode product formula, so the dictionary
     coherence is max over distinct atom pairs of prod_k |<phi_k, psi_k>|.
@@ -65,14 +66,13 @@ class Dictionary:
                     raise ValueError("atom factors must be nonzero vectors")
                 vecs.append(v / nrm)
             norm_atoms.append(tuple(vecs))
-        self.atoms = tuple(norm_atoms)
         self.order = d
-        self.dims = tuple(len(v) for v in self.atoms[0])
-        for atom in self.atoms:
-            if tuple(len(v) for v in atom) != self.dims:
-                raise ValueError("all atoms must share the same mode dimensions")
-        self._stacks = tuple(stack_terms(self.atoms, self.dims))
-        self.gram = term_gram(self._stacks)
+        self.dims = tuple(len(v) for v in norm_atoms[0])
+        if any(tuple(len(v) for v in atom) != self.dims for atom in norm_atoms):
+            raise ValueError("all atoms must share the same mode dimensions")
+        self._stacks = tuple(_owned(s, np.complex128) for s in stack_terms(norm_atoms, self.dims))
+        self.atoms = tuple(zip(*(s.T for s in self._stacks)))
+        self.gram = _owned(term_gram(self._stacks), np.complex128)
         self.mu = gram_mu(self.gram)
 
     def __len__(self):
@@ -218,6 +218,7 @@ def best_rank1(tensor, restarts: int = 32, seed: int = 0):
     Non-finite entries raise ``ValueError``.
     """
     f, fnorm = bounded_tensor(tensor, "best_rank1")
+    seed = check_count(seed, 0, f"seed must be >= 0, got {seed}")
     if fnorm == 0.0:
         raise ValueError("best rank-1 term undefined for the zero tensor")
     rng = np.random.default_rng(seed)
@@ -241,6 +242,7 @@ def oga_continuous(tensor, r: int, restarts: int = 32, tol: float = 1e-12,
     """
     f, fnorm = bounded_tensor(tensor, "oga_continuous")
     r = check_count(r, 1, "r must be >= 1")
+    seed = check_count(seed, 0, f"seed must be >= 0, got {seed}")
     check_tol(tol)
     atoms: list = []
     flags: list = []
@@ -290,6 +292,7 @@ def random_incoherent_dictionary(dims, n_atoms: int, mu_max: float = 0.09,
     """
     dims = tuple(check_count(n, 1, f"dims must be >= 1, got {n!r}") for n in dims)
     n_atoms = check_count(n_atoms, 1, f"n_atoms must be >= 1, got {n_atoms!r}")
+    seed = check_count(seed, 0, f"seed must be >= 0, got {seed}")
     total = math.prod(dims)
     if n_atoms > total:
         raise ValueError(f"cannot place {n_atoms} distinct atoms in {dims}")

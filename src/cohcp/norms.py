@@ -90,6 +90,7 @@ def spectral_norm(tensor, restarts: int = 64, seed: int = 0) -> NormCertificate:
     returns 0 with no witness; non-finite entries raise ``ValueError``.
     """
     t, tnorm = bounded_tensor(tensor, "spectral_norm")
+    seed = check_count(seed, 0, f"seed must be >= 0, got {seed}")
     if tnorm == 0.0:
         return NormCertificate(spectral=0.0, spectral_witness=None)
     rng = np.random.default_rng(seed)

@@ -115,7 +115,9 @@ def _steering(phases: np.ndarray, k: float) -> np.ndarray:
 def _observe(truth, noise_std: float, seed: int) -> np.ndarray:
     """The evaluated truth plus circular complex Gaussian noise of per-entry
     std ``noise_std`` drawn from ``seed``; a negative or non-finite
-    ``noise_std`` raises ``ValueError``."""
+    ``noise_std`` or a seed that is not a whole number >= 0 raises
+    ``ValueError``."""
+    seed = check_count(seed, 0, f"seed must be >= 0, got {seed}")
     if not 0.0 <= noise_std < math.inf:
         raise ValueError(f"noise_std must be finite and >= 0, got {noise_std}")
     clean = cp_evaluate(truth)

@@ -690,6 +690,18 @@ class TestArraySignals:
         assert code == 2
         assert "PathSet signals: non-finite entry" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("norms", [[1.0, 2.0, 3.0], [-1.0, 2.0]])
+    def test_norms_of_the_wrong_shape_or_sign_named(self, tmp_path, capsys, norms):
+        # three norms for two directions used to reach numpy's broadcast
+        # error, and a negative one flipped its signal's sign
+        doc = TestSimulateCommand().scene_doc()
+        doc["signals"] = {"kind": "gaussian", "n_samples": 8, "norms": norms}
+        scene = tmp_path / "scene.json"
+        scene.write_text(json.dumps(doc))
+        assert run_cli(["simulate", "--kind", "array", "--scene", str(scene)]) == 2
+        assert ("signals field 'norms' must hold 2 numbers >= 0, one per direction"
+                in capsys.readouterr().err)
+
     @pytest.mark.parametrize("pulsation, celerity", [(1e-300, 1e300), (1e300, 1e-300)])
     def test_wave_outside_the_doubles_named(self, tmp_path, capsys, pulsation, celerity):
         doc = TestSimulateCommand().scene_doc()

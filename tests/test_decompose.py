@@ -19,6 +19,8 @@ from cohcp.core import (
     inner_product,
     rank1_outer,
     random_unit_columns,
+    stack_terms,
+    term_gram,
 )
 from cohcp import decompose
 from cohcp.decompose import (
@@ -134,6 +136,33 @@ class TestDictionary:
         assert whole.dims == ints.dims == (4, 4, 4)
         assert [v.tobytes() for a in whole.atoms for v in a] == \
             [v.tobytes() for a in ints.atoms for v in a]
+
+    def test_keeps_one_read_only_copy_of_its_atoms(self):
+        # the atoms used to be writeable copies beside the stacks that mu,
+        # gram and correlations read, so a write left those describing
+        # another dictionary
+        rng = np.random.default_rng(35)
+        raw = [(np.array([1.0, 0.0]), 2.0 * rng.standard_normal(3),
+                rng.standard_normal(4) + 1j * rng.standard_normal(4)),
+               (np.array([0.6, 0.8]), rng.standard_normal(3),
+                3.0 * (rng.standard_normal(4) + 1j * rng.standard_normal(4)))]
+        d = Dictionary(raw)
+        unit = [tuple(v / np.linalg.norm(v) for v in map(np.complex128, atom))
+                for atom in raw]
+        stacks = stack_terms(unit, d.dims)
+        assert [v.tobytes() for a in d.atoms for v in a] == \
+            [v.tobytes() for a in unit for v in a]
+        assert d.gram.tobytes() == term_gram(stacks).tobytes()
+        assert d.mu == gram_mu(term_gram(stacks))
+        f = rng.standard_normal(d.dims)
+        before = (d.mu, d.correlations(f).tobytes(), d.atom_tensor(0).tobytes())
+        for i, k in [(0, 0), (1, 2)]:
+            with pytest.raises(ValueError, match="read-only"):
+                d.atoms[i][k][:] = 5.0
+        with pytest.raises(ValueError, match="read-only"):
+            d.gram[0, 1] = 0.0
+        assert (d.mu, d.correlations(f).tobytes(), d.atom_tensor(0).tobytes()) == before
+        assert all(v.flags.writeable for atom in raw for v in atom)
 
     def test_generator_gives_up_after_its_draws(self):
         with pytest.raises(ValueError, match="could not reach dictionary coherence < 1e-09 "

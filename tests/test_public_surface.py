@@ -12,6 +12,7 @@ out.  A new export with neither a row nor an exemption fails
 import io
 import math
 import os
+import pickle
 import types
 
 import numpy as np
@@ -210,6 +211,40 @@ def test_config_refuses_what_its_solver_cannot_use(call, phrase):
 def test_config_reads_a_whole_float_seed_as_its_int():
     assert c.SolverConfig(r=2, seed=3.0).seed == 3 == c.NormConfig(seed=3.0).seed
     assert type(c.NormConfig(restarts=np.int64(8)).restarts) is int
+
+
+# every entry point that draws random numbers, called with a noise level or
+# input for which it draws them, and a given seed
+CUBE_OK = np.arange(8.0).reshape(2, 2, 2) + 1.0
+SEEDED = {
+    "simulate_array": lambda seed, noise=0.0: c.simulate_array(
+        _scene(), c.PathSet(directions=[[1.0, 0.0, 0.0]], signals=[[1.0], [2.0]]),
+        noise, seed),
+    "simulate_cdma": lambda seed, noise=0.0: c.simulate_cdma(
+        c.CdmaScene(gains=[[1.0]], symbols=[[1.0], [0.5]], codes=[[1.0]]), noise, seed),
+    "simulate_fluorescence": lambda seed, noise=0.0: c.simulate_fluorescence(
+        [[1.0]], [[1.0], [0.5]], [[0.3]], noise, seed),
+    "best_rank1": lambda seed, noise=0.0: c.best_rank1(CUBE_OK, restarts=2, seed=seed),
+    "oga_continuous": lambda seed, noise=0.0: c.oga_continuous(CUBE_OK, 2, restarts=2,
+                                                               seed=seed),
+    "spectral_norm": lambda seed, noise=0.0: c.spectral_norm(CUBE_OK, restarts=2, seed=seed),
+    "random_incoherent_dictionary": lambda seed, noise=0.0: c.random_incoherent_dictionary(
+        (2, 2), 2, seed=seed),
+}
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5])
+@pytest.mark.parametrize("name", sorted(SEEDED))
+def test_seeded_entry_point_refuses_a_bad_seed_by_name(name, seed):
+    # the simulators check the seed also when no noise is drawn
+    with pytest.raises(ValueError) as info:
+        SEEDED[name](seed)
+    assert f"seed must be >= 0, got {seed}" in str(info.value)
+
+
+@pytest.mark.parametrize("name", sorted(SEEDED))
+def test_seeded_entry_point_reads_a_whole_float_seed_as_its_int(name):
+    assert pickle.dumps(SEEDED[name](2.0, 0.1)) == pickle.dumps(SEEDED[name](2, 0.1))
 
 
 @pytest.mark.parametrize("name", sorted(KERNELS))
