@@ -19,18 +19,18 @@ the throughput and tail as measured, before the scaling to the nominal
 host speed (``as_measured``): a shift of the whole host moves these with
 the metrics, while a change of the code moves the metrics alone.
 
-With ``--layers P1.json C1.json P2.json C2.json ...`` it also holds the
-layer rows, from several runs of the same ``benchmarks/test_layers.py``
-against each side's sources, passed as (parent, change) pairs; run the
-sides in alternating order, as for the workloads::
+For per-layer evidence, also run each workload traced, with the same seeds
+and the sides again alternating::
 
-    PYTHONPATH=PARENT/src python -m pytest benchmarks -q --benchmark-json=p1.json
-    PYTHONPATH=CHANGE/src python -m pytest benchmarks -q --benchmark-json=c1.json
+    python3 perfbench/run.py --workload dense_als --seed 691 --seconds 30 --trace 1
 
-For every row timed in all runs, each side gets the median of its run
-medians and their range.  One run per side cannot tell a layer change
-from host drift: rows of unchanged code have moved by 30% between two
-single runs.
+which writes ``.perfbench/<workload>-seed<n>-trace1.json``.  When both
+directories hold traced records of the same (workload, seed), the output
+gains a ``layers`` block: per workload, the seeds traced on both sides and,
+for every per-layer metric present in all of their records (``self_ms``,
+``calls``, the ALS ``sweeps`` and ``sweep_ms``, ``trace.overhead_ratio``),
+its median and quartiles on each side.  A layer's self time in one traced
+run is noisy; compare medians over several seeds.
 """
 
 from __future__ import annotations
@@ -43,10 +43,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def load_records(directory: Path) -> dict:
-    """Untraced run records keyed by (workload, seed)."""
+def load_records(directory: Path, trace: int = 0) -> dict:
+    """Run records with the given ``--trace`` keyed by (workload, seed)."""
     records = {}
-    for path in sorted(directory.glob("*-trace0.json")):
+    for path in sorted(directory.glob(f"*-trace{trace}.json")):
         rec = json.loads(path.read_text())
         records[rec["workload"], rec["conditions"]["seed"]] = rec
     return records
@@ -106,20 +106,21 @@ def build(parent: dict, change: dict, pr: int) -> dict:
     return {"pr": pr, "conditions": conditions, "workloads": workloads}
 
 
-def layer_rows(runs: list) -> dict:
-    """Seconds per call of each pytest-benchmark row timed in every run;
-    ``runs`` are (parent, change) pairs: P1, C1, P2, C2, ..."""
-    if len(runs) < 2 or len(runs) % 2:
-        raise SystemExit("--layers needs parent and change runs in pairs")
-    medians = [{b["name"]: b["stats"]["median"] for b in json.loads(p.read_text())["benchmarks"]}
-               for p in runs]
-    names = sorted(set.intersection(*(set(m) for m in medians)))
-    sides = {"parent": medians[0::2], "change": medians[1::2]}
-    return {name: {side: {"median": statistics.median(m[name] for m in ms),
-                          "range": [min(m[name] for m in ms), max(m[name] for m in ms)],
-                          "runs": len(ms)}
-                   for side, ms in sides.items()}
-            for name in names}
+def layers(parent: dict, change: dict) -> dict:
+    """Per workload traced on both sides, the shared seeds and the summary on
+    each side of every per-layer metric that all of their records hold."""
+    keys = sorted(parent.keys() & change.keys())
+    out = {}
+    for name in sorted({w for w, _ in keys}):
+        seeds = [s for w, s in keys if w == name]
+        sides = {side: [recs[name, s]["result"]["metrics"] for s in seeds]
+                 for side, recs in (("parent", parent), ("change", change))}
+        shared = set.intersection(*(set(m) for runs in sides.values() for m in runs))
+        out[name] = {"seeds": seeds,
+                     "metrics": {m: {side: summary([r[m]["value"] for r in runs])
+                                     for side, runs in sides.items()}
+                                 for m in sorted(shared)}}
+    return out
 
 
 def main(argv=None) -> int:
@@ -127,13 +128,11 @@ def main(argv=None) -> int:
     ap.add_argument("parent", type=Path, help="records of the parent commit")
     ap.add_argument("change", type=Path, help="records of the change")
     ap.add_argument("--pr", type=int, required=True)
-    ap.add_argument("--layers", type=Path, nargs="+", metavar="JSON",
-                    help="pytest-benchmark JSON of the layer rows as (parent, change) "
-                         "pairs: P1 C1 P2 C2 ...")
     args = ap.parse_args(argv)
     doc = build(load_records(args.parent), load_records(args.change), args.pr)
-    if args.layers:
-        doc["layers_s"] = layer_rows(args.layers)
+    traced = layers(load_records(args.parent, 1), load_records(args.change, 1))
+    if traced:
+        doc["layers"] = traced
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(doc, indent=1) + "\n")
     print(out)

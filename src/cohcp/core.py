@@ -140,6 +140,13 @@ def check_count(value, least: int, message: str) -> int:
     return int(value)
 
 
+def check_instance(value, cls: type, caller: str):
+    """``value`` if it is a ``cls``; otherwise a ``ValueError`` naming both types."""
+    if not isinstance(value, cls):
+        raise ValueError(f"{caller} expects a {cls.__name__}, got {type(value).__name__}")
+    return value
+
+
 def stack_terms(terms, dims) -> list:
     """Factor matrices of rank-1 terms given as one vector per mode: the
     n_k x m matrix of mode k holds term p in column p (n_k x 0 for none)."""
@@ -321,8 +328,7 @@ class CPModel:
 
 def cp_evaluate(model: CPModel) -> np.ndarray:
     """Evaluate a CP model into a dense hypermatrix."""
-    if not isinstance(model, CPModel):
-        raise ValueError(f"cp_evaluate expects a CPModel, got {type(model).__name__}")
+    check_instance(model, CPModel, "cp_evaluate")
     return evaluate_terms(model.weights, model.factors)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +23,7 @@ from .core import (
     bounded_tensor,
     canonicalize,
     check_count,
+    check_instance,
     check_tol,
     coherent_pair,
     cp_evaluate,
@@ -172,6 +174,7 @@ def woga(tensor, dictionary: Dictionary, t: float = 1.0,
         raise ValueError("weakness parameter t must lie in (0, 1]")
     check_tol(tol)
     f, fnorm = bounded_tensor(tensor, "woga")
+    check_instance(dictionary, Dictionary, "woga")
     if f.shape != dictionary.dims:
         raise ValueError(f"tensor dims {f.shape} do not match dictionary {dictionary.dims}")
     max_iter = len(dictionary) if max_iter is None else check_count(
@@ -353,6 +356,9 @@ class SolverConfig:
             self.seed, 0, f"seed must be >= 0, got {self.seed}"))
         if self.init not in ("greedy", "random"):
             raise ValueError(f"unknown init {self.init!r}")
+        if not isinstance(self.tychonoff_lambda, numbers.Real):
+            raise ValueError(f"tychonoff_lambda must be a real number, got "
+                             f"{self.tychonoff_lambda!r}")
         if not np.isfinite(self.tychonoff_lambda):
             raise ValueError(f"tychonoff_lambda must be finite, got {self.tychonoff_lambda}")
         check_tol(self.tol)
@@ -364,7 +370,11 @@ class SolverConfig:
         if sum(active) > 1:
             raise ValueError("at most one constraint regime may be active")
         if self.coherence_caps is not None:
-            caps = tuple(float(c) for c in self.coherence_caps)
+            try:
+                caps = tuple(float(c) for c in self.coherence_caps)
+            except (TypeError, ValueError):
+                raise ValueError(f"coherence_caps must be a sequence of numbers, got "
+                                 f"{self.coherence_caps!r}") from None
             if any(not (0.0 < c <= 1.0) for c in caps):
                 raise ValueError("coherence caps must lie in (0, 1]")
             object.__setattr__(self, "coherence_caps", caps)
@@ -530,6 +540,7 @@ def constrained_als(tensor, cfg: SolverConfig):
 
     Returns (CPModel, AlsDiagnostics).
     """
+    check_instance(cfg, SolverConfig, "constrained_als")
     f, fnorm = bounded_tensor(tensor, "constrained_als")
     d = f.ndim
     if d < 2:

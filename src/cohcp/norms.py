@@ -24,6 +24,7 @@ from .core import (
     bounded_tensor,
     canonicalize,
     check_count,
+    check_instance,
     check_tol,
     cp_evaluate,
     evaluate_terms,
@@ -79,6 +80,15 @@ class NormConfig:
             self.restarts, 1, f"restarts must be >= 1, got {self.restarts}"))
         object.__setattr__(self, "seed", check_count(
             self.seed, 0, f"seed must be >= 0, got {self.seed}"))
+        try:
+            candidates = tuple(self.candidates)
+        except TypeError:
+            raise ValueError(f"candidates must be a sequence of CPModel, got "
+                             f"{type(self.candidates).__name__}") from None
+        for i, cand in enumerate(candidates):
+            if not isinstance(cand, CPModel):
+                raise ValueError(f"candidates[{i}] must be a CPModel, got {type(cand).__name__}")
+        object.__setattr__(self, "candidates", candidates)
 
 
 def spectral_norm(tensor, restarts: int = 64, seed: int = 0) -> NormCertificate:
@@ -233,7 +243,7 @@ def nuclear_norm_bounds(tensor, cfg: NormConfig | None = None) -> NormCertificat
     ``certified`` when the gap is within ``cfg.tol`` relative.  Non-finite
     entries raise ``ValueError``.
     """
-    cfg = cfg or NormConfig()
+    cfg = check_instance(NormConfig() if cfg is None else cfg, NormConfig, "nuclear_norm_bounds")
     t, tnorm = bounded_tensor(tensor, "nuclear_norm_bounds")
     if t.size > cfg.size_cap:
         raise ValueError(
@@ -291,7 +301,7 @@ def nuclear_norm_bounds(tensor, cfg: NormConfig | None = None) -> NormCertificat
 
 def duality_gap_check(f, g, cfg: NormConfig | None = None) -> float:
     """||f||_sigma * (nuclear upper of g) - |<f, g>|; >= -1e-9 must hold."""
-    cfg = cfg or NormConfig()
+    cfg = check_instance(NormConfig() if cfg is None else cfg, NormConfig, "duality_gap_check")
     spec = spectral_norm(f, restarts=cfg.restarts, seed=cfg.seed)
     nuc = nuclear_norm_bounds(g, cfg)
     return spec.spectral * nuc.nuclear_upper - abs(inner_product(f, g))

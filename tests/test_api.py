@@ -1,10 +1,11 @@
-"""The names the benchmark tracer wraps and the layer rows import must
-exist in the package.
+"""The names the benchmark tracer wraps and the benchmark's workloads call
+must exist in the package.
 
-``perfbench/run.py`` lists them as ``"module.name"`` strings in ``TRACED``,
-and ``benchmarks/test_layers.py`` imports private kernels by name; a rename
-that misses them would break either only when the benchmark runs.  Both
-files are read with ``ast``, so neither is imported.
+``perfbench/run.py`` lists the traced names as ``"module.name"`` strings in
+``TRACED``, and ``perfbench/workloads.py`` calls into cohcp only through
+module attributes such as ``decompose.constrained_als``; a rename that
+misses them would break the benchmark only when it runs.  Both files are
+read with ``ast``, so neither is imported.
 """
 
 import ast
@@ -15,7 +16,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 RUN_PY = ROOT / "perfbench" / "run.py"
-LAYERS_PY = ROOT / "benchmarks" / "test_layers.py"
+WORKLOADS_PY = ROOT / "perfbench" / "workloads.py"
 
 
 def traced_names() -> tuple:
@@ -39,23 +40,28 @@ def test_traced_name_resolves_to_callable(name):
     assert callable(getattr(mod, attr, None)), f"cohcp.{module} has no callable {attr}"
 
 
-def layer_imports() -> list:
-    """``module.name`` for every name ``from cohcp.<module> import ...``
-    brings into the layer rows."""
-    return [f"{node.module.removeprefix('cohcp.')}.{alias.name}"
-            for node in ast.walk(ast.parse(LAYERS_PY.read_text()))
-            if isinstance(node, ast.ImportFrom) and node.module.startswith("cohcp.")
-            for alias in node.names]
+def workload_attributes() -> list:
+    """``module.name`` for every attribute that ``workloads.py`` reads from
+    the cohcp modules it binds at module level."""
+    tree = ast.parse(WORKLOADS_PY.read_text())
+    modules = next(
+        {elt.id for elt in node.targets[0].elts} for node in tree.body
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Tuple)
+        and "importlib.import_module" in ast.unparse(node.value))
+    return sorted({f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                   and node.value.id in modules})
 
 
-def test_layer_rows_import_private_kernels():
-    names = layer_imports()
-    assert {"decompose._init_factors", "decompose._mode_solve",
-            "norms._exact_fit", "simulate._refine_directions"} <= set(names)
+def test_workloads_bind_eight_modules_and_read_their_kernels():
+    names = workload_attributes()
+    assert {name.partition(".")[0] for name in names} == {
+        "cli", "coherence", "conditions", "core", "decompose", "htns", "norms", "simulate"}
+    assert {"decompose.constrained_als", "core.essentially_equal", "norms.NormConfig"} <= set(names)
 
 
-@pytest.mark.parametrize("name", layer_imports())
-def test_layer_import_resolves(name):
+@pytest.mark.parametrize("name", workload_attributes())
+def test_workload_attribute_resolves(name):
     module, _, attr = name.partition(".")
     mod = importlib.import_module(f"cohcp.{module}")
     assert hasattr(mod, attr), f"cohcp.{module} has no {attr}"

@@ -208,6 +208,38 @@ def test_config_refuses_what_its_solver_cannot_use(call, phrase):
     assert phrase in str(info.value)
 
 
+# a config, dictionary or config field of the wrong type is refused by name,
+# not by the first attribute or operation it lacks
+TYPE_ROWS = [
+    (lambda: c.constrained_als(CUBE_OK, 3), "constrained_als expects a SolverConfig, got int"),
+    (lambda: c.nuclear_norm_bounds(CUBE_OK, 3), "nuclear_norm_bounds expects a NormConfig, got int"),
+    (lambda: c.duality_gap_check(CUBE_OK, CUBE_OK, 3),
+     "duality_gap_check expects a NormConfig, got int"),
+    (lambda: c.woga(CUBE_OK, [(np.ones(2),) * 3]), "woga expects a Dictionary, got list"),
+    (lambda: c.NormConfig(candidates=(c.strassen_decomposition(), 1)),
+     "candidates[1] must be a CPModel, got int"),
+    (lambda: c.NormConfig(candidates=5), "candidates must be a sequence of CPModel, got int"),
+    (lambda: c.SolverConfig(r=2, coherence_caps=0.5),
+     "coherence_caps must be a sequence of numbers, got 0.5"),
+    (lambda: c.SolverConfig(r=2, coherence_caps=("a",)),
+     "coherence_caps must be a sequence of numbers, got ('a',)"),
+    (lambda: c.SolverConfig(r=2, tychonoff_lambda="a"),
+     "tychonoff_lambda must be a real number, got 'a'"),
+]
+
+
+@pytest.mark.parametrize("call, phrase", TYPE_ROWS)
+def test_wrong_type_is_refused_by_name(call, phrase):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert phrase in str(info.value)
+
+
+def test_norm_config_keeps_its_candidates_as_a_tuple():
+    model = c.strassen_decomposition()
+    assert c.NormConfig(candidates=[model]).candidates == (model,)
+
+
 def test_config_reads_a_whole_float_seed_as_its_int():
     assert c.SolverConfig(r=2, seed=3.0).seed == 3 == c.NormConfig(seed=3.0).seed
     assert type(c.NormConfig(restarts=np.int64(8)).restarts) is int
