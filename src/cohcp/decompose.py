@@ -345,7 +345,8 @@ class SolverConfig:
     max_iter: int = 2000
     tol: float = 1e-10
     seed: int = 0
-    # "greedy" (rank-1 deflation warm start on the Tucker core) or "random"
+    # "greedy" (warm start on the Tucker core: the closed form of a three-way
+    # core with two modes of size r, else rank-1 deflation) or "random"
     init: str = "greedy"
 
     def __post_init__(self):
@@ -465,9 +466,60 @@ def _compression_bases(unfolds, r):
     return bases
 
 
+SLICE_RCOND = 1e-10       # least singular value of M_y, relative to its largest
+EIGVEC_COND_MAX = 1e4     # largest eigenvector condition number of a closed-form start
+
+
+def _closed_form_start(core, r, seed):
+    """(weights, unit factors) of a three-way tensor of rank at most r from
+    simultaneous diagonalization (Harshman 1970; Leurgans, Ross & Abel, SIAM
+    J. Matrix Anal. Appl. 14, 1993), or ``None`` where it does not apply.
+
+    It needs two modes of size r, the A and B modes, and a third of size at
+    least 2, the slice mode (the last mode when all three have size r).
+    With slices T_k along it, two mixtures M_x = sum_k x_k T_k = A diag(C^T
+    x * lam) B^T and M_y give M_x M_y^-1 = A diag(C^T x / C^T y) A^-1, whose
+    eigenvectors are the unit columns of A.  Slice p of A^-1 . T along the A
+    mode is then lam_p b_p (x) c_p, and its top singular pair gives b_p,
+    c_p and the weight |lam_p|.  x and y come from ``default_rng([seed,
+    22])``, so no caller's stream moves.  Exact on a noiseless tensor whose
+    A and B have full column rank and whose eigenvalues are distinct.
+
+    Conditioning: M_y must have a singular-value ratio above
+    ``SLICE_RCOND``, and A a condition number of at most
+    ``EIGVEC_COND_MAX``.  For unit columns the Gershgorin row margin m of
+    A^H A (``_row_margin``, the paper's bound on a coherent set) gives
+    cond(A) <= sqrt((2 - m) / m) whenever m > 0; only where m <= 0 is
+    cond(A) computed.
+    """
+    if core.ndim != 3:
+        return None
+    shape = core.shape
+    s = next((k for k in (2, 1, 0) if shape[:k] + shape[k + 1:] == (r, r)), None)
+    if s is None or shape[s] < 2:
+        return None
+    t = np.moveaxis(core, s, 2)
+    x, y = np.random.default_rng([seed, 22]).standard_normal((2, shape[s]))
+    m_x, m_y = t @ x, t @ y
+    sv = np.linalg.svd(m_y, compute_uv=False)
+    if not sv[-1] > SLICE_RCOND * sv[0]:
+        return None
+    a = np.linalg.eig(np.linalg.solve(m_y.T, m_x.T).T)[1]
+    margin = _row_margin(a.conj().T @ a)
+    cond = math.sqrt((2.0 - margin) / margin) if margin > 0.0 else np.linalg.cond(a)
+    if not cond <= EIGVEC_COND_MAX:
+        return None
+    u, w, vh = np.linalg.svd(np.linalg.solve(a, t.reshape(r, -1)).reshape(t.shape))
+    factors = [a, u[:, :, 0].T, vh[:, 0, :].T]
+    factors.insert(s, factors.pop())
+    return w[:, 0], factors
+
+
 def _greedy_start(f, unfolds, r, seed):
-    """Greedy warm start, run on the Tucker core T x_k U_k^H for the modes
-    with n_k > r and expanded back as U_k G_k.
+    """Warm start under ``init="greedy"``, run on the Tucker core T x_k U_k^H
+    for the modes with n_k > r and expanded back as U_k G_k: the closed
+    form of ``_closed_form_start`` where it applies, else greedy rank-1
+    deflation (``oga_continuous``).
 
     U_k has orthonormal columns, so <U_k a, U_k b> = <a, b>: the expanded
     columns keep unit norm and every per-mode coherence of the core
@@ -478,9 +530,13 @@ def _greedy_start(f, unfolds, r, seed):
     for k, u in enumerate(bases):
         if u is not None:
             core = np.moveaxis(np.tensordot(u.conj().T, core, axes=(1, k)), 0, k)
-    model, _ = oga_continuous(core, r, restarts=16, seed=seed)
-    factors = [g if u is None else u @ g for u, g in zip(bases, model.factors)]
-    return model.weights, factors
+    start = _closed_form_start(core, r, seed)
+    if start is None:
+        model, _ = oga_continuous(core, r, restarts=16, seed=seed)
+        start = model.weights, model.factors
+    weights, core_factors = start
+    factors = [g if u is None else u @ g for u, g in zip(bases, core_factors)]
+    return weights, factors
 
 
 def _init_factors(f, unfolds, cfg, flags):
@@ -535,8 +591,13 @@ def constrained_als(tensor, cfg: SolverConfig):
     unfolding for every mode with n_k > r, and its factors are expanded as
     U_k G_k.
     Orthonormal U_k keep every inner product, so coherences and the paper's
-    conditions are the same for core and expanded factors.  The sweeps run
-    on the full tensor and remove what the compression discarded.
+    conditions are the same for core and expanded factors.  On a three-way
+    core with two modes of size r the start is closed-form, by simultaneous
+    diagonalization (``_closed_form_start``), whose eigenvector matrix is
+    certified well-conditioned by its coherence where the Gershgorin bound
+    holds; elsewhere, or where that start is ill-conditioned, it is greedy
+    rank-1 deflation (``oga_continuous``).  The sweeps run on the full
+    tensor and remove what the compression discarded.
 
     Returns (CPModel, AlsDiagnostics).
     """

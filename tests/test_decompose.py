@@ -546,11 +546,12 @@ class TestConstrainedAls:
             tops.append(model.weights[0])
         assert tops[0] < tops[1] < tops[2]
 
-    def test_coherence_caps_cure_the_swamp(self):
+    def test_coherence_caps_cure_the_swamp(self, monkeypatch):
         # seed 607 of test_als_fit_commutes_with_unitary_action: planted
         # coherences 0.39, 0.38 and 0.51 meet the uniqueness condition, yet
-        # uncapped ALS follows the paper's degeneracy (every mode's coherence
-        # near 1, the weights diverging) and needs 2,568 sweeps to leave it
+        # uncapped ALS from the greedy-deflation start follows the paper's
+        # degeneracy (every mode's coherence near 1, the weights diverging)
+        # and needs 2,568 sweeps to leave it
         rng = np.random.default_rng(607)
         dims, r = (5, 4, 3), 2
         weights = np.sort(rng.uniform(1.0, 3.0, r))[::-1]
@@ -558,17 +559,27 @@ class TestConstrainedAls:
         assert condition_report([coherence(f).mu for f in factors], r)["uniqueness"]["holds"]
         t = evaluate_terms(weights, factors)
         t = t + 0.01 * (rng.standard_normal(dims) + 1j * rng.standard_normal(dims))
-        swamp, diag = constrained_als(t, SolverConfig(r=r, seed=607, max_iter=200))
-        assert not diag.converged and min(diag.achieved_mus) >= 0.99
-        assert np.abs(swamp.weights).min() > 4.0 * frobenius(t)
-        # the paper's cure: bounded coherence, so the weights stay bounded
-        capped, diag = constrained_als(
-            t, SolverConfig(r=r, seed=607, coherence_caps=(0.9,) * 3))
-        assert diag.converged and diag.n_iter <= 100
-        assert max(diag.achieved_mus) <= 0.9
-        free, free_diag = constrained_als(t, SolverConfig(r=r, seed=607, max_iter=20_000))
-        assert free_diag.converged
-        assert essentially_equal(capped, free, 1e-6)
+        with monkeypatch.context() as patch:
+            # the mechanism does not depend on the start: take the deflation one
+            patch.setattr(decompose, "_closed_form_start", lambda *args: None)
+            swamp, diag = constrained_als(t, SolverConfig(r=r, seed=607, max_iter=200))
+            assert not diag.converged and min(diag.achieved_mus) >= 0.99
+            assert np.abs(swamp.weights).min() > 4.0 * frobenius(t)
+            # the paper's cure: bounded coherence, so the weights stay bounded
+            capped, diag = constrained_als(
+                t, SolverConfig(r=r, seed=607, coherence_caps=(0.9,) * 3))
+            assert diag.converged and diag.n_iter <= 100
+            assert max(diag.achieved_mus) <= 0.9
+            free, free_diag = constrained_als(t, SolverConfig(r=r, seed=607, max_iter=20_000))
+            assert free_diag.converged
+            assert essentially_equal(capped, free, 1e-6)
+        # the default closed-form start lands in the planted fit's basin, at a
+        # loss no higher than the long run's; the two stop tests leave them
+        # 1.4e-6 apart in weight
+        default, diag = constrained_als(t, SolverConfig(r=r, seed=607))
+        assert diag.converged and diag.n_iter <= 5
+        assert diag.loss_trace[-1] <= free_diag.loss_trace[-1]
+        assert essentially_equal(free, default, 1e-5)
 
     def test_coercivity_invariant_on_outputs(self):
         rng = np.random.default_rng(20)
@@ -847,9 +858,15 @@ def test_achieved_coherences_clipped_to_one():
 class TestCompressedWarmStart:
     @pytest.mark.parametrize("n, seed", [(30, 40), (40, 41)])
     def test_matches_uncompressed_start(self, monkeypatch, n, seed):
+        # the deflation start on the core against the one on the full tensor,
+        # which the closed form cannot take (no mode of size r)
         f, truth = planted_rank6(n, seed)
         cfg = SolverConfig(r=6, seed=seed)
+        closed_model, closed = constrained_als(f, cfg)
+        assert essentially_equal(closed_model, truth, 0.05)
+        monkeypatch.setattr(decompose, "_closed_form_start", lambda *args: None)
         fast_model, fast = constrained_als(f, cfg)
+        assert closed.n_iter < fast.n_iter
         monkeypatch.setattr(decompose, "_compression_bases",
                             lambda unfolds, r: [None] * len(unfolds))
         full_model, full = constrained_als(f, cfg)
@@ -878,17 +895,22 @@ class TestCompressedWarmStart:
             assert abs(gram_mu(g.conj().T @ g)
                        - gram_mu(expanded.conj().T @ expanded)) <= 1e-12
 
-    def test_small_modes_take_the_full_tensor_path(self):
+    def test_small_modes_take_the_full_tensor_path(self, monkeypatch):
+        # every n_k <= r: both starts run on the tensor itself, uncompressed
         rng = np.random.default_rng(43)
         f = rng.standard_normal((3, 3, 3)) + 1j * rng.standard_normal((3, 3, 3))
-        flags = []
-        factors, lam = decompose._init_factors(f, unfoldings(f), SolverConfig(r=3, seed=7),
-                                               flags)
+        closed = decompose._closed_form_start(f, 3, 7)
         model, _ = oga_continuous(f, 3, restarts=16, seed=7)
-        assert flags == []
-        assert lam.tobytes() == model.weights.astype(np.complex128).tobytes()
-        for got, ref in zip(factors, model.factors):
-            assert got.tobytes() == ref.tobytes()
+        for weights, ref_factors in (closed, (model.weights, model.factors)):
+            flags = []
+            factors, lam = decompose._init_factors(f, unfoldings(f),
+                                                   SolverConfig(r=3, seed=7), flags)
+            assert flags == []
+            assert lam.tobytes() == weights.astype(np.complex128).tobytes()
+            for got, ref in zip(factors, ref_factors):
+                assert got.tobytes() == ref.tobytes()
+            # then the deflation start
+            monkeypatch.setattr(decompose, "_closed_form_start", lambda *args: None)
 
     def test_tall_mode_forms_no_square_gram(self, monkeypatch):
         # a 400 x 2 x 2 tensor: the mode-0 unfolding is 400 x 4, so an
@@ -1311,18 +1333,30 @@ class TestOneGramPerSystem:
                                                   **regime))
         assert len(calls) == 5 * diag.n_iter
 
-    def test_120_per_blind_id_op(self, monkeypatch):
-        # the seed-611 items of the benchmark converge in 30 sweeps of 3 modes
+    def test_four_per_sweep_per_blind_id_op(self, monkeypatch):
+        # the seed-611 items of the benchmark: 3 mode solves and the weight
+        # re-solve per sweep, and no other product; from the closed-form
+        # start they converge in fewer than the 30 sweeps of the deflation one
         from test_simulate import _blind_id_workload
 
         workload = _blind_id_workload()
+        sweeps = []
+        als = decompose.constrained_als
+
+        def spy(*args, **kwargs):
+            model, diag = als(*args, **kwargs)
+            sweeps.append(diag.n_iter)
+            return model, diag
+
+        monkeypatch.setattr(decompose, "constrained_als", spy)
         calls = hadamard_spy(monkeypatch)
         counts = []
         for item in workload.setup(611, None):
             calls.clear()
             workload.op(item)
             counts.append(len(calls))
-        assert counts == [120] * workload.pool
+        assert counts == [4 * n for n in sweeps]
+        assert len(sweeps) == workload.pool and max(sweeps) < 30
 
     def test_no_numpy_wrapper_per_blind_id_op(self, monkeypatch):
         # the op's reductions are ndarray methods or ufunc.reduce and its norms
@@ -1432,3 +1466,146 @@ class TestDivergenceWitness:
         e = np.eye(2, dtype=complex)
         with pytest.raises(ValueError, match="n values must be positive"):
             divergence_witness([e[0]] * 3, [e[1]] * 3, [4, n])
+
+
+def planted(dims, r, seed):
+    """A noiseless planted tensor of rank r and its canonical truth."""
+    rng = np.random.default_rng(seed)
+    truth = canonicalize(rng.uniform(0.5, 2.0, r),
+                         [random_unit_columns(n, r, rng) for n in dims])
+    return cp_evaluate(truth), truth
+
+
+def jennrich_reference(t, seed):
+    """The closed form written out for an r x r x m tensor, slices last."""
+    x, y = np.random.default_rng([seed, 22]).standard_normal((2, t.shape[2]))
+    a = np.linalg.eig(np.linalg.solve((t @ y).T, (t @ x).T).T)[1]
+    u, w, vh = np.linalg.svd(np.linalg.solve(a, t.reshape(len(a), -1)).reshape(t.shape))
+    return w[:, 0], [a, u[:, :, 0].T, vh[:, 0, :].T]
+
+
+def no_deflation(*args, **kwargs):
+    raise AssertionError("the deflation start ran")
+
+
+class TestClosedFormStart:
+    @pytest.mark.parametrize("dims, r", [((3, 3, 3), 2), ((3, 3, 3), 3), ((4, 4, 4), 3),
+                                         ((4, 4, 4), 4), ((2, 3, 4), 2), ((17, 4, 48), 4),
+                                         ((6, 3, 5), 4), ((3, 5, 6), 4)])
+    def test_exact_on_noiseless_planted_tensors(self, monkeypatch, dims, r):
+        # on the core of every shape: the slice mode is last, in the middle
+        # (6 x 3 x 5 -> 4 x 3 x 4) or first (3 x 5 x 6 -> 3 x 4 x 4)
+        f, truth = planted(dims, r, 70)
+        monkeypatch.setattr(decompose, "oga_continuous", no_deflation)
+        weights, factors = decompose._greedy_start(f, unfoldings(f), r, 7)
+        assert essentially_equal(canonicalize(weights, factors), truth, 1e-8)
+
+    @pytest.mark.parametrize("dims, r", [((3, 3, 3), 3), ((4, 3, 4), 4), ((3, 4, 4), 4),
+                                         ((4, 4, 2), 4)])
+    def test_matches_its_reference_bytewise(self, dims, r):
+        # the slice mode is the one whose two others have size r, the last
+        # when all three do; the reference takes it last
+        f = planted(dims, r, 71)[0]
+        s = [k for k in range(3) if dims[:k] + dims[k + 1:] == (r, r)][-1]
+        weights, factors = decompose._closed_form_start(f, r, 5)
+        ref_weights, ref_factors = jennrich_reference(np.moveaxis(f, s, 2), 5)
+        ref_factors.insert(s, ref_factors.pop())
+        assert weights.tobytes() == ref_weights.tobytes()
+        for got, ref in zip(factors, ref_factors):
+            assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("dims, r", [((3, 3, 3, 3), 2), ((2, 3, 4), 4), ((3, 3, 3), 4),
+                                         ((2, 2, 3), 3), ((3, 3, 1), 3), ((2, 1, 2), 2)])
+    def test_none_where_it_does_not_apply(self, dims, r):
+        # a 4-way tensor, r above the second-largest dim, one mode of size
+        # r, and a slice mode of size 1
+        f = np.random.default_rng(72).standard_normal(dims) + 0j
+        assert decompose._closed_form_start(f, r, 0) is None
+
+    @pytest.mark.parametrize("rank", [0, 1, 2])
+    def test_none_for_a_singular_slice_mixture(self, rank):
+        # below rank r every slice mixture is singular
+        f = planted((3, 3, 3), rank, 73)[0] if rank else np.zeros((3, 3, 3), complex)
+        assert decompose._closed_form_start(f, 3, 0) is None
+
+    @staticmethod
+    def two_term(cos):
+        # A has unit columns at |<a_1, a_2>| = cos: Gram margin 1 - cos
+        a = np.array([[1.0, cos], [0.0, math.sqrt(1.0 - cos * cos)]], dtype=complex)
+        rng = np.random.default_rng(74)
+        return evaluate_terms([1.0, 0.8], [a, random_unit_columns(2, 2, rng),
+                                           random_unit_columns(3, 2, rng)])
+
+    @pytest.mark.parametrize("margin, applies", [(2.1e-8, True), (1.9e-8, False)])
+    def test_eigenvector_bound_decides_without_a_condition_number(self, monkeypatch,
+                                                                   margin, applies):
+        # sqrt((2 - m) / m) = EIGVEC_COND_MAX = 1e4 at m = 2e-8
+        calls, _ = linalg_spy(monkeypatch, "cond")
+        got = decompose._closed_form_start(self.two_term(1.0 - margin), 2, 0)
+        assert calls == [] and (got is not None) == applies
+
+    @staticmethod
+    def coherent_truth():
+        # A has three unit columns at coherence 0.6: Gram row margin -0.2
+        rng = np.random.default_rng(75)
+        a = np.linalg.cholesky(np.full((3, 3), 0.6) + 0.4 * np.eye(3)).T.astype(complex)
+        return canonicalize([1.0, 0.8, 0.6], [a, random_unit_columns(3, 3, rng),
+                                              random_unit_columns(3, 3, rng)])
+
+    def test_condition_number_only_without_a_margin(self, monkeypatch):
+        # the bound says nothing, so cond(A), 2.1, is computed
+        truth = self.coherent_truth()
+        calls, _ = linalg_spy(monkeypatch, "cond")
+        got = decompose._closed_form_start(cp_evaluate(truth), 3, 0)
+        assert calls == [(3, 3)]
+        assert essentially_equal(canonicalize(*got), truth, 1e-8)
+
+    @pytest.mark.parametrize("cond, applies", [(1e4, True), (math.nextafter(1e4, 0.0), True),
+                                               (math.nextafter(1e4, math.inf), False)])
+    def test_condition_limit_is_not_strict(self, monkeypatch, cond, applies):
+        f = cp_evaluate(self.coherent_truth())
+        monkeypatch.setattr(np.linalg, "cond", lambda *args, **kwargs: cond)
+        assert (decompose._closed_form_start(f, 3, 0) is not None) == applies
+
+    def test_identical_eigenvectors_are_refused(self, monkeypatch):
+        # margin 0: the bound would divide by zero, and cond(A) is infinite
+        a = np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex)
+        monkeypatch.setattr(np.linalg, "eig", lambda m: (np.ones(2), a))
+        assert decompose._closed_form_start(self.two_term(0.5), 2, 0) is None
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e152])
+    def test_norm_range_edges(self, monkeypatch, scale):
+        # the closed form is scale-free: it applies at the edges of the
+        # accepted norm range, with no overflow.  At 1e-150 the deflation
+        # start stops at once (the norm is below its tol), and the random
+        # start that took over, flagged, ends at relative residual 0.456;
+        # at 1e152 the random start reaches 0.318 too
+        f = np.random.default_rng(1).standard_normal((3, 3, 3)) * scale
+        _, random_diag = constrained_als(f, SolverConfig(r=2, init="random"))
+        monkeypatch.setattr(decompose, "oga_continuous", no_deflation)
+        with np.errstate(over="raise", invalid="raise"):
+            _, diag = constrained_als(f, SolverConfig(r=2))
+        assert diag.flags == [] and diag.converged
+        assert diag.final_residual < 0.32 * frobenius(f)
+        assert (random_diag.final_residual > 0.45 * frobenius(f)) == (scale < 1.0)
+
+    def test_padding_and_random_draws_keep_their_bits(self):
+        # the closed form draws from its own generator: where it does not
+        # apply, the padding and the random fallback read default_rng(seed)
+        # as they did before it
+        f = planted((4, 5, 3), 1, 77)[0]
+        cfg = SolverConfig(r=2, seed=9)
+        flags = []
+        factors, lam = decompose._init_factors(f, unfoldings(f), cfg, flags)
+        assert flags == ["greedy_init_padded"]
+        rng = np.random.default_rng(9)
+        weights, start = decompose._greedy_start(f, unfoldings(f), 2, 9)
+        for got, fac, n in zip(factors, start, f.shape):
+            assert got.tobytes() == np.hstack([fac, random_unit_columns(n, 1, rng)]).tobytes()
+        assert lam[1] == 1e-3 * weights[0]
+        zero, flags = np.zeros((3, 3, 3)), []
+        factors, _ = decompose._init_factors(zero, unfoldings(zero), cfg, flags)
+        assert flags == ["greedy_init_degenerate_fallback_random"]
+        rng = np.random.default_rng(9)
+        for got in factors:
+            assert got.tobytes() == random_unit_columns(3, 2, rng).tobytes()
